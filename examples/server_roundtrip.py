@@ -42,7 +42,7 @@ def main() -> None:
         with ServerClient(harness.address) as client:
             health = client.health()
             assert health["ok"]
-            print(f"health: engines={health['engines']}")
+            print(f"health: statistics_version={health['statistics_version']}")
 
             # -- cold, then warm -------------------------------------
             cold = client.optimize(CHAIN)

@@ -124,7 +124,6 @@ from repro.search import (
     ResourceBudget,
     SearchOptions,
     StaticPromise,
-    TaskBasedOptimizer,
     VolcanoOptimizer,
 )
 from repro.service import (
@@ -216,7 +215,6 @@ __all__ = [
     "ResourceBudget",
     "BudgetReport",
     "SearchOptions",
-    "TaskBasedOptimizer",
     "VolcanoOptimizer",
     "PromiseModel",
     "StaticPromise",

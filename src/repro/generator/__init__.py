@@ -7,7 +7,6 @@ from repro.generator.codegen import (
 )
 from repro.generator.generate import generate_optimizer, lint_specification
 from repro.generator.kernel import (
-    KERNEL_TIERS,
     SearchKernel,
     clear_kernel_caches,
     generate_kernel_source,
@@ -23,7 +22,6 @@ __all__ = [
     "source_fingerprint",
     "generate_optimizer",
     "lint_specification",
-    "KERNEL_TIERS",
     "SearchKernel",
     "clear_kernel_caches",
     "generate_kernel_source",

@@ -3,7 +3,7 @@
 ``python -m repro.generator MODEL`` runs the Figure 1 pipeline for a
 bundled model: it emits the generated optimizer module (integer-coded
 tables + ``build_optimizer``) into a content-keyed cache directory and,
-for the specialized/compiled tiers, generates the model's search kernel
+for the specialized tier, generates the model's search kernel
 (see :mod:`repro.generator.kernel`).  Unchanged specifications reuse
 their cached modules; ``--force`` regenerates unconditionally.
 
@@ -11,7 +11,7 @@ Examples::
 
     python -m repro.generator relational
     python -m repro.generator --all --tier specialized
-    python -m repro.generator oodb --tier compiled --force --out build/
+    python -m repro.generator oodb --force --out build/
 """
 
 from __future__ import annotations
@@ -21,12 +21,8 @@ import sys
 from pathlib import Path
 
 from repro.generator.codegen import compile_and_load, source_fingerprint
-from repro.generator.kernel import (
-    KERNEL_TIERS,
-    kernel_cache_dir,
-    kernel_for,
-    spec_fingerprint,
-)
+from repro.generator.kernel import kernel_cache_dir, kernel_for, spec_fingerprint
+from repro.options import KERNEL_TIERS
 
 #: Bundled models: CLI name -> provider (``module:callable``).  The
 #: provider string is embedded into the generated module, which re-calls
@@ -57,12 +53,8 @@ def _generate_one(name: str, provider: str, args) -> int:
     print(f"{name}: optimizer module {action} at {module.__file__}")
     if args.tier != "interpreted":
         kernel = kernel_for(spec, args.tier, force=args.force)
-        status = f"tier={kernel.tier}"
-        if kernel.fallback_reason:
-            status += f" (fell back from {kernel.requested_tier!r}: " \
-                f"{kernel.fallback_reason})"
         print(
-            f"{name}: kernel {kernel.fingerprint} {status} "
+            f"{name}: kernel {kernel.fingerprint} tier={kernel.tier} "
             f"at {kernel.source_path or '<memory>'}"
         )
     else:

@@ -38,6 +38,7 @@ from typing import Optional, Tuple
 from repro.errors import GenerationError
 from repro.model.patterns import AnyPattern
 from repro.model.spec import ModelSpecification
+from repro.options import KERNEL_TIERS
 
 __all__ = [
     "generate_source",
@@ -113,19 +114,14 @@ def generate_source(
     ``kernel_tier`` bakes a default specialized-kernel tier into the
     module: ``build_optimizer`` then fills ``SearchOptions.kernel`` with
     that tier whenever the caller left it unset (see
-    :mod:`repro.generator.kernel`; ``"compiled"`` falls back to the
-    pure-Python specialized kernel automatically when no toolchain is
-    present).  ``None`` keeps the historical interpreted default.
+    :mod:`repro.generator.kernel`).  ``None`` keeps the historical
+    interpreted default.
     """
     spec.validate()
-    if kernel_tier is not None:
-        from repro.generator.kernel import KERNEL_TIERS
-
-        if kernel_tier not in KERNEL_TIERS:
-            raise GenerationError(
-                f"unknown kernel tier {kernel_tier!r}; "
-                f"expected one of {KERNEL_TIERS}"
-            )
+    if kernel_tier is not None and kernel_tier not in KERNEL_TIERS:
+        raise GenerationError(
+            f"unknown kernel tier {kernel_tier!r}; expected one of {KERNEL_TIERS}"
+        )
     module_name, attribute = _parse_provider(provider)
 
     # Integer-code every name, exactly once, in deterministic order.
@@ -284,11 +280,8 @@ def compile_and_load(
     when the cached copy was reused).
 
     ``tier`` bakes a default specialized-kernel tier into the module
-    (see :func:`generate_source`) and eagerly resolves the kernel — so
-    ``tier="compiled"`` attempts the native build *now*, at "compile and
-    link" time, and the module's ``KERNEL_STATUS`` records the effective
-    ``(tier, fallback_reason)`` pair.  A missing toolchain degrades to
-    the pure-Python specialized kernel; it never fails the load.
+    (see :func:`generate_source`) and eagerly resolves the kernel, so
+    the kernel module is generated *now*, at "compile and link" time.
     """
     source = generate_source(
         spec, provider, provider_args=provider_args, kernel_tier=tier
@@ -320,9 +313,5 @@ def compile_and_load(
     if tier is not None and tier != "interpreted":
         from repro.generator.kernel import kernel_for
 
-        kernel = kernel_for(spec, tier, force=force)
-        status = (kernel.tier, kernel.fallback_reason)
-        setattr(module, "KERNEL_STATUS", status)
-    else:
-        setattr(module, "KERNEL_STATUS", ("interpreted", None))
+        kernel_for(spec, tier, force=force)
     return module

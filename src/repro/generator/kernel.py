@@ -34,13 +34,7 @@ Tiers
 ``"interpreted"``
     No kernel: the engine walks pattern objects (the baseline).
 ``"specialized"``
-    The generated pure-Python kernel (always available).
-``"compiled"``
-    The specialized kernel compiled with mypyc (or Cython) when a
-    toolchain is present.  When neither toolchain imports, the kernel
-    **falls back to the specialized tier automatically** and records the
-    reason in :attr:`SearchKernel.fallback_reason` — requesting
-    ``"compiled"`` never fails and never changes plans.
+    The generated pure-Python kernel.
 
 Generated modules are cached on disk keyed by a content hash of the
 generated source (see :func:`spec_fingerprint`); unchanged specs reuse
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import json
 import os
 import sys
 import tempfile
@@ -63,9 +56,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import GenerationError
 from repro.model.patterns import AnyPattern, OpPattern
 from repro.model.spec import ModelSpecification
+from repro.options import KERNEL_TIERS
 
 __all__ = [
-    "KERNEL_TIERS",
     "SearchKernel",
     "generate_kernel_source",
     "spec_fingerprint",
@@ -74,8 +67,6 @@ __all__ = [
     "kernel_cache_dir",
     "clear_kernel_caches",
 ]
-
-KERNEL_TIERS = ("interpreted", "specialized", "compiled")
 
 #: Bumped whenever the generated-module layout changes; part of the
 #: fingerprint so stale cache files from older layouts never load.
@@ -399,8 +390,8 @@ class SearchKernel:
     nested patterns, a delta enumerator for append-only cache resume)
     alongside each rule.
 
-    Pickling collapses to the *requested tier string* (kernels hold
-    generated functions, which do not pickle): the receiving process —
+    Pickling collapses to the *tier string* (kernels hold generated
+    functions, which do not pickle): the receiving process —
     e.g. an ``optimize_many`` worker — re-resolves the kernel for its
     own spec object via :func:`resolve_kernel`, hitting the module cache.
     """
@@ -408,14 +399,14 @@ class SearchKernel:
     __slots__ = (
         "model",
         "fingerprint",
-        "tier",
-        "requested_tier",
-        "fallback_reason",
         "source_path",
         "transformation_dispatch",
         "implementation_dispatch",
         "module",
     )
+
+    #: Every kernel object is the one generated tier.
+    tier = "specialized"
 
     def __init__(
         self,
@@ -423,16 +414,10 @@ class SearchKernel:
         module: types.ModuleType,
         *,
         fingerprint: str,
-        tier: str,
-        requested_tier: str,
-        fallback_reason: Optional[str] = None,
         source_path: Optional[Path] = None,
     ):
         self.model = spec.name
         self.fingerprint = fingerprint
-        self.tier = tier
-        self.requested_tier = requested_tier
-        self.fallback_reason = fallback_reason
         self.source_path = source_path
         self.module = module
         self.transformation_dispatch = _bind_dispatch(
@@ -449,17 +434,12 @@ class SearchKernel:
         )
 
     def __reduce__(self):
-        return (str, (self.requested_tier,))
+        return (str, (self.tier,))
 
     def __repr__(self) -> str:
-        suffix = (
-            f" (fell back from {self.requested_tier!r}: {self.fallback_reason})"
-            if self.fallback_reason
-            else ""
-        )
         return (
             f"<SearchKernel {self.model} {self.fingerprint} "
-            f"tier={self.tier!r}{suffix}>"
+            f"tier={self.tier!r}>"
         )
 
 
@@ -490,11 +470,11 @@ def _bind_dispatch(rules, matcher_rows, kind: str, spec: ModelSpecification):
 
 
 # ---------------------------------------------------------------------------
-# Caching, loading, the compiled tier
+# Caching and loading
 # ---------------------------------------------------------------------------
 
-# (fingerprint, tier) -> (module, effective_tier, fallback_reason, path)
-_MODULES: Dict[Tuple[str, str], Tuple[types.ModuleType, str, Optional[str], Optional[Path]]] = {}
+# fingerprint -> (module, path)
+_MODULES: Dict[str, Tuple[types.ModuleType, Optional[Path]]] = {}
 
 
 def kernel_cache_dir() -> Path:
@@ -537,11 +517,11 @@ def _materialize(
 ) -> Tuple[types.ModuleType, Optional[Path]]:
     """Write-or-reuse the kernel source on disk and import it.
 
-    Layout: ``<cache>/<model>-<fingerprint>/kernel.py`` plus a small
-    ``meta.json``.  An existing ``kernel.py`` under the same fingerprint
-    directory is trusted verbatim (the fingerprint *is* the content
-    hash) unless ``force`` rewrites it.  Unwritable cache directories
-    degrade to executing the source in memory.
+    Layout: ``<cache>/<model>-<fingerprint>/kernel.py``.  An existing
+    ``kernel.py`` under the same fingerprint directory is trusted
+    verbatim (the fingerprint *is* the content hash) unless ``force``
+    rewrites it.  Unwritable cache directories degrade to executing the
+    source in memory.
     """
     name = f"repro_kernel_{spec.name}_{fingerprint}"
     try:
@@ -559,95 +539,9 @@ def _materialize(
             finally:
                 handle.close()
             os.replace(handle.name, path)
-            (directory / "meta.json").write_text(
-                json.dumps(
-                    {
-                        "model": spec.name,
-                        "fingerprint": fingerprint,
-                        "schema": KERNEL_SCHEMA,
-                    },
-                    indent=2,
-                )
-            )
         return _load_module_from_path(name, path), path
     except OSError:
         return _exec_in_memory(name, source), None
-
-
-def _attempt_compile(
-    path: Optional[Path], name: str
-) -> Tuple[Optional[types.ModuleType], Optional[str]]:
-    """Best-effort native compilation of a kernel source file.
-
-    Tries mypyc, then Cython.  Returns ``(module, None)`` on success or
-    ``(None, reason)`` when no toolchain is available or the build
-    fails — the caller falls back to the pure-Python module.  This never
-    raises: a missing compiler must not break optimization.
-    """
-    if path is None:
-        return None, "kernel cache directory unavailable (in-memory module)"
-    reasons = []
-    try:
-        from mypyc.build import mypycify  # noqa: F401
-    except Exception as error:
-        reasons.append(f"mypyc unavailable ({error})")
-    else:
-        outcome = _compile_with_mypyc(path, name)
-        if isinstance(outcome, types.ModuleType):
-            return outcome, None
-        reasons.append(outcome)
-    try:
-        import Cython  # noqa: F401
-    except Exception as error:
-        reasons.append(f"Cython unavailable ({error})")
-    else:
-        outcome = _compile_with_cython(path, name)
-        if isinstance(outcome, types.ModuleType):
-            return outcome, None
-        reasons.append(outcome)
-    return None, "; ".join(reasons)
-
-
-def _compile_with_mypyc(path: Path, name: str):
-    """Compile with mypyc into the kernel's cache directory."""
-    try:
-        import subprocess
-
-        result = subprocess.run(
-            [sys.executable, "-m", "mypyc", str(path)],
-            cwd=path.parent,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        if result.returncode != 0:
-            return f"mypyc build failed ({result.stderr.strip()[:200]})"
-        for candidate in path.parent.glob("kernel*.so"):
-            return _load_module_from_path(name, candidate)
-        return "mypyc produced no extension module"
-    except Exception as error:  # pragma: no cover - toolchain-dependent
-        return f"mypyc build failed ({error})"
-
-
-def _compile_with_cython(path: Path, name: str):
-    """Compile with cythonize into the kernel's cache directory."""
-    try:
-        import subprocess
-
-        result = subprocess.run(
-            [sys.executable, "-m", "cython", "-3", str(path)],
-            cwd=path.parent,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        if result.returncode != 0:
-            return f"cython build failed ({result.stderr.strip()[:200]})"
-        # Building the extension needs a C toolchain driven by
-        # setuptools; left to environments that ship one.
-        return "cython transpiled but no extension build is configured"
-    except Exception as error:  # pragma: no cover - toolchain-dependent
-        return f"cython build failed ({error})"
 
 
 def kernel_for(
@@ -660,10 +554,7 @@ def kernel_for(
 
     ``"interpreted"`` returns ``None`` (no kernel — the engine's pattern
     interpreter runs).  ``"specialized"`` generates (or reuses, keyed by
-    content fingerprint) the pure-Python kernel.  ``"compiled"``
-    additionally attempts a mypyc/Cython build and silently falls back
-    to the specialized module when no toolchain is present, recording
-    :attr:`SearchKernel.fallback_reason`.
+    content fingerprint) the pure-Python kernel.
 
     The returned kernel is bound to *this* ``spec``'s rule objects; the
     underlying generated module is shared across equal-fingerprint
@@ -676,29 +567,12 @@ def kernel_for(
     if tier == "interpreted":
         return None
     source, fingerprint = _source_and_fingerprint(spec)
-    cached = None if force else _MODULES.get((fingerprint, tier))
+    cached = None if force else _MODULES.get(fingerprint)
     if cached is None:
-        module, path = _materialize(spec, source, fingerprint, force)
-        effective, reason = tier, None
-        if tier == "compiled":
-            name = f"repro_kernel_{spec.name}_{fingerprint}_c"
-            compiled, reason = _attempt_compile(path, name)
-            if compiled is not None:
-                module = compiled
-            else:
-                effective = "specialized"
-        cached = (module, effective, reason, path)
-        _MODULES[(fingerprint, tier)] = cached
-    module, effective, reason, path = cached
-    return SearchKernel(
-        spec,
-        module,
-        fingerprint=fingerprint,
-        tier=effective,
-        requested_tier=tier,
-        fallback_reason=reason,
-        source_path=path,
-    )
+        cached = _materialize(spec, source, fingerprint, force)
+        _MODULES[fingerprint] = cached
+    module, path = cached
+    return SearchKernel(spec, module, fingerprint=fingerprint, source_path=path)
 
 
 def resolve_kernel(spec: ModelSpecification, kernel) -> Optional[SearchKernel]:
@@ -721,7 +595,7 @@ def resolve_kernel(spec: ModelSpecification, kernel) -> Optional[SearchKernel]:
                 f"specification than {spec.name!r} — pass a tier string or "
                 f"regenerate with kernel_for()"
             )
-        return kernel_for(spec, kernel.requested_tier)
+        return kernel_for(spec, kernel.tier)
     raise GenerationError(
         f"SearchOptions.kernel must be None, a tier string "
         f"{KERNEL_TIERS}, or a SearchKernel; got {type(kernel).__name__}"

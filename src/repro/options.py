@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: The generated-kernel tiers a hint or option may name.
-KERNEL_TIERS = ("interpreted", "specialized", "compiled")
+KERNEL_TIERS = ("interpreted", "specialized")
 
 #: The promise-model dispositions a per-query hint may name.
 PROMISE_HINTS = ("service", "static", "none")
@@ -279,11 +279,6 @@ class QueryHints(OptionsBase):
     service's own defaults and the engine's construction-time options
     are untouched.
 
-    ``engine``
-        Which named engine serves the request.  Interpreted by the
-        server (:mod:`repro.server`), which validates it against its
-        configured engine set; the service itself ignores it (it wraps
-        exactly one engine).
     ``kernel``
         A generated-kernel tier (one of :data:`KERNEL_TIERS`) for this
         run.  Unlike :attr:`~repro.service.ServiceOptions.kernel`, a
@@ -309,7 +304,6 @@ class QueryHints(OptionsBase):
     kernel and promise never change answers, only effort).
     """
 
-    engine: Optional[str] = None
     kernel: Optional[str] = None
     budget: Optional[ResourceBudget] = None
     promise: Optional[str] = None
@@ -329,12 +323,7 @@ class QueryHints(OptionsBase):
     @property
     def is_empty(self) -> bool:
         """True when no hint is set (the request carries no steering)."""
-        return (
-            self.engine is None
-            and self.kernel is None
-            and self.budget is None
-            and self.promise is None
-        )
+        return self.kernel is None and self.budget is None and self.promise is None
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)

@@ -2,11 +2,10 @@
 
 This package also defines the :class:`Optimizer` protocol — the single
 call shape every optimizer in this repository answers to, whether it is
-the recursive Volcano engine, the Cascades-style task driver, or the
-EXODUS and System R comparison baselines.  Anything that fronts an
-optimizer (the :class:`~repro.service.OptimizerService`, the benchmark
-harness) programs against this protocol and can wrap any engine
-interchangeably.
+the recursive Volcano engine or the EXODUS and System R comparison
+baselines.  Anything that fronts an optimizer (the
+:class:`~repro.service.OptimizerService`, the benchmark harness)
+programs against this protocol and can wrap any engine interchangeably.
 """
 
 from typing import Optional, Protocol, runtime_checkable
@@ -20,7 +19,6 @@ from repro.search.engine import (
     SearchOptions,
     VolcanoOptimizer,
 )
-from repro.search.tasks import TaskBasedOptimizer, lifo_scheduler
 from repro.search.memo import Group, GroupExpression, Memo, Winner
 from repro.search.promise import (
     STATIC_PROMISE,
@@ -38,8 +36,6 @@ from repro.search.tracing import SearchStats, Tracer
 
 __all__ = [
     "Optimizer",
-    "TaskBasedOptimizer",
-    "lifo_scheduler",
     "OptimizationResult",
     "PreoptimizedPlan",
     "SearchOptions",
@@ -76,7 +72,7 @@ class Optimizer(Protocol):
     keyword-only arguments (``limit``, ``preoptimized``).  ``options``
     overrides the engine's construction-time options for one call.
 
-    Conformers: :class:`VolcanoOptimizer`, :class:`TaskBasedOptimizer`,
+    Conformers: :class:`VolcanoOptimizer`,
     :class:`~repro.exodus.ExodusOptimizer`,
     :class:`~repro.systemr.SystemROptimizer`.
     """

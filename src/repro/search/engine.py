@@ -27,7 +27,7 @@ from.
 Two production concerns layer on top of the paper's algorithm:
 
 * **Reentrancy.**  All per-run state (memo, context, stats, tracer,
-  budget meter, the task driver's agenda) lives in a :class:`_SearchRun`
+  budget meter) lives in a :class:`_SearchRun`
   object created by ``optimize()`` and threaded through the search, so
   one engine instance can serve concurrent ``optimize()`` calls — each
   with its own ``options=`` override — without interference.
@@ -68,6 +68,7 @@ from repro.model.patterns import match_memo
 from repro.model.rules import ImplementationRule, TransformationRule
 from repro.model.spec import AlgorithmNode, EnforcerApplication, ModelSpecification
 from repro.options import (
+    KERNEL_TIERS,
     BudgetMeter,
     BudgetReport,
     BudgetTripped,
@@ -172,9 +173,7 @@ class SearchOptions(OptionsBase):
         The specialized search kernel to run with (see
         :mod:`repro.generator.kernel`): ``None`` or ``"interpreted"``
         walks pattern objects (the baseline), ``"specialized"`` resolves
-        the generated pure-Python kernel for this engine's model, and
-        ``"compiled"`` additionally attempts a native build, falling
-        back to the specialized tier when no toolchain is present.  A
+        the generated pure-Python kernel for this engine's model.  A
         pre-built :class:`~repro.generator.kernel.SearchKernel` is also
         accepted.  Kernels only swap the binding enumerators; plans,
         costs, and certificates are byte-identical across tiers.
@@ -195,14 +194,10 @@ class SearchOptions(OptionsBase):
         """Check field invariants; raise :class:`OptionsError` on failure."""
         check_positive("max_groups", self.max_groups)
         kernel = self.kernel
-        if isinstance(kernel, str) and kernel not in (
-            "interpreted",
-            "specialized",
-            "compiled",
-        ):
+        if isinstance(kernel, str) and kernel not in KERNEL_TIERS:
             raise OptionsError(
-                f"kernel must be one of 'interpreted', 'specialized', "
-                f"'compiled', or a SearchKernel; got {kernel!r}"
+                f"kernel must be one of {KERNEL_TIERS} or a SearchKernel; "
+                f"got {kernel!r}"
             )
 
 
@@ -210,8 +205,7 @@ class SearchOptions(OptionsBase):
 class OptimizationResult:
     """The common optimization outcome of every :class:`Optimizer`.
 
-    :class:`VolcanoOptimizer` and :class:`TaskBasedOptimizer` return it
-    directly (with a live memo);
+    :class:`VolcanoOptimizer` returns it directly (with a live memo);
     :class:`~repro.exodus.ExodusResult` and
     :class:`~repro.systemr.SystemRResult` subclass it, so any engine's
     answer carries ``plan``, ``cost``, ``required``, and ``stats`` —
@@ -405,8 +399,7 @@ class _SearchRun:
     Created at the entry point and threaded through every search method,
     so engine instances hold no mutable per-query state: two threads (or
     a re-entrant caller) can optimize through one engine concurrently,
-    each run carrying its own memo, stats, tracer, budget meter, and —
-    for the task driver — agenda.
+    each run carrying its own memo, stats, tracer, and budget meter.
     """
 
     __slots__ = (
@@ -417,7 +410,6 @@ class _SearchRun:
         "tracer",
         "meter",
         "metered",
-        "agenda",
         "claims",
         "promise",
         "kernel",
@@ -442,8 +434,6 @@ class _SearchRun:
         # meter's counters are only ever read in trip reports, so with
         # no (or an unbounded) budget the checks are pure overhead.
         self.metered = meter.armed
-        # The task driver's agenda (None in the recursive engine).
-        self.agenda: Optional[List] = None
         # The specialized search kernel (None = interpreted paths).
         self.kernel = None
         # The active promise model; STATIC_PROMISE (compared by
@@ -946,9 +936,6 @@ class VolcanoOptimizer:
                     meter.check("exploration")
                 # Heuristic pruning consults the promise model; the
                 # exhaustive default (min_promise None) never calls it.
-                # This method is shared by both engines — the recursive
-                # driver and the task driver prune (and account) the
-                # exact same rules.
                 if options.min_promise is not None and (
                     run.promise.transformation_promise(rule, group.logical_props)
                     < options.min_promise
@@ -1247,11 +1234,10 @@ class VolcanoOptimizer:
     def _ordered_moves(self, run: _SearchRun, group: Group) -> List[_AlgorithmMove]:
         """A group's algorithm moves in pursuit order.
 
-        The ordering contract shared by both engines (documented in
+        The ordering contract (documented in
         ``docs/search-internals.md``, "Promise and move ordering"):
         stable sort by descending model promise, static rank within
-        ties — so equal-promise moves are pursued in discovery order,
-        identically in the recursive and the task-based driver.
+        ties — so equal-promise moves are pursued in discovery order.
         """
         return self._algorithm_moves(run, group)
 
@@ -1265,7 +1251,7 @@ class VolcanoOptimizer:
         when any of them changes — see
         :meth:`repro.search.memo.Memo.cached_moves`.  The returned list
         is already in pursuit order; a fresh list is returned on every
-        call so drivers may consume it freely.
+        call so the caller may consume it freely.
 
         Each move carries the active promise model's promise and its
         static rank (position under stable descending-``rule.promise``

@@ -12,11 +12,6 @@ out.
     curl -s localhost:8725/health
     curl -s -XPOST localhost:8725/optimize \
          -d '{"sql": "SELECT * FROM r, s WHERE r.k = s.k"}'
-
-Both memo engines are registered: the default serves requests, the
-other is reachable per-request via ``{"engine": ...}`` — over the
-*same* plan cache, which is sound because the engines produce
-byte-identical plans.
 """
 
 from __future__ import annotations
@@ -25,14 +20,13 @@ import argparse
 import asyncio
 import signal
 import sys
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.executor.data import TableSpec, generate_table
 from repro.generator.generate import generate_optimizer
 from repro.models.relational import relational_model
 from repro.options import ServerOptions
-from repro.search.tasks import TaskBasedOptimizer
 from repro.server.app import OptimizerServer
 from repro.service.service import OptimizerService, ServiceOptions
 
@@ -71,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="model specification to generate the optimizer from",
     )
     parser.add_argument(
-        "--engine",
-        choices=["volcano", "task"],
-        default="volcano",
-        help="default search engine (the other stays reachable by hint)",
-    )
-    parser.add_argument(
         "--tables",
         type=_parse_tables,
         default=_parse_tables("r:300,s:900,t:600"),
@@ -107,27 +95,15 @@ def build_server(args: argparse.Namespace) -> OptimizerServer:
         )
         catalog.add_table(name, schema, statistics, data)
     spec = relational_model()
-    service_options = ServiceOptions(verify_plans=args.verify)
-    engines: Dict[str, OptimizerService] = {
-        "volcano": OptimizerService(
-            generate_optimizer(spec, catalog), options=service_options
-        ),
-        "task": OptimizerService(
-            TaskBasedOptimizer(spec, catalog), options=service_options
-        ),
-    }
-    primary = engines[args.engine]
+    service = OptimizerService(
+        generate_optimizer(spec, catalog),
+        options=ServiceOptions(verify_plans=args.verify),
+    )
     workers = max(args.workers, args.max_concurrent)
     options = ServerOptions(
         max_concurrent=args.max_concurrent, workers=workers
     )
-    return OptimizerServer(
-        primary,
-        options=options,
-        engines=engines,
-        host=args.host,
-        port=args.port,
-    )
+    return OptimizerServer(service, options=options, host=args.host, port=args.port)
 
 
 async def _serve(server: OptimizerServer) -> None:
@@ -138,11 +114,7 @@ async def _serve(server: OptimizerServer) -> None:
         except NotImplementedError:  # pragma: no cover - non-POSIX
             pass
     await server.start()
-    print(
-        f"repro.server listening on {server.address} "
-        f"(engines: {', '.join(['default', *sorted(server.engines)])})",
-        flush=True,
-    )
+    print(f"repro.server listening on {server.address}", flush=True)
     await server.serve_forever()
     print("repro.server: drained and stopped", flush=True)
 

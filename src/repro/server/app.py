@@ -35,10 +35,7 @@ Endpoints (all bodies JSON):
 ====================  ====================================================
 
 Per-request **hints** ride as top-level fields of any optimize-like
-body: ``engine`` selects among the server's configured engines (which
-share one plan cache — post-PR8 both memo engines produce
-byte-identical plans, so a cross-engine hit is sound), ``kernel`` /
-``promise`` / ``budget`` steer that one run
+body: ``kernel`` / ``promise`` / ``budget`` steer that one run
 (:class:`~repro.options.QueryHints`), and ``deadline_seconds`` bounds
 the whole request — queue wait included; whatever remains after
 admission becomes the optimization's wall-clock budget.
@@ -75,21 +72,13 @@ _MAX_BODY = 4 * 1024 * 1024
 
 
 class OptimizerServer:
-    """One optimizer service (or several engines over one cache), served.
-
-    ``engines`` maps additional engine names to services; they are
-    rewired to share the primary's plan cache, subplan library,
-    feedback store, and single-flight table, so an ``engine`` hint
-    changes which search runs on a miss but never forks the cache.
-    All services must front the same catalog.
-    """
+    """One optimizer service, served."""
 
     def __init__(
         self,
         service: OptimizerService,
         *,
         options: Optional[ServerOptions] = None,
-        engines: Optional[Mapping[str, OptimizerService]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -97,20 +86,6 @@ class OptimizerServer:
         self.options = options or ServerOptions()
         self.host = host
         self.port = port
-        self.engines: Dict[str, OptimizerService] = {}
-        for name, engine_service in (engines or {}).items():
-            if engine_service.catalog is not service.catalog:
-                raise ServerError(
-                    f"engine {name!r} fronts a different catalog"
-                )
-            # Shared state: one cache, one dedup table, one feedback
-            # store across every engine — the whole point of the
-            # byte-identical plan guarantee.
-            engine_service.cache = service.cache
-            engine_service.subplans = service.subplans
-            engine_service.feedback = service.feedback
-            engine_service.single_flight = service.single_flight
-            self.engines[name] = engine_service
         self.admission = AdmissionController(self.options)
         self.registry = PlanRegistry(options=self.options)
         self._executor = ThreadPoolExecutor(
@@ -321,27 +296,14 @@ class OptimizerServer:
 
     # -- shared request plumbing ---------------------------------------
 
-    def _service_for(self, hints: Optional[QueryHints]) -> OptimizerService:
-        if hints is None or hints.engine is None:
-            return self.service
-        engine_service = self.engines.get(hints.engine)
-        if engine_service is None:
-            known = sorted(self.engines)
-            raise ServerError(
-                f"unknown engine {hints.engine!r}; configured: {known}"
-            )
-        return engine_service
-
     async def _in_thread(self, fn: Callable[[], Any]) -> Any:
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, fn
         )
 
-    async def _resolve(
-        self, service: OptimizerService, sql: str
-    ) -> Tuple[PreparedQuery, str]:
+    async def _resolve(self, sql: str) -> Tuple[PreparedQuery, str]:
         """SQL → (prepared query, stable plan-management key)."""
-        prepared = await self._in_thread(lambda: service.prepare(sql))
+        prepared = await self._in_thread(lambda: self.service.prepare(sql))
         return prepared, stable_key(prepared.expression, prepared.props)
 
     def _request_budget(
@@ -410,7 +372,6 @@ class OptimizerServer:
             "ok": True,
             "statistics_version": self.service.catalog.statistics_version,
             "uptime_seconds": time.time() - self._started,
-            "engines": ["default", *sorted(self.engines)],
         }
 
     def _handle_stats(self, body: Mapping[str, Any]) -> Dict[str, Any]:
@@ -436,8 +397,7 @@ class OptimizerServer:
         started = time.monotonic()
         sql = require(body, "sql", str)
         hints = parse_hints(body)
-        service = self._service_for(hints)
-        prepared, key = await self._resolve(service, sql)
+        prepared, key = await self._resolve(sql)
         pin = self.registry.pinned(key)
         if pin is not None:
             # Pinned: served as-is, no optimization, no admission.
@@ -455,7 +415,7 @@ class OptimizerServer:
         budget = self._request_budget(body, hints, started)
         async with self.admission.slot(self._admission_timeout(body)):
             served = await self._in_thread(
-                lambda: service.optimize(prepared, budget=budget, hints=hints)
+                lambda: self.service.optimize(prepared, budget=budget, hints=hints)
             )
         served, pinned, guard = self._guarded(served, key)
         return served_payload(served, key, pinned=pinned, guard=guard)
@@ -464,8 +424,7 @@ class OptimizerServer:
         started = time.monotonic()
         sql = require(body, "sql", str)
         hints = parse_hints(body)
-        service = self._service_for(hints)
-        prepared, key = await self._resolve(service, sql)
+        prepared, key = await self._resolve(sql)
         pin = self.registry.pinned(key)
         if pin is not None:
             # A pinned key executes its pinned plan verbatim.  The run
@@ -478,7 +437,7 @@ class OptimizerServer:
 
                 stats = ExecutionStats()
                 rows = execute_plan(
-                    pin.plan, service.catalog, stats, instrument=False
+                    pin.plan, self.service.catalog, stats, instrument=False
                 )
                 return rows, stats
 
@@ -512,7 +471,7 @@ class OptimizerServer:
         budget = self._request_budget(body, hints, started)
         async with self.admission.slot(self._admission_timeout(body)):
             executed = await self._in_thread(
-                lambda: service.execute(
+                lambda: self.service.execute(
                     prepared.expression, prepared.props, budget=budget
                 )
             )
@@ -537,15 +496,14 @@ class OptimizerServer:
 
     async def _handle_prepare(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         sql = require(body, "sql", str)
-        hints = parse_hints(body)
-        service = self._service_for(hints)
+        parse_hints(body)  # nothing to steer here; malformed hints are still a 400
 
         def build():
-            prepared = service.prepare(sql)
+            prepared = self.service.prepare(sql)
             normalized = normalize_literals(
                 prepared.expression,
-                service.catalog,
-                buckets=service.options.selectivity_buckets,
+                self.service.catalog,
+                buckets=self.service.options.selectivity_buckets,
             )
             return prepared, normalized
 
@@ -582,13 +540,12 @@ class OptimizerServer:
         # Unbound parameters keep the literals of the prepared text.
         merged = {**dict(normalized.bindings), **dict(values)}
         hints = parse_hints(body)
-        service = self._service_for(hints)
         budget = self._request_budget(body, hints, started)
 
         def run():
             bound = bind_expression(normalized.template, merged)
             key = stable_key(bound, prepared.props)
-            served = service.optimize(
+            served = self.service.optimize(
                 bound, prepared.props, budget=budget, hints=hints
             )
             return bound, key, served
@@ -607,16 +564,15 @@ class OptimizerServer:
         queries = require(body, "queries", list)
         if not queries or not all(isinstance(q, str) for q in queries):
             raise ServerError("queries must be a non-empty list of SQL strings")
-        hints = parse_hints(body)
-        service = self._service_for(hints)
+        parse_hints(body)  # nothing to steer here; malformed hints are still a 400
         deadline = body.get("deadline_seconds")
         if deadline is not None and (
             not isinstance(deadline, (int, float)) or deadline <= 0
         ):
             raise ServerError("deadline_seconds must be a positive number")
         def run():
-            prepared = [service.prepare(sql) for sql in queries]
-            batch = service.optimize_many(prepared, deadline_seconds=deadline)
+            prepared = [self.service.prepare(sql) for sql in queries]
+            batch = self.service.optimize_many(prepared, deadline_seconds=deadline)
             keys = [stable_key(p.expression, p.props) for p in prepared]
             return batch, keys
 
@@ -654,12 +610,11 @@ class OptimizerServer:
         sql = require(body, "sql", str)
         reason = str(body.get("reason", ""))
         hints = parse_hints(body)
-        service = self._service_for(hints)
-        prepared, key = await self._resolve(service, sql)
+        prepared, key = await self._resolve(sql)
         budget = self._request_budget(body, hints, started)
         async with self.admission.slot(self._admission_timeout(body)):
             served = await self._in_thread(
-                lambda: service.optimize(prepared, budget=budget, hints=hints)
+                lambda: self.service.optimize(prepared, budget=budget, hints=hints)
             )
         if served.degraded:
             raise ServerError(
@@ -668,7 +623,7 @@ class OptimizerServer:
         verified = False
         if self.options.verify_pins and served.certificate is not None:
             ok = await self._in_thread(
-                lambda: service.verify_served(
+                lambda: self.service.verify_served(
                     prepared.expression, served.plan, served.certificate
                 )
             )
@@ -686,7 +641,7 @@ class OptimizerServer:
             certificate=served.certificate,
             kind="user",
             verified=verified,
-            statistics_version=service.catalog.statistics_version,
+            statistics_version=self.service.catalog.statistics_version,
             reason=reason,
         )
         return {
@@ -702,7 +657,7 @@ class OptimizerServer:
         key = body.get("key")
         if key is None:
             sql = require(body, "sql", str)
-            _prepared, key = await self._resolve(self.service, sql)
+            _prepared, key = await self._resolve(sql)
         elif not isinstance(key, str):
             raise ServerError("key must be a string")
         pin = self.registry.unpin(

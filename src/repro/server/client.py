@@ -99,7 +99,7 @@ class ServerClient:
     # -- endpoints -----------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        """``GET /health`` — liveness and configured engines."""
+        """``GET /health`` — liveness and the statistics version."""
         return self.request("GET", "/health")
 
     def stats(self) -> Dict[str, Any]:

@@ -64,23 +64,22 @@ def parse_budget(raw: Any) -> Optional[ResourceBudget]:
 def parse_hints(body: Mapping[str, Any]) -> Optional[QueryHints]:
     """The hint fields of a request body → :class:`QueryHints`.
 
-    Hints ride as top-level request fields (``engine``, ``kernel``,
-    ``promise``, ``budget``) rather than a nested object, so a curl
-    one-liner stays a one-liner.  Returns None when no hint is set.
+    Hints ride as top-level request fields (``kernel``, ``promise``,
+    ``budget``) rather than a nested object, so a curl one-liner stays a
+    one-liner.  Returns None when no hint is set.
     """
-    engine = body.get("engine")
+    if "engine" in body:
+        raise ServerError("unknown field 'engine': the server runs one search engine")
     kernel = body.get("kernel")
     promise = body.get("promise")
     budget = parse_budget(body.get("budget"))
-    if engine is None and kernel is None and promise is None and budget is None:
+    if kernel is None and promise is None and budget is None:
         return None
     if kernel is not None and kernel not in KERNEL_TIERS:
         raise ServerError(f"kernel must be one of {list(KERNEL_TIERS)}")
     if promise is not None and promise not in PROMISE_HINTS:
         raise ServerError(f"promise must be one of {list(PROMISE_HINTS)}")
-    if engine is not None and not isinstance(engine, str):
-        raise ServerError("engine must be a string")
-    return QueryHints(engine=engine, kernel=kernel, budget=budget, promise=promise)
+    return QueryHints(kernel=kernel, budget=budget, promise=promise)
 
 
 def _cost_total(cost: Any) -> float:

@@ -154,9 +154,8 @@ class ServiceOptions(OptionsBase):
     ``kernel``
         A specialized search kernel folded into every engine run through
         this service (unless the engine's own options already pin one):
-        a tier string — ``"interpreted"``, ``"specialized"``,
-        ``"compiled"`` — or a pre-built
-        :class:`~repro.generator.kernel.SearchKernel`; see
+        a tier string — ``"interpreted"`` or ``"specialized"`` — or a
+        pre-built :class:`~repro.generator.kernel.SearchKernel`; see
         :mod:`repro.generator.kernel`.  Kernels only swap the engine's
         binding enumerators, so served plans, costs, and certificates
         are byte-identical across tiers; engines whose options have no
@@ -200,14 +199,10 @@ class ServiceOptions(OptionsBase):
         check_positive("max_subplans", self.max_subplans)
         check_positive("max_seeds_per_query", self.max_seeds_per_query)
         kernel = self.kernel
-        if isinstance(kernel, str) and kernel not in (
-            "interpreted",
-            "specialized",
-            "compiled",
-        ):
+        if isinstance(kernel, str) and kernel not in KERNEL_TIERS:
             raise OptionsError(
-                f"kernel must be one of 'interpreted', 'specialized', "
-                f"'compiled', or a SearchKernel; got {kernel!r}"
+                f"kernel must be one of {KERNEL_TIERS} or a SearchKernel; "
+                f"got {kernel!r}"
             )
 
 

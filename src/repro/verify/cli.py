@@ -5,13 +5,12 @@ winning plan against its provenance certificate — the release gate for
 the optimizer's trust story:
 
 * **golden mode** (``--golden tests/service/golden_plans.json``):
-  regenerates the committed 42-query workload, runs every (query,
-  engine) pair with certificate recording on, checks each plan is
-  byte-identical to its golden snapshot, and verifies each
-  certificate.  Any P-diagnostic, plan mismatch, or cost drift fails
-  the run.
-* **workload mode** (default): a smaller sweep over both memo engines
-  plus the multi-query sharing batch — every pre-sharing plan, every
+  regenerates the committed 42-query workload, runs every query with
+  certificate recording on, checks each plan is byte-identical to its
+  golden snapshot, and verifies each certificate.  Any P-diagnostic,
+  plan mismatch, or cost drift fails the run.
+* **workload mode** (default): a smaller sweep over the sharing
+  workload plus the multi-query sharing batch — every pre-sharing plan, every
   rewritten consumer, and every materialized producer is verified.
 
 Exit status: 0 when everything verified, 1 on any violation, 2 on
@@ -26,6 +25,8 @@ import json
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.options import KERNEL_TIERS
+
 __all__ = ["main"]
 
 #: The committed golden workload recipe (tests/service/test_mqo.py).
@@ -36,13 +37,8 @@ SHARING_RECIPE = dict(count=8, seed=7, n_tables=5, relations=(2, 4))
 _COST_TOLERANCE = 1e-9
 
 
-def _engines():
-    from repro.search import TaskBasedOptimizer, VolcanoOptimizer
-
-    return {
-        "VolcanoOptimizer": VolcanoOptimizer,
-        "TaskBasedOptimizer": TaskBasedOptimizer,
-    }
+#: The golden file's key for (and the report label of) the engine's plans.
+ENGINE_NAME = "VolcanoOptimizer"
 
 
 def _workload(recipe: dict):
@@ -52,10 +48,10 @@ def _workload(recipe: dict):
     return generator.generate_shared(**recipe)
 
 
-def _make_engine(engine_cls, spec, catalog, kernel=None):
-    from repro.search import SearchOptions
+def _make_engine(spec, catalog, kernel=None):
+    from repro.search import SearchOptions, VolcanoOptimizer
 
-    return engine_cls(
+    return VolcanoOptimizer(
         spec,
         catalog,
         SearchOptions(
@@ -110,7 +106,7 @@ def _costs_match(total: float, expected: float) -> bool:
 
 
 def _run_golden(golden_path: Path, tally: _Tally, kernel=None) -> None:
-    """42 queries x both engines against the committed snapshots."""
+    """42 queries against the committed snapshots."""
     from repro.models.relational import relational_model
 
     golden = json.loads(golden_path.read_text())
@@ -118,65 +114,63 @@ def _run_golden(golden_path: Path, tally: _Tally, kernel=None) -> None:
     workload = _workload(GOLDEN_RECIPE)
     queries = [item.query for item in workload.queries]
     required = workload.queries[0].required
-    for engine_name, engine_cls in _engines().items():
-        snapshots = golden.get(engine_name)
-        if snapshots is None:
-            tally.mismatch(engine_name, "engine missing from the golden file")
-            continue
-        if len(snapshots) != len(queries):
+    snapshots = golden.get(ENGINE_NAME)
+    if snapshots is None:
+        tally.mismatch(ENGINE_NAME, "engine missing from the golden file")
+        return
+    if len(snapshots) != len(queries):
+        tally.mismatch(
+            ENGINE_NAME,
+            f"golden file has {len(snapshots)} snapshot(s) for "
+            f"{len(queries)} queries",
+        )
+        return
+    engine = _make_engine(spec, workload.catalog, kernel)
+    for index, (query, expected) in enumerate(zip(queries, snapshots)):
+        label = f"{ENGINE_NAME}[{index}]"
+        result = engine.optimize(query, required)
+        if result.plan.to_sexpr() != expected["plan"]:
+            tally.mismatch(label, "plan differs from the golden snapshot")
+        if not _costs_match(result.cost.total(), expected["cost"]):
             tally.mismatch(
-                engine_name,
-                f"golden file has {len(snapshots)} snapshot(s) for "
-                f"{len(queries)} queries",
+                label,
+                f"cost {result.cost.total()!r} differs from golden "
+                f"{expected['cost']!r}",
             )
-            continue
-        engine = _make_engine(engine_cls, spec, workload.catalog, kernel)
-        for index, (query, expected) in enumerate(zip(queries, snapshots)):
-            label = f"{engine_name}[{index}]"
-            result = engine.optimize(query, required)
-            if result.plan.to_sexpr() != expected["plan"]:
-                tally.mismatch(label, "plan differs from the golden snapshot")
-            if not _costs_match(result.cost.total(), expected["cost"]):
-                tally.mismatch(
-                    label,
-                    f"cost {result.cost.total()!r} differs from golden "
-                    f"{expected['cost']!r}",
-                )
-            tally.verify(
-                spec, query, result.plan, result.certificate,
-                workload.catalog, label,
-            )
+        tally.verify(
+            spec, query, result.plan, result.certificate,
+            workload.catalog, label,
+        )
 
 
 def _run_workload(tally: _Tally, kernel=None) -> None:
-    """Both engines over the sharing workload, single-query plans only."""
+    """The sharing workload, single-query plans only."""
     from repro.models.relational import relational_model
 
     spec = relational_model()
     workload = _workload(SHARING_RECIPE)
     required = workload.queries[0].required
-    for engine_name, engine_cls in _engines().items():
-        engine = _make_engine(engine_cls, spec, workload.catalog, kernel)
-        for index, item in enumerate(workload.queries):
-            result = engine.optimize(item.query, required)
-            tally.verify(
-                spec, item.query, result.plan, result.certificate,
-                workload.catalog, f"{engine_name}[{index}]",
-            )
+    engine = _make_engine(spec, workload.catalog, kernel)
+    for index, item in enumerate(workload.queries):
+        result = engine.optimize(item.query, required)
+        tally.verify(
+            spec, item.query, result.plan, result.certificate,
+            workload.catalog, f"{ENGINE_NAME}[{index}]",
+        )
 
 
 def _run_sharing_batch(tally: _Tally, kernel=None) -> None:
     """The mqo_sharing batch: pre-sharing, consumer, and producer plans."""
     from repro.model.context import OptimizerContext
     from repro.models.relational import relational_model
-    from repro.search import SharingOptions, VolcanoOptimizer, plan_sharing
+    from repro.search import SharingOptions, plan_sharing
     from repro.search.certify import SharingCertifier
 
     spec = relational_model()
     workload = _workload(SHARING_RECIPE)
     queries = [item.query for item in workload.queries]
     required = workload.queries[0].required
-    engine = _make_engine(VolcanoOptimizer, spec, workload.catalog, kernel)
+    engine = _make_engine(spec, workload.catalog, kernel)
     results = engine.optimize_batch(queries, required)
     for index, (query, result) in enumerate(zip(queries, results)):
         tally.verify(
@@ -233,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--golden",
         metavar="PATH",
-        help="verify every (query, engine) pair against this golden-plan "
+        help="verify every query's plan against this golden-plan "
         "snapshot file in addition to certificate checks",
     )
     parser.add_argument(
@@ -244,9 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=("interpreted", "specialized", "compiled"),
+        choices=KERNEL_TIERS,
         default=None,
-        help="run every engine with this specialized-kernel tier "
+        help="run the engine with this specialized-kernel tier "
         "(repro.generator.kernel); plans and certificates must be "
         "byte-identical to interpreted runs",
     )

@@ -1,15 +1,13 @@
 """Tests for specialized search-kernel generation (repro.generator.kernel).
 
 Covers the emitted module's shape, the content-hash caches (in-process,
-on-disk, ``force=``), the compiled tier's pure-Python fallback on
-toolchain-less machines, and the delta enumerator's drift guard.
+on-disk, ``force=``), and the delta enumerator's drift guard.
 """
 
 import pytest
 
 from repro.errors import GenerationError
 from repro.generator import (
-    KERNEL_TIERS,
     SearchKernel,
     clear_kernel_caches,
     compile_and_load,
@@ -21,6 +19,7 @@ from repro.generator import (
 )
 from repro.generator.kernel import _count_inner_ops
 from repro.models.relational import RelationalModelOptions, relational_model
+from repro.options import KERNEL_TIERS
 
 PROVIDER = "repro.models.relational:relational_model"
 
@@ -91,7 +90,6 @@ def test_specialized_kernel_builds_and_caches(tmp_path):
     kernel = kernel_for(spec, "specialized")
     assert isinstance(kernel, SearchKernel)
     assert kernel.tier == "specialized"
-    assert kernel.fallback_reason is None
     assert kernel.source_path is not None and kernel.source_path.exists()
     # Same fingerprint -> the module is reused, not regenerated.
     again = kernel_for(spec, "specialized")
@@ -116,16 +114,6 @@ def test_dispatch_tables_cover_every_rule():
         for rule, matcher, _delta in triples:
             assert callable(matcher)
             assert rule.top_operator in kernel.implementation_dispatch
-
-
-def test_compiled_tier_falls_back_without_toolchain():
-    """The container ships no mypyc/Cython: fallback must be recorded."""
-    kernel = kernel_for(relational_model(), "compiled")
-    assert kernel.requested_tier == "compiled"
-    if kernel.tier == "specialized":
-        assert kernel.fallback_reason  # names the missing toolchain(s)
-    else:  # pragma: no cover - toolchain-equipped machines
-        assert kernel.tier == "compiled"
 
 
 def test_kernel_pickles_to_tier_string():
@@ -261,24 +249,12 @@ def test_compile_and_load_tier_bakes_kernel_default(tmp_path):
         spec, PROVIDER, tmp_path / "k.py", tier="specialized"
     )
     assert module.KERNEL_TIER == "specialized"
-    assert module.KERNEL_STATUS == ("specialized", None)
     optimizer = module.build_optimizer(
         make_catalog([("r", 1200), ("s", 2400)])
     )
     assert optimizer.options.kernel == "specialized"
     result = optimizer.optimize(join(get("r"), get("s"), eq("r.k", "s.k")))
     assert result.cost.total() > 0
-
-
-def test_compile_and_load_compiled_tier_records_fallback(tmp_path):
-    module = compile_and_load(
-        relational_model(), PROVIDER, tmp_path / "c.py", tier="compiled"
-    )
-    effective, reason = module.KERNEL_STATUS
-    if effective == "specialized":
-        assert reason
-    else:  # pragma: no cover - toolchain-equipped machines
-        assert effective == "compiled"
 
 
 def test_compile_and_load_rejects_bad_tier(tmp_path):
@@ -316,4 +292,4 @@ def test_generator_cli_requires_model_or_all(capsys):
 
 
 def test_kernel_tiers_constant():
-    assert KERNEL_TIERS == ("interpreted", "specialized", "compiled")
+    assert KERNEL_TIERS == ("interpreted", "specialized")

@@ -9,7 +9,6 @@ from repro.lint import MemoAuditor
 from repro.models.relational import relational_model
 from repro.search.engine import VolcanoOptimizer
 from repro.search.memo import Winner
-from repro.search.tasks import TaskBasedOptimizer
 
 from tests.helpers import chain_query, make_catalog
 
@@ -19,17 +18,16 @@ def catalog():
     return make_catalog([("a", 1000), ("b", 5000), ("c", 200)])
 
 
-def optimize(catalog, engine_cls=VolcanoOptimizer, required=None):
-    optimizer = engine_cls(relational_model(), catalog)
+def optimize(catalog, required=None):
+    optimizer = VolcanoOptimizer(relational_model(), catalog)
     query = chain_query(["a", "b", "c"])
     if required is None:
         return optimizer.optimize(query)
     return optimizer.optimize(query, required)
 
 
-@pytest.mark.parametrize("engine_cls", [VolcanoOptimizer, TaskBasedOptimizer])
-def test_honest_runs_audit_clean(catalog, engine_cls):
-    optimizer = engine_cls(relational_model(), catalog)
+def test_honest_runs_audit_clean(catalog):
+    optimizer = VolcanoOptimizer(relational_model(), catalog)
     auditor = MemoAuditor().attach(optimizer)
     optimizer.optimize(chain_query(["a", "b", "c"]))
     optimizer.optimize(chain_query(["a", "b"]), sorted_on("a.k"))

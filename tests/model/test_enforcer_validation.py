@@ -16,7 +16,6 @@ from repro.errors import ModelSpecError
 from repro.model.context import OptimizerContext
 from repro.models.relational import relational_model
 from repro.search.engine import VolcanoOptimizer
-from repro.search.tasks import TaskBasedOptimizer
 
 from tests.lint.fixture_specs import (
     _rel_props,
@@ -61,7 +60,6 @@ def test_wellbehaved_enforcer_passes_validation():
         assert application.relaxed != sorted_on("c1")
 
 
-@pytest.mark.parametrize("engine_cls", [VolcanoOptimizer, TaskBasedOptimizer])
 @pytest.mark.parametrize(
     "builder,name",
     [
@@ -69,9 +67,9 @@ def test_wellbehaved_enforcer_passes_validation():
         (broken_enforcer_no_relaxation, "lazy_sort"),
     ],
 )
-def test_engines_surface_broken_enforcers(engine_cls, builder, name):
+def test_engine_surfaces_broken_enforcers(builder, name):
     spec = builder()
-    optimizer = engine_cls(spec, Catalog())
+    optimizer = VolcanoOptimizer(spec, Catalog())
     query = LogicalExpression("rel", (), ())
     with pytest.raises(ModelSpecError, match=name):
         optimizer.optimize(query, sorted_on("c1"))

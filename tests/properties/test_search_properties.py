@@ -11,7 +11,6 @@ from repro.algebra.properties import ANY_PROPS, sorted_on
 from repro.models.relational import relational_model
 from repro.search import SearchOptions, VolcanoOptimizer
 
-from tests.helpers import BruteForceOracle, make_catalog
 from tests.search.test_optimality import build_case
 
 table_sizes = st.lists(
@@ -93,28 +92,3 @@ def test_plan_satisfies_goal_properties(case):
         query, required=required
     )
     assert result.plan.properties.covers(required)
-
-
-@settings(max_examples=15, deadline=None)
-@given(join_cases(), st.booleans())
-def test_task_engine_matches_recursive_engine(case, want_sorted):
-    """The Cascades-style driver agrees with FindBestPlan on any input."""
-    from repro.search.tasks import TaskBasedOptimizer
-
-    tables, edges, key_distinct, with_selections = case
-    catalog, query, _ = build_case(
-        tables, edges, with_selections=with_selections, key_distinct=key_distinct
-    )
-    required = sorted_on(f"{tables[0][0]}.k") if want_sorted else ANY_PROPS
-    spec = relational_model()
-    recursive = VolcanoOptimizer(spec, catalog).optimize(query, required=required)
-    task_based = TaskBasedOptimizer(spec, catalog).optimize(query, required=required)
-    # Optimal costs always agree; the *plan* may differ only when two
-    # plans tie exactly (the agenda visits sibling moves in a different
-    # order, so ties break differently).  The agenda also *sums* input
-    # costs in a different association order, so compare with a relative
-    # tolerance rather than exact float equality.
-    assert abs(task_based.cost.total() - recursive.cost.total()) <= 1e-9 * max(
-        1.0, recursive.cost.total()
-    )
-    assert task_based.plan.properties.covers(required)

@@ -19,12 +19,7 @@ from repro.exodus import ExodusOptimizer, ExodusOptions
 from repro.model.cost import ScalarCost
 from repro.models.relational import relational_model
 from repro.options import BudgetMeter, BudgetTripped, ResourceBudget
-from repro.search import (
-    SearchOptions,
-    TaskBasedOptimizer,
-    Tracer,
-    VolcanoOptimizer,
-)
+from repro.search import SearchOptions, Tracer, VolcanoOptimizer
 from repro.systemr import SystemROptimizer, SystemROptions
 
 from tests.helpers import chain_query, make_catalog
@@ -34,12 +29,11 @@ pytestmark = pytest.mark.budget
 SPEC = relational_model()
 
 
-def make_engine(n_tables, *, task_based=False, **options):
+def make_engine(n_tables, **options):
     names = [f"t{i}" for i in range(n_tables)]
     catalog = make_catalog([(name, 500 + 100 * i) for i, name in enumerate(names)])
     query = chain_query(names)
-    cls = TaskBasedOptimizer if task_based else VolcanoOptimizer
-    engine = cls(SPEC, catalog, SearchOptions(**options))
+    engine = VolcanoOptimizer(SPEC, catalog, SearchOptions(**options))
     return engine, query
 
 
@@ -219,20 +213,6 @@ def test_budget_exceeded_when_no_plan_within_limit():
     assert error.value.report.tripped == "costings"
     assert error.value.stats is not None
     assert error.value.stats.elapsed_seconds > 0
-
-
-def test_task_engine_degrades_identically():
-    recursive, query = make_engine(5)
-    task_based, _ = make_engine(5, task_based=True)
-    budget = ResourceBudget(max_costings=15)
-    a = recursive.optimize(
-        query, options=recursive.options.replace(budget=budget)
-    )
-    b = task_based.optimize(
-        query, options=task_based.options.replace(budget=budget)
-    )
-    assert a.degraded and b.degraded
-    assert SPEC.props_cover(b.plan.properties, b.required)
 
 
 def test_unbudgeted_result_not_degraded():

@@ -13,7 +13,6 @@ from repro.algebra.properties import sorted_on
 from repro.exodus import ExodusOptimizer
 from repro.models.relational import relational_model
 from repro.search.engine import VolcanoOptimizer
-from repro.search.tasks import TaskBasedOptimizer
 from repro.systemr import SystemROptimizer
 
 from tests.helpers import chain_query, make_catalog
@@ -29,7 +28,7 @@ CALL_LINE = call_with_required.__code__.co_firstlineno + 1
 
 @pytest.mark.parametrize(
     "engine_cls",
-    [VolcanoOptimizer, TaskBasedOptimizer, ExodusOptimizer, SystemROptimizer],
+    [VolcanoOptimizer, ExodusOptimizer, SystemROptimizer],
 )
 def test_required_warning_reports_the_callers_line(engine_cls):
     catalog = make_catalog([("a", 500), ("b", 800)])

@@ -4,7 +4,7 @@ The generated move loops (:mod:`repro.generator.kernel`) only swap the
 engine's binding enumerators, so every observable — plans, costs,
 provenance certificates, deterministic search counters, budget behavior,
 memo invariants — must match the interpreted engine exactly, for every
-bundled model, on both memo engines.
+bundled model.
 """
 
 import importlib
@@ -25,7 +25,7 @@ from repro.models.relational import (
     select,
 )
 from repro.options import ResourceBudget
-from repro.search import SearchOptions, TaskBasedOptimizer, VolcanoOptimizer
+from repro.search import SearchOptions, VolcanoOptimizer
 from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
@@ -36,10 +36,6 @@ MODELS = {
     "oodb": ("repro.models.oodb", "oodb_model"),
     "parallel": ("repro.models.parallel", "parallel_relational_model"),
     "setops": ("repro.models.setops", "setops_model"),
-}
-ENGINES = {
-    "volcano": VolcanoOptimizer,
-    "tasks": TaskBasedOptimizer,
 }
 
 
@@ -93,18 +89,16 @@ def assert_identical(base, kernelized):
         ), counter
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-def test_kernel_parity_all_models_both_engines(model_name, engine_name):
-    """5 bundled models x both memo engines x golden queries."""
-    engine_cls = ENGINES[engine_name]
+def test_kernel_parity_all_models(model_name):
+    """5 bundled models x golden queries."""
     catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
     interpreted = SearchOptions(certificates=True)
     kernelized = SearchOptions(certificates=True, kernel="specialized")
     for query, required in golden_queries():
         spec = build_spec(model_name)
-        base = engine_cls(spec, catalog, interpreted).optimize(query, required)
-        optimizer = engine_cls(spec, catalog, kernelized)
+        base = VolcanoOptimizer(spec, catalog, interpreted).optimize(query, required)
+        optimizer = VolcanoOptimizer(spec, catalog, kernelized)
         auditor = MemoAuditor()
         auditor.attach(optimizer)
         result = optimizer.optimize(query, required)
@@ -112,10 +106,8 @@ def test_kernel_parity_all_models_both_engines(model_name, engine_name):
         assert auditor.violations == []
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_kernel_parity_generated_workload(engine_name):
+def test_kernel_parity_generated_workload():
     """The Figure 4 workload: larger joins, required properties."""
-    engine_cls = ENGINES[engine_name]
     spec = relational_model()
     generator = QueryGenerator(WorkloadOptions())
     interpreted = SearchOptions(check_consistency=False, certificates=True)
@@ -123,26 +115,13 @@ def test_kernel_parity_generated_workload(engine_name):
         check_consistency=False, certificates=True, kernel="specialized"
     )
     for query in generator.generate_batch(5, 4, seed=31):
-        base = engine_cls(spec, query.catalog, interpreted).optimize(
+        base = VolcanoOptimizer(spec, query.catalog, interpreted).optimize(
             query.query, query.required
         )
-        result = engine_cls(spec, query.catalog, kernelized).optimize(
+        result = VolcanoOptimizer(spec, query.catalog, kernelized).optimize(
             query.query, query.required
         )
         assert_identical(base, result)
-
-
-def test_kernel_parity_compiled_tier_fallback():
-    """Requesting 'compiled' without a toolchain must match too."""
-    spec = relational_model()
-    catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
-    query = chain_query(["r", "s", "t"])
-    base = VolcanoOptimizer(spec, catalog, SearchOptions()).optimize(query)
-    result = VolcanoOptimizer(
-        spec, catalog, SearchOptions(kernel="compiled")
-    ).optimize(query)
-    assert base.plan.to_sexpr() == result.plan.to_sexpr()
-    assert base.cost == result.cost
 
 
 def test_kernel_respects_budgets():

@@ -1,15 +1,10 @@
-"""Cross-engine promise parity and learned-promise safety.
+"""The promise ordering contract and learned-promise safety.
 
-The parity half of this suite is the regression test for the
-tie-ordering bug: the task-based driver used to pursue equal-promise
-moves in *reversed* discovery order (ascending sort popped off a LIFO
-agenda), so on equal-cost plans the two engines returned different —
-equally optimal — trees.  The ordering contract and the
-order-independent ``(cost, rank, alternative)`` winner rule (see
-``docs/search-internals.md``, "Promise and move ordering") make the
-engines agree byte-for-byte; the safety half proves that no promise
-model — learned or adversarial — can change the chosen plan under
-exhaustive search.
+The ordering half pins the pursuit order and the static ranks behind
+the order-independent ``(cost, rank, alternative)`` winner rule (see
+``docs/search-internals.md``, "Promise and move ordering"); the safety
+half proves that no promise model — learned or adversarial — can change
+the chosen plan under exhaustive search.
 """
 
 import hypothesis.strategies as st
@@ -27,16 +22,11 @@ from repro.search import (
     PromiseModel,
     STATIC_PROMISE,
     SearchOptions,
-    StaticPromise,
-    TaskBasedOptimizer,
     VolcanoOptimizer,
 )
 from repro.service import OptimizerService, ServiceOptions
-from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
-
-ENGINES = (VolcanoOptimizer, TaskBasedOptimizer)
 
 
 class FlipModel:
@@ -92,38 +82,15 @@ def chain(*tables):
 
 
 # ---------------------------------------------------------------------------
-# Cross-engine parity
+# The ordering contract
 # ---------------------------------------------------------------------------
 
 
-def test_engines_agree_on_equal_cost_ties(spec):
-    """The bug this PR fixes: equal-cost ties diverged across engines.
-
-    The golden workload's generator settings produce several queries
-    whose optimum is reached by multiple equal-cost trees; the old task
-    driver pursued equal-promise moves reversed and returned different
-    (equally optimal) plans for them.  Both engines must now agree on
-    every query, byte for byte.
-    """
-    workload = QueryGenerator(
-        WorkloadOptions(selectivity_range=(0.1, 0.1))
-    ).generate_shared(count=12, seed=7, n_tables=6, relations=(2, 4))
-    options = SearchOptions(check_consistency=False)
-    recursive = VolcanoOptimizer(spec, workload.catalog, options)
-    task_based = TaskBasedOptimizer(spec, workload.catalog, options)
-    required = workload.queries[0].required
-    for entry in workload.queries:
-        first = recursive.optimize(entry.query, required)
-        second = task_based.optimize(entry.query, required)
-        assert first.cost == second.cost
-        assert first.plan.to_sexpr() == second.plan.to_sexpr()
-
-
-def _recorded_orders(engine_cls, spec, catalog, model, query, required):
+def _recorded_orders(spec, catalog, model, query, required):
     """Every group's move list (algorithms, promises, ranks), in order."""
     orders = {}
 
-    class Spy(engine_cls):
+    class Spy(VolcanoOptimizer):
         def _ordered_moves(self, run, group):
             moves = super()._ordered_moves(run, group)
             snapshot = tuple(
@@ -139,37 +106,12 @@ def _recorded_orders(engine_cls, spec, catalog, model, query, required):
     return orders
 
 
-@pytest.mark.parametrize(
-    "model",
-    [None, StaticPromise(), LearnedPromiseModel(), FlipModel("merge_join")],
-    ids=["default", "static", "learned_cold", "flip"],
-)
-def test_move_generation_and_order_parity(spec, catalog, model):
-    """Both engines generate the same moves in the same pursuit order."""
-    query = chain_query(["r", "s", "t", "u"])
-    required = sorted_on("r.k")
-    recursive = _recorded_orders(
-        VolcanoOptimizer, spec, catalog, model, query, required
-    )
-    task_based = _recorded_orders(
-        TaskBasedOptimizer, spec, catalog, model, query, required
-    )
-    assert recursive == task_based
-
-
 def test_pursuit_order_and_static_ranks(spec, catalog):
     """Pursuit sorts by model promise; ranks stay the static reference."""
     query = chain_query(["r", "s", "t"])
-    static = _recorded_orders(
-        VolcanoOptimizer, spec, catalog, None, query, ANY_PROPS
-    )
+    static = _recorded_orders(spec, catalog, None, query, ANY_PROPS)
     flipped = _recorded_orders(
-        VolcanoOptimizer,
-        spec,
-        catalog,
-        FlipModel("merge_join"),
-        query,
-        ANY_PROPS,
+        spec, catalog, FlipModel("merge_join"), query, ANY_PROPS
     )
     join_orders = [
         order
@@ -193,26 +135,26 @@ def test_pursuit_order_and_static_ranks(spec, catalog):
             assert refit[0][0] == "merge_join"
 
 
-@pytest.mark.parametrize("min_promise", [None, 0.9])
 @pytest.mark.parametrize(
-    "model", [None, LearnedPromiseModel()], ids=["static", "learned"]
+    "min_promise, pruned, fired", [(None, 5, 32), (0.9, 22, 6)]
 )
-def test_min_promise_filtering_parity(spec, catalog, min_promise, model):
-    """Pruning accounting is identical across engines for every model."""
+def test_min_promise_filtering(spec, catalog, min_promise, pruned, fired):
+    """Pruning accounting is exact, and a cold learned model changes none of it."""
     query = chain_query(["r", "s", "t", "u"])
-    options = SearchOptions(
-        check_consistency=False, min_promise=min_promise, promise_model=model
+    static, learned = (
+        VolcanoOptimizer(
+            spec,
+            catalog,
+            SearchOptions(
+                check_consistency=False, min_promise=min_promise, promise_model=model
+            ),
+        ).optimize(query, sorted_on("s.k"))
+        for model in (None, LearnedPromiseModel())
     )
-    results = [
-        engine_cls(spec, catalog, options).optimize(query, sorted_on("s.k"))
-        for engine_cls in ENGINES
-    ]
-    first, second = results
-    assert first.stats.moves_pruned == second.stats.moves_pruned
-    assert first.stats.rules_fired == second.stats.rules_fired
-    assert first.plan.to_sexpr() == second.plan.to_sexpr()
-    if min_promise is not None:
-        assert first.stats.moves_pruned > 0
+    for result in (static, learned):
+        assert result.stats.moves_pruned == pruned
+        assert result.stats.rules_fired == fired
+    assert static.plan.to_sexpr() == learned.plan.to_sexpr()
 
 
 # ---------------------------------------------------------------------------
@@ -252,26 +194,22 @@ def test_any_promise_model_preserves_plan(promises, want_sorted):
     baseline = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False)
     ).optimize(query, required)
-    for engine_cls in ENGINES:
-        options = SearchOptions(check_consistency=False, promise_model=Arbitrary())
-        result = engine_cls(spec, catalog, options).optimize(query, required)
-        assert result.cost == baseline.cost
-        assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
+    options = SearchOptions(check_consistency=False, promise_model=Arbitrary())
+    result = VolcanoOptimizer(spec, catalog, options).optimize(query, required)
+    assert result.cost == baseline.cost
+    assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES, ids=["recursive", "tasks"])
-def test_learned_cost_prior_seeds_without_changing_plans(
-    spec, catalog, engine_cls
-):
+def test_learned_cost_prior_seeds_without_changing_plans(spec, catalog):
     """Repeat optimizations seed the root bound; plans stay identical."""
     query = chain_query(["r", "s", "t", "u"])
     required = sorted_on("r.k")
-    baseline = engine_cls(
+    baseline = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False)
     ).optimize(query, required)
 
     model = LearnedPromiseModel()
-    optimizer = engine_cls(
+    optimizer = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False, promise_model=model)
     )
     cold = optimizer.optimize(query, required)
@@ -285,18 +223,17 @@ def test_learned_cost_prior_seeds_without_changing_plans(
         assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES, ids=["recursive", "tasks"])
-def test_too_tight_prior_retries_transparently(spec, catalog, engine_cls):
+def test_too_tight_prior_retries_transparently(spec, catalog):
     """A below-optimum prior fails the seeded attempt, then retries."""
     query = chain_query(["r", "s", "t"])
-    baseline = engine_cls(
+    baseline = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False)
     ).optimize(query)
     impossible = baseline.cost - baseline.cost  # zero-cost prior
     options = SearchOptions(
         check_consistency=False, promise_model=PriorModel(impossible)
     )
-    result = engine_cls(spec, catalog, options).optimize(query)
+    result = VolcanoOptimizer(spec, catalog, options).optimize(query)
     assert result.stats.bound_seeds == 1
     assert result.stats.bound_seed_retries == 1
     assert result.cost == baseline.cost
@@ -350,20 +287,19 @@ def test_learned_model_end_to_end_via_service(spec):
         merge_rule, None
     ) > model.implementation_promise(hash_rule, None)
 
-    # Repeats: both engines, same plans as a static engine, bounds seeded.
-    for engine_cls in ENGINES:
-        static = engine_cls(
-            spec, catalog, SearchOptions(check_consistency=False)
-        ).optimize(query, required)
-        repeat = engine_cls(
-            spec,
-            catalog,
-            SearchOptions(check_consistency=False, promise_model=model),
-        ).optimize(query, required)
-        assert repeat.stats.bound_seeds == 1
-        assert repeat.stats.bound_seed_retries == 0
-        assert repeat.cost == static.cost
-        assert repeat.plan.to_sexpr() == static.plan.to_sexpr()
+    # Repeats: same plans as a static engine, bounds seeded.
+    static = VolcanoOptimizer(
+        spec, catalog, SearchOptions(check_consistency=False)
+    ).optimize(query, required)
+    repeat = VolcanoOptimizer(
+        spec,
+        catalog,
+        SearchOptions(check_consistency=False, promise_model=model),
+    ).optimize(query, required)
+    assert repeat.stats.bound_seeds == 1
+    assert repeat.stats.bound_seed_retries == 0
+    assert repeat.cost == static.cost
+    assert repeat.plan.to_sexpr() == static.plan.to_sexpr()
 
 
 def test_service_options_fold_model_into_engine_calls(spec, catalog):

@@ -7,12 +7,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.generator.generate import generate_optimizer
-from repro.models.relational import relational_model
-from repro.options import ServerOptions
-from repro.search.tasks import TaskBasedOptimizer
-from repro.server import ClientError, OptimizerServer, ServerClient, ServerThread
-from repro.service import OptimizerService, ServiceOptions
+from repro.server import ClientError
 
 from tests.server.conftest import (
     CHAIN_SQL,
@@ -29,7 +24,6 @@ POINT_SQL = "SELECT * FROM r WHERE r.k = 7"
 def test_health(client):
     health = client.health()
     assert health["ok"] is True
-    assert "default" in health["engines"]
     assert health["statistics_version"] >= 0
 
 
@@ -100,40 +94,20 @@ def test_kernel_and_promise_hints_keep_the_plan(client):
     assert baseline["sexpr"] != specialized["sexpr"]  # different queries
 
 
-def test_bad_kernel_hint_is_400(client):
+@pytest.mark.parametrize("kernel", ["imaginary", "compiled"])
+def test_bad_kernel_hint_is_400(client, kernel):
     with pytest.raises(ClientError) as caught:
-        client.optimize(CHAIN_SQL, kernel="imaginary")
+        client.optimize(CHAIN_SQL, kernel=kernel)
     assert caught.value.status == 400
+    assert "kernel must be one of" in str(caught.value)
 
 
-def test_unknown_engine_hint_is_400(client):
+@pytest.mark.parametrize("endpoint", ["optimize", "execute", "prepare", "pin"])
+def test_engine_field_is_rejected_by_name(client, endpoint):
     with pytest.raises(ClientError) as caught:
-        client.optimize(CHAIN_SQL, engine="imaginary")
+        getattr(client, endpoint)(CHAIN_SQL, engine="volcano")
     assert caught.value.status == 400
-
-
-def test_engine_hint_routes_to_shared_cache(scenario):
-    """A task-engine request hits the plan the default engine cached."""
-    primary = OptimizerService(
-        generate_optimizer(relational_model(), scenario.catalog),
-        options=ServiceOptions(verify_plans=True),
-    )
-    task = OptimizerService(
-        TaskBasedOptimizer(relational_model(), scenario.catalog),
-        options=ServiceOptions(verify_plans=True),
-    )
-    server = OptimizerServer(
-        primary,
-        options=ServerOptions(max_concurrent=8, workers=8),
-        engines={"task": task},
-    )
-    with ServerThread(server) as harness:
-        with ServerClient(harness.address) as client:
-            cold = client.optimize(CHAIN_SQL)
-            assert not cold["cached"]
-            via_task = client.optimize(CHAIN_SQL, engine="task")
-            assert via_task["cached"]  # both engines share one cache
-            assert via_task["sexpr"] == cold["sexpr"]
+    assert "'engine'" in str(caught.value)
 
 
 # ------------------------------------------------------- prepare / bind

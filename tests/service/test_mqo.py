@@ -25,7 +25,6 @@ from repro.options import ResourceBudget
 from repro.search import (
     SearchOptions,
     SharingOptions,
-    TaskBasedOptimizer,
     VolcanoOptimizer,
     plan_sharing,
 )
@@ -69,8 +68,8 @@ def overlapping_queries():
     return q1, q2
 
 
-def make_optimizer(catalog, engine_cls=VolcanoOptimizer):
-    return engine_cls(SPEC, catalog, SearchOptions(check_consistency=False))
+def make_optimizer(catalog):
+    return VolcanoOptimizer(SPEC, catalog, SearchOptions(check_consistency=False))
 
 
 def make_service(catalog, **options):
@@ -215,17 +214,16 @@ def golden_workload():
     )
 
 
-@pytest.mark.parametrize("engine_cls", [VolcanoOptimizer, TaskBasedOptimizer])
-def test_single_query_plans_match_committed_golden(engine_cls):
-    """42 queries x 2 engines: single-query answers are byte-identical
+def test_single_query_plans_match_committed_golden():
+    """42 queries: single-query answers are byte-identical
     to the committed golden snapshots — the MQO machinery being present
     (and sharing enabled by default) must not perturb them."""
     golden_path = Path(__file__).with_name("golden_plans.json")
-    golden = json.loads(golden_path.read_text())[engine_cls.__name__]
+    golden = json.loads(golden_path.read_text())["VolcanoOptimizer"]
     workload = golden_workload()
     queries = [q.query for q in workload.queries]
     required = workload.queries[0].required
-    engine = make_optimizer(workload.catalog, engine_cls)
+    engine = make_optimizer(workload.catalog)
     assert len(golden) == len(queries) == 42
     for query, expected in zip(queries, golden):
         result = engine.optimize(query, required)
@@ -233,19 +231,18 @@ def test_single_query_plans_match_committed_golden(engine_cls):
         assert result.cost.total() == pytest.approx(expected["cost"])
 
 
-@pytest.mark.parametrize("engine_cls", [VolcanoOptimizer, TaskBasedOptimizer])
-def test_batch_answers_cost_exactly_like_single_query_runs(engine_cls):
+def test_batch_answers_cost_exactly_like_single_query_runs():
     """The shared-memo batch answers exactly like single-query runs —
-    plans byte-identical for both engines.  Equal-cost ties are broken
+    plans byte-identical.  Equal-cost ties are broken
     by the order-independent ``(cost, rank, alternative)`` winner rule,
     so pre-populating the memo with earlier queries cannot flip them."""
     workload = golden_workload()
     queries = [q.query for q in workload.queries]
     required = workload.queries[0].required
-    batch_results = make_optimizer(workload.catalog, engine_cls).optimize_batch(
+    batch_results = make_optimizer(workload.catalog).optimize_batch(
         queries, required
     )
-    single_engine = make_optimizer(workload.catalog, engine_cls)
+    single_engine = make_optimizer(workload.catalog)
     for query, result in zip(queries, batch_results):
         reference = single_engine.optimize(query, required)
         assert result.cost.total() == pytest.approx(reference.cost.total())

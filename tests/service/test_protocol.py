@@ -12,7 +12,6 @@ from repro.search import (
     OptimizationResult,
     Optimizer,
     SearchOptions,
-    TaskBasedOptimizer,
     VolcanoOptimizer,
 )
 from repro.systemr import SystemROptimizer, SystemROptions, SystemRResult
@@ -23,7 +22,6 @@ SPEC = relational_model()
 
 ENGINES = [
     VolcanoOptimizer,
-    TaskBasedOptimizer,
     ExodusOptimizer,
     SystemROptimizer,
 ]
@@ -123,6 +121,5 @@ def test_per_call_options_for_exodus(catalog):
 
 def test_selects_are_protocol_clean(catalog):
     query = select(two_way(), eq("r.v", 1))
-    for engine in (VolcanoOptimizer, TaskBasedOptimizer):
-        result = engine(SPEC, catalog).optimize(query)
-        assert isinstance(result, OptimizationResult)
+    result = VolcanoOptimizer(SPEC, catalog).optimize(query)
+    assert isinstance(result, OptimizationResult)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import OptionsError
 from repro.exodus import ExodusOptions
+from repro.options import QueryHints
 from repro.search import SearchOptions
 from repro.service import ServiceOptions
 from repro.systemr import SystemROptions
@@ -46,6 +47,9 @@ def test_validation_rejects_bad_knobs():
         ServiceOptions(max_entries=0)
     with pytest.raises(OptionsError):
         ServiceOptions(selectivity_buckets=-3)
+    for cls in (SearchOptions, ServiceOptions, QueryHints):
+        with pytest.raises(OptionsError, match="kernel"):
+            cls(kernel="compiled")
 
 
 def test_replace_revalidates():

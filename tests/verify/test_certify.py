@@ -11,7 +11,7 @@ import pytest
 
 from repro.exodus import ExodusOptimizer
 from repro.options import ResourceBudget
-from repro.search import SearchOptions, TaskBasedOptimizer, VolcanoOptimizer
+from repro.search import SearchOptions, VolcanoOptimizer
 from repro.search.certify import certify_result, standalone_certificate
 from repro.systemr import SystemROptimizer
 from repro.verify import KIND_DEGRADED, KIND_SEARCH, verify_plan
@@ -20,11 +20,8 @@ from tests.helpers import chain_query, make_catalog
 
 from .conftest import SPEC
 
-MEMO_ENGINES = [VolcanoOptimizer, TaskBasedOptimizer]
-
-
-def certified_engine(engine_cls, catalog, **overrides):
-    return engine_cls(
+def certified_engine(catalog, **overrides):
+    return VolcanoOptimizer(
         SPEC,
         catalog,
         SearchOptions(
@@ -42,23 +39,21 @@ def chain_case():
     return catalog, chain_query(names)
 
 
-@pytest.mark.parametrize("engine_cls", MEMO_ENGINES)
-def test_memo_engine_certificates_verify(engine_cls, chain_case):
+def test_memo_engine_certificates_verify(chain_case):
     catalog, query = chain_case
-    result = certified_engine(engine_cls, catalog).optimize(query)
+    result = certified_engine(catalog).optimize(query)
     assert result.certificate is not None
     assert result.certificate.kind == KIND_SEARCH
-    assert result.certificate.engine == engine_cls.__name__
+    assert result.certificate.engine == "VolcanoOptimizer"
     report = verify_plan(
         SPEC, query, result.plan, result.certificate, catalog=catalog
     )
     assert report.ok, report.render()
 
 
-@pytest.mark.parametrize("engine_cls", MEMO_ENGINES)
-def test_certificates_off_by_default(engine_cls, chain_case):
+def test_certificates_off_by_default(chain_case):
     catalog, query = chain_case
-    engine = engine_cls(
+    engine = VolcanoOptimizer(
         SPEC, catalog, SearchOptions(check_consistency=False)
     )
     assert engine.optimize(query).certificate is None
@@ -72,7 +67,7 @@ def test_batch_certificates_verify(chain_case):
         chain_query(names[:2]),
         chain_query(list(reversed(names))),
     ]
-    engine = certified_engine(VolcanoOptimizer, catalog)
+    engine = certified_engine(catalog)
     results = engine.optimize_batch(queries)
     assert len(results) == len(queries)
     for query, result in zip(queries, results):
@@ -85,7 +80,7 @@ def test_batch_certificates_verify(chain_case):
 
 def test_degraded_plan_carries_degraded_kind(chain_case):
     catalog, query = chain_case
-    engine = certified_engine(VolcanoOptimizer, catalog)
+    engine = certified_engine(catalog)
     result = engine.optimize(
         query,
         options=engine.options.replace(
@@ -119,7 +114,7 @@ def test_baseline_engines_certify_after_the_fact(engine_cls, chain_case):
 def test_standalone_certificate_from_plain_plan(chain_case):
     # No memo, no engine result object — just a plan and the model.
     catalog, query = chain_case
-    reference = certified_engine(VolcanoOptimizer, catalog).optimize(query)
+    reference = certified_engine(catalog).optimize(query)
     certificate = standalone_certificate(
         SPEC, catalog, query, reference.plan, reference.required
     )
@@ -131,5 +126,5 @@ def test_standalone_certificate_from_plain_plan(chain_case):
 
 def test_certificate_cost_matches_result(chain_case):
     catalog, query = chain_case
-    result = certified_engine(VolcanoOptimizer, catalog).optimize(query)
+    result = certified_engine(catalog).optimize(query)
     assert result.certificate.claimed_cost == result.cost

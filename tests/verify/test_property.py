@@ -1,10 +1,10 @@
-"""Property coverage: certificates hold across models, engines, shapes.
+"""Property coverage: certificates hold across models and shapes.
 
 Hypothesis drives random catalogs and join chains through the Volcano
 engine; every winning plan's certificate must survive a pickle
 round-trip and satisfy the independent checker.  A parametrized sweep
 extends the same acceptance claim to every bundled model
-specification and every engine family the repo ships.
+specification.
 """
 
 import pickle
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from repro.algebra.predicates import eq
 from repro.models.relational import get, join, select
-from repro.search import SearchOptions, TaskBasedOptimizer, VolcanoOptimizer
+from repro.search import SearchOptions, VolcanoOptimizer
 from repro.search.certify import certify_result
 from repro.verify import KIND_DEGRADED, KIND_SEARCH, verify_plan
 
@@ -51,16 +51,13 @@ def test_certificates_verify_and_round_trip(sizes, select_first):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize(
-    "engine_cls", [VolcanoOptimizer, TaskBasedOptimizer]
-)
-def test_every_bundled_model_verifies(name, engine_cls):
+def test_every_bundled_model_verifies(name):
     # The same relational-shaped query every model supports (see
     # tests/generator/test_codegen_all_models.py).
     spec = build_spec(name)
     catalog = make_catalog([("r", 1200), ("s", 2400)])
     query = join(select(get("r"), eq("r.v", 1)), get("s"), eq("r.k", "s.k"))
-    engine = engine_cls(
+    engine = VolcanoOptimizer(
         spec,
         catalog,
         SearchOptions(check_consistency=False, certificates=True),
