@@ -14,7 +14,7 @@ def test_failure_caching_time(benchmark, spec, ordered_generator, cache_failures
 
     def optimize():
         return VolcanoOptimizer(spec, query.catalog, options).optimize(
-            query.query, required=query.required
+            query.query, props=query.required
         )
 
     result = run_once(benchmark, optimize)
@@ -27,12 +27,12 @@ def test_failure_caching_is_lossless_and_hits(benchmark, spec, ordered_generator
     def both():
         cached = VolcanoOptimizer(
             spec, query.catalog, SearchOptions(check_consistency=False)
-        ).optimize(query.query, required=query.required)
+        ).optimize(query.query, props=query.required)
         uncached = VolcanoOptimizer(
             spec,
             query.catalog,
             SearchOptions(cache_failures=False, check_consistency=False),
-        ).optimize(query.query, required=query.required)
+        ).optimize(query.query, props=query.required)
         return cached, uncached
 
     cached, uncached = run_once(benchmark, both)

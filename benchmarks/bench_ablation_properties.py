@@ -21,7 +21,7 @@ def test_directed_vs_glue_cost(benchmark, spec, ordered_generator, size):
     def both():
         directed = VolcanoOptimizer(
             spec, query.catalog, SearchOptions(check_consistency=False)
-        ).optimize(query.query, required=query.required)
+        ).optimize(query.query, props=query.required)
         _, glued_cost = glue_optimize(
             spec, query.catalog, query.query, query.required
         )

@@ -16,7 +16,7 @@ def test_pruning_time(benchmark, spec, ordered_generator, branch_and_bound):
 
     def optimize():
         return VolcanoOptimizer(spec, query.catalog, options).optimize(
-            query.query, required=query.required
+            query.query, props=query.required
         )
 
     result = run_once(benchmark, optimize)
@@ -32,12 +32,12 @@ def test_pruning_is_lossless(benchmark, spec, ordered_generator):
     def both():
         with_bb = VolcanoOptimizer(
             spec, query.catalog, SearchOptions(check_consistency=False)
-        ).optimize(query.query, required=query.required)
+        ).optimize(query.query, props=query.required)
         without_bb = VolcanoOptimizer(
             spec,
             query.catalog,
             SearchOptions(branch_and_bound=False, check_consistency=False),
-        ).optimize(query.query, required=query.required)
+        ).optimize(query.query, props=query.required)
         return with_bb, without_bb
 
     with_bb, without_bb = run_once(benchmark, both)

@@ -52,7 +52,7 @@ def test_intersection_order_alternatives(benchmark, permutations):
     def optimize():
         return VolcanoOptimizer(
             spec, catalog, SearchOptions(check_consistency=False)
-        ).optimize(query, required=required)
+        ).optimize(query, props=required)
 
     result = run_once(benchmark, optimize)
     benchmark.extra_info["cost"] = result.cost.total()
@@ -67,10 +67,10 @@ def test_alternatives_strictly_cheaper(benchmark):
     def both():
         canonical = VolcanoOptimizer(
             merge_only_spec(1), catalog, SearchOptions(check_consistency=False)
-        ).optimize(query, required=required)
+        ).optimize(query, props=required)
         alternatives = VolcanoOptimizer(
             merge_only_spec(3), catalog, SearchOptions(check_consistency=False)
-        ).optimize(query, required=required)
+        ).optimize(query, props=required)
         return canonical.cost.total(), alternatives.cost.total()
 
     canonical, alternatives = run_once(benchmark, both)

@@ -50,7 +50,7 @@ def main() -> None:
     print("=== The user demands partitioned output (e.g. for a parallel sink) ===")
     optimizer = generate_optimizer(parallel_relational_model(fast_network), catalog)
     required = partitioned_on(["fact.k"], 8)
-    result = optimizer.optimize(query, required=required)
+    result = optimizer.optimize(query, props=required)
     print(f"goal: {required}")
     print(result.plan.pretty())
     assert result.plan.properties.covers(required)

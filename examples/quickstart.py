@@ -62,7 +62,7 @@ def main() -> None:
     print(f"Search effort: {result.stats}")
     print()
 
-    ordered = optimizer.optimize(query, required=sorted_on("customer.k"))
+    ordered = optimizer.optimize(query, props=sorted_on("customer.k"))
     print(f"Best plan sorted on customer.k (cost {ordered.cost}):")
     print(ordered.plan.pretty())
     print()

@@ -55,14 +55,14 @@ def main() -> None:
 
     print("=== Canonical order only (no alternatives) ===")
     spec = merge_only(setops_model(SetOpsModelOptions(max_order_permutations=1)))
-    result = generate_optimizer(spec, catalog).optimize(query, required=required)
+    result = generate_optimizer(spec, catalog).optimize(query, props=required)
     print(f"cost {result.cost}")
     print(result.plan.pretty())
     print()
 
     print("=== Alternative orders enabled ===")
     spec = merge_only(setops_model(SetOpsModelOptions(max_order_permutations=3)))
-    result = generate_optimizer(spec, catalog).optimize(query, required=required)
+    result = generate_optimizer(spec, catalog).optimize(query, props=required)
     print(f"cost {result.cost}")
     print(result.plan.pretty())
     print()

@@ -46,7 +46,7 @@ def main() -> None:
         print("SQL:", " ".join(text.split()))
         translation = translate(text, catalog)
         result = optimizer.optimize(
-            translation.expression, required=translation.required
+            translation.expression, props=translation.required
         )
         print(f"plan (cost {result.cost}):")
         print(result.plan.pretty(indent=1))

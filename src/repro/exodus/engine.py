@@ -65,7 +65,7 @@ from repro.options import (
     ResourceBudget,
     check_positive,
 )
-from repro.search.engine import OptimizationResult, _resolve_props
+from repro.search.engine import OptimizationResult
 
 __all__ = ["ExodusOptions", "ExodusResult", "ExodusOptimizer"]
 
@@ -171,7 +171,6 @@ class ExodusOptimizer:
         props: Optional[PhysProps] = None,
         *,
         options: Optional[ExodusOptions] = None,
-        required: Optional[PhysProps] = None,
     ) -> ExodusResult:
         """Optimize ``query``; ``props`` properties are glued on at the
         end (EXODUS had no property-driven search: "the ability to
@@ -180,9 +179,8 @@ class ExodusOptimizer:
 
         Conforms to the :class:`~repro.search.Optimizer` protocol:
         ``options`` overrides this instance's :class:`ExodusOptions` for
-        one call, and ``required=`` survives as a deprecation shim.
+        one call.
         """
-        props = _resolve_props(props, required)
         return self._optimize(query, props, options if options is not None else self.options)
 
     def _optimize(

@@ -42,6 +42,7 @@ __all__ = [
     "OptionsBase",
     "check_positive",
     "check_fraction",
+    "check_kernel",
     "ResourceBudget",
     "BudgetReport",
     "BudgetMeter",
@@ -69,6 +70,23 @@ def check_fraction(name: str, value) -> None:
     """Validation helper: ``value`` must be ``None`` or within [0, 1]."""
     if value is not None and not 0.0 <= value <= 1.0:
         raise OptionsError(f"{name} must be within [0, 1], got {value!r}")
+
+
+def check_kernel(kernel, *, objects: bool = True) -> None:
+    """Validation helper: a ``kernel`` knob must name a tier.
+
+    ``None`` passes, and so — unless ``objects=False`` (per-request
+    hints) — does a pre-built
+    :class:`~repro.generator.kernel.SearchKernel`, which the engine
+    resolves at run time.
+    """
+    if kernel is None or (objects and not isinstance(kernel, str)):
+        return
+    if kernel not in KERNEL_TIERS:
+        raise OptionsError(
+            f"kernel must be one of {KERNEL_TIERS}"
+            f"{' or a SearchKernel' if objects else ''}; got {kernel!r}"
+        )
 
 
 class OptionsBase:
@@ -131,6 +149,26 @@ class ResourceBudget(OptionsBase):
             and self.max_costings is None
             and self.max_rule_firings is None
         )
+
+    @classmethod
+    def tighten(
+        cls,
+        budget: Optional["ResourceBudget"],
+        deadline_seconds: Optional[float],
+    ) -> Optional["ResourceBudget"]:
+        """``budget`` with its wall clock capped at ``deadline_seconds``.
+
+        The one place a deadline is folded into a budget: no deadline
+        leaves ``budget`` (even None) as it is, no budget becomes a
+        deadline-only one, and an existing deadline keeps whichever is
+        tighter.  The other limits are untouched.
+        """
+        if deadline_seconds is None:
+            return budget
+        base = budget if budget is not None else cls()
+        if base.deadline_seconds is not None:
+            deadline_seconds = min(deadline_seconds, base.deadline_seconds)
+        return dataclasses.replace(base, deadline_seconds=deadline_seconds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,11 +324,6 @@ class QueryHints(OptionsBase):
         per-query hint outranks construction-time defaults.  Plans are
         byte-identical across tiers, so this only trades compilation
         and dispatch cost.
-    ``budget``
-        A :class:`ResourceBudget` for this run, same semantics as the
-        per-request ``budget=`` argument of
-        :meth:`~repro.service.OptimizerService.optimize` (which wins
-        when both are given).
     ``promise``
         Promise-model disposition: ``"service"`` (explicit default —
         the service's configured model, if any), ``"static"`` (force
@@ -305,25 +338,16 @@ class QueryHints(OptionsBase):
     """
 
     kernel: Optional[str] = None
-    budget: Optional[ResourceBudget] = None
     promise: Optional[str] = None
 
     def validate(self) -> None:
         """Check field invariants; raise :class:`OptionsError` on failure."""
-        if self.kernel is not None and self.kernel not in KERNEL_TIERS:
-            raise OptionsError(
-                f"kernel hint must be one of {KERNEL_TIERS}, got {self.kernel!r}"
-            )
+        check_kernel(self.kernel, objects=False)
         if self.promise is not None and self.promise not in PROMISE_HINTS:
             raise OptionsError(
                 f"promise hint must be one of {PROMISE_HINTS}, "
                 f"got {self.promise!r}"
             )
-
-    @property
-    def is_empty(self) -> bool:
-        """True when no hint is set (the request carries no steering)."""
-        return self.kernel is None and self.budget is None and self.promise is None
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)

@@ -45,7 +45,6 @@ Two production concerns layer on top of the paper's algorithm:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +56,6 @@ from repro.catalog.selectivity import SelectivityEstimator
 from repro.errors import (
     BudgetExceededError,
     OptimizationFailedError,
-    OptionsError,
     PlanValidationError,
     ReproError,
     SearchError,
@@ -68,12 +66,12 @@ from repro.model.patterns import match_memo
 from repro.model.rules import ImplementationRule, TransformationRule
 from repro.model.spec import AlgorithmNode, EnforcerApplication, ModelSpecification
 from repro.options import (
-    KERNEL_TIERS,
     BudgetMeter,
     BudgetReport,
     BudgetTripped,
     OptionsBase,
     ResourceBudget,
+    check_kernel,
     check_positive,
 )
 from repro.search.certify import CertificateBuilder, ClaimRecord
@@ -88,35 +86,6 @@ __all__ = [
     "PreoptimizedPlan",
     "VolcanoOptimizer",
 ]
-
-
-def _resolve_props(
-    props: Optional[PhysProps],
-    required: Optional[PhysProps],
-    *,
-    stacklevel: int = 2,
-) -> Optional[PhysProps]:
-    """Fold the deprecated ``required=`` keyword into ``props``.
-
-    Shared by every engine's :meth:`optimize` so the old call shape
-    keeps working while the unified protocol signature takes over.
-
-    ``stacklevel`` follows :func:`warnings.warn` semantics *as seen from
-    the calling* ``optimize`` *method* (this helper's own frame is
-    compensated for): the default of 2 attributes the deprecation
-    warning to the line that called ``optimize``.
-    """
-    if required is None:
-        return props
-    warnings.warn(
-        "the 'required' keyword of optimize() is deprecated; pass the "
-        "property vector positionally or as 'props'",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-    if props is not None:
-        raise TypeError("pass either 'props' or the deprecated 'required', not both")
-    return required
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -193,12 +162,7 @@ class SearchOptions(OptionsBase):
     def validate(self) -> None:
         """Check field invariants; raise :class:`OptionsError` on failure."""
         check_positive("max_groups", self.max_groups)
-        kernel = self.kernel
-        if isinstance(kernel, str) and kernel not in KERNEL_TIERS:
-            raise OptionsError(
-                f"kernel must be one of {KERNEL_TIERS} or a SearchKernel; "
-                f"got {kernel!r}"
-            )
+        check_kernel(self.kernel)
 
 
 @dataclass
@@ -519,7 +483,6 @@ class VolcanoOptimizer:
         limit: Cost = INFINITE_COST,
         preoptimized: Sequence["PreoptimizedPlan"] = (),
         options: Optional[SearchOptions] = None,
-        required: Optional[PhysProps] = None,
     ) -> OptimizationResult:
         """Find the cheapest plan for ``query`` delivering ``props``.
 
@@ -527,8 +490,7 @@ class VolcanoOptimizer:
         point: ``props`` is the goal's physical property vector
         (defaulting to the model's "any" vector) and ``options``
         overrides this instance's :class:`SearchOptions` for this call
-        only.  ``required=`` is the deprecated pre-protocol spelling of
-        ``props`` and is kept as a shim.
+        only.
 
         ``limit`` is the user-supplied cost limit of Figure 2 — "typically
         infinity for a user query, but the user interface may permit users
@@ -547,7 +509,6 @@ class VolcanoOptimizer:
         :class:`~repro.errors.BudgetExceededError` when a resource
         budget tripped *and* not even a degraded plan could be built.
         """
-        props = _resolve_props(props, required)
         return self._optimize(
             query,
             props,

@@ -49,26 +49,68 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+from repro.algebra.expressions import LogicalExpression
+from repro.algebra.properties import PhysProps
 from repro.catalog.statistics import ColumnStatistics, TableStatistics
 from repro.errors import ReproError, ServerError
-from repro.options import QueryHints, ResourceBudget, ServerOptions
+from repro.executor import ExecutionStats, execute_plan
+from repro.options import ResourceBudget, ServerOptions
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
+    cost_total,
     executed_payload,
-    parse_budget,
+    parse_deadline,
     parse_hints,
     require,
     served_payload,
 )
 from repro.server.registry import PlanRegistry, stable_key
-from repro.service.service import OptimizerService, PreparedQuery, ServedResult
+from repro.service.fingerprint import fingerprint
+from repro.service.service import (
+    BatchResult,
+    ExecutedResult,
+    OptimizerService,
+    PreparedQuery,
+    ServedResult,
+)
 from repro.sql.normalize import bind_expression, normalize_literals
 
 __all__ = ["OptimizerServer", "ServerThread"]
 
 _MAX_BODY = 4 * 1024 * 1024
+
+
+class _Bound(NamedTuple):
+    """A bound statement as :meth:`OptimizerServer._serve` sees a query.
+
+    Not a :class:`PreparedQuery`: the service derives cache keys lazily,
+    so a warm ``/bind`` pays one fingerprint and never normalizes.
+    """
+
+    expression: LogicalExpression
+    props: PhysProps
+
+
+class _Answer(NamedTuple):
+    """One query's trip through :meth:`OptimizerServer._serve`.
+
+    ``served`` is what goes on the wire — the incumbent's plan after a
+    guard rollback.  ``guard`` is None where the registry never judged:
+    cache hits, degraded answers, and plans served straight from a pin.
+    """
+
+    query: Any
+    key: str
+    served: ServedResult
+    pinned: bool
+    guard: Optional[Dict[str, Any]]
+
+    def payload(self) -> Dict[str, Any]:
+        return served_payload(
+            self.served, self.key, pinned=self.pinned, guard=self.guard
+        )
 
 
 class OptimizerServer:
@@ -301,69 +343,113 @@ class OptimizerServer:
             self._executor, fn
         )
 
-    async def _resolve(self, sql: str) -> Tuple[PreparedQuery, str]:
-        """SQL → (prepared query, stable plan-management key)."""
-        prepared = await self._in_thread(lambda: self.service.prepare(sql))
-        return prepared, stable_key(prepared.expression, prepared.props)
-
-    def _request_budget(
+    async def _serve(
         self,
         body: Mapping[str, Any],
-        hints: Optional[QueryHints],
-        started: float,
-    ) -> Optional[ResourceBudget]:
-        """Fold the request deadline's remainder into the run budget."""
-        deadline = body.get("deadline_seconds")
-        budget = parse_budget(body.get("budget"))
-        if budget is None and hints is not None:
-            budget = hints.budget
-        if deadline is None:
-            return budget
-        if not isinstance(deadline, (int, float)) or deadline <= 0:
-            raise ServerError("deadline_seconds must be a positive number")
-        remaining = max(0.05, float(deadline) - (time.monotonic() - started))
-        if budget is None:
-            return ResourceBudget(deadline_seconds=remaining)
-        if budget.deadline_seconds is not None:
-            remaining = min(remaining, budget.deadline_seconds)
-        return budget.replace(deadline_seconds=remaining)
+        resolve: Callable[[], list],
+        work: Callable[..., Any],
+        *,
+        early: bool = True,
+        pinned_work: Optional[Callable[[ServedResult], None]] = None,
+        managed: bool = True,
+    ) -> List[_Answer]:
+        """The one path every optimize-like request takes.
 
-    def _admission_timeout(self, body: Mapping[str, Any]) -> Optional[float]:
-        deadline = body.get("deadline_seconds")
-        if isinstance(deadline, (int, float)) and deadline > 0:
-            return min(float(deadline), self.options.queue_timeout_seconds)
-        return None
+        In order: hints → resolve → pin check → budget → admission →
+        worker thread → regression guard.  ``resolve()`` returns the
+        request's queries (anything with ``expression`` and ``props``);
+        ``work(queries, budget, hints, deadline)`` returns one
+        :class:`ServedResult` per *unpinned* one, from a worker inside
+        an admission slot.  A pinned query is answered from its pin.
 
-    def _guarded(
-        self, served: ServedResult, key: str
-    ) -> Tuple[ServedResult, bool, Optional[Dict[str, Any]]]:
-        """Route a service answer through pin + regression guard.
-
-        Returns ``(to_serve, pinned, guard_info)``.  Fresh non-degraded
-        answers are admitted to the registry; a rollback decision swaps
-        the served plan for the incumbent's.
+        ``early`` resolves on a worker hop ahead of admission, so a
+        request whose every query is pinned takes no slot — unless
+        ``pinned_work(served)`` has something to run (``/execute``).
+        Otherwise (``/bind``, ``/batch``) resolution and the pin check
+        ride the one admitted hop.  ``managed=False`` is ``/plans/pin``,
+        which must see the optimizer's own answer: no pin, no guard.
         """
-        if served.cached or served.degraded:
-            return served, False, None
-        decision = self.registry.admit(
-            key,
-            served.plan,
-            _total(served.cost),
-            served.required,
-            certificate=served.certificate,
-            statistics_version=self.service.catalog.statistics_version,
-        )
-        guard = {
-            "action": decision.action,
-            "allowed": decision.allowed,
-            "detail": decision.detail,
-        }
-        if decision.rolled_back:
-            served = dataclasses.replace(
-                served, plan=decision.plan, result=None
-            )
-            return served, True, guard
-        return served, False, guard
+        started = time.monotonic()
+        hints, budget = parse_hints(body)
+        deadline = parse_deadline(body)
+
+        def check() -> Tuple[list, List[str], list]:
+            queries = resolve()
+            keys = [stable_key(q.expression, q.props) for q in queries]
+            return queries, keys, [
+                self.registry.pinned(key) if managed else None for key in keys
+            ]
+
+        checked = await self._in_thread(check) if early else None
+        timeout = None
+        if deadline is not None:
+            # Whatever the request has left becomes the run's wall clock.
+            remaining = max(0.05, deadline - (time.monotonic() - started))
+            budget = ResourceBudget.tighten(budget, remaining)
+            timeout = min(deadline, self.options.queue_timeout_seconds)
+
+        def run() -> Tuple[list, List[str], list, List[ServedResult]]:
+            queries, keys, pins = checked or check()
+            unpinned = [q for q, pin in zip(queries, pins) if pin is None]
+            fresh = iter(work(unpinned, budget, hints, deadline) if unpinned else ())
+            results = []
+            for query, key, pin in zip(queries, keys, pins):
+                if pin is None:
+                    results.append(next(fresh))
+                    continue
+                self.registry.record_pinned_hit(key)
+                served = ServedResult(
+                    plan=pin.plan,
+                    cost=pin.cost_total,
+                    required=pin.required,
+                    fingerprint=getattr(query, "exact", None)
+                    or fingerprint(query.expression, query.props, self.service.catalog),
+                    cached=True,
+                    certificate=pin.certificate,
+                    verified=pin.verified,
+                )
+                if pinned_work is not None:
+                    pinned_work(served)
+                results.append(served)
+            return queries, keys, pins, results
+
+        if checked is None or pinned_work is not None or not all(checked[2]):
+            async with self.admission.slot(timeout):
+                outcome = await self._in_thread(run)
+        else:
+            outcome = run()  # every query pinned: no slot, no thread
+        answers = []
+        for query, key, pin, served in zip(*outcome):
+            pinned, guard = pin is not None, None
+            if managed and pin is None and not (served.cached or served.degraded):
+                # Fresh non-degraded answers go through the regression
+                # guard; a rollback swaps in the incumbent's plan.
+                decision = self.registry.admit(
+                    key,
+                    served.plan,
+                    cost_total(served.cost),
+                    served.required,
+                    certificate=served.certificate,
+                    statistics_version=self.service.catalog.statistics_version,
+                )
+                guard = {
+                    "action": decision.action,
+                    "allowed": decision.allowed,
+                    "detail": decision.detail,
+                }
+                if decision.rolled_back:
+                    pinned = True
+                    served = dataclasses.replace(
+                        served, plan=decision.plan, result=None
+                    )
+            answers.append(_Answer(query, key, served, pinned, guard))
+        return answers
+
+    def _optimize_each(self, queries, budget, hints, deadline) -> List[ServedResult]:
+        return [
+            self.service.optimize(query, budget=budget, hints=hints)
+            for query in queries
+        ]
 
     # -- endpoints -----------------------------------------------------
 
@@ -394,105 +480,58 @@ class OptimizerServer:
         return self.registry.state()
 
     async def _handle_optimize(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        started = time.monotonic()
         sql = require(body, "sql", str)
-        hints = parse_hints(body)
-        prepared, key = await self._resolve(sql)
-        pin = self.registry.pinned(key)
-        if pin is not None:
-            # Pinned: served as-is, no optimization, no admission.
-            self.registry.record_pinned_hit(key)
-            served = ServedResult(
-                plan=pin.plan,
-                cost=pin.cost_total,
-                required=pin.required,
-                fingerprint=prepared.exact,
-                cached=True,
-                certificate=pin.certificate,
-                verified=pin.verified,
-            )
-            return served_payload(served, key, pinned=True)
-        budget = self._request_budget(body, hints, started)
-        async with self.admission.slot(self._admission_timeout(body)):
-            served = await self._in_thread(
-                lambda: self.service.optimize(prepared, budget=budget, hints=hints)
-            )
-        served, pinned, guard = self._guarded(served, key)
-        return served_payload(served, key, pinned=pinned, guard=guard)
+        [answer] = await self._serve(
+            body, lambda: [self.service.prepare(sql)], self._optimize_each
+        )
+        return answer.payload()
 
     async def _handle_execute(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        started = time.monotonic()
         sql = require(body, "sql", str)
-        hints = parse_hints(body)
-        prepared, key = await self._resolve(sql)
-        pin = self.registry.pinned(key)
-        if pin is not None:
+        executed: Optional[ExecutedResult] = None
+
+        def run_fresh(queries, budget, hints, deadline) -> List[ServedResult]:
+            nonlocal executed
+            [query] = queries
+            executed = self.service.execute(query, budget=budget, hints=hints)
+            return [executed.served]
+
+        def run_pinned(served: ServedResult) -> None:
             # A pinned key executes its pinned plan verbatim.  The run
             # is uninstrumented on purpose: an operator override is not
             # evidence about the optimizer's estimates.
-            self.registry.record_pinned_hit(key)
-
-            def run_pinned():
-                from repro.executor import ExecutionStats, execute_plan
-
-                stats = ExecutionStats()
-                rows = execute_plan(
-                    pin.plan, self.service.catalog, stats, instrument=False
-                )
-                return rows, stats
-
-            async with self.admission.slot(self._admission_timeout(body)):
-                rows, stats = await self._in_thread(run_pinned)
-            served = ServedResult(
-                plan=pin.plan,
-                cost=pin.cost_total,
-                required=pin.required,
-                fingerprint=prepared.exact,
-                cached=True,
-                certificate=pin.certificate,
-                verified=pin.verified,
+            nonlocal executed
+            stats = ExecutionStats()
+            rows = execute_plan(
+                served.plan, self.service.catalog, stats, instrument=False
             )
-            payload = served_payload(served, key, pinned=True)
-            payload.update(
-                {
-                    "row_count": len(rows),
-                    "rows": rows,
-                    "execution": {
-                        "rows_scanned": stats.rows_scanned,
-                        "rows_emitted": stats.rows_emitted,
-                        "pages_read": stats.pages_read,
-                        "pages_written": stats.pages_written,
-                    },
-                    "max_q_error": 1.0,
-                    "refreshed": False,
-                }
-            )
-            return payload
-        budget = self._request_budget(body, hints, started)
-        async with self.admission.slot(self._admission_timeout(body)):
-            executed = await self._in_thread(
-                lambda: self.service.execute(
-                    prepared.expression, prepared.props, budget=budget
-                )
-            )
-        served, pinned, guard = self._guarded(executed.served, key)
-        # Fold execution evidence into the incumbent — this is what
-        # arms the regression guard for this key.
-        self.registry.observe(
-            key,
-            executed.served.plan,
-            max_q_error=executed.max_q_error,
-            work=float(executed.stats.rows_scanned + executed.stats.rows_emitted),
+            executed = ExecutedResult(served=served, rows=rows, stats=stats)
+
+        [answer] = await self._serve(
+            body,
+            lambda: [self.service.prepare(sql)],
+            run_fresh,
+            pinned_work=run_pinned,
         )
-        payload = executed_payload(executed, key)
-        payload["pinned"] = pinned
-        payload["guard"] = guard
-        if pinned:
-            # Rolled back mid-request: the rows above ran the candidate
-            # once, but the *served plan* is the incumbent's.
-            payload["plan"] = served.plan.pretty(with_cost=False)
-            payload["sexpr"] = served.plan.to_sexpr()
-        return payload
+        assert executed is not None
+        served_from_pin = answer.pinned and answer.guard is None
+        if not served_from_pin:
+            # Fold the execution evidence into the incumbent — this is
+            # what arms the regression guard for this key.
+            self.registry.observe(
+                answer.key,
+                executed.served.plan,
+                max_q_error=executed.max_q_error,
+                work=float(executed.stats.rows_scanned + executed.stats.rows_emitted),
+            )
+        # After a mid-request rollback the rows ran the candidate once,
+        # but the *served plan* is the incumbent's.
+        return executed_payload(
+            dataclasses.replace(executed, served=answer.served),
+            answer.key,
+            pinned=answer.pinned,
+            guard=answer.guard,
+        )
 
     async def _handle_prepare(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         sql = require(body, "sql", str)
@@ -521,7 +560,6 @@ class OptimizerServer:
         }
 
     async def _handle_bind(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        started = time.monotonic()
         statement = require(body, "statement", str)
         with self._statements_lock:
             entry = self._statements.get(statement)
@@ -539,21 +577,20 @@ class OptimizerServer:
             )
         # Unbound parameters keep the literals of the prepared text.
         merged = {**dict(normalized.bindings), **dict(values)}
-        hints = parse_hints(body)
-        budget = self._request_budget(body, hints, started)
-
-        def run():
-            bound = bind_expression(normalized.template, merged)
-            key = stable_key(bound, prepared.props)
-            served = self.service.optimize(
-                bound, prepared.props, budget=budget, hints=hints
-            )
-            return bound, key, served
-
-        async with self.admission.slot(self._admission_timeout(body)):
-            _bound, key, served = await self._in_thread(run)
-        served, pinned, guard = self._guarded(served, key)
-        payload = served_payload(served, key, pinned=pinned, guard=guard)
+        [answer] = await self._serve(
+            body,
+            lambda: [
+                _Bound(bind_expression(normalized.template, merged), prepared.props)
+            ],
+            lambda queries, budget, hints, deadline: [
+                self.service.optimize(
+                    query.expression, query.props, budget=budget, hints=hints
+                )
+                for query in queries
+            ],
+            early=False,
+        )
+        payload = answer.payload()
         payload["statement"] = statement
         payload["parameters"] = {
             name: merged[name] for name in sorted(merged)
@@ -561,32 +598,28 @@ class OptimizerServer:
         return payload
 
     async def _handle_batch(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        queries = require(body, "queries", list)
-        if not queries or not all(isinstance(q, str) for q in queries):
+        sqls = require(body, "queries", list)
+        if not sqls or not all(isinstance(q, str) for q in sqls):
             raise ServerError("queries must be a non-empty list of SQL strings")
-        parse_hints(body)  # nothing to steer here; malformed hints are still a 400
-        deadline = body.get("deadline_seconds")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
-        ):
-            raise ServerError("deadline_seconds must be a positive number")
-        def run():
-            prepared = [self.service.prepare(sql) for sql in queries]
-            batch = self.service.optimize_many(prepared, deadline_seconds=deadline)
-            keys = [stable_key(p.expression, p.props) for p in prepared]
-            return batch, keys
+        batch = BatchResult(results=())
 
-        async with self.admission.slot(self._admission_timeout(body)):
-            batch, keys = await self._in_thread(run)
-        results = []
-        for key, served in zip(keys, batch.results):
-            served, pinned, guard = self._guarded(served, key)
-            results.append(
-                served_payload(served, key, pinned=pinned, guard=guard)
-            )
+        def optimize_together(queries, budget, hints, deadline):
+            # Only the unpinned members, optimized together.  The
+            # request deadline goes to optimize_many whole (it splits it
+            # itself); there is no single run for the rest to steer.
+            nonlocal batch
+            batch = self.service.optimize_many(queries, deadline_seconds=deadline)
+            return batch.results
+
+        answers = await self._serve(
+            body,
+            lambda: [self.service.prepare(sql) for sql in sqls],
+            optimize_together,
+            early=False,
+        )
         report = batch.sharing_report
         return {
-            "results": results,
+            "results": [answer.payload() for answer in answers],
             "shared_plans": len(batch.shared_plans),
             "sharing": (
                 {
@@ -606,16 +639,15 @@ class OptimizerServer:
         }
 
     async def _handle_pin(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        started = time.monotonic()
         sql = require(body, "sql", str)
         reason = str(body.get("reason", ""))
-        hints = parse_hints(body)
-        prepared, key = await self._resolve(sql)
-        budget = self._request_budget(body, hints, started)
-        async with self.admission.slot(self._admission_timeout(body)):
-            served = await self._in_thread(
-                lambda: self.service.optimize(prepared, budget=budget, hints=hints)
-            )
+        [answer] = await self._serve(
+            body,
+            lambda: [self.service.prepare(sql)],
+            self._optimize_each,
+            managed=False,
+        )
+        served, key = answer.served, answer.key
         if served.degraded:
             raise ServerError(
                 "refusing to pin a degraded (budget-tripped) plan", status=409
@@ -624,7 +656,7 @@ class OptimizerServer:
         if self.options.verify_pins and served.certificate is not None:
             ok = await self._in_thread(
                 lambda: self.service.verify_served(
-                    prepared.expression, served.plan, served.certificate
+                    answer.query.expression, served.plan, served.certificate
                 )
             )
             if ok is False:
@@ -636,7 +668,7 @@ class OptimizerServer:
         pin = self.registry.pin(
             key,
             served.plan,
-            _total(served.cost),
+            cost_total(served.cost),
             served.required,
             certificate=served.certificate,
             kind="user",
@@ -657,7 +689,8 @@ class OptimizerServer:
         key = body.get("key")
         if key is None:
             sql = require(body, "sql", str)
-            _prepared, key = await self._resolve(sql)
+            prepared = await self._in_thread(lambda: self.service.prepare(sql))
+            key = stable_key(prepared.expression, prepared.props)
         elif not isinstance(key, str):
             raise ServerError("key must be a string")
         pin = self.registry.unpin(
@@ -714,13 +747,6 @@ class OptimizerServer:
         # stops accepting and drains what is in flight.
         asyncio.get_running_loop().call_soon(self._shutdown.set)
         return {"ok": True, "draining": self.admission.active}
-
-
-def _total(cost: Any) -> float:
-    total = getattr(cost, "total", None)
-    if callable(total):
-        return float(total())
-    return float(cost)
 
 
 _REASONS = {

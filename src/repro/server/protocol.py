@@ -17,7 +17,7 @@ these.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ServerError
 from repro.options import KERNEL_TIERS, PROMISE_HINTS, QueryHints, ResourceBudget
@@ -26,7 +26,9 @@ from repro.service.service import ExecutedResult, ServedResult
 __all__ = [
     "parse_hints",
     "parse_budget",
+    "parse_deadline",
     "require",
+    "cost_total",
     "served_payload",
     "executed_payload",
 ]
@@ -61,28 +63,42 @@ def parse_budget(raw: Any) -> Optional[ResourceBudget]:
         raise ServerError(f"invalid budget: {error}") from None
 
 
-def parse_hints(body: Mapping[str, Any]) -> Optional[QueryHints]:
-    """The hint fields of a request body → :class:`QueryHints`.
+def parse_deadline(body: Mapping[str, Any]) -> Optional[float]:
+    """The ``deadline_seconds`` request field, or a 400."""
+    deadline = body.get("deadline_seconds")
+    if deadline is None:
+        return None
+    if not isinstance(deadline, (int, float)) or deadline <= 0:
+        raise ServerError("deadline_seconds must be a positive number")
+    return float(deadline)
+
+
+def parse_hints(
+    body: Mapping[str, Any],
+) -> Tuple[Optional[QueryHints], Optional[ResourceBudget]]:
+    """The steering fields of a request body → ``(hints, budget)``.
 
     Hints ride as top-level request fields (``kernel``, ``promise``,
     ``budget``) rather than a nested object, so a curl one-liner stays a
-    one-liner.  Returns None when no hint is set.
+    one-liner.  ``hints`` is None when neither ``kernel`` nor
+    ``promise`` is set; ``budget`` is the parsed ``budget`` object.
     """
     if "engine" in body:
         raise ServerError("unknown field 'engine': the server runs one search engine")
     kernel = body.get("kernel")
     promise = body.get("promise")
     budget = parse_budget(body.get("budget"))
-    if kernel is None and promise is None and budget is None:
-        return None
     if kernel is not None and kernel not in KERNEL_TIERS:
         raise ServerError(f"kernel must be one of {list(KERNEL_TIERS)}")
     if promise is not None and promise not in PROMISE_HINTS:
         raise ServerError(f"promise must be one of {list(PROMISE_HINTS)}")
-    return QueryHints(kernel=kernel, budget=budget, promise=promise)
+    if kernel is None and promise is None:
+        return None, budget
+    return QueryHints(kernel=kernel, promise=promise), budget
 
 
-def _cost_total(cost: Any) -> float:
+def cost_total(cost: Any) -> float:
+    """A cost value (or bare number) as the float the wire carries."""
     total = getattr(cost, "total", None)
     if callable(total):
         return float(total())
@@ -109,7 +125,7 @@ def served_payload(
         "plan": served.plan.pretty(with_cost=False),
         "sexpr": served.plan.to_sexpr(),
         "cost": str(served.cost),
-        "cost_total": _cost_total(served.cost),
+        "cost_total": cost_total(served.cost),
         "cached": served.cached,
         "parameterized": served.parameterized,
         "degraded": served.degraded,
@@ -125,15 +141,18 @@ def executed_payload(
     key: str,
     *,
     max_rows: Optional[int] = None,
+    pinned: bool = False,
+    guard: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One optimize–execute round trip as a response body.
 
     ``max_rows`` truncates the returned row set (``row_count`` stays
     the true count); None returns every row — fine for the synthetic
     catalogs this server fronts, unwise for anything larger.
+    ``pinned`` and ``guard`` are :func:`served_payload`'s.
     """
     rows: List[dict] = executed.rows
-    payload = served_payload(executed.served, key)
+    payload = served_payload(executed.served, key, pinned=pinned, guard=guard)
     payload.update(
         {
             "row_count": len(rows),

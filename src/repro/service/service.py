@@ -22,8 +22,8 @@ twice.  :class:`OptimizerService` is that front:
   the engine's ``preoptimized=`` hook).
 
 The service programs against the :class:`~repro.search.Optimizer`
-protocol, so it wraps the Volcano engine, the task-driven engine, or
-either comparison baseline interchangeably.
+protocol, so it wraps the Volcano engine or either comparison baseline
+interchangeably.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -52,12 +51,11 @@ from repro.feedback import (
     refresh_statistics,
 )
 from repro.options import (
-    KERNEL_TIERS,
     BudgetReport,
     OptionsBase,
-    OptionsError,
     QueryHints,
     ResourceBudget,
+    check_kernel,
     check_positive,
 )
 from repro.search.engine import OptimizationResult, PreoptimizedPlan
@@ -86,6 +84,9 @@ __all__ = [
 
 #: Anything ``optimize``/``optimize_many``/``prepare`` accepts as a query.
 QueryLike = Union[str, LogicalExpression, "PreparedQuery"]
+
+#: A query's cache keys: (exact, template or None, normalized or None).
+_Keys = Tuple[Fingerprint, Optional[Fingerprint], Any]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -198,12 +199,7 @@ class ServiceOptions(OptionsBase):
         check_positive("selectivity_buckets", self.selectivity_buckets)
         check_positive("max_subplans", self.max_subplans)
         check_positive("max_seeds_per_query", self.max_seeds_per_query)
-        kernel = self.kernel
-        if isinstance(kernel, str) and kernel not in KERNEL_TIERS:
-            raise OptionsError(
-                f"kernel must be one of {KERNEL_TIERS} or a SearchKernel; "
-                f"got {kernel!r}"
-            )
+        check_kernel(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -302,11 +298,6 @@ class BatchResult:
         ``producer``-kind certificate per materialized shared plan.
         Empty when verification is off, nothing was materialized, or
         the sharing pass was quarantined.
-
-    Deprecated sequence protocol: ``BatchResult`` still iterates,
-    indexes, and measures like the ``List[ServedResult]`` this method
-    used to return, so existing callers keep working — with a
-    :class:`DeprecationWarning`.  Use ``.results`` instead.
     """
 
     results: Tuple[ServedResult, ...]
@@ -316,26 +307,6 @@ class BatchResult:
     budget_report: Optional[BudgetReport] = None
     consumer_certificates: Tuple[Optional[PlanCertificate], ...] = ()
     producer_certificates: Tuple[Optional[PlanCertificate], ...] = ()
-
-    def _deprecate(self) -> None:
-        warnings.warn(
-            "treating BatchResult as a List[ServedResult] is deprecated; "
-            "use BatchResult.results",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __iter__(self) -> Iterator[ServedResult]:
-        self._deprecate()
-        return iter(self.results)
-
-    def __getitem__(self, index):
-        self._deprecate()
-        return self.results[index]
-
-    def __len__(self) -> int:
-        self._deprecate()
-        return len(self.results)
 
     @property
     def degraded_to_independent(self) -> bool:
@@ -509,11 +480,11 @@ class OptimizerService:
         :meth:`optimize` is safe — it is re-keyed transparently.
         """
         expression, props, _ = self._resolve(query, props)
-        exact, template_key, normalized = self._keys_for(expression, props)
+        template_key, normalized = self._template_keys(expression, props)
         return PreparedQuery(
             expression=expression,
             props=props,
-            exact=exact,
+            exact=fingerprint(expression, props, self.catalog),
             template_key=template_key,
             normalized=normalized,
             statistics_version=self.catalog.statistics_version,
@@ -523,40 +494,33 @@ class OptimizerService:
         self,
         query: QueryLike,
         props: Optional[PhysProps],
-    ) -> Tuple[
-        LogicalExpression,
-        PhysProps,
-        Optional[Tuple[Fingerprint, Optional[Fingerprint], Optional[object]]],
-    ]:
+    ) -> Tuple[LogicalExpression, PhysProps, Optional[_Keys]]:
         """Coerce any accepted query form to (expression, props, keys).
 
         ``keys`` is the precomputed ``(exact, template, normalized)``
         triple when a fresh :class:`PreparedQuery` supplied it, else
-        None (computed lazily by the caller).  A prepared query whose
+        None (derived by :meth:`_lookup`).  A prepared query whose
         ``statistics_version`` is stale — or that is being re-required
         under different ``props`` — falls back to recomputation.
         """
         if isinstance(query, PreparedQuery):
-            if props is not None and props != query.props:
-                return query.expression, props, None
-            if query.statistics_version == self.catalog.statistics_version:
-                return query.expression, query.props, (
-                    query.exact,
-                    query.template_key,
-                    query.normalized,
-                )
-            return query.expression, query.props, None
+            fresh = (
+                (props is None or props == query.props)
+                and query.statistics_version == self.catalog.statistics_version
+            )
+            keys = (query.exact, query.template_key, query.normalized)
+            return (
+                query.expression,
+                props if props is not None else query.props,
+                keys if fresh else None,
+            )
         if isinstance(query, str):
             from repro.sql.translator import Translator
 
             translation = Translator(self.catalog).translate(query)
             if props is None:
                 props = translation.required
-            return (
-                translation.expression,
-                props if props is not None else self._default_props(),
-                None,
-            )
+            query = translation.expression
         return (
             query,
             props if props is not None else self._default_props(),
@@ -589,9 +553,8 @@ class OptimizerService:
         counted in ``stats.degraded``.
 
         ``hints`` are per-request :class:`~repro.options.QueryHints`
-        (kernel tier, promise disposition, a hint-level budget) folded
-        into this one engine run; see the class docs.  An explicit
-        ``budget=`` argument outranks ``hints.budget``.
+        (kernel tier, promise disposition) folded into this one engine
+        run; see the class docs.
 
         Concurrent misses of the same fingerprint are **single-flight**
         deduplicated: the first caller runs the engine, every caller
@@ -602,46 +565,32 @@ class OptimizerService:
         leader's answer as-is, so a follower's own ``budget``/``hints``
         do not shape the shared plan.
         """
-        expression, props, keys = self._resolve(query, props)
+        expression, props, prepared_keys = self._resolve(query, props)
         started = time.perf_counter()
         self._sweep_if_stale()
-
-        if keys is None:
-            served = self._lookup(expression, props, started)
-            if served is not None:
-                return served
-            keys = self._keys_for(expression, props)
-        else:
-            served = self._lookup_with_keys(keys, started, expression)
-            if served is not None:
-                return served
-
-        exact, template_key, normalized = keys
-        if budget is None and hints is not None:
-            budget = hints.budget
+        served, keys = self._lookup(expression, props, prepared_keys, started)
+        if served is not None:
+            return served
+        exact, template_key, _ = keys
 
         def miss() -> ServedResult:
             # Late-leader re-check: this thread's lookup missed, but
             # another flight may have populated the entry before we won
             # the flight.  peek() is uncounted, so the common cold path
-            # keeps its exact historical counter trail.
+            # keeps its exact historical counter trail; a found entry is
+            # counted and re-verified exactly like a first-lookup hit.
             entry = self.cache.peek(exact)
             if entry is not None:
-                elapsed = time.perf_counter() - started
-                self.cache.stats.bump(lookups=1, hits=1, hit_seconds=elapsed)
-                return ServedResult(
-                    plan=entry.plan,
-                    cost=entry.cost,
-                    required=entry.required,
-                    fingerprint=exact,
-                    cached=True,
-                    elapsed_seconds=elapsed,
-                    certificate=entry.certificate,
-                )
+                self.cache.stats.bump(lookups=1, hits=1)
+                served = self._serve_exact(entry, expression, started)
+                if served is not None:
+                    return served
+                if template_key is not None:
+                    self.cache.remove(template_key)
             result = self._run_engine(expression, props, budget, hints)
-            return self._serve_fresh(
-                exact, template_key, normalized, result, started, expression
-            )
+            if result.stats is not None:
+                self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
+            return self._serve_fresh(keys, result, expression, started)
 
         served, leader = self.single_flight.do(exact.digest, miss)
         if not leader:
@@ -656,122 +605,79 @@ class OptimizerService:
             )
         return served
 
+    def _template_keys(
+        self, query: LogicalExpression, props: PhysProps
+    ) -> Tuple[Optional[Fingerprint], Any]:
+        """A query's ``(template_key, normalized)``, or ``(None, None)``.
+
+        The one place literals are normalized and the template
+        fingerprint derived; None when parameterized caching is off or
+        the query has no literal to replace.
+        """
+        if not self.options.parameterized:
+            return None, None
+        normalized = normalize_literals(
+            query, self.catalog, buckets=self.options.selectivity_buckets
+        )
+        if not normalized.is_parameterized:
+            return None, None
+        template_key = fingerprint(
+            normalized.template,
+            props,
+            self.catalog,
+            bucket_key=tuple(
+                (op, bucket) for _, op, bucket in normalized.bucket_key
+            ),
+        )
+        return template_key, normalized
+
     def _lookup(
         self,
         query: LogicalExpression,
         props: PhysProps,
+        keys: Optional[_Keys],
         started: float,
-    ) -> Optional[ServedResult]:
-        """The cache-only half of :meth:`optimize`: a hit, or None.
+    ) -> Tuple[Optional[ServedResult], _Keys]:
+        """The cache-only half of :meth:`optimize`: ``(hit, keys)``.
+
+        ``keys`` come from a fresh :class:`PreparedQuery` or are derived
+        here, lazily: the exact fingerprint first, the template keys
+        only once the exact lookup has missed — an exact hit never
+        normalizes literals (and returns no template keys).  On a miss
+        ``hit`` is None and the keys are complete, ready for
+        :meth:`_serve_fresh`.
 
         Hit latency is *service-side* (the lookup cost paid now), never
         the original optimization's elapsed time; it accumulates under
         ``stats.hit_seconds``.
         """
-        exact = fingerprint(query, props, self.catalog)
-        served, quarantined = self._hit_exact(exact, started, query)
-        if served is not None:
-            return served
-        if self.options.parameterized:
-            normalized = normalize_literals(
-                query, self.catalog, buckets=self.options.selectivity_buckets
-            )
-            if normalized.is_parameterized:
-                template_key = fingerprint(
-                    normalized.template,
-                    props,
-                    self.catalog,
-                    bucket_key=tuple(
-                        (op, bucket) for _, op, bucket in normalized.bucket_key
-                    ),
-                )
-                if quarantined:
-                    # The template entry came from the same (now
-                    # distrusted) optimization as the quarantined exact
-                    # entry: drop it too, and report a miss.
-                    self.cache.remove(template_key)
-                    return None
-                return self._hit_template(template_key, normalized, started)
-        return None
-
-    def _lookup_with_keys(
-        self,
-        keys: Tuple[Fingerprint, Optional[Fingerprint], Optional[object]],
-        started: float,
-        expression: Optional[LogicalExpression] = None,
-    ) -> Optional[ServedResult]:
-        """:meth:`_lookup` over precomputed (prepared) cache keys."""
-        exact, template_key, normalized = keys
-        served, quarantined = self._hit_exact(exact, started, expression)
-        if served is not None:
-            return served
-        if template_key is not None and normalized is not None:
-            if quarantined:
-                self.cache.remove(template_key)
-                return None
-            return self._hit_template(template_key, normalized, started)
-        return None
-
-    def _hit_exact(
-        self,
-        exact: Fingerprint,
-        started: float,
-        expression: Optional[LogicalExpression] = None,
-    ) -> Tuple[Optional[ServedResult], bool]:
-        """An exact-fingerprint hit: ``(served, quarantined)``.
-
-        ``quarantined`` is True when the entry was present but its
-        certificate failed re-verification — the entry has been dropped
-        and the caller must also suppress (and drop) the sibling
-        template entry rather than fall back to it.
-        """
+        exact = keys[0] if keys is not None else fingerprint(query, props, self.catalog)
         entry = self.cache.get(exact)
-        if entry is None:
-            return None, False
-        verified = False
-        if (
-            self.options.verify_plans
-            and entry.certificate is not None
-            and expression is not None
-        ):
-            ok = self._verify(expression, entry.plan, entry.certificate)
-            if ok is False:
-                # Quarantine: the cached plan no longer checks out
-                # against its own derivation certificate.  Drop the
-                # entry and report a miss, so the caller falls through
-                # to a fresh (verified) optimization.
-                self.cache.remove(exact)
-                self.cache.stats.bump(verify_violations=1, quarantined=1)
-                return None, True
-            if ok:
-                self.cache.stats.bump(verified_hits=1)
-                verified = True
-        elapsed = time.perf_counter() - started
-        self.cache.stats.bump(hit_seconds=elapsed)
-        return (
-            ServedResult(
-                plan=entry.plan,
-                cost=entry.cost,
-                required=entry.required,
-                fingerprint=exact,
-                cached=True,
-                elapsed_seconds=elapsed,
-                certificate=entry.certificate,
-                verified=verified,
-            ),
-            False,
-        )
-
-    def _hit_template(
-        self, template_key: Fingerprint, normalized, started: float
-    ) -> Optional[ServedResult]:
+        quarantined = False
+        if entry is not None:
+            served = self._serve_exact(entry, query, started)
+            if served is not None:
+                return served, keys or (exact, None, None)
+            quarantined = True
+        if keys is None:
+            template_key, normalized = self._template_keys(query, props)
+            keys = (exact, template_key, normalized)
+        _, template_key, normalized = keys
+        if template_key is None:
+            return None, keys
+        if quarantined:
+            # The template entry came from the same (now distrusted)
+            # optimization as the quarantined exact entry: drop it too,
+            # and report a miss.
+            self.cache.remove(template_key)
+            return None, keys
         entry = self.cache.get(template_key)
         if entry is None:
-            return None
+            return None, keys
         plan = bind_plan(entry.plan, normalized.bindings)
         elapsed = time.perf_counter() - started
         self.cache.stats.bump(hit_seconds=elapsed)
-        return ServedResult(
+        served = ServedResult(
             plan=plan,
             cost=entry.cost,
             required=entry.required,
@@ -780,65 +686,75 @@ class OptimizerService:
             parameterized=True,
             elapsed_seconds=elapsed,
         )
+        return served, keys
 
-    def _keys_for(
-        self, query: LogicalExpression, props: PhysProps
-    ) -> Tuple[Fingerprint, Optional[Fingerprint], Optional[object]]:
-        """The exact and (when enabled) template cache keys of a query."""
-        exact = fingerprint(query, props, self.catalog)
-        normalized = None
-        template_key = None
-        if self.options.parameterized:
-            normalized = normalize_literals(
-                query, self.catalog, buckets=self.options.selectivity_buckets
-            )
-            if normalized.is_parameterized:
-                template_key = fingerprint(
-                    normalized.template,
-                    props,
-                    self.catalog,
-                    bucket_key=tuple(
-                        (op, bucket) for _, op, bucket in normalized.bucket_key
-                    ),
-                )
-            else:
-                normalized = None
-        return exact, template_key, normalized
+    def _serve_exact(
+        self, entry: CacheEntry, query: LogicalExpression, started: float
+    ) -> Optional[ServedResult]:
+        """Wrap an exact-fingerprint entry as a hit, or quarantine it.
+
+        Under ``verify_plans`` the entry's certificate is re-checked
+        first.  None means it failed: the entry has been dropped and
+        counted, and the caller must treat the lookup as a miss —
+        dropping the sibling template entry rather than falling back
+        to it — so a fresh (verified) optimization answers instead.
+        """
+        verified = False
+        if self.options.verify_plans and entry.certificate is not None:
+            ok = self.verify_served(query, entry.plan, entry.certificate)
+            if ok is False:
+                self.cache.remove(entry.fingerprint)
+                self.cache.stats.bump(verify_violations=1, quarantined=1)
+                return None
+            if ok:
+                self.cache.stats.bump(verified_hits=1)
+                verified = True
+        elapsed = time.perf_counter() - started
+        self.cache.stats.bump(hit_seconds=elapsed)
+        return ServedResult(
+            plan=entry.plan,
+            cost=entry.cost,
+            required=entry.required,
+            fingerprint=entry.fingerprint,
+            cached=True,
+            elapsed_seconds=elapsed,
+            certificate=entry.certificate,
+            verified=verified,
+        )
 
     def _serve_fresh(
         self,
-        exact: Fingerprint,
-        template_key: Optional[Fingerprint],
-        normalized,
+        keys: _Keys,
         result: OptimizationResult,
+        query: LogicalExpression,
         started: float,
-        expression: Optional[LogicalExpression] = None,
     ) -> ServedResult:
-        """Account, cache, and wrap one fresh engine answer."""
+        """One fresh engine answer: verify, cache, harvest, wrap.
+
+        Shared by the single-query miss and both batch paths.  Engine
+        time is accounted by the caller, once per engine *run* (a
+        shared-memo batch is one run behind many answers).
+        """
         degraded = bool(getattr(result, "degraded", False))
         certificate = getattr(result, "certificate", None)
         ok: Optional[bool] = None
-        if self.options.verify_plans and expression is not None:
-            ok = self._verify(expression, result.plan, certificate)
+        if self.options.verify_plans:
+            ok = self.verify_served(query, result.plan, certificate)
             if ok is False:
                 self.cache.stats.bump(verify_violations=1)
-        if result.stats is not None:
-            self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
+        # Degraded answers are served but never cached.  Neither is one
+        # whose own certificate fails the checker (the plan may still
+        # be fine): the cache must hold only re-verifiable entries.
         if degraded:
             self.cache.stats.bump(degraded=1)
-        elif ok is False:
-            # An answer whose own certificate fails the checker is
-            # served (the plan may still be fine) but never cached —
-            # the cache must hold only re-verifiable entries.
-            pass
-        else:
-            self._store(exact, template_key, normalized, result, None)
+        elif ok is not False:
+            self._store(keys, result)
             self._harvest(result)
         return ServedResult(
             plan=result.plan,
             cost=result.cost,
             required=result.required,
-            fingerprint=exact,
+            fingerprint=keys[0],
             cached=False,
             degraded=degraded,
             elapsed_seconds=time.perf_counter() - started,
@@ -855,25 +771,12 @@ class OptimizerService:
     ) -> Optional[bool]:
         """Re-check a plan against its certificate; None when impossible.
 
-        The public face of the independent checker for callers *above*
-        the service — the server uses it to vet a plan before pinning
-        it.  Semantics are exactly :attr:`ServiceOptions.verify_plans`'s
-        per-answer check: True (verified), False (violation), or None
-        (no model spec or no certificate — cannot be checked).
-        """
-        return self._verify(query, plan, certificate)
-
-    def _verify(
-        self,
-        query: LogicalExpression,
-        plan: PhysicalPlan,
-        certificate: Optional[PlanCertificate],
-    ) -> Optional[bool]:
-        """Run the independent checker; None when it cannot run.
-
-        Verification needs a model specification and a certificate;
-        engines without either (or runs with recording off) are served
-        unverified rather than rejected.
+        The independent checker behind :attr:`ServiceOptions.verify_plans`
+        — public so callers *above* the service (the server, before it
+        pins a plan) get exactly the per-answer check: True (verified),
+        False (violation), or None.  Verification needs a model
+        specification and a certificate; engines without either (or
+        runs with recording off) are served unverified, not rejected.
         """
         spec = getattr(self.optimizer, "spec", None)
         if spec is None or certificate is None:
@@ -903,9 +806,7 @@ class OptimizerService:
 
         Returns a :class:`BatchResult`: per-query answers in input
         order (each exactly what :meth:`optimize` would have produced),
-        plus the batch-level sharing report and cache-stats delta.  It
-        still iterates and indexes like the former
-        ``List[ServedResult]`` — with a DeprecationWarning.
+        plus the batch-level sharing report and cache-stats delta.
 
         The warm plan cache is consulted *before* any dispatch, and
         duplicate queries within the batch are optimized once — keyed
@@ -949,35 +850,27 @@ class OptimizerService:
         from repro.service import parallel as parallel_mod
 
         queries = list(queries)
-        stats_before = self._stats_snapshot()
+        stats_before = self.cache.stats.counters()
         resolved = [self._resolve(query, props) for query in queries]
         self._sweep_if_stale()
-
-        results: List[Optional[ServedResult]] = [None] * len(queries)
-        pending: List[int] = []
-        for index, (expression, qprops, keys) in enumerate(resolved):
-            started = time.perf_counter()
-            if keys is None:
-                served = self._lookup(expression, qprops, started)
-            else:
-                served = self._lookup_with_keys(keys, started, expression)
-            if served is not None:
-                results[index] = served
-            else:
-                pending.append(index)
 
         # Duplicate queries in one batch are optimized once; the rest
         # are served from the cache the first occurrence populates.
         # Dedup keys on the *cache* fingerprint — the template digest
         # when the query parameterizes — so same-bucket literal
         # variants dispatch once and the rest re-bind from the cache.
+        results: List[Optional[ServedResult]] = [None] * len(queries)
+        pending: List[int] = []
         dispatch: List[int] = []
         seen_digests: set = set()
-        for index in pending:
-            expression, qprops, keys = resolved[index]
-            if keys is None:
-                keys = self._keys_for(expression, qprops)
-                resolved[index] = (expression, qprops, keys)
+        for index, (expression, qprops, prepared_keys) in enumerate(resolved):
+            results[index], keys = self._lookup(
+                expression, qprops, prepared_keys, time.perf_counter()
+            )
+            if results[index] is not None:
+                continue
+            resolved[index] = (expression, qprops, keys)
+            pending.append(index)
             exact, template_key, _ = keys
             digest = (
                 template_key.digest if template_key is not None else exact.digest
@@ -986,9 +879,14 @@ class OptimizerService:
                 seen_digests.add(digest)
                 dispatch.append(index)
 
-        per_query_budget = self._split_deadline(
-            deadline_seconds, len(dispatch), budget
-        )
+        # The batch deadline goes whole to the shared run and is split
+        # evenly over the misses on the independent path.
+        base_budget = budget if budget is not None else self.options.budget
+        per_query_budget = base_budget
+        if deadline_seconds is not None and dispatch:
+            per_query_budget = ResourceBudget.tighten(
+                base_budget, deadline_seconds / len(dispatch)
+            )
         workers = max_workers or 0
         parallel = (
             workers > 1 and len(dispatch) > 1 and parallel_mod.fork_available()
@@ -1011,7 +909,10 @@ class OptimizerService:
                 consumer_certs,
                 producer_certs,
             ) = self._optimize_batch_shared(
-                resolved, dispatch, deadline_seconds, budget, results
+                resolved,
+                dispatch,
+                ResourceBudget.tighten(base_budget, deadline_seconds),
+                results,
             )
         if sharing_report is None:
             if parallel:
@@ -1051,8 +952,7 @@ class OptimizerService:
         self,
         resolved,
         dispatch: List[int],
-        deadline_seconds: Optional[float],
-        budget: Optional[ResourceBudget],
+        batch_budget: Optional[ResourceBudget],
         results: List[Optional[ServedResult]],
     ) -> Tuple[
         Optional[SharingReport],
@@ -1072,20 +972,6 @@ class OptimizerService:
         """
         expressions = [resolved[index][0] for index in dispatch]
         props = resolved[dispatch[0]][1]
-        batch_budget = budget if budget is not None else self.options.budget
-        if deadline_seconds is not None:
-            if batch_budget is None:
-                batch_budget = ResourceBudget(deadline_seconds=deadline_seconds)
-            elif batch_budget.deadline_seconds is not None:
-                batch_budget = batch_budget.replace(
-                    deadline_seconds=min(
-                        deadline_seconds, batch_budget.deadline_seconds
-                    )
-                )
-            else:
-                batch_budget = batch_budget.replace(
-                    deadline_seconds=deadline_seconds
-                )
         kwargs = {}
         options = self._engine_options(batch_budget)
         if options is not None:
@@ -1101,29 +987,9 @@ class OptimizerService:
         # exactly once, not once per result.
         if outcomes and outcomes[0].stats is not None:
             self.cache.stats.bump(engine_seconds=outcomes[0].stats.elapsed_seconds)
-        elapsed = time.perf_counter() - started
         for index, result in zip(dispatch, outcomes):
-            exact, template_key, normalized = resolved[index][2]
-            certificate = getattr(result, "certificate", None)
-            ok: Optional[bool] = None
-            if self.options.verify_plans:
-                ok = self._verify(resolved[index][0], result.plan, certificate)
-                if ok is False:
-                    self.cache.stats.bump(verify_violations=1)
-            if ok is not False:
-                self._store(exact, template_key, normalized, result, None)
-                self._harvest(result)
-            results[index] = ServedResult(
-                plan=result.plan,
-                cost=result.cost,
-                required=result.required,
-                fingerprint=exact,
-                cached=False,
-                elapsed_seconds=elapsed,
-                result=result,
-                certificate=certificate,
-                verified=bool(ok),
-            )
+            expression, _, keys = resolved[index]
+            results[index] = self._serve_fresh(keys, result, expression, started)
         spec = getattr(self.optimizer, "spec", None)
         if spec is None:
             report = SharingReport(plans=tuple(r.plan for r in outcomes))
@@ -1198,7 +1064,7 @@ class OptimizerService:
         ):
             if (
                 certificate is None
-                or self._verify(expression, plan, certificate) is not True
+                or self.verify_served(expression, plan, certificate) is not True
             ):
                 clean = False
                 break
@@ -1206,7 +1072,7 @@ class OptimizerService:
             for shared, certificate in zip(report.shared_plans, producers):
                 if (
                     certificate is None
-                    or self._verify(certificate.source, shared.plan, certificate)
+                    or self.verify_served(certificate.source, shared.plan, certificate)
                     is not True
                 ):
                     clean = False
@@ -1216,31 +1082,11 @@ class OptimizerService:
             return None, None
         return tuple(consumers), tuple(producers)
 
-    def _stats_snapshot(self) -> dict:
-        return self.cache.stats.counters()
-
     def _stats_delta(self, before: dict) -> CacheStats:
         after = self.cache.stats.counters()
         return CacheStats(
             **{name: after[name] - value for name, value in before.items()}
         )
-
-    def _split_deadline(
-        self,
-        deadline_seconds: Optional[float],
-        dispatch_count: int,
-        budget: Optional[ResourceBudget],
-    ) -> Optional[ResourceBudget]:
-        """Fold a batch deadline into the per-query resource budget."""
-        base = budget if budget is not None else self.options.budget
-        if deadline_seconds is None or dispatch_count == 0:
-            return base
-        share = deadline_seconds / dispatch_count
-        if base is None:
-            return ResourceBudget(deadline_seconds=share)
-        if base.deadline_seconds is not None:
-            share = min(share, base.deadline_seconds)
-        return base.replace(deadline_seconds=share)
 
     def _optimize_batch_parallel(
         self,
@@ -1259,22 +1105,13 @@ class OptimizerService:
         items = []
         for index in dispatch:
             expression, qprops, _ = resolved[index]
-            seeds: Tuple = ()
-            if self.options.reuse_subplans and self._engine_seeds:
-                seeds = tuple(
-                    self.subplans.seeds_for(
-                        expression,
-                        self.catalog,
-                        limit=self.options.max_seeds_per_query,
-                    )
-                )
             items.append(
                 parallel_mod.WorkItem(
                     index=index,
                     query=expression,
                     props=qprops,
                     options=options,
-                    seeds=seeds,
+                    seeds=tuple(self._seeds_for(expression)),
                 )
             )
         outcomes = parallel_mod.run_batch(self.optimizer, items, max_workers)
@@ -1287,35 +1124,29 @@ class OptimizerService:
             started = time.perf_counter()
             result = outcome.result
             assert result is not None  # no error => a result was shipped
-            exact, template_key, normalized = resolved[outcome.index][2]
+            if result.stats is not None:
+                self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
+            expression, _, keys = resolved[outcome.index]
             results[outcome.index] = self._serve_fresh(
-                exact,
-                template_key,
-                normalized,
-                result,
-                started,
-                resolved[outcome.index][0],
+                keys, result, expression, started
             )
         if failure is not None:
             raise failure
 
-    def optimize_sql(self, text: str) -> ServedResult:
-        """Translate a SQL statement and serve its plan."""
-        from repro.sql.translator import Translator
-
-        translation = Translator(self.catalog).translate(text)
-        return self.optimize(translation.expression, translation.required)
-
     def execute(
         self,
-        query: LogicalExpression,
+        query: QueryLike,
         props: Optional[PhysProps] = None,
         *,
         budget: Optional[ResourceBudget] = None,
+        hints: Optional[QueryHints] = None,
         instrument: bool = True,
         policy: Optional[FeedbackPolicy] = None,
     ) -> ExecutedResult:
         """Optimize ``query``, run its plan, and close the feedback loop.
+
+        ``query``, ``props``, ``budget`` and ``hints`` are exactly
+        :meth:`optimize`'s and are forwarded to it unchanged.
 
         The adaptive path of the service: the plan (cached or fresh) is
         executed with per-operator instrumentation, the observed
@@ -1336,7 +1167,7 @@ class OptimizerService:
         ``instrument=False`` the run is observation-free — no per-node
         counters, no report, no refresh.
         """
-        served = self.optimize(query, props, budget=budget)
+        served = self.optimize(query, props, budget=budget, hints=hints)
         stats = ExecutionStats()
         rows = execute_plan(
             served.plan, self.catalog, stats, instrument=instrument
@@ -1424,15 +1255,18 @@ class OptimizerService:
         options = self._engine_options(budget, hints)
         if options is not None:
             kwargs["options"] = options
-        if self.options.reuse_subplans and self._engine_seeds:
-            seeds = self.subplans.seeds_for(
-                query, self.catalog, limit=self.options.max_seeds_per_query
-            )
-            if seeds:
-                return self.optimizer.optimize(
-                    query, props, preoptimized=seeds, **kwargs
-                )
+        seeds = self._seeds_for(query)
+        if seeds:
+            kwargs["preoptimized"] = seeds
         return self.optimizer.optimize(query, props, **kwargs)
+
+    def _seeds_for(self, query: LogicalExpression) -> List[PreoptimizedPlan]:
+        """Harvested winners to plant into a search of ``query``."""
+        if not (self.options.reuse_subplans and self._engine_seeds):
+            return []
+        return self.subplans.seeds_for(
+            query, self.catalog, limit=self.options.max_seeds_per_query
+        )
 
     def _engine_options(
         self,
@@ -1494,14 +1328,8 @@ class OptimizerService:
             changed = True
         return options if changed else None
 
-    def _store(
-        self,
-        exact: Fingerprint,
-        template_key: Optional[Fingerprint],
-        normalized,
-        result: OptimizationResult,
-        props: Optional[PhysProps] = None,
-    ) -> None:
+    def _store(self, keys: _Keys, result: OptimizationResult) -> None:
+        exact, template_key, normalized = keys
         self.cache.put(
             CacheEntry(
                 fingerprint=exact,

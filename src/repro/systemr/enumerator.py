@@ -40,7 +40,7 @@ from repro.model.context import OptimizerContext
 from repro.model.cost import Cost
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.options import BudgetMeter, BudgetTripped, OptionsBase, ResourceBudget
-from repro.search.engine import OptimizationResult, _resolve_props
+from repro.search.engine import OptimizationResult
 
 __all__ = ["SystemROptions", "SystemRStats", "SystemRResult", "SystemROptimizer", "decompose_join_query"]
 
@@ -139,15 +139,13 @@ class SystemROptimizer:
         props: Optional[PhysProps] = None,
         *,
         options: Optional[SystemROptions] = None,
-        required: Optional[PhysProps] = None,
     ) -> SystemRResult:
         """Bottom-up DP over the query's relations; returns the best plan.
 
         Conforms to the :class:`~repro.search.Optimizer` protocol:
         ``options`` overrides this instance's :class:`SystemROptions`
-        for one call; ``required=`` survives as a deprecation shim.
+        for one call.
         """
-        props = _resolve_props(props, required)
         return self._optimize(
             query, props, options if options is not None else self.options
         )

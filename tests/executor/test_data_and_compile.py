@@ -109,7 +109,7 @@ def test_execute_join_plan(catalog):
 def test_execute_sorted_plan(catalog):
     query = join(get("r"), get("s"), eq("r.k", "s.k"))
     result = VolcanoOptimizer(relational_model(), catalog).optimize(
-        query, required=sorted_on("r.k")
+        query, props=sorted_on("r.k")
     )
     rows = execute_plan(result.plan, catalog)
     keys = [row["r.k"] for row in rows]

@@ -139,7 +139,7 @@ def test_unsatisfiable_required_props_raise(catalog):
     with pytest.raises(OptimizationFailedError):
         exodus.optimize(
             get("r"),
-            required=PhysProps(partitioning=hash_partitioned(["r.k"], 4)),
+            props=PhysProps(partitioning=hash_partitioned(["r.k"], 4)),
         )
 
 
@@ -149,6 +149,6 @@ def test_required_sort_is_glued_on(catalog):
 
     exodus = ExodusOptimizer(relational_model(), catalog)
     result = exodus.optimize(
-        join(get("r"), get("s"), eq("r.k", "s.k")), required=sorted_on("r.k")
+        join(get("r"), get("s"), eq("r.k", "s.k")), props=sorted_on("r.k")
     )
     assert result.plan.properties.covers(sorted_on("r.k"))

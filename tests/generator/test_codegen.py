@@ -86,8 +86,8 @@ def test_generated_optimizer_matches_direct_construction(tmp_path, catalog):
         (chain_query(["r", "s", "t"]), sorted_on("r.k")),
         (select(get("r"), eq("r.v", 3)), None),
     ]:
-        from_generated = generated.optimize(query, required=required)
-        from_direct = direct.optimize(query, required=required)
+        from_generated = generated.optimize(query, props=required)
+        from_direct = direct.optimize(query, props=required)
         assert from_generated.cost == from_direct.cost
         assert from_generated.plan.to_sexpr() == from_direct.plan.to_sexpr()
 

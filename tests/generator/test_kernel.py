@@ -4,6 +4,8 @@ Covers the emitted module's shape, the content-hash caches (in-process,
 on-disk, ``force=``), and the delta enumerator's drift guard.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import GenerationError
@@ -233,7 +235,7 @@ def test_compile_and_load_keyed_directory(tmp_path):
     spec = relational_model()
     module = compile_and_load(spec, PROVIDER, tmp_path)
     assert module.GENERATED is True
-    fingerprint = source_fingerprint(open(module.__file__).read())
+    fingerprint = source_fingerprint(Path(module.__file__).read_text())
     assert f"{spec.name}-{fingerprint}" in module.__file__
     assert compile_and_load(spec, PROVIDER, tmp_path).GENERATED is False
 

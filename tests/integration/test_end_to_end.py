@@ -102,7 +102,7 @@ def test_sorted_plans_compute_reference_results(catalog, name):
     query = QUERIES[name]()
     expected = canonical(reference_evaluate(query, catalog))
     result = VolcanoOptimizer(relational_model(), catalog).optimize(
-        query, required=sorted_on("r.k")
+        query, props=sorted_on("r.k")
     )
     rows = execute_plan(result.plan, catalog)
     assert canonical(rows) == expected
@@ -147,10 +147,10 @@ def test_every_memo_plan_is_sound(catalog):
         .optimize(query)
         .plan,
         VolcanoOptimizer(relational_model(), catalog)
-        .optimize(query, required=sorted_on("t.k"))
+        .optimize(query, props=sorted_on("t.k"))
         .plan,
         VolcanoOptimizer(relational_model(), catalog)
-        .optimize(query, required=sorted_on("s.k"))
+        .optimize(query, props=sorted_on("s.k"))
         .plan,
     ]
     for plan in variants:

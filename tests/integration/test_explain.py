@@ -14,7 +14,7 @@ from tests.helpers import chain_query, make_catalog
 def result():
     catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
     optimizer = VolcanoOptimizer(relational_model(), catalog)
-    return optimizer.optimize(chain_query(["r", "s", "t"]), required=sorted_on("r.k"))
+    return optimizer.optimize(chain_query(["r", "s", "t"]), props=sorted_on("r.k"))
 
 
 def test_explain_plan_lists_every_operator(result):

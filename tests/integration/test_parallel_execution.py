@@ -35,7 +35,7 @@ def canonical(rows):
 def test_partitioned_scan_executes(catalog):
     optimizer = VolcanoOptimizer(parallel_relational_model(), catalog)
     result = optimizer.optimize(
-        get("fact"), required=partitioned_on(["fact.k"], 4)
+        get("fact"), props=partitioned_on(["fact.k"], 4)
     )
     stats = ExecutionStats()
     rows = execute_plan(result.plan, catalog, stats)

@@ -90,7 +90,7 @@ def test_unsorted_goal_uses_hash_aggregate(optimizer):
 def test_sorted_goal_can_stream(optimizer):
     """Sorted output: stream aggregation or hash+sort, whichever wins —
     and the plan must deliver the order either way."""
-    result = optimizer.optimize(GROUPED(), required=sorted_on("r.k"))
+    result = optimizer.optimize(GROUPED(), props=sorted_on("r.k"))
     assert result.plan.properties.covers(sorted_on("r.k"))
     assert result.plan.algorithm in ("stream_aggregate", "sort")
 
@@ -118,7 +118,7 @@ def test_stream_aggregate_exploits_merge_join_order(spec, catalog):
         [("n", "count", None)],
     )
     result = VolcanoOptimizer(spec, catalog).optimize(
-        query, required=sorted_on("r.k")
+        query, props=sorted_on("r.k")
     )
     algorithms = result.plan.algorithms_used()
     if "merge_join" in algorithms and "stream_aggregate" in algorithms:
@@ -211,7 +211,7 @@ def test_aggregate_execution_matches_reference(spec):
         get("r"), ["r.k"], [("n", "count", None), ("total", "sum", "r.v")]
     )
     for required in (ANY_PROPS, sorted_on("r.k")):
-        result = optimizer.optimize(query, required=required)
+        result = optimizer.optimize(query, props=required)
         rows = execute_plan(result.plan, catalog)
         reference = {}
         for row in catalog.table("r").rows:

@@ -91,7 +91,7 @@ def test_assembly_is_an_enforcer_node():
 def test_assembled_requirement_satisfied():
     optimizer = VolcanoOptimizer(oodb_model(), make_catalog())
     result = optimizer.optimize(
-        get("employee"), required=assembled("department")
+        get("employee"), props=assembled("department")
     )
     assert result.plan.algorithm == "assembly"
     assert result.plan.properties.covers(assembled("department"))

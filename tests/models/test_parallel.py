@@ -30,14 +30,14 @@ def optimizer(catalog):
 
 def test_partitioned_goal_satisfied_by_exchange(optimizer):
     required = partitioned_on(["r.k"], 4)
-    result = optimizer.optimize(get("r"), required=required)
+    result = optimizer.optimize(get("r"), props=required)
     assert result.plan.algorithm == "exchange"
     assert result.plan.is_enforcer
     assert result.plan.properties.covers(required)
 
 
 def test_exchange_degree_must_match(optimizer):
-    result = optimizer.optimize(get("r"), required=partitioned_on(["r.k"], 8))
+    result = optimizer.optimize(get("r"), props=partitioned_on(["r.k"], 8))
     partitioning = result.plan.properties.partitioning
     assert partitioning.degree == 8
 
@@ -45,7 +45,7 @@ def test_exchange_degree_must_match(optimizer):
 def test_parallel_join_requires_compatible_partitioning(optimizer):
     """Both inputs exchange onto the join key before a parallel join."""
     query = join(get("r"), get("s"), eq("r.k", "s.k"))
-    result = optimizer.optimize(query, required=partitioned_on(["r.k"], 4))
+    result = optimizer.optimize(query, props=partitioned_on(["r.k"], 4))
     algorithms = result.plan.algorithms_used()
     if "parallel_hash_join" in algorithms:
         assert result.plan.count_algorithm("exchange") >= 2
@@ -71,7 +71,7 @@ def test_serial_join_chosen_when_transfer_expensive(catalog):
 def test_partitioning_key_equivalence_propagates(optimizer):
     """Output partitioned on {r.k, s.k} satisfies either column."""
     query = join(get("r"), get("s"), eq("r.k", "s.k"))
-    result = optimizer.optimize(query, required=partitioned_on(["s.k"], 4))
+    result = optimizer.optimize(query, props=partitioned_on(["s.k"], 4))
     assert result.plan.properties.covers(partitioned_on(["s.k"], 4))
 
 
@@ -81,7 +81,7 @@ def test_partitioned_and_sorted_goal(optimizer):
 
     required = partitioned_on(["r.k"], 4).with_sort(["r.k"])
     result = optimizer.optimize(
-        select(get("r"), eq("r.v", 1)), required=required
+        select(get("r"), eq("r.v", 1)), props=required
     )
     assert result.plan.properties.covers(required)
     algorithms = result.plan.algorithms_used()
@@ -93,4 +93,4 @@ def test_serial_model_cannot_partition(catalog):
 
     optimizer = VolcanoOptimizer(relational_model(), catalog)
     with pytest.raises(OptimizationFailedError):
-        optimizer.optimize(get("r"), required=partitioned_on(["r.k"], 4))
+        optimizer.optimize(get("r"), props=partitioned_on(["r.k"], 4))

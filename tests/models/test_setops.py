@@ -55,7 +55,7 @@ def test_intersection_unsorted_uses_hashing(optimizer):
 def test_intersection_sorted_goal_satisfied(optimizer):
     """A sorted goal is met either by merging or by a final sort."""
     result = optimizer.optimize(
-        intersect(get("r"), get("s")), required=sorted_on("r.k")
+        intersect(get("r"), get("s")), props=sorted_on("r.k")
     )
     assert result.plan.properties.covers(sorted_on("r.k"))
     assert result.plan.algorithm in ("merge_intersect", "sort")
@@ -77,7 +77,7 @@ def test_merge_intersect_sorts_both_inputs_the_same_way(catalog):
     inputs are sorted in the same way' — both inputs get matching sorts."""
     optimizer = VolcanoOptimizer(no_hash_spec(), catalog)
     result = optimizer.optimize(
-        intersect(get("r"), get("s")), required=sorted_on("r.k")
+        intersect(get("r"), get("s")), props=sorted_on("r.k")
     )
     assert result.plan.algorithm == "merge_intersect"
     assert result.plan.count_algorithm("sort") == 2
@@ -110,7 +110,7 @@ def test_merge_intersect_picks_the_matching_alternative(catalog):
     """When the goal demands an order, the matching permutation is used."""
     optimizer = VolcanoOptimizer(no_hash_spec(), catalog)
     required = sorted_on("r.v")
-    result = optimizer.optimize(intersect(get("r"), get("s")), required=required)
+    result = optimizer.optimize(intersect(get("r"), get("s")), props=required)
     assert result.plan.algorithm == "merge_intersect"
     # The first sort key pair must align with the required column.
     first_key = result.plan.properties.sort_order[0]
@@ -121,7 +121,7 @@ def test_except_sorted_and_unsorted(optimizer):
     unsorted = optimizer.optimize(except_(get("r"), get("s")))
     assert unsorted.plan.algorithm == "hash_except"
     ordered = optimizer.optimize(
-        except_(get("r"), get("s")), required=sorted_on("r.k")
+        except_(get("r"), get("s")), props=sorted_on("r.k")
     )
     assert ordered.plan.algorithm in ("merge_except", "sort")
 

@@ -42,7 +42,7 @@ def test_engine_is_optimal(case, want_sorted):
     )
     required = sorted_on(f"{tables[0][0]}.k") if want_sorted else ANY_PROPS
     engine = VolcanoOptimizer(relational_model(), catalog)
-    result = engine.optimize(query, required=required)
+    result = engine.optimize(query, props=required)
     oracle_cost = oracle.best_cost(required)
     assert abs(result.cost.total() - oracle_cost.total()) <= 1e-6 * max(
         1.0, oracle_cost.total()
@@ -89,6 +89,6 @@ def test_plan_satisfies_goal_properties(case):
     )
     required = sorted_on(f"{tables[-1][0]}.k")
     result = VolcanoOptimizer(relational_model(), catalog).optimize(
-        query, required=required
+        query, props=required
     )
     assert result.plan.properties.covers(required)

@@ -75,12 +75,12 @@ def test_memo_reinitialized_per_query(optimizer):
 
 def test_sorted_goal_satisfied(optimizer):
     required = sorted_on("r.k")
-    result = optimizer.optimize(two_way(), required=required)
+    result = optimizer.optimize(two_way(), props=required)
     assert result.plan.properties.covers(required)
 
 
 def test_sorted_goal_via_enforcer_or_merge_join(optimizer):
-    result = optimizer.optimize(two_way(), required=sorted_on("r.k"))
+    result = optimizer.optimize(two_way(), props=sorted_on("r.k"))
     algorithms = result.plan.algorithms_used()
     assert "sort" in algorithms or "merge_join" in algorithms
 
@@ -91,7 +91,7 @@ def test_merge_join_not_considered_below_its_own_sort(optimizer):
     When a sort enforcer provides order X, no algorithm that could have
     delivered X itself may appear directly below the sort.
     """
-    result = optimizer.optimize(two_way(), required=sorted_on("r.k"))
+    result = optimizer.optimize(two_way(), props=sorted_on("r.k"))
     for node in result.plan.walk():
         if node.algorithm != "sort":
             continue
@@ -107,7 +107,7 @@ def test_merge_join_output_order_reused(catalog):
     spec = relational_model(options)
     optimizer = VolcanoOptimizer(spec, catalog)
     query = chain_query(["r", "s", "t"], with_selections=False)
-    result = optimizer.optimize(query, required=sorted_on("r.k"))
+    result = optimizer.optimize(query, props=sorted_on("r.k"))
     # Requiring sorted output makes merge joins attractive; when two
     # merge joins stack, the intermediate is NOT re-sorted.
     algorithms = result.plan.algorithms_used()
@@ -124,7 +124,7 @@ def test_unsatisfiable_goal_fails(catalog):
 
     required = PhysProps(partitioning=hash_partitioned(["r.k"], 4))
     with pytest.raises(OptimizationFailedError):
-        optimizer.optimize(get("r"), required=required)
+        optimizer.optimize(get("r"), props=required)
 
 
 # -- cost limits and branch-and-bound -----------------------------------------
@@ -170,10 +170,10 @@ def test_failure_caching_does_not_change_result(catalog):
     query = chain_query(["r", "s", "t", "u"])
     with_failures = VolcanoOptimizer(
         relational_model(), catalog, SearchOptions(cache_failures=True)
-    ).optimize(query, required=sorted_on("r.k"))
+    ).optimize(query, props=sorted_on("r.k"))
     without_failures = VolcanoOptimizer(
         relational_model(), catalog, SearchOptions(cache_failures=False)
-    ).optimize(query, required=sorted_on("r.k"))
+    ).optimize(query, props=sorted_on("r.k"))
     assert with_failures.cost == without_failures.cost
 
 

@@ -74,7 +74,7 @@ def test_non_equi_join_with_nested_loops_succeeds(catalog):
 def test_multi_column_sort_goal(catalog):
     optimizer = VolcanoOptimizer(relational_model(), catalog)
     required = sorted_on("r.k", "r.v")
-    result = optimizer.optimize(get("r"), required=required)
+    result = optimizer.optimize(get("r"), props=required)
     assert result.plan.algorithm == "sort"
     assert result.plan.properties.covers(required)
 
@@ -83,7 +83,7 @@ def test_sort_goal_on_equivalent_column(catalog):
     """Requesting order on the RIGHT join column also works (key sets)."""
     optimizer = VolcanoOptimizer(relational_model(), catalog)
     query = join(get("r"), get("s"), eq("r.k", "s.k"))
-    result = optimizer.optimize(query, required=sorted_on("s.k"))
+    result = optimizer.optimize(query, props=sorted_on("s.k"))
     assert result.plan.properties.covers(sorted_on("s.k"))
 
 
@@ -100,7 +100,7 @@ def test_multi_key_join_sorted_on_second_key(catalog):
     optimizer = VolcanoOptimizer(relational_model(), catalog)
     predicate = conjunction_of([eq("r.k", "s.k"), eq("r.v", "s.v")])
     required = sorted_on("r.v")
-    result = optimizer.optimize(join(get("r"), get("s"), predicate), required=required)
+    result = optimizer.optimize(join(get("r"), get("s"), predicate), props=required)
     assert result.plan.properties.covers(required)
 
 

@@ -59,7 +59,7 @@ def test_alternatives_respect_required_props(solved):
     required = sorted_on("r.k")
     # Re-optimize with the sorted goal so per-goal winners exist.
     optimizer = VolcanoOptimizer(spec, catalog)
-    sorted_result = optimizer.optimize(chain_query(["r", "s", "t"]), required=required)
+    sorted_result = optimizer.optimize(chain_query(["r", "s", "t"]), props=required)
     plans = alternative_plans(sorted_result, spec, catalog, required=required)
     assert plans
     for plan in plans:

@@ -99,7 +99,7 @@ def test_engine_matches_oracle_sorted_goal(name):
     first_table = tables[0][0]
     required = sorted_on(f"{first_table}.k")
     engine = VolcanoOptimizer(relational_model(), catalog)
-    result = engine.optimize(query, required=required)
+    result = engine.optimize(query, props=required)
     assert result.cost.total() == pytest.approx(oracle.best_cost(required).total())
 
 
@@ -118,7 +118,7 @@ def test_engine_matches_oracle_large_results():
     edges = [("r", "s"), ("s", "t")]
     catalog, query, oracle = build_case(tables, edges, key_distinct=10)
     engine = VolcanoOptimizer(relational_model(), catalog)
-    result = engine.optimize(query, required=sorted_on("r.k"))
+    result = engine.optimize(query, props=sorted_on("r.k"))
     assert result.cost.total() == pytest.approx(
         oracle.best_cost(sorted_on("r.k")).total()
     )

@@ -66,10 +66,10 @@ def test_seeded_winner_lands_in_the_right_class(optimizer):
 
 
 def test_seeding_with_property_goal(optimizer):
-    sorted_result = optimizer.optimize(SUB(), required=sorted_on("r.k"))
+    sorted_result = optimizer.optimize(SUB(), props=sorted_on("r.k"))
     seed = sorted_result.harvest(SUB(), required=sorted_on("r.k"))
-    seeded = optimizer.optimize(BIG(), required=sorted_on("r.k"), preoptimized=[seed])
-    unseeded = optimizer.optimize(BIG(), required=sorted_on("r.k"))
+    seeded = optimizer.optimize(BIG(), props=sorted_on("r.k"), preoptimized=[seed])
+    unseeded = optimizer.optimize(BIG(), props=sorted_on("r.k"))
     assert seeded.cost == unseeded.cost
     assert seeded.plan.properties.covers(sorted_on("r.k"))
 

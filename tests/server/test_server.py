@@ -229,6 +229,79 @@ def test_regression_guard_rolls_back_seeded_refresh(client):
     assert [p["kind"] for p in registry["pins"]] == ["rollback"]
 
 
+def bump_statistics(client):
+    before = client.health()["statistics_version"]
+    client.update_statistics("r", {"columns": {"r.v": {"distinct_values": 61.0}}})
+    assert client.health()["statistics_version"] > before
+
+
+def test_bind_serves_the_pin_across_a_statistics_bump(client):
+    statement = client.prepare(POINT_SQL)["statement"]
+    cold = client.optimize(POINT_SQL)
+    client.pin(POINT_SQL)
+    bump_statistics(client)
+
+    bound = client.bind(statement, {"p0": 7})  # the pinned literal
+    assert bound["key"] == cold["key"]
+    assert bound["pinned"]
+    assert bound["sexpr"] == cold["sexpr"]
+    # Another literal is another query: not pinned, optimized as usual.
+    other = client.bind(statement, {"p0": 9})
+    assert not other["pinned"]
+
+
+def test_batch_answers_a_pinned_member_from_the_pin(client, service, monkeypatch):
+    cold = client.optimize(CHAIN_SQL)
+    client.pin(CHAIN_SQL)
+    bump_statistics(client)
+
+    batched = []
+    optimize_many = service.optimize_many
+
+    def spy(queries, *args, **kwargs):
+        batched.append(len(queries))
+        return optimize_many(queries, *args, **kwargs)
+
+    monkeypatch.setattr(service, "optimize_many", spy)
+    pinned, fresh = client.batch([CHAIN_SQL, PAIR_SQL])["results"]
+    assert pinned["pinned"]
+    assert pinned["sexpr"] == cold["sexpr"]
+    assert not fresh["pinned"] and fresh["cost_total"] > 0
+    assert batched == [1]  # the pinned member never reached the optimizer
+
+    # Every member pinned: nothing to optimize at all.
+    client.pin(PAIR_SQL)
+    both = client.batch([CHAIN_SQL, PAIR_SQL])
+    assert all(result["pinned"] for result in both["results"])
+    assert batched == [1]
+
+
+def test_execute_hints_reach_the_engine(client, counting, service, monkeypatch):
+    seen = []
+    optimize = counting.optimize
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("options"))
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "optimize", spy)
+    received = []
+    execute = service.execute
+
+    def spy_execute(query, *args, **kwargs):
+        received.append(type(query).__name__)
+        return execute(query, *args, **kwargs)
+
+    monkeypatch.setattr(service, "execute", spy_execute)
+
+    client.execute(PAIR_SQL, kernel="specialized")
+    assert seen[-1].kernel == "specialized"
+    client.execute(CHAIN_SQL, promise="static")
+    assert seen[-1].promise_model is not None  # STATIC_PROMISE forced
+    # The request's cache keys are computed once, by prepare().
+    assert received == ["PreparedQuery", "PreparedQuery"]
+
+
 # --------------------------------------------------------------- stats
 
 

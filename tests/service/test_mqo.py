@@ -310,20 +310,6 @@ def test_intermediate_scan_without_producer_raises():
 # -- the redesigned batch API ------------------------------------------------
 
 
-def test_batch_result_sequence_protocol_is_deprecated():
-    catalog = make_catalog()
-    q1, q2 = overlapping_queries()
-    batch = make_service(catalog).optimize_many([q1, q2])
-    with pytest.warns(DeprecationWarning):
-        assert len(batch) == 2
-    with pytest.warns(DeprecationWarning):
-        assert [served.plan for served in batch]
-    with pytest.warns(DeprecationWarning):
-        assert batch[0].plan is batch.results[0].plan
-    # The replacement API warns nothing.
-    assert len(batch.results) == 2
-
-
 def test_batch_cache_stats_are_a_per_batch_delta():
     catalog = make_catalog()
     q1, q2 = overlapping_queries()

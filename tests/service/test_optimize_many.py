@@ -45,7 +45,7 @@ def queries_of(workload):
 
 def test_serial_batch_matches_single_query_answers(workload):
     queries, required = queries_of(workload)
-    batch = make_service(workload.catalog).optimize_many(queries, required)
+    batch = make_service(workload.catalog).optimize_many(queries, required).results
     single = make_service(workload.catalog)
     for query, served in zip(queries, batch):
         reference = single.optimize(query, required)
@@ -56,9 +56,9 @@ def test_serial_batch_matches_single_query_answers(workload):
 def test_second_batch_is_all_warm(workload):
     queries, required = queries_of(workload)
     service = make_service(workload.catalog)
-    cold = service.optimize_many(queries, required)
+    cold = service.optimize_many(queries, required).results
     assert not any(result.cached for result in cold)
-    warm = service.optimize_many(queries, required)
+    warm = service.optimize_many(queries, required).results
     assert all(result.cached for result in warm)
     for before, after in zip(cold, warm):
         assert str(after.plan) == str(before.plan)
@@ -69,7 +69,7 @@ def test_duplicates_in_one_batch_optimized_once(workload):
     queries, required = queries_of(workload)
     batch = [queries[0], queries[1], queries[0], queries[1], queries[0]]
     service = make_service(workload.catalog)
-    results = service.optimize_many(batch, required)
+    results = service.optimize_many(batch, required).results
     assert [result.cached for result in results] == [
         False, False, True, True, True,
     ]
@@ -79,10 +79,10 @@ def test_duplicates_in_one_batch_optimized_once(workload):
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 def test_parallel_batch_is_deterministic_and_identical(workload):
     queries, required = queries_of(workload)
-    serial = make_service(workload.catalog).optimize_many(queries, required)
+    serial = make_service(workload.catalog).optimize_many(queries, required).results
     parallel = make_service(workload.catalog).optimize_many(
         queries, required, max_workers=4
-    )
+    ).results
     assert len(parallel) == len(queries)
     for left, right in zip(serial, parallel):
         assert str(left.plan) == str(right.plan)
@@ -93,7 +93,7 @@ def test_parallel_batch_is_deterministic_and_identical(workload):
     service.optimize_many(queries, required, max_workers=4)
     assert all(
         result.cached
-        for result in service.optimize_many(queries, required)
+        for result in service.optimize_many(queries, required).results
     )
 
 
@@ -101,7 +101,7 @@ def test_parallel_batch_is_deterministic_and_identical(workload):
 def test_parallel_results_are_slim_but_complete(workload):
     queries, required = queries_of(workload)
     service = make_service(workload.catalog)
-    results = service.optimize_many(queries[:4], required, max_workers=2)
+    results = service.optimize_many(queries[:4], required, max_workers=2).results
     for served in results:
         assert served.result is not None
         assert served.result.memo is None  # not shipped across the pipe
@@ -116,7 +116,7 @@ def test_batch_deadline_splits_into_per_query_budgets(workload):
     # share, and the tripped report records the split (40µs / 4).
     results = service.optimize_many(
         queries[:4], required, deadline_seconds=4e-05
-    )
+    ).results
     for served in results:
         assert served.degraded
         report = served.result.budget_report
@@ -130,7 +130,7 @@ def test_batch_deadline_composes_with_budget(workload):
     service = make_service(workload.catalog)
     results = service.optimize_many(
         queries[:4], required, deadline_seconds=100.0, budget=base
-    )
+    ).results
     for served in results:
         # costings cap trips immediately; the tighter deadline (the
         # budget's own 5s, not the 25s batch share) is what was applied.
@@ -150,7 +150,7 @@ def test_degraded_parallel_batch_never_cached(workload):
     service = make_service(workload.catalog)
     results = service.optimize_many(
         queries[:6], required, budget=budget, max_workers=3
-    )
+    ).results
     assert all(result.degraded for result in results)
     assert len(service.cache) == 0
 
@@ -212,13 +212,13 @@ def test_parallel_throughput_beats_serial():
     queries, required = queries_of(workload)
 
     started = time.perf_counter()
-    serial = make_service(workload.catalog).optimize_many(queries, required)
+    serial = make_service(workload.catalog).optimize_many(queries, required).results
     serial_elapsed = time.perf_counter() - started
 
     started = time.perf_counter()
     parallel = make_service(workload.catalog).optimize_many(
         queries, required, max_workers=4
-    )
+    ).results
     parallel_elapsed = time.perf_counter() - started
 
     for left, right in zip(serial, parallel):

@@ -1,7 +1,5 @@
 """Every engine answers to the one :class:`Optimizer` protocol."""
 
-import warnings
-
 import pytest
 
 from repro.algebra.properties import ANY_PROPS, sorted_on
@@ -55,24 +53,6 @@ def test_props_accepted_positionally(engine, catalog):
     result = engine(SPEC, catalog).optimize(two_way(), required)
     assert result.required == required
     assert result.plan.properties.covers(required)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_required_keyword_is_deprecated_but_works(engine, catalog):
-    required = sorted_on("r.k")
-    with pytest.deprecated_call():
-        result = engine(SPEC, catalog).optimize(two_way(), required=required)
-    assert result.required == required
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_props_and_required_together_rejected(engine, catalog):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            engine(SPEC, catalog).optimize(
-                two_way(), ANY_PROPS, required=ANY_PROPS
-            )
 
 
 def test_engines_agree_on_optimal_cost(catalog):

@@ -231,8 +231,8 @@ def test_optimize_sql_round_trip():
     optimizer = generate_optimizer(aggregate_model(), catalog)
     service = OptimizerService(optimizer)
     text = "select emp.k from emp, dept where emp.k = dept.k and emp.v <= 25"
-    first = service.optimize_sql(text)
-    second = service.optimize_sql(text)
+    first = service.optimize(text)
+    second = service.optimize(text)
     assert not first.cached and second.cached
     assert second.plan == first.plan
     assert second.cost == first.cost

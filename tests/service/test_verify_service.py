@@ -125,6 +125,61 @@ def test_quarantine_also_drops_the_template_sibling(catalog):
     assert len(service.cache._entries) == entries_before
 
 
+def lose_first_lookup(service, monkeypatch, probes=1):
+    """Make the next lookup's ``cache.get`` probes miss, as if they ran
+    before another flight stored the entries — the late-leader re-check
+    then finds them."""
+    real_get = service.cache.get
+    remaining = [probes]
+
+    def get(fingerprint):
+        remaining[0] -= 1
+        if not remaining[0]:
+            monkeypatch.setattr(service.cache, "get", real_get)
+        return None
+
+    monkeypatch.setattr(service.cache, "get", get)
+
+
+def test_late_leader_hit_is_reverified(catalog, monkeypatch):
+    service = make_service(catalog, parameterized=False)
+    query = chain_query(["t0", "t1", "t2"])
+    first = service.optimize(query)
+    before = service.stats.counters()
+
+    lose_first_lookup(service, monkeypatch)
+    served = service.optimize(query)
+    assert served.cached
+    assert served.verified
+    assert served.plan.to_sexpr() == first.plan.to_sexpr()
+    after = service.stats.counters()
+    changed = {
+        name: after[name] - value
+        for name, value in before.items()
+        if after[name] != value and not name.endswith("_seconds")
+    }
+    assert changed == {"lookups": 1, "hits": 1, "verified_hits": 1}
+
+
+def test_late_leader_quarantines_a_failing_entry(catalog, monkeypatch):
+    service = make_service(catalog, parameterized=True)
+    query = chain_query(["t0", "t1", "t2"])
+    service.optimize(query)
+    entries_before = len(service.cache._entries)
+    corrupt_cached_certificate(service)
+
+    lose_first_lookup(service, monkeypatch, probes=2)  # exact, then template
+    served = service.optimize(query)
+    # The re-check found the tainted entry, dropped it with its template
+    # sibling, and the flight went on to a fresh verified optimization.
+    assert not served.cached
+    assert served.verified
+    assert service.stats.verify_violations == 1
+    assert service.stats.quarantined == 1
+    assert len(service.cache._entries) == entries_before
+    assert service.optimize(query).verified
+
+
 def test_batch_sharing_is_certified_end_to_end():
     workload = QueryGenerator(
         WorkloadOptions(selectivity_range=(0.1, 0.1))

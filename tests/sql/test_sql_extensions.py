@@ -32,7 +32,7 @@ def optimizer(catalog):
 
 def run_sql(text, catalog, optimizer):
     translation = translate(text, catalog)
-    result = optimizer.optimize(translation.expression, required=translation.required)
+    result = optimizer.optimize(translation.expression, props=translation.required)
     return execute_plan(result.plan, catalog)
 
 

@@ -139,7 +139,7 @@ def test_sql_to_executed_plan(catalog):
         catalog,
     )
     result = VolcanoOptimizer(relational_model(), catalog).optimize(
-        translation.expression, required=translation.required
+        translation.expression, props=translation.required
     )
     rows = execute_plan(result.plan, catalog)
     assert all(row["r.k"] == row["s.k"] and row["r.v"] == 1 for row in rows)

@@ -51,10 +51,10 @@ def test_bushy_agrees_with_volcano_sorted_goal(catalog):
     spec = relational_model()
     query = chain_query(["r", "s", "t"])
     required = sorted_on("r.k")
-    volcano_cost = VolcanoOptimizer(spec, catalog).optimize(query, required=required)
+    volcano_cost = VolcanoOptimizer(spec, catalog).optimize(query, props=required)
     systemr_cost = SystemROptimizer(
         spec, catalog, SystemROptions(bushy=True)
-    ).optimize(query, required=required)
+    ).optimize(query, props=required)
     assert systemr_cost.cost.total() == pytest.approx(volcano_cost.cost.total())
 
 
@@ -93,7 +93,7 @@ def test_interesting_orders_kept(catalog):
     """Merge-join outputs occupy their own DP slots (interesting orders)."""
     spec = relational_model()
     optimizer = SystemROptimizer(spec, catalog, SystemROptions(bushy=True))
-    result = optimizer.optimize(chain_query(["r", "s", "t"]), required=sorted_on("r.k"))
+    result = optimizer.optimize(chain_query(["r", "s", "t"]), props=sorted_on("r.k"))
     assert result.plan.properties.covers(sorted_on("r.k"))
 
 

@@ -88,7 +88,7 @@ def test_generated_queries_are_optimizable(size):
         WorkloadOptions(order_by_probability=0.5)
     ).generate_batch(size, 3, seed=11):
         optimizer = VolcanoOptimizer(spec, query.catalog)
-        result = optimizer.optimize(query.query, required=query.required)
+        result = optimizer.optimize(query.query, props=query.required)
         leaf_tables = {args[0] for args in result.plan.leaf_args()}
         assert leaf_tables == set(query.table_names)
 
