@@ -859,9 +859,16 @@ class VolcanoOptimizer:
     # ------------------------------------------------------------------
 
     def _explore_closure(self, run: _SearchRun, root: int) -> None:
-        """Apply transformation rules to fixpoint over the reachable memo."""
+        """Apply transformation rules to fixpoint over the reachable memo.
+
+        One demand-ordered descent from the root closes every class the
+        first time it is visited; the sweeps after it confirm that, and
+        are where a rule set that discovers an equality late (a merge
+        reopens the classes it touched) reaches its fixpoint.
+        """
         memo, stats = run.memo, run.stats
-        changed = True
+        stats.exploration_passes += 1
+        changed = self._explore_group(run, root)
         while changed:
             changed = False
             stats.exploration_passes += 1
@@ -869,12 +876,34 @@ class VolcanoOptimizer:
                 changed |= self._explore_group(run, gid)
 
     def _explore_group(self, run: _SearchRun, gid: int) -> bool:
-        """One pass of rule application over a group; True when it changed."""
+        """Explore a group unless it is explored or on the exploration stack.
+
+        A group met while ``exploring`` is skipped: its own loop re-reads
+        its expression list and picks up whatever is appended meanwhile.
+        True when the memo changed.
+        """
+        group = run.memo.group(gid)
+        if group.explored or group.exploring:
+            return False
+        group.exploring = True
+        try:
+            return self._explore_expressions(run, group.id)
+        finally:
+            # Also when a budget trip propagates through; ``gid`` resolves
+            # to the surviving group if a merge replaced this one.
+            run.memo.group(gid).exploring = False
+
+    def _explore_expressions(self, run: _SearchRun, gid: int) -> bool:
+        """Rule application over a group's expressions, inputs first.
+
+        Each expression's input groups are explored before its rules are
+        matched, and every group a rewrite creates is explored before
+        the next binding fires — so a rule that reaches into a group
+        sees it complete, and re-deriving an existing expression is a
+        hash-table hit rather than a second class to merge later.
+        """
         memo, stats, context = run.memo, run.stats, run.context
         options, meter = run.options, run.meter
-        gid = memo.canonical(gid)
-        if memo.group(gid).explored:
-            return False
         changed = False
         index = 0
         # Kernelized runs dispatch through the kernel's (rule, matcher)
@@ -892,6 +921,10 @@ class VolcanoOptimizer:
             group = memo.group(gid)
             mexpr = group.expressions[index]
             index += 1
+            for input_gid in mexpr.input_groups:
+                if self._explore_group(run, input_gid):
+                    changed = True
+                    group = memo.group(gid)
             for rule, matcher, delta in transformations.get(mexpr.operator, ()):
                 if run.metered:
                     meter.check("exploration")
@@ -934,8 +967,10 @@ class VolcanoOptimizer:
                         stats.rules_fired += 1
                         if run.metered:
                             meter.charge_rule_firing()
-                        if memo.add_expression_to_group(new_expression, gid):
-                            changed = True
+                        added, created = memo.add_rewrite(new_expression, gid)
+                        changed |= added
+                        for new_gid in created:
+                            self._explore_group(run, new_gid)
                         gid = memo.canonical(gid)
                         group = memo.group(gid)
         memo.group(gid).explored = True

@@ -154,6 +154,7 @@ class Group:
         # no-op thanks to the hash table).
         self.applied: Set = set()
         self.explored = False
+        # On the engine's exploration stack (its re-entrancy guard).
         self.exploring = False
         # Goal keys currently on the search stack (reference counted);
         # the paper marks goals "in progress" to break cycles.
@@ -341,13 +342,19 @@ class Memo:
         Group leaves resolve to their (canonical) group.  Identical
         subexpressions share groups through the hash table.
         """
+        return self._insert(expression, [])
+
+    def _insert(self, expression: LogicalExpression, created: List[int]) -> int:
+        """``insert_expression``, appending each group it creates to ``created``."""
         if expression.operator == GROUP_LEAF:
             return self.canonical(expression.args[0])
         input_groups = tuple(
-            [self.insert_expression(node) for node in expression.inputs]
+            [self._insert(node, created) for node in expression.inputs]
         )
         mexpr = GroupExpression(expression.operator, expression.args, input_groups)
-        group_id, _ = self._intern(mexpr, target_group=None)
+        group_id, is_new = self._intern(mexpr, target_group=None)
+        if is_new:
+            created.append(group_id)
         return group_id
 
     def add_expression_to_group(
@@ -359,21 +366,35 @@ class Memo:
         to the group.  Returns True when the memo changed (a new
         expression appeared or groups merged).
         """
+        return self.add_rewrite(expression, group_id)[0]
+
+    def add_rewrite(
+        self, expression: LogicalExpression, group_id: int
+    ) -> Tuple[bool, List[int]]:
+        """:meth:`add_expression_to_group`, also reporting the new groups.
+
+        Returns ``(changed, created)``: ``created`` lists the ids of the
+        equivalence classes this insertion had to create for
+        subexpressions the memo did not hold yet, inputs before the
+        groups that consume them — the order in which the engine
+        explores them (see ``docs/search-internals.md``, "Exploration").
+        """
+        created: List[int] = []
         group_id = self.canonical(group_id)
         if expression.operator == GROUP_LEAF:
             # The rewrite returned a bare input: the whole group is
             # equivalent to one of its subexpressions' groups.
             other = self.canonical(expression.args[0])
             if other == group_id:
-                return False
+                return False, created
             self._merge(group_id, other)
-            return True
+            return True, created
         input_groups = tuple(
-            [self.insert_expression(node) for node in expression.inputs]
+            [self._insert(node, created) for node in expression.inputs]
         )
         mexpr = GroupExpression(expression.operator, expression.args, input_groups)
         _, changed = self._intern(mexpr, target_group=group_id)
-        return changed
+        return changed, created
 
     def _intern(
         self, mexpr: GroupExpression, target_group: Optional[int]

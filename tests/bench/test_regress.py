@@ -64,7 +64,7 @@ def test_results_shape(results):
     assert ordering["learned_costings"] < ordering["static_costings"]
     assert ordering["rule_firing_delta"] == 0
     assert ordering["bound_seed_retries"] == 0
-    assert ordering["min_promise_pruned"] == 9
+    assert ordering["min_promise_pruned"] == 7
     for metrics in benches.values():
         assert metrics["median_ms"] > 0
     for size in (3, 4):

@@ -20,6 +20,7 @@ from repro.model.cost import ScalarCost
 from repro.models.relational import relational_model
 from repro.options import BudgetMeter, BudgetTripped, ResourceBudget
 from repro.search import SearchOptions, Tracer, VolcanoOptimizer
+from repro.search.engine import _SearchRun
 from repro.systemr import SystemROptimizer, SystemROptions
 
 from tests.helpers import chain_query, make_catalog
@@ -199,6 +200,46 @@ def test_interrupted_goal_not_memoized_as_failure():
         group = memo.group(gid)
         for key in list(group.winners) + list(group.failures):
             assert not group.is_in_progress(key)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [ResourceBudget(max_rule_firings=40), ResourceBudget(deadline_seconds=1e-4)],
+    ids=["rule_firings", "deadline"],
+)
+def test_exploration_trip_leaves_no_group_on_the_stack(budget):
+    """A trip deep inside the recursive descent unwinds every guard."""
+    engine, query = make_engine(7)
+    result = engine.optimize(query, options=engine.options.replace(budget=budget))
+    assert result.degraded
+    assert result.budget_report.phase == "exploration"
+    assert result.stats.greedy_plans == 1
+    assert SPEC.props_cover(result.plan.properties, result.required)
+    memo = result.memo
+    assert not memo.group(result.root_group).explored
+    for gid in memo.reachable(result.root_group):
+        group = memo.group(gid)
+        assert not group.exploring
+        assert not group.in_progress
+    # A later query of a batch finds the same shared memo explorable: the
+    # interrupted classes are picked up where they stopped and the closure
+    # is the one an undisturbed search builds.
+    run = _SearchRun(
+        engine.options, memo, memo.context, memo.stats, Tracer(enabled=False),
+        BudgetMeter(None),
+    )
+    root = memo.insert_expression(query)
+    memo.register_root(root)
+    engine._explore_closure(run, root)
+    undisturbed = engine.optimize(query)
+
+    def closure(memo, root):
+        groups = [memo.group(gid) for gid in memo.reachable(root)]
+        assert all(group.explored and not group.exploring for group in groups)
+        return len(groups), sum(len(group.expressions) for group in groups)
+
+    assert closure(memo, root) == closure(undisturbed.memo, undisturbed.root_group)
+    assert memo.stats.group_merges == 0
 
 
 def test_budget_exceeded_when_no_plan_within_limit():

@@ -2,29 +2,37 @@
 
 The memo interns one :class:`GroupExpression` instance per structural
 form, so the hot dict lookups resolve on identity.  These tests pin the
-properties that make that safe:
+properties that make that safe.  An ordinary search explores inputs
+first and merges nothing (``test_exploration_order.py``), so the merges
+here are driven through the memo API — two forms inserted into separate
+classes, then proven equal — plus one engine run whose rule set still
+discovers an equality late:
 
-* after any engine run (merges and all), every live group holds each
-  structural form **once**, and that member *is* the interned instance;
-* merging never loses winners — the merged memo passes
-  :class:`repro.lint.MemoAuditor` (which checks winner optimality and
-  cost consistency per ``repro.lint.invariants``);
+* after any merge, every live group holds each structural form
+  **once**, and that member *is* the interned instance;
+* merging drops exactly the merged classes' winners and keeps every
+  other — the merged memo passes :class:`repro.lint.MemoAuditor` (which
+  checks winner optimality and cost consistency per
+  ``repro.lint.invariants``);
 * long merge chains resolve in linear total work (path compression),
   pinned by the ``canonical_hops`` counter rather than wall-clock;
 * the cached hashes are process-local: pickling strips and recomputes
   them, so objects survive the trip to forked pool workers.
 """
 
+import dataclasses
 import pickle
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.algebra.predicates import Comparison, ComparisonOp, col, eq, lit
+from repro.algebra.predicates import TRUE, Comparison, ComparisonOp, col, eq, lit
 from repro.algebra.properties import sorted_on
 from repro.lint.invariants import MemoAuditor
 from repro.model.context import OptimizerContext
+from repro.model.patterns import AnyPattern, OpPattern
+from repro.model.rules import TransformationRule
 from repro.models import (
     aggregate_model,
     oodb_model,
@@ -33,8 +41,9 @@ from repro.models import (
     setops_model,
 )
 from repro.models.relational import get, join, select
-from repro.search import SearchOptions, VolcanoOptimizer
-from repro.search.memo import Memo
+from repro.models.setops import union
+from repro.search import VolcanoOptimizer
+from repro.search.memo import Memo, Winner
 from repro.workloads import QueryGenerator
 
 from tests.helpers import make_catalog
@@ -54,7 +63,7 @@ def le(column, value):
 
 
 def three_way_join():
-    """A query whose exploration provokes group merges in every model."""
+    """A three-relation select–join query."""
     return join(
         select(get("r"), le("r.v", 10)),
         join(get("s"), get("t"), eq("s.k", "t.k")),
@@ -74,19 +83,109 @@ def assert_interned_and_deduped(memo):
             assert memo.canonical(memo._table[mexpr]) == group.id
 
 
+def commute_lowest_join(expression):
+    """``expression`` with the operands of its deepest left join swapped."""
+    left, right = expression.inputs
+    if left.operator == "join":
+        return join(commute_lowest_join(left), right, *expression.args)
+    return join(right, left, *expression.args)
+
+
+def hand_built_memo(spec, catalog, check_consistency=True):
+    context = OptimizerContext(spec, catalog)
+    memo = Memo(context, check_consistency=check_consistency)
+    context.group_props_resolver = memo.logical_props
+    return memo
+
+
 @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
 def test_merge_dedupes_members_and_preserves_winners(builder):
-    # A generated 5-relation query: big enough that select-pushdown and
-    # (re)association provoke real group merges in every bundled model.
     query = QueryGenerator().generate(5, seed=5)
-    optimizer = VolcanoOptimizer(builder(), query.catalog)
-    auditor = MemoAuditor().attach(optimizer)
-    result = optimizer.optimize(query.query, query.required)
-    memo = result.memo
-    # The run must actually have merged groups, or this test pins nothing.
-    assert memo.stats.group_merges > 0
+    solved = VolcanoOptimizer(builder(), query.catalog).optimize(
+        query.query, query.required
+    )
+    # A left-deep 5-relation join and the same tree with its lowest join
+    # commuted share their leaves but sit in four separate join classes
+    # each; the solved run's winners are planted wherever its classes'
+    # representative forms land (the original's spine among them).
+    memo = hand_built_memo(builder(), query.catalog)
+    original = memo.insert_expression(query.query)
+    commuted = commute_lowest_join(query.query)
+    assert memo.insert_expression(commuted) != original
+    for seed in solved.harvest_winners():
+        gid = memo.insert_expression(seed.expression)
+        memo.group(gid).winners[(seed.required, None)] = Winner(seed.plan, seed.cost)
+    planted = {group.id: dict(group.winners) for group in memo.groups()}
+    spine, spine_commuted = [query.query], [commuted]
+    while spine[-1].inputs[0].operator == "join":
+        spine.append(spine[-1].inputs[0])
+        spine_commuted.append(spine_commuted[-1].inputs[0])
+    spine_groups = [memo.insert_expression(node) for node in spine]
+    assert all(planted[gid] for gid in spine_groups)
+    # Proving the two lowest joins equal re-keys the commuted form's
+    # parent onto the original's, which clashes — and so on up to the
+    # roots: one step, four merges.
+    assert memo.add_expression_to_group(spine_commuted[-1], spine_groups[-1])
+    assert memo.stats.group_merges == len(spine) == 4
+    assert memo.insert_expression(commuted) == memo.canonical(original)
     assert_interned_and_deduped(memo)
-    assert auditor.audits == 1
+    # The merged classes dropped their winners (a larger class may hold a
+    # cheaper plan); every class the merges did not touch kept its own.
+    merged = {memo.canonical(gid) for gid in spine_groups}
+    assert len(merged) == 4
+    for group in memo.groups():
+        if group.id in merged:
+            assert not group.winners
+        else:
+            assert group.winners.keys() == planted[group.id].keys()
+            assert all(
+                group.winners[key] is winner
+                for key, winner in planted[group.id].items()
+            )
+    result = dataclasses.replace(
+        solved, memo=memo, root_group=memo.canonical(original)
+    )
+    assert not MemoAuditor().audit(result)
+
+
+def test_engine_merges_when_a_rule_discovers_an_equality_late():
+    """Merge, reopen, confirming sweep: the fallback still runs end to end.
+
+    ``select[TRUE](x) -> x`` returns a bare group leaf, so the class of
+    the select and the class of ``x`` — built apart when the query was
+    inserted — are found equal only when the rule fires.  ``x`` is also
+    the input of the union's other operand, which by then is explored and
+    off the stack: the merge re-keys and reopens it, and only the sweep
+    after the descent closes it again.
+    """
+    spec = setops_model()
+    spec.add_transformation(
+        TransformationRule(
+            "drop_true_select",
+            OpPattern("select", (AnyPattern("x"),), args_as="p"),
+            lambda binding, context: binding["x"],
+            condition=lambda binding, context: binding["p"][0].is_true,
+        )
+    )
+    optimizer = VolcanoOptimizer(spec, make_catalog(TABLES))
+    auditor = MemoAuditor().attach(optimizer)
+    shared = select(get("r"), le("r.v", 10))
+    narrowed = select(shared, le("r.k", 5))
+    result = optimizer.optimize(union(narrowed, select(shared, TRUE)))
+    stats, memo = result.stats, result.memo
+    assert stats.group_merges == 1
+    assert stats.groups_created - 1 == memo.group_count()
+    assert stats.exploration_passes == 2
+    assert_interned_and_deduped(memo)
+    merged = memo.insert_expression(shared)
+    assert memo.insert_expression(select(shared, TRUE)) == merged
+    reopened = memo.group(memo.insert_expression(narrowed))
+    assert [mexpr.input_groups for mexpr in reopened.expressions] == [(merged,)]
+    for gid in memo.reachable(result.root_group):
+        group = memo.group(gid)
+        assert group.explored and not group.exploring
+    assert result.cost == optimizer.optimize(union(narrowed, shared)).cost
+    assert auditor.audits == 2
     assert not auditor.violations, [str(v) for v in auditor.violations]
 
 
@@ -153,19 +252,30 @@ def test_long_merge_chains_are_not_quadratic():
 
 def test_render_and_reachable_work_after_deep_merging():
     """The satellite fix: traversals index canonical groups directly."""
-    query = QueryGenerator().generate(5, seed=5)
-    optimizer = VolcanoOptimizer(
-        relational_model(), query.catalog, SearchOptions(check_consistency=False)
+    depth = 40
+    memo = hand_built_memo(
+        relational_model(), make_catalog(TABLES), check_consistency=False
     )
-    result = optimizer.optimize(query.query, query.required)
-    memo = result.memo
-    assert memo.stats.group_merges > 0
-    root = max(memo.groups(), key=lambda g: len(g.logical_props.tables))
-    reachable = memo.reachable(root.id)
+    # A tower of selects over each of two leaves, then the leaves proven
+    # equal: every level's parent is re-keyed onto its twin and merges.
+    towers = []
+    for name in ("r", "s"):
+        tower = get(name)
+        for level in range(depth):
+            tower = select(tower, le("r.v", float(level)))
+        towers.append(tower)
+    root, twin = (memo.insert_expression(tower) for tower in towers)
+    assert memo.add_expression_to_group(get("s"), memo.insert_expression(get("r")))
+    assert memo.stats.group_merges == depth + 1
+    assert memo.canonical(twin) == memo.canonical(root)
+    assert_interned_and_deduped(memo)
+    reachable = memo.reachable(twin)
+    assert len(reachable) == depth + 1
     assert len(reachable) == len(set(reachable))
     assert all(memo.group(gid).id == gid for gid in reachable)
-    rendered = memo.render()
-    assert str(root.id) in rendered
+    rendered = memo.render(twin)
+    assert f"group {memo.canonical(root)}:" in rendered
+    assert rendered.count("(select ") == depth
 
 
 def test_cached_hashes_survive_pickling():
