@@ -11,9 +11,10 @@ search, verifies structural invariants of the solved memo:
 * plan-tree costs are non-negative and monotonic (a node's cumulative
   cost is at least each input's);
 * winners are minimal: no other costed winner of the same group both
-  satisfies a goal and beats its recorded winner;
-* failure records do not shadow achievable goals: no eligible winner
-  costs less than the limit a failure was recorded at;
+  satisfies a goal and beats its recorded winner, and a winner found
+  under an excluding vector never beats its plain goal's winner;
+* failure records do not shadow achievable goals: a failure means no
+  plan exists, so no winner of the group may satisfy the failed goal;
 * the returned root plan satisfies the caller's requirement.
 
 Violations are reported as :class:`~repro.lint.diagnostics.Diagnostic`
@@ -216,8 +217,24 @@ class MemoAuditor:
                     return
 
     def _check_winner_minimality(self, group, found: List[Diagnostic]) -> None:
-        # Only ordinary goals: an excluding vector bars part of the plan
-        # space, so winners found under one are not comparable.
+        # An excluding vector bars part of the plan space, so a winner
+        # found under one can only cost at least its plain goal's.
+        for (required, excluded), winner in group.winners.items():
+            base = group.winners.get((required, None))
+            if excluded is None or base is None:
+                continue
+            if winner.cost.total() < base.cost.total() and not self._close(
+                winner.cost.total(), base.cost.total()
+            ):
+                found.append(
+                    Diagnostic.make(
+                        "M005",
+                        f"group g{group.id} goal [{required}]",
+                        f"winner costs {base.cost} but the winner excluding "
+                        f"[{excluded}] satisfies the same goal at {winner.cost}",
+                    )
+                )
+        # Otherwise only ordinary goals are comparable with each other.
         plain = [
             (required, winner)
             for (required, excluded), winner in group.winners.items()
@@ -243,8 +260,8 @@ class MemoAuditor:
                     )
 
     def _check_failures(self, group, found: List[Diagnostic]) -> None:
-        for (required, excluded), limit in group.failures.items():
-            for (_, other_excluded), winner in group.winners.items():
+        for required, excluded in group.failures:
+            for winner in group.winners.values():
                 if not self.props_cover(winner.plan.properties, required):
                     continue
                 if excluded is not None and self.props_cover(
@@ -253,18 +270,15 @@ class MemoAuditor:
                     # The winner falls in the goal's excluded region; it
                     # was legitimately out of reach for that search.
                     continue
-                if winner.cost.total() < limit.total() and not self._close(
-                    winner.cost.total(), limit.total()
-                ):
-                    found.append(
-                        Diagnostic.make(
-                            "M006",
-                            f"group g{group.id} goal [{required}]",
-                            f"recorded as failed at limit {limit} but a "
-                            f"winner satisfying it costs {winner.cost}",
-                        )
+                found.append(
+                    Diagnostic.make(
+                        "M006",
+                        f"group g{group.id} goal [{required}]",
+                        f"recorded as having no plan but a winner "
+                        f"satisfying it costs {winner.cost}",
                     )
-                    break
+                )
+                break
 
     def _check_root(self, result, found: List[Diagnostic]) -> None:
         if result.plan is None:

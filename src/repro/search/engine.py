@@ -2,14 +2,18 @@
 
 This implements the paper's Figure 2 (``FindBestPlan``) over the memo:
 
-* a *goal* is a pair of equivalence class and physical property vector,
-  searched under a cost limit;
-* winners and failures are memoized per goal;
+* a *goal* is a pair of equivalence class and physical property vector;
+* winners and failures are memoized per goal, and the entries are
+  *limit-free*: a goal is searched once, to its optimum, and the caller's
+  cost limit only accepts or rejects the answer (a deliberate deviation
+  from Figure 2, see DESIGN.md);
 * moves are (1) transformations, (2) algorithms that can deliver the
   required properties, (3) enforcers for required properties — ordered by
   promise, all pursued under exhaustive search;
-* cost limits are passed down to inputs (branch-and-bound pruning, the
-  paper's ``while TotalCost < Limit``);
+* each goal prunes under its own tightening bound — the best complete
+  candidate so far — which abandons a candidate's remaining inputs and
+  cuts moves on their local cost (the paper's ``while TotalCost <
+  Limit``, with the limit not carried *into* a sub-goal's search);
 * enforcer inputs are optimized with a *relaxed* property vector and an
   *excluding* property vector so algorithms that could have satisfied the
   enforced property directly are not considered redundantly.
@@ -96,13 +100,20 @@ class SearchOptions(OptionsBase):
     programming; the ablation benchmarks flip individual flags.
 
     ``branch_and_bound``
-        Pass cost limits down and prune moves that exceed them
-        (Section 3: "cost limits are passed down in the optimization of
-        subexpressions, and tight upper bounds also speed their
-        optimization").
+        Prune inside each goal by the best complete candidate found so
+        far: a move whose local cost already exceeds it is skipped, and
+        a candidate's remaining inputs are abandoned (their goals not
+        searched) once it does.  The bound is the goal's own — a
+        caller's limit is an accept test on the answer, never the
+        starting bound of a sub-goal's search — so memoized winners are
+        optima whoever asked first.  Off, every applicable move of every
+        reached goal is costed in full; plans and costs are identical.
     ``cache_failures``
-        Memoize optimization failures per goal ("failures that can save
-        future optimization effort").
+        Memoize goals for which *no plan exists* ("failures that can
+        save future optimization effort").  A failure carries no limit:
+        a goal whose optimum merely exceeds a caller's limit memoizes
+        its winner instead.  Off, an infeasible goal is searched again
+        on every request; plans and costs are identical.
     ``min_promise``
         Transformation rules with promise strictly below this threshold
         are skipped — the paper's hook for heuristic guidance ("Pursuing
@@ -749,18 +760,16 @@ class VolcanoOptimizer:
         limit: Cost,
         query: LogicalExpression,
     ) -> Optional[Winner]:
-        """Drive the root goal, seeding the cost limit from any prior.
+        """Drive the root goal, offering any cost-bound prior first.
 
         When the promise model carries an observed-cost prior for this
         (query, goal) fingerprint and branch-and-bound is on, the first
-        attempt runs under the tighter prior as its limit.  Soundness:
-        pruning is strict (``bound < total``), so a winner found under
-        *any* limit is the true optimum — a prior at or above the
-        optimum changes nothing but the work.  A prior *below* the
-        optimum (statistics moved since it was recorded) makes the
-        seeded attempt fail; the search then retries at the caller's
-        limit, and the failure cache never blocks the wider retry
-        (failures are cached at the limit they failed under).
+        attempt offers the tighter prior as its limit.  Goals are
+        searched to their optimum whatever limit is offered, so the
+        prior can only reject the answer: a prior *below* the optimum
+        (statistics moved since it was recorded) fails the seeded
+        attempt and the retry at the caller's limit is a winner-table
+        hit.  The prior no longer saves work (ROADMAP item 2).
         """
         if run.options.branch_and_bound:
             prior = run.promise.cost_bound(query, required)
@@ -791,8 +800,7 @@ class VolcanoOptimizer:
         """Best-effort completion after a budget trip.
 
         In order of preference: the root goal's memoized winner (the
-        trip happened after it was solved, e.g. while re-optimizing
-        under a caller's limit), else a deterministic greedy
+        trip happened after it was solved), else a deterministic greedy
         implementation pass over whatever the search explored
         (:func:`repro.search.extract.greedy_plan`).  Nothing found is
         the only case that escalates to
@@ -999,41 +1007,53 @@ class VolcanoOptimizer:
         if run.tracer.enabled:  # skip f-string rendering on the hot path
             run.trace("goal", f"g{gid} [{required}] limit={limit}", depth)
 
-        # "if the pair LogExpr and PhysProp is in the look-up table"
+        # "if the pair LogExpr and PhysProp is in the look-up table" —
+        # entries are limit-free: a winner is the goal's optimum, a
+        # failure means no plan exists, and ``limit`` only accepts or
+        # rejects the answer.
         winner = group.winners.get(key)
         if winner is not None:
             stats.winner_hits += 1
             if winner.cost <= limit:
                 return winner
             return None
-        if run.options.cache_failures:
-            failed_at = group.failures.get(key)
-            if failed_at is not None and limit <= failed_at:
-                stats.failure_hits += 1
-                return None
+        if key in group.failures:
+            stats.failure_hits += 1
+            return None
         if group.is_in_progress(key):
             # A cycle through equivalent goals (e.g. mutually inverse
             # rules): the outer invocation will produce the plan.
             return None
 
-        group.mark_in_progress(key)
-        try:
-            best = self._optimize_goal(run, gid, required, limit, excluded, depth)
-        finally:
-            # Unwinds on success AND on a budget trip propagating through,
-            # so aborted searches leave no stale in-progress marks.
-            memo.group(gid).unmark_in_progress(key)
+        best: Optional[Winner] = None
+        if excluded is not None:
+            # An excluded goal costs a subset of its plain goal's
+            # candidates under the same (cost, rank) rule, so a plain
+            # winner outside the excluded region is its winner too.
+            plain = self._find_best_plan(
+                run, gid, required, INFINITE_COST, None, depth
+            )
+            if plain is not None and not self.spec.props_cover(
+                plain.plan.properties, excluded
+            ):
+                best = plain
+        if best is None:
+            group.mark_in_progress(key)
+            try:
+                best = self._optimize_goal(run, gid, required, excluded, depth)
+            finally:
+                # Unwinds on success AND on a budget trip propagating
+                # through, so aborted searches leave no stale marks.
+                memo.group(gid).unmark_in_progress(key)
 
         group = memo.group(gid)
         if best is not None:
             group.winners[key] = best
             if run.tracer.enabled:
                 run.trace("winner", f"g{gid} [{required}] cost={best.cost}", depth)
-            return best
+            return best if best.cost <= limit else None
         if run.options.cache_failures:
-            previous = group.failures.get(key)
-            if previous is None or previous < limit:
-                group.failures[key] = limit
+            group.failures.add(key)
         if run.tracer.enabled:
             run.trace("failure", f"g{gid} [{required}] limit={limit}", depth)
         return None
@@ -1043,11 +1063,18 @@ class VolcanoOptimizer:
         run: _SearchRun,
         gid: int,
         required: PhysProps,
-        limit: Cost,
         excluded: Optional[PhysProps],
         depth: int,
     ) -> Optional[Winner]:
-        """Generate, order, and pursue moves for one goal.
+        """Generate, order, and pursue moves for one goal, to its optimum.
+
+        The goal is searched under its *own* tightening bound — none
+        until a candidate completes, then the best cost so far — never
+        under the caller's limit, so the result is the goal's optimum
+        (or ``None``: no plan exists) whoever asked first.  The bound
+        still abandons a candidate's remaining inputs and cuts moves on
+        their local cost; pruning is strict, so it never hides a plan
+        that ties the best.
 
         Winner selection is by ``(cost, rank)`` — strictly cheaper
         always wins; at equal cost the move with the lower *static*
@@ -1078,7 +1105,7 @@ class VolcanoOptimizer:
         claims = run.claims
         best: Optional[Winner] = None
         best_rank = 0
-        bound = limit if b_and_b else INFINITE_COST
+        bound = INFINITE_COST
         for move in moves:
             if metered:
                 run.meter.check("costing")
@@ -1223,8 +1250,6 @@ class VolcanoOptimizer:
                         best_rank = current_rank
                         if run.options.branch_and_bound and candidate.cost < bound:
                             bound = candidate.cost
-        if best is not None and not best.cost <= limit:
-            return None
         return best
 
     def _ordered_moves(self, run: _SearchRun, group: Group) -> List[_AlgorithmMove]:
@@ -1345,13 +1370,12 @@ class VolcanoOptimizer:
 
         ``applicability`` and ``cost`` are pure functions of the
         algorithm node and the required properties, and the same move is
-        re-evaluated once per property goal on its group (and again on
-        re-entries with widened cost limits) — memoizing them per run
-        removes the bulk of repeated model-code work.  The cache rides
-        on the move object itself (one entry per required vector), which
-        is sound because move objects live exactly as long as their
-        group's moves-cache entry: any change to a matched group drops
-        the moves and their caches together.  Budget accounting is
+        re-evaluated once per property goal on its group — memoizing
+        them per run removes the bulk of repeated model-code work.  The
+        cache rides on the move object itself (one entry per required
+        vector), which is sound because move objects live exactly as
+        long as their group's moves-cache entry: any change to a matched
+        group drops the moves and their caches together.  Budget accounting is
         untouched: callers still charge one costing per alternative
         pursued, so degraded/anytime semantics are byte-compatible.
         """

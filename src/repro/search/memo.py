@@ -13,7 +13,9 @@ unsorted, sorted on A, and sorted on B, the best plan found is kept."
 Groups additionally memoize *failures* ("'Interesting' is defined with
 respect to possible future use, which includes both plans optimal for
 given physical properties as well as failures that can save future
-optimization effort").
+optimization effort").  Neither table depends on a cost limit: a winner
+is its goal's optimum and a failure means no plan exists, so an entry is
+the same whichever consumer — or which query of a batch — asked first.
 
 When a transformation derives an expression that already exists in a
 *different* group, the two groups are provably equivalent and are merged
@@ -147,7 +149,9 @@ class Group:
         self.expression_set: Set[GroupExpression] = set()
         self.logical_props = logical_props
         self.winners: Dict[GoalKey, Winner] = {}
-        self.failures: Dict[GoalKey, Cost] = {}
+        # Goals for which no plan exists — limit-free, like winners: a
+        # goal is searched once, to its optimum, whoever asks first.
+        self.failures: Set[GoalKey] = set()
         # Fingerprints of rule applications already performed, so that a
         # rule never fires twice on the same binding (this also detects
         # inverse rule pairs: re-deriving an existing expression is a

@@ -96,6 +96,7 @@ def _worker_optimize(item: WorkItem) -> WorkOutcome:
         stats=result.stats,
         degraded=result.degraded,
         budget_report=result.budget_report,
+        certificate=result.certificate,
     )
     return WorkOutcome(index=item.index, result=slim)
 

@@ -1099,9 +1099,7 @@ class OptimizerService:
         """Fan cache misses out to forked workers; fill ``results``."""
         from repro.service import parallel as parallel_mod
 
-        options = None
-        if per_query_budget is not None:
-            options = self.optimizer.options.replace(budget=per_query_budget)
+        options = self._engine_options(per_query_budget)
         items = []
         for index in dispatch:
             expression, qprops, _ = resolved[index]

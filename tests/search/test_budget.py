@@ -202,6 +202,59 @@ def test_interrupted_goal_not_memoized_as_failure():
             assert not group.is_in_progress(key)
 
 
+@pytest.mark.parametrize("max_costings", [8, 20, 60, 150])
+def test_costing_trip_leaves_no_entry_for_an_interrupted_goal(max_costings):
+    """A trip mid-goal unwinds every goal on the stack without a trace.
+
+    Memo entries are limit-free — a winner is the goal's optimum, a
+    failure means no plan exists — so a goal whose move loop did not run
+    to its end may record neither, and a goal that did record one ran to
+    its end.
+    """
+    engine, query = make_engine(6)
+    finished, interrupted = [], []
+    inner = engine._optimize_goal
+
+    def watching(run, gid, required, excluded, depth):
+        try:
+            best = inner(run, gid, required, excluded, depth)
+        except BudgetTripped:
+            interrupted.append((gid, (required, excluded)))
+            raise
+        finished.append((gid, (required, excluded)))
+        return best
+
+    engine._optimize_goal = watching
+    result = engine.optimize(
+        query,
+        sorted_on("t2.k"),
+        options=engine.options.replace(
+            budget=ResourceBudget(max_costings=max_costings)
+        ),
+    )
+    assert result.degraded and result.budget_report.phase == "costing"
+    memo = result.memo
+    assert interrupted  # the root goal at the very least
+    for gid, key in interrupted:
+        group = memo.group(gid)
+        assert key not in group.winners
+        assert key not in group.failures
+        assert not group.is_in_progress(key)
+    searched = set(finished)
+    assert len(searched) == len(finished)  # and none of them twice
+    for gid in memo.reachable(result.root_group):
+        group = memo.group(gid)
+        assert not group.in_progress
+        assert not group.failures
+        for key in group.winners:
+            # Memoized = searched to the end, or an excluded goal
+            # answered by its (finished) plain goal's winner.
+            assert (gid, key) in searched or (
+                key[1] is not None
+                and group.winners[key] is group.winners[(key[0], None)]
+            )
+
+
 @pytest.mark.parametrize(
     "budget",
     [ResourceBudget(max_rule_firings=40), ResourceBudget(deadline_seconds=1e-4)],

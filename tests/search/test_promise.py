@@ -136,7 +136,7 @@ def test_pursuit_order_and_static_ranks(spec, catalog):
 
 
 @pytest.mark.parametrize(
-    "min_promise, pruned, fired", [(None, 5, 30), (0.9, 18, 6)]
+    "min_promise, pruned, fired", [(None, 0, 30), (0.9, 6, 6)]
 )
 def test_min_promise_filtering(spec, catalog, min_promise, pruned, fired):
     """Pruning accounting is exact, and a cold learned model changes none of it."""

@@ -224,3 +224,41 @@ def test_parallel_throughput_beats_serial():
     for left, right in zip(serial, parallel):
         assert str(left.plan) == str(right.plan)
     assert serial_elapsed / parallel_elapsed >= 2.5
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_forked_batch_is_served_under_the_service_options(workload):
+    """Forked workers run with ``_engine_options``, like every other path.
+
+    A forked batch under ``verify_plans=True`` must come back with
+    certificates the parent verified, and must search under the
+    service's promise model — the same overrides the serial and
+    shared-memo paths fold in.
+    """
+    from repro.search import LearnedPromiseModel
+
+    queries, required = queries_of(workload)
+    model = LearnedPromiseModel()
+    service = make_service(
+        workload.catalog, verify_plans=True, promise_model=model
+    )
+    seen = []
+    inner = service._engine_options
+
+    def spy(budget, hints=None):
+        options = inner(budget, hints)
+        seen.append(options)
+        return options
+
+    service._engine_options = spy
+    served = service.optimize_many(queries[:4], required, max_workers=2).results
+    assert seen and all(
+        options.certificates and options.promise_model is model for options in seen
+    )
+    for result in served:
+        assert result.certificate is not None
+        assert result.verified
+    assert service.cache.stats.verify_violations == 0
+    # What the workers shipped is what the cache now serves, verified.
+    warm = service.optimize_many(queries[:4], required).results
+    assert all(result.cached and result.verified for result in warm)
