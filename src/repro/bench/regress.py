@@ -3,7 +3,7 @@
 Runs a small, fixed suite — the paper's Figure 4 points plus targeted
 microbenchmarks of the optimizer's hot paths — and emits a JSON report
 (``BENCH_results.json``) of medians, 95th percentiles, memo sizes, and
-derivation-cache hit rates.  Compared against a committed baseline
+moves-cache hit rates.  Compared against a committed baseline
 (``BENCH_baseline.json``), it turns "the optimizer got slower" from a
 vibe into a failing exit code.
 
@@ -34,10 +34,6 @@ The suite:
     A long group-merge chain followed by canonical() resolution of
     every stale id — guards the union-find path compression
     (``canonical_hops`` grows linearly, not quadratically).
-``binding_enum``
-    A full rule-binding sweep over a solved memo, twice — the second
-    sweep must be served almost entirely by the probe-validated
-    binding cache.
 ``feedback_loop``
     The execution-feedback loop on the canonical drifted workload
     (:func:`repro.feedback.drifted_workload`): drift is detected by
@@ -194,7 +190,6 @@ def _bench_figure4(config: RegressConfig, size: int) -> Dict[str, float]:
     groups: List[int] = []
     expressions: List[int] = []
     costings = 0
-    binding_hits = binding_misses = 0
     moves_hits = moves_misses = 0
     violations = 0
     for query in generator.generate_batch(
@@ -210,8 +205,6 @@ def _bench_figure4(config: RegressConfig, size: int) -> Dict[str, float]:
         groups.append(stats.groups_created)
         expressions.append(stats.expressions_created)
         costings += stats.algorithm_costings
-        binding_hits += stats.binding_cache_hits
-        binding_misses += stats.binding_cache_misses
         moves_hits += stats.moves_cache_hits
         moves_misses += stats.moves_cache_misses
         violations += len(auditor.violations)
@@ -221,7 +214,6 @@ def _bench_figure4(config: RegressConfig, size: int) -> Dict[str, float]:
         "mean_groups": statistics.mean(groups),
         "mean_expressions": statistics.mean(expressions),
         "costings": costings,
-        "binding_hit_rate": _rate(binding_hits, binding_misses),
         "moves_hit_rate": _rate(moves_hits, moves_misses),
         "audit_violations": violations,
     }
@@ -307,39 +299,6 @@ def _bench_memo_merge(config: RegressConfig) -> Dict[str, float]:
     return {
         "median_ms": _median_ms(times),
         "canonical_hops": hops,
-    }
-
-
-def _bench_binding_enum(config: RegressConfig) -> Dict[str, float]:
-    """Rule-binding sweeps over a solved memo; pass 2 must hit the cache."""
-    spec = relational_model()
-    query = QueryGenerator().generate(6, seed=config.seed)
-    optimizer = VolcanoOptimizer(
-        spec, query.catalog, SearchOptions(check_consistency=False)
-    )
-    result = optimizer.optimize(query.query, query.required)
-    memo = result.memo
-    rules = spec.transformations
-    times: List[float] = []
-    hits_before = memo.stats.binding_cache_hits
-    misses_before = memo.stats.binding_cache_misses
-    for _ in range(max(config.micro_repeats, 3)):
-        started = time.perf_counter()
-        bindings = 0
-        for group in memo.groups():
-            for mexpr in list(group.expressions):
-                for rule in rules:
-                    for _binding in memo.rule_bindings(
-                        rule.name, rule.pattern, mexpr
-                    ):
-                        bindings += 1
-        times.append(time.perf_counter() - started)
-    return {
-        "median_ms": _median_ms(times),
-        "sweep_hit_rate": _rate(
-            memo.stats.binding_cache_hits - hits_before,
-            memo.stats.binding_cache_misses - misses_before,
-        ),
     }
 
 
@@ -479,13 +438,12 @@ def _bench_promise_ordering(config: RegressConfig) -> Dict[str, float]:
     Merge join is the observed winner there (hybrid hash does not
     qualify under a sort requirement), so the learned model's evidence
     lifts merge's implementation promise above hybrid hash's static
-    1.5 — flipping the pursuit order inside every join goal — and each
-    execution records a cost prior for its (query, goal) fingerprint.
+    1.5 — flipping the pursuit order inside every join goal.
 
     Phase 2 re-optimizes two repeat workloads with the trained model:
 
-    * the chains themselves — the cost priors seed the root
-      branch-and-bound limit (``bound_seeds``), with zero retries;
+    * the chains themselves — every plan byte-identical to the static
+      model's;
     * the generator workload — pure ordering: rule firings stay exactly
       equal and every plan is byte-identical, pinning the
       order-independent ``(cost, rank, alternative)`` winner rule under
@@ -549,16 +507,14 @@ def _bench_promise_ordering(config: RegressConfig) -> Dict[str, float]:
     for query, required in chains:
         service.execute(query, required)
 
-    # -- phase 2a: repeat the chains — cost priors seed the root bound --
+    # -- phase 2a: repeat the chains — same plans under the live model ---
     static_chain = VolcanoOptimizer(
         spec, train_catalog, SearchOptions(check_consistency=False)
     )
-    identical = seeds = retries = 0
+    identical = 0
     for query, required in chains:
         baseline = static_chain.optimize(query, required)
         repeat = trained.optimize(query, required)
-        seeds += repeat.stats.bound_seeds
-        retries += repeat.stats.bound_seed_retries
         if repeat.plan.to_sexpr() == baseline.plan.to_sexpr():
             identical += 1
 
@@ -612,8 +568,6 @@ def _bench_promise_ordering(config: RegressConfig) -> Dict[str, float]:
         "learned_costings": float(learned_costings),
         "rule_firing_delta": float(abs(learned_fired - static_fired)),
         "plans_identical": float(identical),
-        "bound_seeds": float(seeds),
-        "bound_seed_retries": float(retries),
         "min_promise_pruned": float(pruned),
     }
 
@@ -869,7 +823,6 @@ def run_regress(
     for name, runner in (
         ("memo_insert", _bench_memo_insert),
         ("memo_merge", _bench_memo_merge),
-        ("binding_enum", _bench_binding_enum),
         ("feedback_loop", _bench_feedback_loop),
         ("batch_throughput", _bench_batch_throughput),
         ("mqo_sharing", _bench_mqo_sharing),
@@ -915,14 +868,12 @@ _COUNT_METRICS = {
     "sharing_candidates",
     "consumer_links",
     "savings_fraction",
-    # promise_ordering: deterministic search counters; the two deltas
-    # and the retry count must hold at exactly zero.
+    # promise_ordering: deterministic search counters; the delta must
+    # hold at exactly zero.
     "static_costings",
     "learned_costings",
     "rule_firing_delta",
     "plans_identical",
-    "bound_seeds",
-    "bound_seed_retries",
     "min_promise_pruned",
     # verify_overhead: every certified plan must keep verifying.
     "verified_ok",

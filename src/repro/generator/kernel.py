@@ -70,7 +70,7 @@ __all__ = [
 
 #: Bumped whenever the generated-module layout changes; part of the
 #: fingerprint so stale cache files from older layouts never load.
-KERNEL_SCHEMA = 2
+KERNEL_SCHEMA = 3
 
 _CACHE_ENV = "REPRO_KERNEL_CACHE"
 
@@ -147,122 +147,6 @@ def _emit_matcher(name: str, pattern: OpPattern, rule_name: str) -> List[str]:
     return lines
 
 
-def _count_inner_ops(pattern: OpPattern) -> int:
-    """Number of nested ``OpPattern`` nodes below the root (= loop count)."""
-    total = 0
-    stack = list(pattern.inputs)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, OpPattern):
-            total += 1
-            stack.extend(node.inputs)
-    return total
-
-
-def _emit_delta(name: str, pattern: OpPattern, rule_name: str) -> List[str]:
-    """Emit one rule's *delta* binding enumerator.
-
-    Same walk as the plain matcher, but for resuming a stale cache entry
-    whose probed groups have only **appended** expressions since it was
-    filled (``Memo.probes_append_only``).  Each loop level learns the
-    probed group's old expression count via ``old_len``; a combination
-    whose every index falls inside the old prefix is one the previous
-    enumeration already produced, so its cached dict is consumed
-    *positionally* from ``old`` (product order over intact prefixes is
-    the cached order) and appended to ``out`` without being yielded —
-    the engine already fingerprinted it, so re-yielding would be a
-    no-op.  Combinations touching at least one new expression are built
-    and yielded exactly like the plain matcher.  ``out`` ends up in
-    full-walk order, ready to be cached as if a complete re-enumeration
-    had run.
-
-    ``unchanged`` reports whether any group merge happened since the
-    walk started: a mid-walk merge may rewrite a probed prefix, so the
-    positional replay stops and every remaining combination is yielded
-    (the interpreter's behaviour) — the resulting cache entry is stale
-    by construction and never served.
-    """
-    lines: List[str] = [
-        f"def {name}(args, input_groups, expressions_of, "
-        f"old_len, old, out, unchanged):"
-    ]
-    lines.append(f'    """[{rule_name}] delta matcher for {str(pattern)!r}."""')
-    arity = len(pattern.inputs)
-    lines.append(f"    if len(input_groups) != {arity}:")
-    lines.append("        return")
-    lines.append("    ptr = 0")
-    binds: List[Tuple[str, str]] = []
-    if pattern.args_as is not None:
-        binds.append((pattern.args_as, "args"))
-    counter = [0]
-    guards: List[str] = []
-
-    def emit_inputs(patterns, group_exprs, indent: int) -> None:
-        pad = "    " * indent
-        if not patterns:
-            condition = " and ".join(guards + ["unchanged()"])
-            lines.append(f"{pad}if {condition}:")
-            lines.append(f"{pad}    out.append(old[ptr])")
-            lines.append(f"{pad}    ptr += 1")
-            lines.append(f"{pad}    continue")
-            items = ", ".join(f"{key!r}: {value}" for key, value in binds)
-            lines.append(f"{pad}b = {{{items}}}")
-            lines.append(f"{pad}out.append(b)")
-            lines.append(f"{pad}yield dict(b)")
-            return
-        head, rest_patterns = patterns[0], patterns[1:]
-        head_group, rest_groups = group_exprs[0], group_exprs[1:]
-        if isinstance(head, AnyPattern):
-            binds.append((head.name, f"group_leaf({head_group})"))
-            emit_inputs(rest_patterns, rest_groups, indent)
-            binds.pop()
-            return
-        if not isinstance(head, OpPattern):  # pragma: no cover - validated specs
-            raise GenerationError(f"not a pattern node: {head!r}")
-        n = counter[0]
-        counter[0] += 1
-        op_v, args_v, igs_v = f"op_{n}", f"args_{n}", f"igs_{n}"
-        i_v, k_v = f"i_{n}", f"k_{n}"
-        lines.append(f"{pad}{k_v} = old_len({head_group})")
-        lines.append(
-            f"{pad}for {i_v}, ({op_v}, {args_v}, {igs_v}) in "
-            f"enumerate(expressions_of({head_group})):"
-        )
-        inner = pad + "    "
-        lines.append(
-            f"{inner}if {op_v} != {head.operator!r} "
-            f"or len({igs_v}) != {len(head.inputs)}:"
-        )
-        lines.append(f"{inner}    continue")
-        if head.args_as is not None:
-            binds.append((head.args_as, args_v))
-        guards.append(f"{i_v} < {k_v}")
-        emit_inputs(
-            tuple(head.inputs) + tuple(rest_patterns),
-            tuple(f"{igs_v}[{i}]" for i in range(len(head.inputs)))
-            + tuple(rest_groups),
-            indent + 1,
-        )
-        guards.pop()
-        if head.args_as is not None:
-            binds.pop()
-
-    emit_inputs(
-        tuple(pattern.inputs),
-        tuple(f"input_groups[{i}]" for i in range(arity)),
-        1,
-    )
-    lines.append("    if ptr != len(old) and unchanged():")
-    lines.append("        raise RuntimeError(")
-    lines.append(
-        f'            "[{rule_name}] delta enumeration drift: '
-        f'consumed %d of %d cached bindings"'
-    )
-    lines.append("            % (ptr, len(old))")
-    lines.append("        )")
-    return lines
-
-
 def generate_kernel_source(spec: ModelSpecification) -> str:
     """Emit the specialized kernel module for ``spec`` (without header).
 
@@ -304,17 +188,9 @@ def generate_kernel_source(spec: ModelSpecification) -> str:
             fname = f"_{prefix}{index}"
             emit("")
             lines.extend(_emit_matcher(fname, rule.pattern, rule.name))
-            # Flat patterns (no nested operator loops) read no group
-            # expressions, so their cache entries never go stale — a
-            # delta enumerator would be dead code.
-            dname = "None"
-            if _count_inner_ops(rule.pattern):
-                dname = f"_{prefix}{index}_d"
-                emit("")
-                lines.extend(_emit_delta(dname, rule.pattern, rule.name))
             rows.append(
                 f"    ({rule.name!r}, {rule.top_operator!r}, "
-                f"{render_pattern_code(rule.pattern)!r}, {fname}, {dname}),"
+                f"{render_pattern_code(rule.pattern)!r}, {fname}),"
             )
         return rows
 
@@ -322,8 +198,7 @@ def generate_kernel_source(spec: ModelSpecification) -> str:
     implementation_rows = emit_rules(spec.implementations, "i")
     emit("")
     emit("")
-    emit("# (rule name, top operator, rendered pattern, matcher, delta")
-    emit("# matcher or None) in spec order.")
+    emit("# (rule name, top operator, rendered pattern, matcher) in spec order.")
     emit("TRANSFORMATION_MATCHERS = (")
     lines.extend(transformation_rows)
     emit(")")
@@ -384,11 +259,9 @@ class SearchKernel:
     """A specification's generated move loops, bound to its live rules.
 
     ``transformation_dispatch`` and ``implementation_dispatch`` map a top
-    operator to a tuple of ``(rule, matcher, delta)`` triples in
-    specification order — drop-in replacements for the engine's
-    interpreted dispatch tables, with a generated matcher (and, for
-    nested patterns, a delta enumerator for append-only cache resume)
-    alongside each rule.
+    operator to a tuple of ``(rule, matcher)`` pairs in specification
+    order — drop-in replacements for the engine's interpreted dispatch
+    tables, with a generated matcher alongside each rule.
 
     Pickling collapses to the *tier string* (kernels hold generated
     functions, which do not pickle): the receiving process —
@@ -454,7 +327,7 @@ def _bind_dispatch(rules, matcher_rows, kind: str, spec: ModelSpecification):
         )
     dispatch: Dict[str, List] = {}
     for rule, row in zip(rules, matcher_rows):
-        name, top_operator, rendered, matcher, delta = row
+        name, top_operator, rendered, matcher = row
         if rule.name != name or rule.top_operator != top_operator:
             raise GenerationError(
                 f"kernel drift: {kind} rule {rule.name!r} does not match "
@@ -465,8 +338,8 @@ def _bind_dispatch(rules, matcher_rows, kind: str, spec: ModelSpecification):
                 f"kernel drift: pattern of {kind} rule {rule.name!r} changed "
                 f"since generation — regenerate"
             )
-        dispatch.setdefault(top_operator, []).append((rule, matcher, delta))
-    return {operator: tuple(triples) for operator, triples in dispatch.items()}
+        dispatch.setdefault(top_operator, []).append((rule, matcher))
+    return {operator: tuple(pairs) for operator, pairs in dispatch.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ class CertificateBuilder:
             if member.operator != rule.top_operator:
                 continue
             member = self._canon_member(member)
-            for binding in memo.rule_bindings(rule.name, rule.pattern, member):
+            for binding in memo.rule_bindings(rule.pattern, member):
                 try:
                     if not rule.applies(binding, self.context):
                         continue
@@ -502,7 +502,7 @@ class CertificateBuilder:
             return cached
         edges = []
         for rule in self._transforms_by_op.get(member.operator, ()):
-            for binding in self.memo.rule_bindings(rule.name, rule.pattern, member):
+            for binding in self.memo.rule_bindings(rule.pattern, member):
                 try:
                     if not rule.applies(binding, self.context):
                         continue

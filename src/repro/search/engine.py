@@ -136,13 +136,13 @@ class SearchOptions(OptionsBase):
         ``degraded=True``; see :mod:`repro.search.engine`.
     ``promise_model``
         A :class:`~repro.search.promise.PromiseModel` supplying rule
-        promises (move ordering, ``min_promise`` pruning) and optional
-        cost-bound priors.  ``None`` means the static model — promises
-        are the rule authors' numbers, bit-for-bit the historical
-        behavior.  Under exhaustive search a model can only *reorder*
-        moves, and winners are selected by the order-independent
-        ``(cost, rank, alternative)`` rule, so the chosen plan is
-        identical for every model; see ``docs/search-internals.md``.
+        promises (move ordering, ``min_promise`` pruning).  ``None``
+        means the static model — promises are the rule authors'
+        numbers, bit-for-bit the historical behavior.  Under exhaustive
+        search a model can only *reorder* moves, and winners are
+        selected by the order-independent ``(cost, rank, alternative)``
+        rule, so the chosen plan is identical for every model; see
+        ``docs/search-internals.md``.
     ``trace``
         Record a human-readable search trace (slow; for debugging).
     ``certificates``
@@ -425,22 +425,17 @@ class _SearchRun:
             {} if options.certificates else None
         )
 
-    def expressions_of(self, gid: int):
-        """Pattern-matching callback: a group's expressions as triples."""
-        for mexpr in self.memo.group(gid).expressions:
-            yield mexpr.operator, mexpr.args, mexpr.input_groups
-
     def trace(self, kind: str, detail: str, depth: int) -> None:
         if self.tracer.enabled:
             self.tracer.emit(kind, detail, depth)
 
 
 def _dispatch_pairs(rules):
-    """Rules keyed by top operator, with empty matcher and delta slots."""
+    """Rules keyed by top operator, each with an empty matcher slot."""
     table: Dict[str, List] = {}
     for rule in rules:
-        table.setdefault(rule.top_operator, []).append((rule, None, None))
-    return {operator: tuple(triples) for operator, triples in table.items()}
+        table.setdefault(rule.top_operator, []).append((rule, None))
+    return {operator: tuple(pairs) for operator, pairs in table.items()}
 
 
 class VolcanoOptimizer:
@@ -466,15 +461,14 @@ class VolcanoOptimizer:
         self.estimator = estimator
         # Compiled dispatch tables (the generator's "very fast pattern
         # matching"): rules indexed by their pattern's top operator.
-        # Entries are (rule, matcher, delta) triples so a specialized
-        # kernel can slot its generated matchers in without a second
-        # code path; matcher None means "interpret the pattern", delta
-        # None means "no append-only cache resume for this rule".
+        # Entries are (rule, matcher) pairs so a specialized kernel can
+        # slot its generated matchers in without a second code path;
+        # matcher None means "interpret the pattern".
         self._transformations: Dict[
-            str, Tuple[Tuple[TransformationRule, None, None], ...]
+            str, Tuple[Tuple[TransformationRule, None], ...]
         ] = _dispatch_pairs(spec.transformations)
         self._implementations: Dict[
-            str, Tuple[Tuple[ImplementationRule, None, None], ...]
+            str, Tuple[Tuple[ImplementationRule, None], ...]
         ] = _dispatch_pairs(spec.implementations)
         # Post-optimize hooks: callables invoked with each
         # OptimizationResult while its memo is still live.  This is the
@@ -559,15 +553,15 @@ class VolcanoOptimizer:
                 self._explore_closure(run, root)
                 if preoptimized:
                     self._plant_preoptimized(run, root, preoptimized)
-                winner = self._solve_root(run, root, required, limit, query)
+                winner = self._find_best_plan(
+                    run, root, required, limit, excluded=None, depth=0
+                )
             except BudgetTripped as trip:
                 winner, report = self._degrade(run, root, required, limit, trip)
             if winner is None:
                 raise OptimizationFailedError(
                     f"no plan for goal [{required}] within limit {limit}"
                 )
-            if report is None:
-                run.promise.observe_result(query, required, winner.cost)
             if options.check_consistency and not self.spec.props_cover(
                 winner.plan.properties, required
             ):
@@ -668,7 +662,9 @@ class VolcanoOptimizer:
                 roots.append(root)
                 try:
                     self._explore_closure(run, root)
-                    winner = self._solve_root(run, root, required, limit, query)
+                    winner = self._find_best_plan(
+                        run, root, required, limit, excluded=None, depth=0
+                    )
                 except BudgetTripped as trip:
                     # No per-query degradation here: the budget belongs
                     # to the batch, so the whole batch reports the trip.
@@ -692,7 +688,6 @@ class VolcanoOptimizer:
                         f"chosen plan delivers [{winner.plan.properties}] "
                         f"which does not satisfy the goal [{required}]"
                     )
-                run.promise.observe_result(query, required, winner.cost)
                 # Extract immediately: a later root's closure may merge
                 # groups and clear memoized winners, but the Winner
                 # object (and its plan) stays valid.
@@ -751,39 +746,6 @@ class VolcanoOptimizer:
         from repro.generator.kernel import resolve_kernel
 
         return resolve_kernel(self.spec, options.kernel)
-
-    def _solve_root(
-        self,
-        run: _SearchRun,
-        root: int,
-        required: PhysProps,
-        limit: Cost,
-        query: LogicalExpression,
-    ) -> Optional[Winner]:
-        """Drive the root goal, offering any cost-bound prior first.
-
-        When the promise model carries an observed-cost prior for this
-        (query, goal) fingerprint and branch-and-bound is on, the first
-        attempt offers the tighter prior as its limit.  Goals are
-        searched to their optimum whatever limit is offered, so the
-        prior can only reject the answer: a prior *below* the optimum
-        (statistics moved since it was recorded) fails the seeded
-        attempt and the retry at the caller's limit is a winner-table
-        hit.  The prior no longer saves work (ROADMAP item 2).
-        """
-        if run.options.branch_and_bound:
-            prior = run.promise.cost_bound(query, required)
-            if prior is not None and prior < limit:
-                run.stats.bound_seeds += 1
-                winner = self._find_best_plan(
-                    run, root, required, prior, excluded=None, depth=0
-                )
-                if winner is not None:
-                    return winner
-                run.stats.bound_seed_retries += 1
-        return self._find_best_plan(
-            run, root, required, limit, excluded=None, depth=0
-        )
 
     # ------------------------------------------------------------------
     # Anytime degradation (resource governance)
@@ -933,7 +895,7 @@ class VolcanoOptimizer:
                 if self._explore_group(run, input_gid):
                     changed = True
                     group = memo.group(gid)
-            for rule, matcher, delta in transformations.get(mexpr.operator, ()):
+            for rule, matcher in transformations.get(mexpr.operator, ()):
                 if run.metered:
                     meter.check("exploration")
                 # Heuristic pruning consults the promise model; the
@@ -944,14 +906,7 @@ class VolcanoOptimizer:
                 ):
                     stats.moves_pruned += 1
                     continue
-                # A valid cached enumeration means every binding below
-                # is already fingerprinted in group.applied — the loop
-                # would be a pure no-op, so skip the re-walk entirely.
-                if memo.rule_bindings_applied(rule.name, mexpr):
-                    continue
-                for binding in memo.rule_bindings(
-                    rule.name, rule.pattern, mexpr, matcher, delta
-                ):
+                for binding in memo.rule_bindings(rule.pattern, mexpr, matcher):
                     # Bindings are built in pattern-traversal order, so
                     # equal bindings always itemize identically — the
                     # tuple is as injective as a frozenset and cheaper.
@@ -1285,13 +1240,7 @@ class VolcanoOptimizer:
         cached = memo.cached_moves(group.id)
         if cached is not None:
             return list(cached)
-        probes = {
-            group.id: (
-                group.version,
-                group.structure_version,
-                len(group.expressions),
-            )
-        }
+        probes = {group.id: group.version}
         expressions_of = memo.probing_expressions_of(probes)
         implementations = (
             run.kernel.implementation_dispatch
@@ -1301,7 +1250,7 @@ class VolcanoOptimizer:
         found: List[Tuple[ImplementationRule, Tuple, Tuple[int, ...]]] = []
         seen = set()
         for mexpr in group.expressions:
-            for rule, matcher, _delta in implementations.get(mexpr.operator, ()):
+            for rule, matcher in implementations.get(mexpr.operator, ()):
                 bindings = (
                     matcher(mexpr.args, mexpr.input_groups, expressions_of)
                     if matcher is not None

@@ -19,7 +19,6 @@ from typing import List, Optional
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
 from repro.model.context import OptimizerContext
-from repro.model.patterns import match_memo
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.search.engine import OptimizationResult
 from repro.search.memo import Memo
@@ -63,17 +62,10 @@ def alternative_plans(
     for rule in spec.implementations:
         transformations.setdefault(rule.top_operator, []).append(rule)
 
-    def expressions_of(gid):
-        for mexpr in memo.group(gid).expressions:
-            yield mexpr.operator, mexpr.args, mexpr.input_groups
-
     group = memo.group(root)
     for mexpr in group.expressions:
         for rule in transformations.get(mexpr.operator, ()):
-            for binding in match_memo(
-                rule.pattern, mexpr.operator, mexpr.args, mexpr.input_groups,
-                expressions_of,
-            ):
+            for binding in memo.rule_bindings(rule.pattern, mexpr):
                 if not rule.applies(binding, context):
                     continue
                 args = (
@@ -179,10 +171,6 @@ def greedy_plan(
     for rule in spec.implementations:
         implementations.setdefault(rule.top_operator, []).append(rule)
 
-    def expressions_of(inner_gid):
-        for mexpr in memo.group(inner_gid).expressions:
-            yield mexpr.operator, mexpr.args, mexpr.input_groups
-
     # (gid, required, excluded) -> plan or None; a None is only cached
     # when the failure did not hinge on a cycle refusal (see below).
     cache: dict = {}
@@ -193,13 +181,7 @@ def greedy_plan(
         seen = set()
         for mexpr in group.expressions:
             for rule in implementations.get(mexpr.operator, ()):
-                for binding in match_memo(
-                    rule.pattern,
-                    mexpr.operator,
-                    mexpr.args,
-                    mexpr.input_groups,
-                    expressions_of,
-                ):
+                for binding in memo.rule_bindings(rule.pattern, mexpr):
                     if not rule.applies(binding, context):
                         continue
                     args = (

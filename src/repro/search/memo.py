@@ -29,12 +29,13 @@ Performance internals (see docs/search-internals.md):
   hash, and the memo *interns* every canonical group expression — one
   object per structural form — so hash-table probes run at pointer
   speed and equality checks short-circuit on identity.
-* **Derivation caches.**  Logical-property derivation, transformation-
-  rule binding enumeration, and the per-group implementation-move lists
-  are memoized.  Each cache is invalidated *exactly*: binding and move
-  caches record which groups they probed (with content versions) and
-  the ``_invalidate_ancestors`` machinery clears per-group caches
-  whenever new logical knowledge appears below a group.
+* **Moves cache.**  The per-group implementation-move lists are
+  memoized and invalidated *exactly*: an entry records which groups its
+  enumeration probed (with content versions) and is dropped when any of
+  them changes.  Nothing else is cached: every class is explored once,
+  so a rule's bindings are enumerated lazily and never kept (a class a
+  merge reopens is re-enumerated in full; ``Group.applied`` suppresses
+  what already fired).
 * **Union-find path compression** in :meth:`Memo.canonical` keeps merge
   chains O(α); ``SearchStats.canonical_hops`` counts chain links
   actually chased, so tests can assert the amortized bound.
@@ -140,7 +141,6 @@ class Group:
         "in_progress",
         "merged_into",
         "version",
-        "structure_version",
     )
 
     def __init__(self, group_id: int, logical_props: LogicalProperties):
@@ -165,17 +165,10 @@ class Group:
         self.in_progress: Dict[GoalKey, int] = {}
         self.merged_into: Optional[int] = None
         # Content version: bumped whenever the expression list changes.
-        # Derivation caches record (group id, version) pairs for every
-        # group they read, so a version mismatch — or a merge — is the
+        # The moves cache records (group id, version) pairs for every
+        # group it read, so a version mismatch — or a merge — is the
         # exact signal that a cached result may be stale.
         self.version = 0
-        # Structure version: bumped only when the expression list
-        # changes by something other than an append (merges rewrite and
-        # re-home expressions).  While it holds still, any version drift
-        # is pure append-only growth — the condition under which a
-        # stale binding enumeration can be *delta-resumed* over just the
-        # new expressions instead of re-walked (see rule_bindings).
-        self.structure_version = 0
 
     def mark_in_progress(self, key: GoalKey) -> None:
         """Push an in-progress mark for a goal (reference counted)."""
@@ -222,15 +215,9 @@ class Memo:
         # the hot dict lookups resolve on identity instead of structure.
         self._interned: Dict[GroupExpression, GroupExpression] = {}
         self._goal_keys: Dict[GoalKey, GoalKey] = {}
-        # Derivation caches (exact invalidation via probe records; see
-        # rule_bindings / cached_moves below).
-        self._props_cache: Dict[GroupExpression, LogicalProperties] = {}
-        self._binding_cache: Dict[
-            Tuple, Tuple[Dict[int, Tuple[int, int, int]], List[dict]]
-        ] = {}
-        self._moves_cache: Dict[
-            int, Tuple[Dict[int, Tuple[int, int, int]], tuple]
-        ] = {}
+        # Per-group move lists (exact invalidation via probe records;
+        # see cached_moves below).
+        self._moves_cache: Dict[int, Tuple[Dict[int, int], tuple]] = {}
         # Batch scoping: the root group of every query optimized against
         # this memo, in insertion order (ids as registered; ``roots``
         # resolves them through the union-find on read).
@@ -452,9 +439,9 @@ class Memo:
     def _invalidate_ancestors(self, gid: int) -> None:
         """Clear the ``explored`` flag of every group reachable upward.
 
-        Binding and move caches need no explicit treatment here: they
-        record (group, version) probes, and the version bump on the
-        changed group invalidates exactly the entries that read it.
+        The moves cache needs no explicit treatment here: it records
+        (group, version) probes, and the version bump on the changed
+        group invalidates exactly the entries that read it.
         """
         # Hot on the exploration fixpoint's attach path: locals bound,
         # canonical() skipped for unmerged owners (the common case).
@@ -496,213 +483,65 @@ class Memo:
         return mexpr
 
     def _derive_props(self, mexpr: GroupExpression) -> LogicalProperties:
-        # Memoized per interned expression.  Input groups' logical
-        # properties never change after creation (merges keep the
-        # keeper's, which consistency requires to agree), and a merge
-        # re-canonicalizes the expression into a fresh interned key, so
-        # entries never go stale.
-        cached = self._props_cache.get(mexpr)
-        if cached is not None:
-            self.stats.props_cache_hits += 1
-            return cached
         input_props = tuple(
             self.group(gid).logical_props for gid in mexpr.input_groups
         )
-        derived = self.context.derive_logical_props(
+        return self.context.derive_logical_props(
             mexpr.operator, mexpr.args, input_props
         )
-        self._props_cache[mexpr] = derived
-        return derived
 
-    # -- derivation caches (probe-validated) ----------------------------------
+    # -- binding enumeration and the moves cache --------------------------------
 
-    def probing_expressions_of(self, probes: Dict[int, Tuple[int, int, int]]):
+    def expressions_of(self, gid: int):
+        """Pattern-matching callback: a group's expressions as triples."""
+        for mexpr in self.group(gid).expressions:
+            yield mexpr.operator, mexpr.args, mexpr.input_groups
+
+    def rule_bindings(self, pattern, mexpr: GroupExpression, matcher=None):
+        """Enumerate a rule pattern's bindings on one group expression.
+
+        Lazy: the engine fires rules mid-iteration and the live
+        generator must see their effects.  ``matcher`` is an optional
+        specialized binding enumerator (a generated kernel's unrolled
+        equivalent of :func:`~repro.model.patterns.match_memo` for this
+        pattern — see :mod:`repro.generator.kernel`) yielding the same
+        bindings in the same order.
+        """
+        if matcher is not None:
+            return matcher(mexpr.args, mexpr.input_groups, self.expressions_of)
+        return match_memo(
+            pattern,
+            mexpr.operator,
+            mexpr.args,
+            mexpr.input_groups,
+            self.expressions_of,
+        )
+
+    def probing_expressions_of(self, probes: Dict[int, int]):
         """An ``expressions_of`` callback that records which groups it reads.
 
-        Each read group's canonical id maps to its ``(version,
-        structure_version, expression count)`` — recorded at *first*
-        read, so a mid-enumeration mutation leaves a stale version
-        behind and conservatively invalidates the entry.  The structure
-        version and count let a later re-enumeration prove the group
-        only *appended* expressions since, and resume from the recorded
-        count (delta enumeration).
+        Each read group's canonical id maps to its ``version`` —
+        recorded at *first* read, so a mid-enumeration mutation leaves a
+        stale version behind and conservatively invalidates the entry.
         """
 
         def expressions_of(gid: int):
             group = self._groups[self.canonical(gid)]
             if group.id not in probes:
-                probes[group.id] = (
-                    group.version,
-                    group.structure_version,
-                    len(group.expressions),
-                )
+                probes[group.id] = group.version
             for mexpr in group.expressions:
                 yield mexpr.operator, mexpr.args, mexpr.input_groups
 
         return expressions_of
 
-    def probes_valid(self, probes: Dict[int, Tuple[int, int, int]]) -> bool:
+    def probes_valid(self, probes: Dict[int, int]) -> bool:
         """True while every probed group is unmerged at its recorded version."""
         groups = self._groups
-        for gid, probe in probes.items():
+        for gid, version in probes.items():
             group = groups[gid]
-            if group.merged_into is not None or group.version != probe[0]:
+            if group.merged_into is not None or group.version != version:
                 return False
         return True
-
-    def probes_append_only(self, probes: Dict[int, Tuple[int, int, int]]) -> bool:
-        """True when every probed group has only *appended* since recording.
-
-        The delta-enumeration precondition: no probed group merged away
-        or had expressions rewritten in place, so each one's recorded
-        expression count is an intact prefix of its current list.
-        """
-        groups = self._groups
-        for gid, probe in probes.items():
-            group = groups[gid]
-            if (
-                group.merged_into is not None
-                or group.structure_version != probe[1]
-            ):
-                return False
-        return True
-
-    def rule_bindings(
-        self,
-        rule_name: str,
-        pattern,
-        mexpr: GroupExpression,
-        matcher=None,
-        delta=None,
-    ):
-        """Memoized transformation-rule binding enumeration.
-
-        Returns an iterable of binding dicts, identical to what
-        :func:`~repro.model.patterns.match_memo` would enumerate right
-        now.  Cache entries are keyed by (rule, interned expression) and
-        validated against the recorded probes, so a hit is only served
-        while every group the original enumeration read is unchanged —
-        exactly the condition under which re-matching would reproduce
-        the same bindings.  On a miss the enumeration stays *lazy* (the
-        engine fires rules mid-iteration and the live generator must see
-        their effects), filling the cache as it yields.
-
-        ``matcher`` is an optional specialized binding enumerator (a
-        generated kernel's unrolled equivalent of ``match_memo`` for
-        this rule's pattern — see :mod:`repro.generator.kernel`); it is
-        only consulted on a cache miss, so interpreted and kernelized
-        runs share cache contents and hit semantics bit for bit.
-        """
-        key = (rule_name, mexpr)
-        entry = self._binding_cache.get(key)
-        if entry is not None:
-            probes, bindings = entry
-            if self.probes_valid(probes):
-                self.stats.binding_cache_hits += 1
-                return [dict(binding) for binding in bindings]
-            del self._binding_cache[key]
-            if delta is not None and self.probes_append_only(probes):
-                # Every probed group only grew, so the cached bindings
-                # are an intact prefix-product of the current walk: the
-                # delta enumerator replays them positionally and yields
-                # only combinations touching at least one new
-                # expression.  Old combinations were all fingerprinted
-                # by the exploration pass that filled the cache, so
-                # skipping their dict-build/hash is observably a no-op.
-                self.stats.binding_cache_misses += 1
-                return self._enumerate_delta(key, mexpr, delta, probes, bindings)
-        self.stats.binding_cache_misses += 1
-        return self._enumerate_bindings(key, pattern, mexpr, matcher)
-
-    def rule_bindings_applied(self, rule_name: str, mexpr: GroupExpression) -> bool:
-        """True when exploration may skip this (rule, expression) pair.
-
-        A still-valid cache entry proves a prior enumeration of the same
-        pair ran to completion while every group it read was in its
-        current state — and the exploration loop that completed it
-        fingerprinted every binding into the owning group's ``applied``
-        set (fingerprints survive merges: ``_merge_into`` unions the
-        sets, and a merge that *rewrites* the expression changes the
-        cache key).  Re-walking the bindings would therefore be a pure
-        no-op; the engine skips it without re-hashing anything.  Counts
-        as a cache hit; a stale entry is dropped (not counted — the
-        follow-up :meth:`rule_bindings` call records the miss).
-        """
-        entry = self._binding_cache.get((rule_name, mexpr))
-        if entry is None:
-            return False
-        if self.probes_valid(entry[0]):
-            self.stats.binding_cache_hits += 1
-            return True
-        # Leave the stale entry in place: the follow-up rule_bindings
-        # call may still resume it incrementally (delta enumeration)
-        # when its probed groups only appended.
-        return False
-
-    def _enumerate_bindings(self, key, pattern, mexpr: GroupExpression, matcher=None):
-        probes: Dict[int, Tuple[int, int, int]] = {}
-        expressions_of = self.probing_expressions_of(probes)
-        collected: List[dict] = []
-        if matcher is None:
-            iterator = match_memo(
-                pattern, mexpr.operator, mexpr.args, mexpr.input_groups, expressions_of
-            )
-        else:
-            iterator = matcher(mexpr.args, mexpr.input_groups, expressions_of)
-        for binding in iterator:
-            collected.append(dict(binding))
-            yield binding
-        # Only a run-to-completion enumeration is cached; an abandoned
-        # generator (budget trip) stores nothing.
-        self._binding_cache[key] = (probes, collected)
-
-    def _enumerate_delta(self, key, mexpr, delta, old_probes, old_bindings):
-        """Resume a stale append-only enumeration from its cached prefix.
-
-        ``delta`` is the generated delta matcher for this rule's pattern
-        (see :mod:`repro.generator.kernel`).  It walks the full product
-        in interpreter order but consumes cached binding dicts
-        *positionally* for combinations whose every index falls inside
-        the recorded old prefix — those were all fingerprinted into the
-        owning group's ``applied`` set by the exploration pass that
-        filled the cache, so the engine loop treats them as no-ops
-        either way; skipping the dict build and hash is unobservable.
-        Only combinations touching at least one new expression are
-        yielded.  The rebuilt ``collected`` list preserves exact
-        full-walk order, so later cache hits replay identically.
-
-        A merge firing *mid-walk* can rewrite a probed group's prefix
-        out from under the positional replay; the matcher watches the
-        merge counter and degrades to yielding everything from that
-        point on — exactly the interpreter's behaviour — leaving a
-        stale entry that is never served.
-        """
-        probes: Dict[int, Tuple[int, int, int]] = {}
-        expressions_of = self.probing_expressions_of(probes)
-        canonical = self.canonical
-
-        def old_len(gid: int) -> int:
-            probe = old_probes.get(canonical(gid))
-            return probe[2] if probe is not None else 0
-
-        stats = self.stats
-        epoch = stats.group_merges
-
-        def unchanged() -> bool:
-            return stats.group_merges == epoch
-
-        collected: List[dict] = []
-        for binding in delta(
-            mexpr.args,
-            mexpr.input_groups,
-            expressions_of,
-            old_len,
-            old_bindings,
-            collected,
-            unchanged,
-        ):
-            yield binding
-        self._binding_cache[key] = (probes, collected)
 
     def cached_moves(self, gid: int):
         """The memoized move list for a group, or None when stale/absent."""
@@ -716,9 +555,7 @@ class Memo:
         del self._moves_cache[gid]
         return None
 
-    def store_moves(
-        self, gid: int, probes: Dict[int, Tuple[int, int, int]], moves: tuple
-    ) -> None:
+    def store_moves(self, gid: int, probes: Dict[int, int], moves: tuple) -> None:
         """Memoize a group's move list together with its probe record."""
         self.stats.moves_cache_misses += 1
         self._moves_cache[gid] = (probes, moves)
@@ -773,16 +610,10 @@ class Memo:
                 f"properties: [{keeper.logical_props}] vs [{dead.logical_props}]"
             )
         dead.merged_into = keeper.id
-        # Both groups' contents change: stale any probe-validated cache
-        # entry that read either of them.  Only the *dead* group's
-        # structure changes, though — the keeper strictly appends (its
-        # recorded prefix stays intact), which is what lets delta
-        # enumeration resume over it.  If a keeper-owned expression
-        # itself needs rewriting it shows up in the parent loop below,
-        # which does bump the owner's structure version.
+        # Both groups' contents change: stale any moves-cache entry
+        # that read either of them.
         keeper.version += 1
         dead.version += 1
-        dead.structure_version += 1
         # Move the expressions across.
         for mexpr in dead.expressions:
             self._table.pop(mexpr, None)
@@ -825,9 +656,6 @@ class Memo:
             owner = self.canonical(owner)
             owner_group = self._groups[owner]
             owner_group.version += 1
-            # The rewrite removes an expression from the middle of the
-            # list: the owner's recorded prefixes are no longer intact.
-            owner_group.structure_version += 1
             rewritten = self._canonical_mexpr(parent)
             if parent in owner_group.expression_set:
                 owner_group.expression_set.discard(parent)

@@ -5,37 +5,30 @@ the set of moves by promise" — but leaves the function itself to the
 optimizer implementor: "Pursuing all moves or only a selected few is a
 major heuristic placed into the hands of the optimizer implementor."
 This module makes that hook explicit.  A :class:`PromiseModel` answers
-three questions for the engines:
+two questions for the engines:
 
 * what is a transformation rule's promise over a given equivalence
   class (consulted by the ``min_promise`` pruning filter);
 * what is an implementation rule's promise over a given class
-  (consulted when ordering a goal's algorithm moves);
-* is there a trustworthy prior on the whole query's optimal cost
-  (consulted to seed the root branch-and-bound limit).
+  (consulted when ordering a goal's algorithm moves).
 
 Two models ship:
 
 :class:`StaticPromise`
-    The default.  Returns ``rule.promise`` verbatim and never offers a
-    cost prior — bit-for-bit the engines' historical behavior.
+    The default.  Returns ``rule.promise`` verbatim — bit-for-bit the
+    engines' historical behavior.
 
 :class:`LearnedPromiseModel`
     Derives priors from :class:`~repro.feedback.FeedbackStore`
     evidence, keyed exactly the way the store aggregates it — per
-    table, per predicate shape, per selectivity bucket — plus an
-    observed-cost prior per (query, goal) fingerprint that seeds
-    tighter branch-and-bound upper bounds on repeat workloads.
+    table, per predicate shape, per selectivity bucket.
 
 **Safety.**  Under exhaustive search a promise model can only *reorder*
 moves, never add or remove them, and the engines select winners by the
 order-independent ``(cost, rank, alternative)`` rule (see
 ``docs/search-internals.md``, "Promise and move ordering") — so the
-chosen plan is identical for every model.  A cost-bound prior is a
-pure branch-and-bound seed: when it is at or above the true optimum the
-same winner is found faster; when it is below (statistics moved), the
-seeded search fails and the engine transparently retries at the
-caller's limit.  Plans never change; only the work to find them does.
+chosen plan is identical for every model.  Plans never change; only the
+work to find them does.
 
 Models are plain mutable objects shared across runs (that is the
 point: evidence accumulates).  They are not synchronized — feed one
@@ -47,9 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple, runtime_checkable
 
-from repro.algebra.expressions import LogicalExpression
-from repro.algebra.properties import LogicalProperties, PhysProps
-from repro.model.cost import Cost
+from repro.algebra.properties import LogicalProperties
 from repro.model.rules import ImplementationRule, TransformationRule
 
 if TYPE_CHECKING:
@@ -69,9 +60,9 @@ __all__ = [
 class PromiseModel(Protocol):
     """What the engines ask of a promise model.
 
-    All four methods must be deterministic for fixed model state, and
-    the model must not mutate itself inside the three query methods —
-    the engines cache move lists (with promises baked in) per run.
+    Both methods must be deterministic for fixed model state and must
+    not mutate the model — the engines cache move lists (with promises
+    baked in) per run.
     """
 
     def transformation_promise(
@@ -84,18 +75,6 @@ class PromiseModel(Protocol):
         self, rule: ImplementationRule, props: Optional[LogicalProperties]
     ) -> float:
         """The rule's promise over a class; orders a goal's moves."""
-        ...
-
-    def cost_bound(
-        self, query: LogicalExpression, required: PhysProps
-    ) -> Optional[Cost]:
-        """A prior upper bound on the query's optimal cost, or None."""
-        ...
-
-    def observe_result(
-        self, query: LogicalExpression, required: PhysProps, cost: Cost
-    ) -> None:
-        """Told by the engine after each non-degraded optimization."""
         ...
 
 
@@ -113,18 +92,6 @@ class StaticPromise:
     ) -> float:
         """The rule author's static promise, verbatim."""
         return rule.promise
-
-    def cost_bound(
-        self, query: LogicalExpression, required: PhysProps
-    ) -> Optional[Cost]:
-        """Never offers a prior: the root limit is the caller's."""
-        return None
-
-    def observe_result(
-        self, query: LogicalExpression, required: PhysProps, cost: Cost
-    ) -> None:
-        """Static promise learns nothing; results are discarded."""
-        return None
 
 
 #: The shared default instance; the engines compare against it by
@@ -150,18 +117,11 @@ class AlgorithmEvidence:
 class LearnedPromiseModel:
     """Promise priors learned from execution feedback.
 
-    Evidence comes in through two channels:
-
-    * :meth:`observe` folds a :class:`~repro.feedback.FeedbackReport`
-      (and, when given, refreshes the mirrored
-      :class:`~repro.feedback.FeedbackStore` aggregates — per table,
-      per predicate shape, per selectivity bucket, the store's own
-      keying);
-    * :meth:`observe_result` — called by the engines after every
-      non-degraded optimization — records the optimal cost per
-      (query, goal) fingerprint.
-
-    And out through the :class:`PromiseModel` protocol:
+    Evidence comes in through :meth:`observe`, which folds a
+    :class:`~repro.feedback.FeedbackReport` (and, when given, refreshes
+    the mirrored :class:`~repro.feedback.FeedbackStore` aggregates — per
+    table, per predicate shape, per selectivity bucket, the store's own
+    keying), and out through the :class:`PromiseModel` protocol:
 
     * **implementation promise** — ``rule.promise`` plus a bounded
       additive boost (at most ``boost``) for algorithms that executed
@@ -172,8 +132,6 @@ class LearnedPromiseModel:
       (high q-error): where the cost model has been wrong, widen the
       logical search rather than prune it.  Only consulted when
       ``min_promise`` pruning is active.
-    * **cost bound** — the recorded optimal cost of the same (query,
-      goal), seeding the root branch-and-bound limit on repeats.
 
     Every output is a pure function of the accumulated evidence, so a
     run's move ordering is deterministic; and under exhaustive search
@@ -196,10 +154,6 @@ class LearnedPromiseModel:
     #: Mean observed selectivity per (table, predicate shape, bucket) —
     #: the FeedbackStore's own aggregation key.
     _selectivities: Dict[Tuple[str, Tuple[Tuple[str, str], ...], int], float] = field(
-        default_factory=dict
-    )
-    #: Latest observed optimal cost per (query, goal) fingerprint.
-    _cost_priors: Dict[Tuple[LogicalExpression, PhysProps], Cost] = field(
         default_factory=dict
     )
 
@@ -242,12 +196,6 @@ class LearnedPromiseModel:
                 self._tables[table], store.max_q_error(table)
             )
 
-    def observe_result(
-        self, query: LogicalExpression, required: PhysProps, cost: Cost
-    ) -> None:
-        """Record an optimization's final cost as a repeat-run prior."""
-        self._cost_priors[(query, required)] = cost
-
     # -- evidence out -----------------------------------------------------
 
     def _table_reliability(self, props: Optional[LogicalProperties]) -> float:
@@ -282,25 +230,6 @@ class LearnedPromiseModel:
         reliability = self._table_reliability(props)
         return rule.promise + self.boost * accuracy * frequency * reliability
 
-    def cost_bound(
-        self, query: LogicalExpression, required: PhysProps
-    ) -> Optional[Cost]:
-        """A widened prior on the goal's optimal cost, or None."""
-        prior = self._cost_priors.get((query, required))
-        if prior is None:
-            return None
-        # Widen the recorded optimum before seeding.  Seeding the limit
-        # at *exactly* the optimum is unsafe in floating point: the
-        # engine propagates limits by repeated ``bound - total``
-        # subtraction, and at zero slack the reassociated arithmetic
-        # can exclude the canonical equal-cost candidate (flipping a
-        # tie to a different plan) or fail the whole attempt (forcing a
-        # full-limit retry).  Doubling is the widest-margin widening
-        # expressible through the generic ``Cost.__add__`` — it works
-        # for every cost type without knowing its fields — and still
-        # prunes everything costlier than twice the observed optimum.
-        return prior + prior
-
     # -- introspection ----------------------------------------------------
 
     def selectivity_for(
@@ -312,8 +241,3 @@ class LearnedPromiseModel:
     def algorithm_evidence(self, algorithm: str) -> Optional[AlgorithmEvidence]:
         """The accumulated evidence for one algorithm, or None."""
         return self._algorithms.get(algorithm)
-
-    @property
-    def priors(self) -> int:
-        """How many (query, goal) cost priors are recorded."""
-        return len(self._cost_priors)

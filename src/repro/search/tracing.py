@@ -9,7 +9,7 @@ memory, rule/cost invocations mirror work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List
 
 __all__ = ["SearchStats", "TraceEvent"]
@@ -47,11 +47,11 @@ class SearchStats:
     inputs_abandoned: int = 0
     consistency_checks: int = 0
     exploration_passes: int = 0
-    # Derivation-cache counters (repro.search.memo probe-validated
-    # caches) and union-find instrumentation.
-    props_cache_hits: int = 0
+    # Never incremented: kept only for perf/layers.py:137, their one reader.
     binding_cache_hits: int = 0
     binding_cache_misses: int = 0
+    # Moves-cache counters (repro.search.memo's probe-validated cache)
+    # and union-find instrumentation.
     moves_cache_hits: int = 0
     moves_cache_misses: int = 0
     canonical_hops: int = 0
@@ -61,11 +61,6 @@ class SearchStats:
     # Resource-governance counters (repro.options.ResourceBudget).
     budget_trips: int = 0
     greedy_plans: int = 0
-    # Promise-model counters (repro.search.promise): root searches
-    # seeded from an observed-cost prior, and how many of those seeds
-    # were too tight (statistics moved) and forced a full-limit retry.
-    bound_seeds: int = 0
-    bound_seed_retries: int = 0
     # Wall-clock, filled in by the engine.
     elapsed_seconds: float = 0.0
 
@@ -75,35 +70,7 @@ class SearchStats:
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (for reports and CSV)."""
-        return {
-            "groups_created": self.groups_created,
-            "expressions_created": self.expressions_created,
-            "group_merges": self.group_merges,
-            "find_best_plan_calls": self.find_best_plan_calls,
-            "winner_hits": self.winner_hits,
-            "failure_hits": self.failure_hits,
-            "rule_bindings_tried": self.rule_bindings_tried,
-            "rules_fired": self.rules_fired,
-            "algorithm_costings": self.algorithm_costings,
-            "enforcer_costings": self.enforcer_costings,
-            "moves_pruned": self.moves_pruned,
-            "inputs_abandoned": self.inputs_abandoned,
-            "consistency_checks": self.consistency_checks,
-            "exploration_passes": self.exploration_passes,
-            "props_cache_hits": self.props_cache_hits,
-            "binding_cache_hits": self.binding_cache_hits,
-            "binding_cache_misses": self.binding_cache_misses,
-            "moves_cache_hits": self.moves_cache_hits,
-            "moves_cache_misses": self.moves_cache_misses,
-            "canonical_hops": self.canonical_hops,
-            "seeds_planted": self.seeds_planted,
-            "winners_harvested": self.winners_harvested,
-            "budget_trips": self.budget_trips,
-            "greedy_plans": self.greedy_plans,
-            "bound_seeds": self.bound_seeds,
-            "bound_seed_retries": self.bound_seed_retries,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         return (

@@ -41,7 +41,6 @@ def test_results_shape(results):
         "figure4_n4",
         "memo_insert",
         "memo_merge",
-        "binding_enum",
         "feedback_loop",
         "batch_throughput",
         "mqo_sharing",
@@ -63,7 +62,6 @@ def test_results_shape(results):
     ordering = benches["promise_ordering"]
     assert ordering["learned_costings"] <= ordering["static_costings"] < 490
     assert ordering["rule_firing_delta"] == 0
-    assert ordering["bound_seed_retries"] == 0
     assert ordering["min_promise_pruned"] == 4
     for metrics in benches.values():
         assert metrics["median_ms"] > 0
@@ -73,9 +71,7 @@ def test_results_shape(results):
         assert point["mean_groups"] > 0
         assert point["mean_expressions"] > 0
         assert point["audit_violations"] == 0
-        assert 0.0 <= point["binding_hit_rate"] <= 1.0
-    # The second binding sweep must be served by the derivation cache.
-    assert benches["binding_enum"]["sweep_hit_rate"] > 0.9
+        assert 0.0 < point["moves_hit_rate"] <= 1.0
     assert json.loads(json.dumps(results)) == results  # JSON-clean
 
 
@@ -108,13 +104,13 @@ def test_count_drift_fails_tightly(results):
 
 def test_hit_rate_only_fails_downward(results):
     shifted = json.loads(json.dumps(results))
-    shifted["benches"]["binding_enum"]["sweep_hit_rate"] = 0.0
+    shifted["benches"]["figure4_n3"]["moves_hit_rate"] = 0.0
     assert any(
-        "sweep_hit_rate" in failure
+        "moves_hit_rate" in failure
         for failure in compare(shifted, results, SMALL)
     )
     improved = json.loads(json.dumps(results))
-    improved["benches"]["binding_enum"]["sweep_hit_rate"] = 1.0
+    improved["benches"]["figure4_n3"]["moves_hit_rate"] = 1.0
     assert compare(improved, results, SMALL) == []
 
 

@@ -1,7 +1,7 @@
 """Tests for specialized search-kernel generation (repro.generator.kernel).
 
-Covers the emitted module's shape, the content-hash caches (in-process,
-on-disk, ``force=``), and the delta enumerator's drift guard.
+Covers the emitted module's shape and the content-hash caches
+(in-process, on-disk, ``force=``).
 """
 
 from pathlib import Path
@@ -19,7 +19,6 @@ from repro.generator import (
     source_fingerprint,
     spec_fingerprint,
 )
-from repro.generator.kernel import _count_inner_ops
 from repro.models.relational import RelationalModelOptions, relational_model
 from repro.options import KERNEL_TIERS
 
@@ -45,9 +44,9 @@ def test_kernel_source_shape():
     compile(source, "<kernel>", "exec")
     assert "TRANSFORMATION_MATCHERS = (" in source
     assert "IMPLEMENTATION_MATCHERS = (" in source
-    # Nested patterns get a delta enumerator; flat ones explicitly none.
-    assert "_d(" in source
-    assert ", None)," in source
+    # One matcher per rule and nothing else: no delta enumerators.
+    assert "old_len" not in source
+    assert "_d(" not in source
     # The interpreter's pattern walk is gone: matchers loop directly.
     assert "expressions_of(" in source
 
@@ -64,13 +63,6 @@ def test_fingerprint_distinguishes_rule_sets():
         relational_model(RelationalModelOptions(enable_filter_scan=False))
     )
     assert base != trimmed
-
-
-def test_count_inner_ops():
-    spec = relational_model()
-    by_name = {rule.name: rule for rule in spec.transformations}
-    assert _count_inner_ops(by_name["join_commute"].pattern) == 0
-    assert _count_inner_ops(by_name["join_associate"].pattern) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +100,12 @@ def test_dispatch_tables_cover_every_rule():
     kernel = kernel_for(spec, "specialized")
     listed = [
         rule.name
-        for triples in kernel.transformation_dispatch.values()
-        for rule, _, _ in triples
+        for pairs in kernel.transformation_dispatch.values()
+        for rule, _ in pairs
     ]
     assert sorted(listed) == sorted(r.name for r in spec.transformations)
-    for triples in kernel.implementation_dispatch.values():
-        for rule, matcher, _delta in triples:
+    for pairs in kernel.implementation_dispatch.values():
+        for rule, matcher in pairs:
             assert callable(matcher)
             assert rule.top_operator in kernel.implementation_dispatch
 
@@ -149,65 +141,6 @@ def test_drifted_spec_refused():
     # kernel: binding must succeed, not silently reuse the wrong tables.
     other = kernel_for(drifted, "specialized")
     assert other.fingerprint != spec_fingerprint(spec)
-
-
-# ---------------------------------------------------------------------------
-# Delta enumerator drift guard
-# ---------------------------------------------------------------------------
-
-
-def test_delta_guard_trips_on_bad_cache():
-    """Consuming fewer cached bindings than were stored must raise."""
-    spec = relational_model()
-    kernel = kernel_for(spec, "specialized")
-    delta = next(
-        d
-        for triples in kernel.transformation_dispatch.values()
-        for rule, _m, d in triples
-        if rule.name == "join_associate"
-    )
-    # One join expression over groups (1, 2); group 1 holds a non-join,
-    # so the walk yields nothing — but the stale cache claims a binding.
-    expressions = {1: [("get", ("r",), ())], 2: []}
-    out = []
-    with pytest.raises(RuntimeError, match="drift"):
-        list(
-            delta(
-                None,
-                (1, 2),
-                lambda gid: expressions[gid],
-                lambda gid: 1,
-                [{"p1": None}],
-                out,
-                lambda: True,
-            )
-        )
-
-
-def test_delta_guard_suppressed_after_merge():
-    """The same walk must degrade silently when a merge intervened."""
-    spec = relational_model()
-    kernel = kernel_for(spec, "specialized")
-    delta = next(
-        d
-        for triples in kernel.transformation_dispatch.values()
-        for rule, _m, d in triples
-        if rule.name == "join_associate"
-    )
-    expressions = {1: [("get", ("r",), ())], 2: []}
-    out = []
-    produced = list(
-        delta(
-            None,
-            (1, 2),
-            lambda gid: expressions[gid],
-            lambda gid: 1,
-            [{"p1": None}],
-            out,
-            lambda: False,  # a merge happened mid-walk
-        )
-    )
-    assert produced == []
 
 
 # ---------------------------------------------------------------------------

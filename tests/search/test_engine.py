@@ -1,5 +1,7 @@
 """Tests for the Volcano search engine (the paper's Figure 2)."""
 
+import dataclasses
+
 import pytest
 
 from repro.algebra.predicates import TRUE, eq
@@ -209,6 +211,9 @@ def test_stats_counters_populated(optimizer):
     assert stats.algorithm_costings > 0
     assert stats.enforcer_costings >= 0
     assert stats.elapsed_seconds > 0
+    # as_dict is derived from the fields, so a counter cannot drift out.
+    assert list(stats.as_dict()) == [f.name for f in dataclasses.fields(stats)]
+    assert stats.as_dict()["groups_created"] == stats.groups_created
 
 
 def test_trace_collection(catalog):

@@ -29,6 +29,7 @@ from repro.catalog import Catalog, ColumnStatistics, Schema, TableStatistics
 from repro.models.relational import get, join, relational_model, select
 from repro.search import SearchOptions, VolcanoOptimizer
 from repro.systemr import SystemROptimizer, SystemROptions
+from repro.verify import verify_plan
 from repro.workloads import QueryGenerator, WorkloadOptions
 
 SPEC = relational_model()
@@ -78,6 +79,30 @@ def test_star_builds_each_class_once(relations, kernel):
 @pytest.mark.parametrize("relations", SIZES)
 def test_random_tree_builds_each_class_once(relations, seed, kernel):
     assert_built_once(explore("random", relations, seed, kernel))
+
+
+@pytest.mark.parametrize("shape", ["chain", "star"])
+@pytest.mark.parametrize("relations", SIZES)
+def test_certificates_verify_and_agree_across_kernels(shape, relations):
+    """The certifier re-enumerates bindings, uncached, on the finished memo."""
+    generated = QueryGenerator(WorkloadOptions(shape=shape)).generate(
+        relations, seed=relations
+    )
+    certificates = []
+    for kernel in KERNELS:
+        result = VolcanoOptimizer(
+            SPEC, generated.catalog, SearchOptions(kernel=kernel, certificates=True)
+        ).optimize(generated.query, generated.required)
+        report = verify_plan(
+            SPEC,
+            generated.query,
+            result.plan,
+            result.certificate,
+            catalog=generated.catalog,
+        )
+        assert report.ok, report.render()
+        certificates.append(result.certificate)
+    assert certificates[0] == certificates[1]
 
 
 # ---------------------------------------------------------------------------

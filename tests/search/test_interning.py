@@ -42,8 +42,9 @@ from repro.models import (
 )
 from repro.models.relational import get, join, select
 from repro.models.setops import union
-from repro.search import VolcanoOptimizer
+from repro.search import SearchOptions, VolcanoOptimizer
 from repro.search.memo import Memo, Winner
+from repro.verify import verify_plan
 from repro.workloads import QueryGenerator
 
 from tests.helpers import make_catalog
@@ -148,7 +149,48 @@ def test_merge_dedupes_members_and_preserves_winners(builder):
     assert not MemoAuditor().audit(result)
 
 
-def test_engine_merges_when_a_rule_discovers_an_equality_late():
+def late_equality_runs(spec, catalog, query, unwrapped):
+    """Optimize ``query`` under both kernels; one merge, one reopened class.
+
+    Checks what every late-equality search must show — the merge, the
+    confirming sweep, a closed and audited memo, the plan of the same
+    query written without the wrapper — and that a reopened class is
+    re-enumerated in full, firing only what ``group.applied`` has not
+    seen: the counters agree across kernels.
+    """
+    runs = []
+    for kernel in (None, "specialized"):
+        optimizer = VolcanoOptimizer(
+            spec, catalog, SearchOptions(kernel=kernel, certificates=True)
+        )
+        auditor = MemoAuditor().attach(optimizer)
+        result = optimizer.optimize(query)
+        stats, memo = result.stats, result.memo
+        assert stats.group_merges == 1
+        assert stats.groups_created - 1 == memo.group_count()
+        assert stats.exploration_passes == 2
+        assert_interned_and_deduped(memo)
+        for gid in memo.reachable(result.root_group):
+            group = memo.group(gid)
+            assert group.explored and not group.exploring
+        plain = optimizer.optimize(unwrapped)
+        assert result.cost == plain.cost
+        assert result.plan.to_sexpr() == plain.plan.to_sexpr()
+        assert auditor.audits == 2
+        assert not auditor.violations, [str(v) for v in auditor.violations]
+        runs.append(result)
+    interpreted, specialized = runs
+    assert interpreted.plan.to_sexpr() == specialized.plan.to_sexpr()
+    assert interpreted.certificate == specialized.certificate
+    assert interpreted.stats.rules_fired == specialized.stats.rules_fired
+    assert (
+        interpreted.stats.rule_bindings_tried
+        == specialized.stats.rule_bindings_tried
+    )
+    return runs
+
+
+def test_engine_merges_when_a_rule_discovers_an_equality_late(tmp_path, monkeypatch):
     """Merge, reopen, confirming sweep: the fallback still runs end to end.
 
     ``select[TRUE](x) -> x`` returns a bare group leaf, so the class of
@@ -157,7 +199,17 @@ def test_engine_merges_when_a_rule_discovers_an_equality_late():
     the input of the union's other operand, which by then is explored and
     off the stack: the merge re-keys and reopens it, and only the sweep
     after the descent closes it again.
+
+    A group collapse is not a step a certificate can replay, so the
+    second rule reaches the same merge through an ordinary rewrite —
+    ``select[p](select[TRUE](x)) -> select[p](x)`` lands in a class that
+    already holds it — and that certificate must verify.
     """
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    catalog = make_catalog(TABLES)
+    shared = select(get("r"), le("r.v", 10))
+    narrowed = select(shared, le("r.k", 5))
+
     spec = setops_model()
     spec.add_transformation(
         TransformationRule(
@@ -167,26 +219,39 @@ def test_engine_merges_when_a_rule_discovers_an_equality_late():
             condition=lambda binding, context: binding["p"][0].is_true,
         )
     )
-    optimizer = VolcanoOptimizer(spec, make_catalog(TABLES))
-    auditor = MemoAuditor().attach(optimizer)
-    shared = select(get("r"), le("r.v", 10))
-    narrowed = select(shared, le("r.k", 5))
-    result = optimizer.optimize(union(narrowed, select(shared, TRUE)))
-    stats, memo = result.stats, result.memo
-    assert stats.group_merges == 1
-    assert stats.groups_created - 1 == memo.group_count()
-    assert stats.exploration_passes == 2
-    assert_interned_and_deduped(memo)
-    merged = memo.insert_expression(shared)
-    assert memo.insert_expression(select(shared, TRUE)) == merged
-    reopened = memo.group(memo.insert_expression(narrowed))
-    assert [mexpr.input_groups for mexpr in reopened.expressions] == [(merged,)]
-    for gid in memo.reachable(result.root_group):
-        group = memo.group(gid)
-        assert group.explored and not group.exploring
-    assert result.cost == optimizer.optimize(union(narrowed, shared)).cost
-    assert auditor.audits == 2
-    assert not auditor.violations, [str(v) for v in auditor.violations]
+    query = union(narrowed, select(shared, TRUE))
+    for result in late_equality_runs(spec, catalog, query, union(narrowed, shared)):
+        memo = result.memo
+        merged = memo.insert_expression(shared)
+        assert memo.insert_expression(select(shared, TRUE)) == merged
+        reopened = memo.group(memo.insert_expression(narrowed))
+        assert [mexpr.input_groups for mexpr in reopened.expressions] == [(merged,)]
+
+    spec = setops_model()
+    spec.add_transformation(
+        TransformationRule(
+            "skip_true_select",
+            OpPattern(
+                "select",
+                (OpPattern("select", (AnyPattern("x"),), args_as="q"),),
+                args_as="p",
+            ),
+            lambda binding, context: select(binding["x"], binding["p"][0]),
+            condition=lambda binding, context: binding["q"][0].is_true,
+        )
+    )
+    consumer = select(narrowed, le("r.v", 3))
+    query = union(consumer, select(select(shared, TRUE), le("r.k", 5)))
+    for result in late_equality_runs(spec, catalog, query, union(consumer, narrowed)):
+        memo = result.memo
+        merged = memo.insert_expression(narrowed)
+        reopened = memo.group(memo.insert_expression(consumer))
+        assert [mexpr.input_groups for mexpr in reopened.expressions] == [(merged,)]
+        assert [step.rule for step in result.certificate.steps] == ["skip_true_select"]
+        report = verify_plan(
+            spec, query, result.plan, result.certificate, catalog=catalog
+        )
+        assert report.ok, report.render()
 
 
 @st.composite

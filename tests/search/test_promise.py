@@ -42,23 +42,6 @@ class FlipModel:
     def implementation_promise(self, rule, props):
         return self.promise if rule.algorithm == self.algorithm else rule.promise
 
-    def cost_bound(self, query, required):
-        return None
-
-    def observe_result(self, query, required, cost):
-        return None
-
-
-class PriorModel(FlipModel):
-    """A fixed cost prior for every query (and no reordering)."""
-
-    def __init__(self, prior):
-        super().__init__(algorithm=None)
-        self.prior = prior
-
-    def cost_bound(self, query, required):
-        return self.prior
-
 
 @pytest.fixture(scope="module")
 def spec():
@@ -200,46 +183,6 @@ def test_any_promise_model_preserves_plan(promises, want_sorted):
     assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
 
 
-def test_learned_cost_prior_seeds_without_changing_plans(spec, catalog):
-    """Repeat optimizations seed the root bound; plans stay identical."""
-    query = chain_query(["r", "s", "t", "u"])
-    required = sorted_on("r.k")
-    baseline = VolcanoOptimizer(
-        spec, catalog, SearchOptions(check_consistency=False)
-    ).optimize(query, required)
-
-    model = LearnedPromiseModel()
-    optimizer = VolcanoOptimizer(
-        spec, catalog, SearchOptions(check_consistency=False, promise_model=model)
-    )
-    cold = optimizer.optimize(query, required)
-    assert cold.stats.bound_seeds == 0
-    assert model.priors == 1
-    repeat = optimizer.optimize(query, required)
-    assert repeat.stats.bound_seeds == 1
-    assert repeat.stats.bound_seed_retries == 0
-    for result in (cold, repeat):
-        assert result.cost == baseline.cost
-        assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
-
-
-def test_too_tight_prior_retries_transparently(spec, catalog):
-    """A below-optimum prior fails the seeded attempt, then retries."""
-    query = chain_query(["r", "s", "t"])
-    baseline = VolcanoOptimizer(
-        spec, catalog, SearchOptions(check_consistency=False)
-    ).optimize(query)
-    impossible = baseline.cost - baseline.cost  # zero-cost prior
-    options = SearchOptions(
-        check_consistency=False, promise_model=PriorModel(impossible)
-    )
-    result = VolcanoOptimizer(spec, catalog, options).optimize(query)
-    assert result.stats.bound_seeds == 1
-    assert result.stats.bound_seed_retries == 1
-    assert result.cost == baseline.cost
-    assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
-
-
 # ---------------------------------------------------------------------------
 # The learned loop end to end
 # ---------------------------------------------------------------------------
@@ -274,7 +217,6 @@ def test_learned_model_end_to_end_via_service(spec):
     evidence = model.algorithm_evidence("merge_join")
     assert evidence is not None and evidence.observations >= 2
     assert model.algorithm_evidence("hybrid_hash_join") is None
-    assert model.priors >= 1
     merge_rule = next(
         rule for rule in spec.implementations if rule.algorithm == "merge_join"
     )
@@ -287,7 +229,7 @@ def test_learned_model_end_to_end_via_service(spec):
         merge_rule, None
     ) > model.implementation_promise(hash_rule, None)
 
-    # Repeats: same plans as a static engine, bounds seeded.
+    # Repeats: same plans as a static engine.
     static = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False)
     ).optimize(query, required)
@@ -296,21 +238,25 @@ def test_learned_model_end_to_end_via_service(spec):
         catalog,
         SearchOptions(check_consistency=False, promise_model=model),
     ).optimize(query, required)
-    assert repeat.stats.bound_seeds == 1
-    assert repeat.stats.bound_seed_retries == 0
     assert repeat.cost == static.cost
     assert repeat.plan.to_sexpr() == static.plan.to_sexpr()
 
 
 def test_service_options_fold_model_into_engine_calls(spec, catalog):
     """``ServiceOptions(promise_model=...)`` reaches plain optimize()."""
-    model = LearnedPromiseModel()
+    asked = []
+
+    class Recording(FlipModel):
+        def implementation_promise(self, rule, props):
+            asked.append(rule.algorithm)
+            return rule.promise
+
     optimizer = VolcanoOptimizer(spec, catalog, SearchOptions(check_consistency=False))
     service = OptimizerService(
-        optimizer, options=ServiceOptions(promise_model=model)
+        optimizer, options=ServiceOptions(promise_model=Recording(None))
     )
     service.optimize(chain_query(["r", "s"]))
-    assert model.priors == 1  # the engine's observe_result reached it
+    assert "hybrid_hash_join" in asked  # the engine ordered moves by it
 
 
 def test_observe_skips_enforcers_and_quarantines_degraded():
@@ -350,6 +296,34 @@ def test_observe_skips_enforcers_and_quarantines_degraded():
 def test_static_promise_satisfies_protocol():
     assert isinstance(STATIC_PROMISE, PromiseModel)
     assert isinstance(LearnedPromiseModel(), PromiseModel)
+
+
+def test_two_methods_make_a_model_and_a_legacy_model_still_runs(spec, catalog):
+    """The protocol is the two promise methods; extra methods are ignored."""
+    assert isinstance(FlipModel("merge_join"), PromiseModel)
+    asked = []
+
+    class Legacy(FlipModel):
+        """Written against the four-method protocol."""
+
+        def cost_bound(self, query, required):
+            asked.append("cost_bound")
+
+        def observe_result(self, query, required, cost):
+            asked.append("observe_result")
+
+    legacy = Legacy("merge_join")
+    assert isinstance(legacy, PromiseModel)
+    query = chain_query(["r", "s", "t"])
+    baseline, result = (
+        VolcanoOptimizer(
+            spec, catalog, SearchOptions(check_consistency=False, promise_model=model)
+        ).optimize(query, sorted_on("r.k"))
+        for model in (None, legacy)
+    )
+    assert result.cost == baseline.cost
+    assert result.plan.to_sexpr() == baseline.plan.to_sexpr()
+    assert asked == []  # the engine no longer calls either
 
 
 # ---------------------------------------------------------------------------
