@@ -49,9 +49,13 @@ def main() -> None:
             assert not cold["cached"] and cold["verified"]
             print(f"cold optimize: cost={cold['cost_total']:.0f} "
                   f"verified={cold['verified']}")
+            admitted = client.stats()["admission"]["admitted"]
             warm = client.optimize(CHAIN)
             assert warm["cached"] and warm["sexpr"] == cold["sexpr"]
-            print(f"warm optimize: cached={warm['cached']}")
+            # A hit is answered on the event loop: no admission slot.
+            assert client.stats()["admission"]["admitted"] == admitted
+            print(f"warm optimize: cached={warm['cached']} "
+                  f"(admitted stays {admitted})")
 
             # -- prepared statement ----------------------------------
             prepared = client.prepare(POINT)

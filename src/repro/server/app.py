@@ -5,13 +5,14 @@
 process boundary: a small HTTP/1.1 server (stdlib asyncio streams, no
 framework) that many clients share.  The division of labor:
 
-* the **event loop** parses requests, runs admission control
-  (:class:`~repro.server.admission.AdmissionController`), and writes
-  responses — it never blocks on optimization;
-* a **thread pool** runs the CPU-bound work (translation, engine
-  runs, plan execution); the service underneath is thread-safe (locked
-  cache, single-flight deduplication), so concurrent requests share
-  one plan cache correctly;
+* the **event loop** parses requests, answers cache hits and pinned
+  plans where they arrive, runs admission control
+  (:class:`~repro.server.admission.AdmissionController`) for the
+  rest, and writes responses — it never blocks on optimization;
+* a **thread pool** runs the unbounded work (engine runs, plan
+  execution, over-long statements); the service underneath is
+  thread-safe (locked cache, single-flight deduplication), so
+  concurrent requests share one plan cache correctly;
 * the **plan registry** (:class:`~repro.server.registry.PlanRegistry`)
   sits in front of the service: pinned keys are served without
   touching the optimizer at all, and every fresh answer is routed
@@ -37,8 +38,8 @@ Endpoints (all bodies JSON):
 Per-request **hints** ride as top-level fields of any optimize-like
 body: ``kernel`` / ``promise`` / ``budget`` steer that one run
 (:class:`~repro.options.QueryHints`), and ``deadline_seconds`` bounds
-the whole request — queue wait included; whatever remains after
-admission becomes the optimization's wall-clock budget.
+the whole request — queue wait included; whatever remains once a
+slot is granted becomes the optimization's wall-clock budget.
 """
 
 from __future__ import annotations
@@ -76,17 +77,22 @@ from repro.service.service import (
     ServedResult,
 )
 from repro.sql.normalize import bind_expression, normalize_literals
+from repro.sql.translator import translate
 
 __all__ = ["OptimizerServer", "ServerThread"]
 
 _MAX_BODY = 4 * 1024 * 1024
+#: A request carrying more SQL text than this is resolved and looked up
+#: on a worker: parse, translate, render and re-verify all grow with the
+#: statement, and the event loop only does bounded work.
+_MAX_LOOP_SQL = 2048
 
 
 class _Bound(NamedTuple):
-    """A bound statement as :meth:`OptimizerServer._serve` sees a query.
+    """A resolved query as :meth:`OptimizerServer._serve` sees it.
 
     Not a :class:`PreparedQuery`: the service derives cache keys lazily,
-    so a warm ``/bind`` pays one fingerprint and never normalizes.
+    so a warm request pays one fingerprint and never normalizes.
     """
 
     expression: LogicalExpression
@@ -134,7 +140,7 @@ class OptimizerServer:
             max_workers=self.options.workers,
             thread_name_prefix="repro-server",
         )
-        self._statements: Dict[str, Tuple[PreparedQuery, Any]] = {}
+        self._statements: Dict[str, Tuple[PreparedQuery, Any, int]] = {}
         self._statements_lock = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
@@ -343,85 +349,99 @@ class OptimizerServer:
             self._executor, fn
         )
 
+    def _translate(self, sql: str) -> _Bound:
+        """SQL text → what :meth:`_serve` resolves a request to."""
+        translation = translate(sql, self.service.catalog)
+        return _Bound(translation.expression, translation.required)
+
     async def _serve(
         self,
         body: Mapping[str, Any],
-        resolve: Callable[[], list],
+        size: int,
+        resolve: Callable[[], List[_Bound]],
         work: Callable[..., Any],
         *,
-        early: bool = True,
-        pinned_work: Optional[Callable[[ServedResult], None]] = None,
+        served_work: Optional[Callable[[ServedResult, bool], None]] = None,
         managed: bool = True,
     ) -> List[_Answer]:
         """The one path every optimize-like request takes.
 
-        In order: hints → resolve → pin check → budget → admission →
-        worker thread → regression guard.  ``resolve()`` returns the
-        request's queries (anything with ``expression`` and ``props``);
-        ``work(queries, budget, hints, deadline)`` returns one
-        :class:`ServedResult` per *unpinned* one, from a worker inside
-        an admission slot.  A pinned query is answered from its pin.
+        On the event loop: hints → resolve → stable key → pin check →
+        cache lookup (:meth:`OptimizerService.lookup`: counted, and
+        re-verified, like any hit).  A pin or a hit is answered right
+        there.  Only a query that missed goes on: admission slot →
+        budget → one worker hop → regression guard, where
+        ``work(missed, budget, hints, deadline)`` returns one
+        :class:`ServedResult` per miss.
 
-        ``early`` resolves on a worker hop ahead of admission, so a
-        request whose every query is pinned takes no slot — unless
-        ``pinned_work(served)`` has something to run (``/execute``).
-        Otherwise (``/bind``, ``/batch``) resolution and the pin check
-        ride the one admitted hop.  ``managed=False`` is ``/plans/pin``,
-        which must see the optimizer's own answer: no pin, no guard.
+        The loop only does bounded work: a request carrying more than
+        ``_MAX_LOOP_SQL`` characters of SQL (``size``) takes its first
+        stage on a worker too.  ``served_work(served, pinned)`` is what
+        ``/execute`` still has to run, in a slot on a worker, for an
+        answer that needed no optimization.  ``managed=False`` is
+        ``/plans/pin``, which must see the optimizer's own answer: no
+        pin, no guard.
         """
         started = time.monotonic()
         hints, budget = parse_hints(body)
         deadline = parse_deadline(body)
 
-        def check() -> Tuple[list, List[str], list]:
-            queries = resolve()
-            keys = [stable_key(q.expression, q.props) for q in queries]
-            return queries, keys, [
-                self.registry.pinned(key) if managed else None for key in keys
-            ]
-
-        checked = await self._in_thread(check) if early else None
-        timeout = None
-        if deadline is not None:
-            # Whatever the request has left becomes the run's wall clock.
-            remaining = max(0.05, deadline - (time.monotonic() - started))
-            budget = ResourceBudget.tighten(budget, remaining)
-            timeout = min(deadline, self.options.queue_timeout_seconds)
-
-        def run() -> Tuple[list, List[str], list, List[ServedResult]]:
-            queries, keys, pins = checked or check()
-            unpinned = [q for q, pin in zip(queries, pins) if pin is None]
-            fresh = iter(work(unpinned, budget, hints, deadline) if unpinned else ())
-            results = []
-            for query, key, pin in zip(queries, keys, pins):
+        def check() -> List[Tuple[_Bound, str, bool, Any]]:
+            rows = []
+            for query in resolve():
+                expression, props = query
+                sexpr = expression.to_sexpr()  # rendered once, digested twice
+                key = stable_key(expression, props, sexpr=sexpr)
+                pin = self.registry.pinned(key) if managed else None
                 if pin is None:
-                    results.append(next(fresh))
-                    continue
-                self.registry.record_pinned_hit(key)
-                served = ServedResult(
-                    plan=pin.plan,
-                    cost=pin.cost_total,
-                    required=pin.required,
-                    fingerprint=getattr(query, "exact", None)
-                    or fingerprint(query.expression, query.props, self.service.catalog),
-                    cached=True,
-                    certificate=pin.certificate,
-                    verified=pin.verified,
-                )
-                if pinned_work is not None:
-                    pinned_work(served)
-                results.append(served)
-            return queries, keys, pins, results
+                    found = self.service.lookup(expression, props, sexpr=sexpr)
+                else:
+                    found = ServedResult(
+                        plan=pin.plan,
+                        cost=pin.cost_total,
+                        required=pin.required,
+                        fingerprint=fingerprint(
+                            expression, props, self.service.catalog, sexpr=sexpr
+                        ),
+                        cached=True,
+                        certificate=pin.certificate,
+                        verified=pin.verified,
+                    )
+                rows.append((query, key, pin is not None, found))
+            return rows
 
-        if checked is None or pinned_work is not None or not all(checked[2]):
-            async with self.admission.slot(timeout):
-                outcome = await self._in_thread(run)
+        rows = check() if size <= _MAX_LOOP_SQL else await self._in_thread(check)
+        missed = [found for *_, found in rows if isinstance(found, PreparedQuery)]
+
+        def run() -> List[ServedResult]:
+            fresh = iter(work(missed, budget, hints, deadline) if missed else ())
+            results = []
+            for _query, _key, pinned, found in rows:
+                if isinstance(found, PreparedQuery):
+                    found = next(fresh)
+                elif served_work is not None:
+                    served_work(found, pinned)
+                results.append(found)
+            return results
+
+        if missed or served_work is not None:
+            async with self.admission.slot(
+                deadline and min(deadline, self.options.queue_timeout_seconds)
+            ):
+                if deadline is not None:
+                    # What the request has left once it holds a slot
+                    # becomes the run's wall clock.
+                    remaining = max(0.05, deadline - (time.monotonic() - started))
+                    budget = ResourceBudget.tighten(budget, remaining)
+                results = await self._in_thread(run)
         else:
-            outcome = run()  # every query pinned: no slot, no thread
+            results = [found for *_, found in rows]  # no slot, no thread
         answers = []
-        for query, key, pin, served in zip(*outcome):
-            pinned, guard = pin is not None, None
-            if managed and pin is None and not (served.cached or served.degraded):
+        for (query, key, pinned, _found), served in zip(rows, results):
+            guard = None
+            if pinned:
+                self.registry.record_pinned_hit(key)
+            elif managed and not (served.cached or served.degraded):
                 # Fresh non-degraded answers go through the regression
                 # guard; a rollback swaps in the incumbent's plan.
                 decision = self.registry.admit(
@@ -482,7 +502,7 @@ class OptimizerServer:
     async def _handle_optimize(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         sql = require(body, "sql", str)
         [answer] = await self._serve(
-            body, lambda: [self.service.prepare(sql)], self._optimize_each
+            body, len(sql), lambda: [self._translate(sql)], self._optimize_each
         )
         return answer.payload()
 
@@ -496,11 +516,14 @@ class OptimizerServer:
             executed = self.service.execute(query, budget=budget, hints=hints)
             return [executed.served]
 
-        def run_pinned(served: ServedResult) -> None:
+        def run_served(served: ServedResult, pinned: bool) -> None:
+            nonlocal executed
+            if not pinned:  # a cache hit: executed like a fresh answer
+                executed = self.service.execute(served)
+                return
             # A pinned key executes its pinned plan verbatim.  The run
             # is uninstrumented on purpose: an operator override is not
             # evidence about the optimizer's estimates.
-            nonlocal executed
             stats = ExecutionStats()
             rows = execute_plan(
                 served.plan, self.service.catalog, stats, instrument=False
@@ -509,9 +532,10 @@ class OptimizerServer:
 
         [answer] = await self._serve(
             body,
-            lambda: [self.service.prepare(sql)],
+            len(sql),
+            lambda: [self._translate(sql)],
             run_fresh,
-            pinned_work=run_pinned,
+            served_work=run_served,
         )
         assert executed is not None
         served_from_pin = answer.pinned and answer.guard is None
@@ -551,7 +575,7 @@ class OptimizerServer:
             normalized.template, prepared.props
         )[:16]
         with self._statements_lock:
-            self._statements[statement] = (prepared, normalized)
+            self._statements[statement] = (prepared, normalized, len(sql))
         return {
             "statement": statement,
             "parameters": dict(normalized.bindings),
@@ -565,7 +589,7 @@ class OptimizerServer:
             entry = self._statements.get(statement)
         if entry is None:
             raise ServerError(f"unknown statement: {statement!r}", status=404)
-        prepared, normalized = entry
+        prepared, normalized, size = entry
         values = body.get("parameters") or {}
         if not isinstance(values, Mapping):
             raise ServerError("parameters must be an object")
@@ -579,16 +603,11 @@ class OptimizerServer:
         merged = {**dict(normalized.bindings), **dict(values)}
         [answer] = await self._serve(
             body,
+            size,
             lambda: [
                 _Bound(bind_expression(normalized.template, merged), prepared.props)
             ],
-            lambda queries, budget, hints, deadline: [
-                self.service.optimize(
-                    query.expression, query.props, budget=budget, hints=hints
-                )
-                for query in queries
-            ],
-            early=False,
+            self._optimize_each,
         )
         payload = answer.payload()
         payload["statement"] = statement
@@ -601,22 +620,32 @@ class OptimizerServer:
         sqls = require(body, "queries", list)
         if not sqls or not all(isinstance(q, str) for q in sqls):
             raise ServerError("queries must be a non-empty list of SQL strings")
+        for name in ("kernel", "promise"):
+            if body.get(name) is not None:
+                raise ServerError(
+                    f"field {name!r} is not accepted by /batch: one shared "
+                    "memo cannot honour a per-query hint"
+                )
         batch = BatchResult(results=())
+        before = self.service.stats.counters()
 
         def optimize_together(queries, budget, hints, deadline):
-            # Only the unpinned members, optimized together.  The
+            # Only the members that missed, optimized together.  The
             # request deadline goes to optimize_many whole (it splits it
-            # itself); there is no single run for the rest to steer.
+            # itself); the budget bounds each run it starts.
             nonlocal batch
-            batch = self.service.optimize_many(queries, deadline_seconds=deadline)
+            batch = self.service.optimize_many(
+                queries, deadline_seconds=deadline, budget=budget
+            )
             return batch.results
 
         answers = await self._serve(
             body,
-            lambda: [self.service.prepare(sql) for sql in sqls],
+            sum(map(len, sqls)),
+            lambda: [self._translate(sql) for sql in sqls],
             optimize_together,
-            early=False,
         )
+        after = self.service.stats.counters()
         report = batch.sharing_report
         return {
             "results": [answer.payload() for answer in answers],
@@ -631,11 +660,8 @@ class OptimizerServer:
                 else None
             ),
             "degraded_to_independent": batch.degraded_to_independent,
-            "cache_stats": (
-                batch.cache_stats.counters()
-                if batch.cache_stats is not None
-                else None
-            ),
+            # This request's lookups (on the loop) and engine runs.
+            "cache_stats": {name: after[name] - before[name] for name in after},
         }
 
     async def _handle_pin(self, body: Mapping[str, Any]) -> Dict[str, Any]:
@@ -643,7 +669,8 @@ class OptimizerServer:
         reason = str(body.get("reason", ""))
         [answer] = await self._serve(
             body,
-            lambda: [self.service.prepare(sql)],
+            len(sql),
+            lambda: [self._translate(sql)],
             self._optimize_each,
             managed=False,
         )

@@ -77,17 +77,22 @@ def _same_plan(left: PhysicalPlan, right: PhysicalPlan) -> bool:
     return left.to_sexpr() == right.to_sexpr()
 
 
-def stable_key(expression: LogicalExpression, props: PhysProps) -> str:
+def stable_key(
+    expression: LogicalExpression, props: PhysProps, *, sexpr: Optional[str] = None
+) -> str:
     """A version-independent identity for (query, required properties).
 
     Cache fingerprints bake per-table statistics versions into their
     digest, so the same query gets a *new* fingerprint after every
     refresh — exactly right for invalidation, exactly wrong for plan
     management, where pins and incumbents must track a query across
-    refreshes.  This digest covers only the canonical s-expression and
-    the property vector.
+    refreshes.  This digest covers only the canonical s-expression
+    (``sexpr``, when the caller has already rendered it) and the
+    property vector.
     """
-    payload = "\x1f".join((expression.to_sexpr(), str(props)))
+    if sexpr is None:
+        sexpr = expression.to_sexpr()
+    payload = "\x1f".join((sexpr, str(props)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

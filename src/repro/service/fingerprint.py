@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.properties import PhysProps
@@ -72,13 +72,19 @@ def fingerprint(
     props: PhysProps,
     catalog: Catalog,
     bucket_key: Tuple = (),
+    *,
+    sexpr: Optional[str] = None,
 ) -> Fingerprint:
-    """Fingerprint a query (or parameterized template) for the plan cache."""
+    """Fingerprint a query (or parameterized template) for the plan cache.
+
+    ``sexpr`` is ``expression.to_sexpr()`` when the caller has already
+    rendered it (a request renders its query once for every digest).
+    """
     tables = table_dependencies(expression, catalog)
     versions = tuple(catalog.table_version(name) for name in tables)
     payload = "\x1f".join(
         (
-            expression.to_sexpr(),
+            sexpr if sexpr is not None else expression.to_sexpr(),
             str(props),
             repr(bucket_key),
             repr(tuple(zip(tables, versions))),

@@ -33,7 +33,7 @@ import inspect
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -251,6 +251,11 @@ class PreparedQuery:
     long as the catalog's statistics have not moved since preparation
     (``statistics_version`` pins that; a stale prepared query is
     transparently re-keyed, never served wrong answers).
+
+    ``missed`` marks what :meth:`OptimizerService.lookup` returns for a
+    miss: the cache has been consulted (and counted) under these keys,
+    so :meth:`~OptimizerService.optimize` goes straight to
+    single-flight and the engine instead of looking up again.
     """
 
     expression: LogicalExpression
@@ -259,6 +264,12 @@ class PreparedQuery:
     template_key: Optional[Fingerprint]
     normalized: Optional[object]
     statistics_version: int
+    missed: bool = False
+
+    @property
+    def keys(self) -> _Keys:
+        """The cache keys: ``(exact, template_key, normalized)``."""
+        return self.exact, self.template_key, self.normalized
 
     def __str__(self) -> str:
         kind = "parameterized" if self.template_key is not None else "exact"
@@ -480,6 +491,9 @@ class OptimizerService:
         :meth:`optimize` is safe — it is re-keyed transparently.
         """
         expression, props, _ = self._resolve(query, props)
+        # Read first: keys of a later version under an earlier label are
+        # only ever re-keyed, never trusted.
+        version = self.catalog.statistics_version
         template_key, normalized = self._template_keys(expression, props)
         return PreparedQuery(
             expression=expression,
@@ -487,7 +501,78 @@ class OptimizerService:
             exact=fingerprint(expression, props, self.catalog),
             template_key=template_key,
             normalized=normalized,
-            statistics_version=self.catalog.statistics_version,
+            statistics_version=version,
+        )
+
+    def lookup(
+        self,
+        query: QueryLike,
+        props: Optional[PhysProps] = None,
+        *,
+        sexpr: Optional[str] = None,
+    ) -> Union[ServedResult, PreparedQuery]:
+        """The cache-only half of :meth:`optimize`; never runs the engine.
+
+        A hit is the :class:`ServedResult` :meth:`optimize` returns,
+        counted and (under ``verify_plans``) re-verified.  A miss is the
+        query with its complete cache keys, as a :class:`PreparedQuery`
+        marked ``missed``: hand it to :meth:`optimize`, :meth:`execute`
+        or :meth:`optimize_many` and the request is counted once —
+        unless the statistics moved in between, when it is re-keyed and
+        looked up afresh like any stale prepared query.  The work is
+        bounded by the query's size, so a server can do it on its event
+        loop.
+
+        Keys come from a fresh :class:`PreparedQuery` or are derived
+        here, lazily: the exact fingerprint first (from ``sexpr``, the
+        expression's rendering, when the caller already has it), the
+        template keys only once the exact lookup has missed — an exact
+        hit never normalizes literals.  Hit latency is *service-side*
+        (the lookup cost paid now), never the original optimization's
+        elapsed time; it accumulates under ``stats.hit_seconds``.
+        """
+        expression, props, keys = self._resolve(query, props)
+        if keys is not None and isinstance(query, PreparedQuery) and query.missed:
+            return query  # that very miss, still fresh: nothing to count
+        version = self.catalog.statistics_version
+        started = time.perf_counter()
+        self._sweep_if_stale()
+        if keys is None:
+            exact = fingerprint(expression, props, self.catalog, sexpr=sexpr)
+        else:
+            exact = keys[0]
+        entry = self.cache.get(exact)
+        quarantined = False
+        if entry is not None:
+            served = self._serve_exact(entry, expression, started)
+            if served is not None:
+                return served
+            quarantined = True
+        if keys is None:
+            template_key, normalized = self._template_keys(expression, props)
+        else:
+            _, template_key, normalized = keys
+        if template_key is not None and quarantined:
+            # The template entry came from the same (now distrusted)
+            # optimization as the quarantined exact entry: drop it too.
+            self.cache.remove(template_key)
+        elif template_key is not None:
+            entry = self.cache.get(template_key)
+            if entry is not None:
+                plan = bind_plan(entry.plan, normalized.bindings)
+                elapsed = time.perf_counter() - started
+                self.cache.stats.bump(hit_seconds=elapsed)
+                return ServedResult(
+                    plan=plan,
+                    cost=entry.cost,
+                    required=entry.required,
+                    fingerprint=template_key,
+                    cached=True,
+                    parameterized=True,
+                    elapsed_seconds=elapsed,
+                )
+        return PreparedQuery(
+            expression, props, exact, template_key, normalized, version, missed=True
         )
 
     def _resolve(
@@ -499,7 +584,7 @@ class OptimizerService:
 
         ``keys`` is the precomputed ``(exact, template, normalized)``
         triple when a fresh :class:`PreparedQuery` supplied it, else
-        None (derived by :meth:`_lookup`).  A prepared query whose
+        None (derived by :meth:`lookup`).  A prepared query whose
         ``statistics_version`` is stale — or that is being re-required
         under different ``props`` — falls back to recomputation.
         """
@@ -508,11 +593,10 @@ class OptimizerService:
                 (props is None or props == query.props)
                 and query.statistics_version == self.catalog.statistics_version
             )
-            keys = (query.exact, query.template_key, query.normalized)
             return (
                 query.expression,
                 props if props is not None else query.props,
-                keys if fresh else None,
+                query.keys if fresh else None,
             )
         if isinstance(query, str):
             from repro.sql.translator import Translator
@@ -565,13 +649,12 @@ class OptimizerService:
         leader's answer as-is, so a follower's own ``budget``/``hints``
         do not shape the shared plan.
         """
-        expression, props, prepared_keys = self._resolve(query, props)
+        found = self.lookup(query, props)
+        if isinstance(found, ServedResult):
+            return found
         started = time.perf_counter()
-        self._sweep_if_stale()
-        served, keys = self._lookup(expression, props, prepared_keys, started)
-        if served is not None:
-            return served
-        exact, template_key, _ = keys
+        expression, props = found.expression, found.props
+        keys = exact, template_key, _ = found.keys
 
         def miss() -> ServedResult:
             # Late-leader re-check: this thread's lookup missed, but
@@ -630,63 +713,6 @@ class OptimizerService:
             ),
         )
         return template_key, normalized
-
-    def _lookup(
-        self,
-        query: LogicalExpression,
-        props: PhysProps,
-        keys: Optional[_Keys],
-        started: float,
-    ) -> Tuple[Optional[ServedResult], _Keys]:
-        """The cache-only half of :meth:`optimize`: ``(hit, keys)``.
-
-        ``keys`` come from a fresh :class:`PreparedQuery` or are derived
-        here, lazily: the exact fingerprint first, the template keys
-        only once the exact lookup has missed — an exact hit never
-        normalizes literals (and returns no template keys).  On a miss
-        ``hit`` is None and the keys are complete, ready for
-        :meth:`_serve_fresh`.
-
-        Hit latency is *service-side* (the lookup cost paid now), never
-        the original optimization's elapsed time; it accumulates under
-        ``stats.hit_seconds``.
-        """
-        exact = keys[0] if keys is not None else fingerprint(query, props, self.catalog)
-        entry = self.cache.get(exact)
-        quarantined = False
-        if entry is not None:
-            served = self._serve_exact(entry, query, started)
-            if served is not None:
-                return served, keys or (exact, None, None)
-            quarantined = True
-        if keys is None:
-            template_key, normalized = self._template_keys(query, props)
-            keys = (exact, template_key, normalized)
-        _, template_key, normalized = keys
-        if template_key is None:
-            return None, keys
-        if quarantined:
-            # The template entry came from the same (now distrusted)
-            # optimization as the quarantined exact entry: drop it too,
-            # and report a miss.
-            self.cache.remove(template_key)
-            return None, keys
-        entry = self.cache.get(template_key)
-        if entry is None:
-            return None, keys
-        plan = bind_plan(entry.plan, normalized.bindings)
-        elapsed = time.perf_counter() - started
-        self.cache.stats.bump(hit_seconds=elapsed)
-        served = ServedResult(
-            plan=plan,
-            cost=entry.cost,
-            required=entry.required,
-            fingerprint=template_key,
-            cached=True,
-            parameterized=True,
-            elapsed_seconds=elapsed,
-        )
-        return served, keys
 
     def _serve_exact(
         self, entry: CacheEntry, query: LogicalExpression, started: float
@@ -851,8 +877,6 @@ class OptimizerService:
 
         queries = list(queries)
         stats_before = self.cache.stats.counters()
-        resolved = [self._resolve(query, props) for query in queries]
-        self._sweep_if_stale()
 
         # Duplicate queries in one batch are optimized once; the rest
         # are served from the cache the first occurrence populates.
@@ -860,18 +884,16 @@ class OptimizerService:
         # when the query parameterizes — so same-bucket literal
         # variants dispatch once and the rest re-bind from the cache.
         results: List[Optional[ServedResult]] = [None] * len(queries)
-        pending: List[int] = []
+        keyed: Dict[int, Tuple[LogicalExpression, PhysProps, _Keys]] = {}
         dispatch: List[int] = []
         seen_digests: set = set()
-        for index, (expression, qprops, prepared_keys) in enumerate(resolved):
-            results[index], keys = self._lookup(
-                expression, qprops, prepared_keys, time.perf_counter()
-            )
-            if results[index] is not None:
+        for index, query in enumerate(queries):
+            found = self.lookup(query, props)
+            if isinstance(found, ServedResult):
+                results[index] = found
                 continue
-            resolved[index] = (expression, qprops, keys)
-            pending.append(index)
-            exact, template_key, _ = keys
+            keyed[index] = (found.expression, found.props, found.keys)
+            exact, template_key, _ = found.keys
             digest = (
                 template_key.digest if template_key is not None else exact.digest
             )
@@ -900,7 +922,7 @@ class OptimizerService:
             and len(dispatch) > 1
             and self.options.sharing.enabled
             and hasattr(self.optimizer, "optimize_batch")
-            and len({resolved[index][1] for index in dispatch}) == 1
+            and len({keyed[index][1] for index in dispatch}) == 1
         )
         if use_sharing:
             (
@@ -909,7 +931,7 @@ class OptimizerService:
                 consumer_certs,
                 producer_certs,
             ) = self._optimize_batch_shared(
-                resolved,
+                keyed,
                 dispatch,
                 ResourceBudget.tighten(base_budget, deadline_seconds),
                 results,
@@ -917,12 +939,12 @@ class OptimizerService:
         if sharing_report is None:
             if parallel:
                 self._optimize_batch_parallel(
-                    resolved, dispatch, per_query_budget, workers, results
+                    keyed, dispatch, per_query_budget, workers, results
                 )
             else:
                 for index in dispatch:
                     if results[index] is None:
-                        expression, qprops, _ = resolved[index]
+                        expression, qprops, _ = keyed[index]
                         results[index] = self.optimize(
                             expression, qprops, budget=per_query_budget
                         )
@@ -930,9 +952,8 @@ class OptimizerService:
         # now hit the warm cache; degraded answers were never cached, so
         # their duplicates re-run serially with the same budget —
         # preserving single-query semantics exactly.
-        for index in pending:
+        for index, (expression, qprops, _) in keyed.items():
             if results[index] is None:
-                expression, qprops, _ = resolved[index]
                 results[index] = self.optimize(
                     expression, qprops, budget=per_query_budget
                 )
@@ -1133,7 +1154,7 @@ class OptimizerService:
 
     def execute(
         self,
-        query: QueryLike,
+        query: Union[QueryLike, ServedResult],
         props: Optional[PhysProps] = None,
         *,
         budget: Optional[ResourceBudget] = None,
@@ -1144,7 +1165,8 @@ class OptimizerService:
         """Optimize ``query``, run its plan, and close the feedback loop.
 
         ``query``, ``props``, ``budget`` and ``hints`` are exactly
-        :meth:`optimize`'s and are forwarded to it unchanged.
+        :meth:`optimize`'s and are forwarded to it unchanged; an answer
+        already served (a :meth:`lookup` hit) is executed as it stands.
 
         The adaptive path of the service: the plan (cached or fresh) is
         executed with per-operator instrumentation, the observed
@@ -1165,7 +1187,11 @@ class OptimizerService:
         ``instrument=False`` the run is observation-free — no per-node
         counters, no report, no refresh.
         """
-        served = self.optimize(query, props, budget=budget, hints=hints)
+        served = (
+            query
+            if isinstance(query, ServedResult)
+            else self.optimize(query, props, budget=budget, hints=hints)
+        )
         stats = ExecutionStats()
         rows = execute_plan(
             served.plan, self.catalog, stats, instrument=instrument

@@ -202,3 +202,37 @@ def test_shutdown_drains_in_flight_requests(service, counting):
             assert not answer["cached"]
     finally:
         harness.stop()
+
+
+def test_deadline_budget_is_what_remains_after_the_queue(
+    service, counting, monkeypatch
+):
+    """One slot, held ~0.5 s: the queued request's search gets the rest."""
+    budgets = []
+    optimize = counting.optimize
+
+    def spy(*args, **kwargs):
+        engine_options = kwargs.get("options")
+        budgets.append(engine_options and engine_options.budget)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "optimize", spy)
+    counting.delay_seconds = 0.5
+    server = OptimizerServer(service, options=options(workers=2))
+    with ServerThread(server) as harness:
+        def slow():
+            with ServerClient(harness.address) as c:
+                return c.optimize(CHAIN_SQL)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(slow)
+            with ServerClient(harness.address) as queued:
+                wait_for_active_slot(queued)
+                answer = queued.optimize(PAIR_SQL, deadline_seconds=5.0)
+                assert not answer["cached"] and not answer["degraded"]
+            assert future.result()["cost_total"] > 0
+    holder, waiter = budgets
+    assert holder is None  # the slot holder asked for no deadline
+    # Taken once the slot was granted, so the ~0.5 s in the queue are
+    # gone from it; taken before queueing it would read 5.0.
+    assert 3.5 <= waiter.deadline_seconds <= 4.7

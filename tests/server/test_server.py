@@ -160,6 +160,23 @@ def test_batch_then_cached_batch(client):
         assert after["sexpr"] == before["sexpr"]
 
 
+def test_batch_honours_budget_and_refuses_per_query_hints(client, service):
+    degraded = client.batch([CHAIN_SQL, PAIR_SQL], budget={"max_costings": 1})
+    assert degraded["degraded_to_independent"]  # the shared run tripped it
+    assert all(r["degraded"] for r in degraded["results"])
+    assert len(service.cache) == 0  # degraded answers are never cached
+
+    for field, value in (("kernel", "specialized"), ("promise", "static")):
+        with pytest.raises(ClientError) as caught:
+            client.batch([CHAIN_SQL, PAIR_SQL], **{field: value})
+        assert caught.value.status == 400
+        assert repr(field) in str(caught.value)
+        assert "/batch" in str(caught.value)
+    with pytest.raises(ClientError) as caught:
+        client.batch([CHAIN_SQL], budget={"max_rows": 3})
+    assert caught.value.status == 400  # still validated
+
+
 # ------------------------------------------------------ pinning / guard
 
 

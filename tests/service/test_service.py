@@ -5,6 +5,8 @@ costs identical to a cold optimizer — over a real generated workload,
 under invalidation, and within the LRU bound.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.algebra.predicates import Comparison, ComparisonOp, col, eq, lit
@@ -236,6 +238,54 @@ def test_optimize_sql_round_trip():
     assert not first.cached and second.cached
     assert second.plan == first.plan
     assert second.cost == first.cost
+
+
+def counted(service):
+    stats = service.stats.counters()
+    return {name: stats[name] for name in ("lookups", "hits", "misses", "insertions")}
+
+
+def test_lookup_is_the_cache_only_half_of_optimize():
+    catalog = make_catalog([("r", 1200), ("s", 2400)])
+    service = make_service(catalog)
+    query = query_with_threshold(5)
+
+    missed = service.lookup(query)  # exact, then template: two probes
+    assert missed.missed and missed.template_key is not None
+    assert counted(service) == {"lookups": 2, "hits": 0, "misses": 2, "insertions": 0}
+    # The miss is not counted again: straight to single-flight + engine.
+    fresh = service.optimize(missed)
+    assert not fresh.cached and fresh.fingerprint == missed.exact
+    assert counted(service) == {"lookups": 2, "hits": 0, "misses": 2, "insertions": 2}
+
+    hit = service.lookup(query, sexpr=query.to_sexpr())
+    assert hit.cached and hit.plan == fresh.plan
+    assert hit == dataclasses.replace(
+        service.optimize(query), elapsed_seconds=hit.elapsed_seconds
+    )
+    assert counted(service) == {"lookups": 4, "hits": 2, "misses": 2, "insertions": 2}
+    # A batch honours the mark too.
+    others = [
+        service.lookup(query_with_threshold(900)),
+        service.lookup(select(get("s"), le("s.v", 3))),
+    ]
+    batch = service.optimize_many(others)
+    assert batch.cache_stats.lookups == 0 and batch.cache_stats.insertions == 4
+
+
+def test_a_miss_gone_stale_is_rekeyed_and_looked_up_afresh():
+    catalog = make_catalog([("r", 1200), ("s", 2400)])
+    service = make_service(catalog, parameterized=False)
+    query = query_with_threshold(5)
+    missed = service.lookup(query)
+    catalog.update_statistics("r", catalog.table("r").statistics)  # the race
+
+    served = service.optimize(missed)
+    assert not served.cached
+    assert served.fingerprint != missed.exact  # keyed under the new versions
+    assert served.fingerprint == service.prepare(query).exact
+    assert counted(service) == {"lookups": 2, "hits": 0, "misses": 2, "insertions": 1}
+    assert service.lookup(query).cached
 
 
 def test_service_options_validate():
