@@ -8,7 +8,8 @@ provenance verification, pinning, and the regression guard in front of
 it.  This example drives every endpoint once, in-process (the server on
 a background thread, the client over a real socket):
 
-1. health check, cold optimize, warm (cached) optimize;
+1. health check, cold optimize, warm (cached) optimize — repeated: the
+   cached entry was verified once, the statement text resolved once;
 2. prepare a parameterized statement and bind it twice;
 3. pin the chain-join plan, bump statistics, show the pin holding;
 4. unpin, re-optimize, read the counters back from ``/stats``.
@@ -56,6 +57,23 @@ def main() -> None:
             assert client.stats()["admission"]["admitted"] == admitted
             print(f"warm optimize: cached={warm['cached']} "
                   f"(admitted stays {admitted})")
+
+            # -- verified once, resolved once ------------------------
+            before = client.stats()
+            repeats = [client.optimize(CHAIN) for _ in range(5)]
+            assert all(r["cached"] and r["verified"] for r in repeats)
+            after = client.stats()
+            assert (after["cache"]["verified_hits"]
+                    == before["cache"]["verified_hits"] + 5)
+            # The checker accepted this entry before it was cached; it
+            # is not run again for a hit on the same plan and certificate.
+            assert (after["cache"]["verifications"]
+                    == before["cache"]["verifications"])
+            memo = after["server"]["statement_memo"]
+            assert memo["hits"] == before["server"]["statement_memo"]["hits"] + 5
+            print(f"5 more hits: verified_hits +5, verifications stays "
+                  f"{after['cache']['verifications']}, statement memo "
+                  f"hits={memo['hits']} misses={memo['misses']}")
 
             # -- prepared statement ----------------------------------
             prepared = client.prepare(POINT)

@@ -5,7 +5,8 @@
 process boundary: a small HTTP/1.1 server (stdlib asyncio streams, no
 framework) that many clients share.  The division of labor:
 
-* the **event loop** parses requests, answers cache hits and pinned
+* the **event loop** parses requests, recognises a repeated statement
+  text (the service's statement memo), answers cache hits and pinned
   plans where they arrive, runs admission control
   (:class:`~repro.server.admission.AdmissionController`) for the
   rest, and writes responses — it never blocks on optimization;
@@ -52,8 +53,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.algebra.expressions import LogicalExpression
-from repro.algebra.properties import PhysProps
 from repro.catalog.statistics import ColumnStatistics, TableStatistics
 from repro.errors import ReproError, ServerError
 from repro.executor import ExecutionStats, execute_plan
@@ -67,36 +66,29 @@ from repro.server.protocol import (
     require,
     served_payload,
 )
-from repro.server.registry import PlanRegistry, stable_key
-from repro.service.fingerprint import fingerprint
+from repro.server.registry import PlanRegistry
+from repro.service.cache import StatementLRU
+from repro.service.fingerprint import stable_key
 from repro.service.service import (
+    MAX_MEMO_SQL,
     BatchResult,
     ExecutedResult,
     OptimizerService,
     PreparedQuery,
     ServedResult,
+    Statement,
 )
 from repro.sql.normalize import bind_expression, normalize_literals
-from repro.sql.translator import translate
 
 __all__ = ["OptimizerServer", "ServerThread"]
 
 _MAX_BODY = 4 * 1024 * 1024
 #: A request carrying more SQL text than this is resolved and looked up
-#: on a worker: parse, translate, render and re-verify all grow with the
-#: statement, and the event loop only does bounded work.
-_MAX_LOOP_SQL = 2048
-
-
-class _Bound(NamedTuple):
-    """A resolved query as :meth:`OptimizerServer._serve` sees it.
-
-    Not a :class:`PreparedQuery`: the service derives cache keys lazily,
-    so a warm request pays one fingerprint and never normalizes.
-    """
-
-    expression: LogicalExpression
-    props: PhysProps
+#: on a worker: parse, translate, render and verify all grow with the
+#: statement, and the event loop only does bounded work.  The same text
+#: is kept out of the statement memo (at most ``MAX_STATEMENTS`` entries,
+#: like the prepared statements): one constant, ``MAX_MEMO_SQL``.
+_MAX_LOOP_SQL = MAX_MEMO_SQL
 
 
 class _Answer(NamedTuple):
@@ -140,8 +132,7 @@ class OptimizerServer:
             max_workers=self.options.workers,
             thread_name_prefix="repro-server",
         )
-        self._statements: Dict[str, Tuple[PreparedQuery, Any, int]] = {}
-        self._statements_lock = threading.Lock()
+        self._statements = StatementLRU()  # id -> (prepared, normalized, size)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._connection_tasks: set = set()
@@ -349,16 +340,17 @@ class OptimizerServer:
             self._executor, fn
         )
 
-    def _translate(self, sql: str) -> _Bound:
-        """SQL text → what :meth:`_serve` resolves a request to."""
-        translation = translate(sql, self.service.catalog)
-        return _Bound(translation.expression, translation.required)
+    def _translate(self, sql: str) -> Statement:
+        """SQL text → what :meth:`_serve` resolves a request to, through
+        the service's statement memo: a repeated text is not parsed,
+        translated, rendered or fingerprinted again."""
+        return self.service.resolve(sql)
 
     async def _serve(
         self,
         body: Mapping[str, Any],
         size: int,
-        resolve: Callable[[], List[_Bound]],
+        resolve: Callable[[], List[Statement]],
         work: Callable[..., Any],
         *,
         served_work: Optional[Callable[[ServedResult, bool], None]] = None,
@@ -366,13 +358,13 @@ class OptimizerServer:
     ) -> List[_Answer]:
         """The one path every optimize-like request takes.
 
-        On the event loop: hints → resolve → stable key → pin check →
-        cache lookup (:meth:`OptimizerService.lookup`: counted, and
-        re-verified, like any hit).  A pin or a hit is answered right
-        there.  Only a query that missed goes on: admission slot →
-        budget → one worker hop → regression guard, where
-        ``work(missed, budget, hints, deadline)`` returns one
-        :class:`ServedResult` per miss.
+        On the event loop: hints → resolve (memoized per statement
+        text) → stable key → pin check → cache lookup
+        (:meth:`OptimizerService.lookup`: counted, and verified, like
+        any hit).  A pin or a hit is answered right there.  Only a
+        query that missed goes on: admission slot → budget → one worker
+        hop → regression guard, where ``work(missed, budget, hints,
+        deadline)`` returns one :class:`ServedResult` per miss.
 
         The loop only does bounded work: a request carrying more than
         ``_MAX_LOOP_SQL`` characters of SQL (``size``) takes its first
@@ -386,23 +378,19 @@ class OptimizerServer:
         hints, budget = parse_hints(body)
         deadline = parse_deadline(body)
 
-        def check() -> List[Tuple[_Bound, str, bool, Any]]:
+        def check() -> List[Tuple[Statement, str, bool, Any]]:
             rows = []
             for query in resolve():
-                expression, props = query
-                sexpr = expression.to_sexpr()  # rendered once, digested twice
-                key = stable_key(expression, props, sexpr=sexpr)
+                key = query.key
                 pin = self.registry.pinned(key) if managed else None
                 if pin is None:
-                    found = self.service.lookup(expression, props, sexpr=sexpr)
+                    found = self.service.lookup(query)
                 else:
                     found = ServedResult(
                         plan=pin.plan,
                         cost=pin.cost_total,
                         required=pin.required,
-                        fingerprint=fingerprint(
-                            expression, props, self.service.catalog, sexpr=sexpr
-                        ),
+                        fingerprint=query.exact,
                         cached=True,
                         certificate=pin.certificate,
                         verified=pin.verified,
@@ -491,6 +479,7 @@ class OptimizerServer:
                 "requests": self.requests,
                 "errors": self.errors,
                 "prepared_statements": len(self._statements),
+                "statement_memo": self.service.statements.counters(),
                 "inflight_optimizations": self.service.single_flight.inflight(),
                 "uptime_seconds": time.time() - self._started,
             },
@@ -574,8 +563,7 @@ class OptimizerServer:
         statement = "stmt-" + stable_key(
             normalized.template, prepared.props
         )[:16]
-        with self._statements_lock:
-            self._statements[statement] = (prepared, normalized, len(sql))
+        self._statements.put(statement, (prepared, normalized, len(sql)))
         return {
             "statement": statement,
             "parameters": dict(normalized.bindings),
@@ -585,8 +573,7 @@ class OptimizerServer:
 
     async def _handle_bind(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         statement = require(body, "statement", str)
-        with self._statements_lock:
-            entry = self._statements.get(statement)
+        entry = self._statements.get(statement)
         if entry is None:
             raise ServerError(f"unknown statement: {statement!r}", status=404)
         prepared, normalized, size = entry
@@ -605,7 +592,9 @@ class OptimizerServer:
             body,
             size,
             lambda: [
-                _Bound(bind_expression(normalized.template, merged), prepared.props)
+                self.service.resolve(
+                    bind_expression(normalized.template, merged), prepared.props
+                )
             ],
             self._optimize_each,
         )
@@ -716,8 +705,7 @@ class OptimizerServer:
         key = body.get("key")
         if key is None:
             sql = require(body, "sql", str)
-            prepared = await self._in_thread(lambda: self.service.prepare(sql))
-            key = stable_key(prepared.expression, prepared.props)
+            key = (await self._in_thread(lambda: self._translate(sql))).key
         elif not isinstance(key, str):
             raise ServerError("key must be a string")
         pin = self.registry.unpin(

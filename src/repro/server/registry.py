@@ -20,7 +20,8 @@ second, longer-lived layer of plan management on top of it:
   ``rollback`` pin, and the event is surfaced through the stats
   endpoint.
 
-Keys here are **stable keys** (:func:`stable_key`): a digest of the
+Keys here are **stable keys**
+(:func:`~repro.service.fingerprint.stable_key`): a digest of the
 query's canonical s-expression and required properties *only* — unlike
 cache fingerprints, statistics versions are deliberately excluded, so
 the same query maps to the same key before and after a refresh.  That
@@ -43,16 +44,15 @@ nothing to defend.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
 from repro.options import ServerOptions
+from repro.service.fingerprint import stable_key
 from repro.verify.certificate import PlanCertificate
 
 __all__ = [
@@ -75,25 +75,6 @@ def _same_plan(left: PhysicalPlan, right: PhysicalPlan) -> bool:
     s-expression captures exactly.
     """
     return left.to_sexpr() == right.to_sexpr()
-
-
-def stable_key(
-    expression: LogicalExpression, props: PhysProps, *, sexpr: Optional[str] = None
-) -> str:
-    """A version-independent identity for (query, required properties).
-
-    Cache fingerprints bake per-table statistics versions into their
-    digest, so the same query gets a *new* fingerprint after every
-    refresh — exactly right for invalidation, exactly wrong for plan
-    management, where pins and incumbents must track a query across
-    refreshes.  This digest covers only the canonical s-expression
-    (``sexpr``, when the caller has already rendered it) and the
-    property vector.
-    """
-    if sexpr is None:
-        sexpr = expression.to_sexpr()
-    payload = "\x1f".join((sexpr, str(props)))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

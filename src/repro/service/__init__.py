@@ -8,7 +8,7 @@ See :mod:`repro.service.service` for the full story and
 """
 
 from repro.search.sharing import SharedPlan, SharingOptions, SharingReport
-from repro.service.cache import CacheEntry, CacheStats, PlanCache
+from repro.service.cache import CacheEntry, CacheStats, PlanCache, StatementLRU
 from repro.service.fingerprint import Fingerprint, fingerprint, table_dependencies
 from repro.service.singleflight import SingleFlight
 from repro.service.service import (
@@ -18,6 +18,7 @@ from repro.service.service import (
     PreparedQuery,
     ServedResult,
     ServiceOptions,
+    Statement,
     SubplanLibrary,
 )
 
@@ -25,6 +26,7 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "PlanCache",
+    "StatementLRU",
     "Fingerprint",
     "fingerprint",
     "table_dependencies",
@@ -34,6 +36,7 @@ __all__ = [
     "PreparedQuery",
     "ServedResult",
     "ServiceOptions",
+    "Statement",
     "SingleFlight",
     "SubplanLibrary",
     "SharedPlan",

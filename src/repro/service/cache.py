@@ -17,6 +17,9 @@ lock and :class:`CacheStats` mutations go through the atomic
 counters — what the server's stats endpoint serves — comes from
 :meth:`CacheStats.snapshot`, which freezes the copy against further
 mutation.
+
+:class:`StatementLRU` is the smaller sibling: the bounded text-keyed LRU
+behind the service's statement memo and the server's prepared statements.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
@@ -33,7 +36,11 @@ from repro.catalog.catalog import Catalog
 from repro.errors import ServiceError
 from repro.service.fingerprint import Fingerprint
 
-__all__ = ["CacheStats", "CacheEntry", "PlanCache"]
+__all__ = ["CacheStats", "CacheEntry", "PlanCache", "StatementLRU"]
+
+#: Bound of every :class:`StatementLRU` (the statement memo, the
+#: server's prepared statements): a constant, not an option.
+MAX_STATEMENTS = 1024
 
 
 @dataclass
@@ -65,10 +72,13 @@ class CacheStats:
 
     With ``ServiceOptions.verify_plans`` on, three more counters track
     the independent checker (:mod:`repro.verify`): ``verified_hits``
-    counts cache hits whose certificate re-verified clean,
+    counts cache hits served under a certificate the checker accepted,
     ``verify_violations`` every P-diagnosed verification failure (fresh
     or cached), and ``quarantined`` entries (or sharing passes) dropped
-    because their certificate no longer checked out.
+    because their certificate no longer checked out.  ``verifications``
+    counts the times the checker actually ran: once per fresh answer
+    and per entry not yet accepted (:attr:`CacheEntry.verified`), not
+    once per hit.
 
     Concurrency contract: writers call :meth:`bump` (atomic under an
     internal lock — a bare ``stats.hits += 1`` from two threads can
@@ -91,6 +101,7 @@ class CacheStats:
     verified_hits: int = 0
     verify_violations: int = 0
     quarantined: int = 0
+    verifications: int = 0
     hit_seconds: float = 0.0
     engine_seconds: float = 0.0
 
@@ -180,9 +191,18 @@ class CacheEntry:
 
     ``certificate`` is the plan's provenance certificate
     (:class:`~repro.verify.PlanCertificate`) when the producing engine
-    emitted one; with ``ServiceOptions.verify_plans`` it is re-checked
-    on every hit.  Template (parameterized) entries never carry one —
+    emitted one.  Template (parameterized) entries never carry one —
     re-bound literals would not match the recorded derivation.
+
+    ``accepted`` is the **verified-once mark**: the very ``(plan,
+    certificate)`` objects the independent checker accepted under this
+    entry's fingerprint.  The fingerprint pins the expression, the
+    properties and the statistics version of every table read, the model
+    is fixed per service and both objects are frozen, so the checker is
+    a pure function of what the mark pins: a :attr:`verified` entry
+    would pass again and is served without a second run.  The mark is
+    compared by identity — ``replace`` copies it, not the objects it
+    names, so a swapped plan or certificate is unverified again.
     """
 
     fingerprint: Fingerprint
@@ -191,6 +211,21 @@ class CacheEntry:
     required: PhysProps
     parameterized: bool = False
     certificate: Optional[object] = None
+    accepted: Optional[Tuple[PhysicalPlan, object]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    @property
+    def verified(self) -> bool:
+        """Whether the checker accepted exactly this plan and certificate."""
+        mark = self.accepted
+        return (
+            mark is not None and mark[0] is self.plan and mark[1] is self.certificate
+        )
+
+    def marked(self) -> "CacheEntry":
+        """This entry, marked as accepted by the checker as it stands."""
+        return dataclasses.replace(self, accepted=(self.plan, self.certificate))
 
 
 @dataclass
@@ -261,6 +296,16 @@ class PlanCache:
             if evicted:
                 self.stats.bump(evictions=evicted)
 
+    def accept(self, entry: CacheEntry) -> None:
+        """Mark ``entry`` verified where it sits, if it is still cached.
+
+        Not an insertion: nothing is counted and recency is untouched.
+        """
+        with self._lock:
+            digest = entry.fingerprint.digest
+            if self._entries.get(digest) is entry:
+                self._entries[digest] = entry.marked()
+
     def remove(self, fingerprint: Fingerprint) -> bool:
         """Drop one entry by fingerprint (certificate quarantine).
 
@@ -318,3 +363,47 @@ class PlanCache:
         """A snapshot of the entries, LRU first."""
         with self._lock:
             return tuple(self._entries.values())
+
+
+class StatementLRU:
+    """A bounded, locked LRU from statement text to what was derived from it.
+
+    A value is stored under a freshness ``stamp`` (the statement memo's
+    is the catalog's statistics version) and found only under the same
+    one; the next :meth:`put` of its key **replaces a stale value in
+    place**, so there is one value per live text, never a superseded
+    one beside its successor.  ``hits``/``misses`` count :meth:`get`.
+    """
+
+    def __init__(self, max_entries: int = MAX_STATEMENTS) -> None:
+        self.max_entries = max_entries
+        self.hits = self.misses = 0
+        self._entries: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: str, stamp: Any = None) -> Any:
+        """The value stored for ``key`` under ``stamp``, else None."""
+        with self._lock:
+            found = self._entries.get(key)
+            if found is None or found[0] != stamp:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return found[1]
+
+    def put(self, key: str, value: Any, stamp: Any = None) -> None:
+        """Store (or replace) ``key``, evicting the least recently used."""
+        with self._lock:
+            self._entries[key] = (stamp, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
+    def counters(self) -> Dict[str, int]:
+        """``{entries, hits, misses}``, for a stats endpoint."""
+        with self._lock:
+            return {"entries": len(self), "hits": self.hits, "misses": self.misses}

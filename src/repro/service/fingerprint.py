@@ -30,7 +30,7 @@ from repro.algebra.expressions import LogicalExpression
 from repro.algebra.properties import PhysProps
 from repro.catalog.catalog import Catalog
 
-__all__ = ["Fingerprint", "table_dependencies", "fingerprint"]
+__all__ = ["Fingerprint", "table_dependencies", "fingerprint", "stable_key"]
 
 
 @dataclass(frozen=True)
@@ -92,3 +92,22 @@ def fingerprint(
     )
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return Fingerprint(digest=digest, tables=tables, versions=versions)
+
+
+def stable_key(
+    expression: LogicalExpression, props: PhysProps, *, sexpr: Optional[str] = None
+) -> str:
+    """A version-independent identity for (query, required properties).
+
+    Cache fingerprints bake per-table statistics versions into their
+    digest, so the same query gets a *new* fingerprint after every
+    refresh — exactly right for invalidation, exactly wrong for plan
+    management, where pins and incumbents must track a query across
+    refreshes.  This digest covers only the canonical s-expression
+    (``sexpr``, when the caller has already rendered it) and the
+    property vector.
+    """
+    if sexpr is None:
+        sexpr = expression.to_sexpr()
+    payload = "\x1f".join((sexpr, str(props)))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -33,6 +33,7 @@ import inspect
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
@@ -66,8 +67,13 @@ from repro.search.sharing import (
     SharingReport,
     plan_sharing,
 )
-from repro.service.cache import CacheEntry, CacheStats, PlanCache
-from repro.service.fingerprint import Fingerprint, fingerprint, table_dependencies
+from repro.service.cache import CacheEntry, CacheStats, PlanCache, StatementLRU
+from repro.service.fingerprint import (
+    Fingerprint,
+    fingerprint,
+    stable_key,
+    table_dependencies,
+)
 from repro.service.singleflight import SingleFlight
 from repro.sql.normalize import normalize_literals, parameterize_plan
 from repro.verify.certificate import PlanCertificate
@@ -77,16 +83,22 @@ __all__ = [
     "ServedResult",
     "BatchResult",
     "PreparedQuery",
+    "Statement",
     "ExecutedResult",
     "SubplanLibrary",
     "OptimizerService",
 ]
 
 #: Anything ``optimize``/``optimize_many``/``prepare`` accepts as a query.
-QueryLike = Union[str, LogicalExpression, "PreparedQuery"]
+QueryLike = Union[str, LogicalExpression, "PreparedQuery", "Statement"]
 
 #: A query's cache keys: (exact, template or None, normalized or None).
 _Keys = Tuple[Fingerprint, Optional[Fingerprint], Any]
+
+#: SQL text longer than this is never memoized (it bounds the statement
+#: memo's keys) — and a server resolves it off its event loop, because
+#: parse, translate and render all grow with the statement.
+MAX_MEMO_SQL = 2048
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -162,14 +174,19 @@ class ServiceOptions(OptionsBase):
         are byte-identical across tiers; engines whose options have no
         kernel field (baselines) are left untouched.
     ``verify_plans``
-        Re-check every served plan against its provenance certificate
-        with the independent checker (:func:`repro.verify.verify_plan`).
-        Fresh answers are verified before caching — a violation is
-        still served (the plan may be fine; the *certificate* failed)
-        but never cached.  Cache hits are re-verified on every lookup;
-        a failing entry is **quarantined**: dropped from the cache,
-        counted under ``stats.quarantined``, and the query transparently
-        re-optimized.  Multi-query sharing rewrites are verified end to
+        Serve every plan under a provenance certificate the independent
+        checker (:func:`repro.verify.verify_plan`) accepted under the
+        statistics it is served under.  Fresh answers are verified
+        before caching — a violation is still served (the plan may be
+        fine; the *certificate* failed) but never cached.  A cache hit
+        is verified **once** per ``(plan, certificate)`` pair: the
+        entry records the objects the checker accepted
+        (:attr:`CacheEntry.accepted`) and is served without a second
+        run while they are the very objects it holds; any other entry
+        is verified on the hit, and a failing one is **quarantined**:
+        dropped from the cache, counted under ``stats.quarantined``,
+        and the query transparently re-optimized.  Multi-query sharing
+        rewrites are verified end to
         end (every rewritten consumer and every materialized producer);
         a violating sharing pass is discarded wholesale, so an
         unverified shared plan is never served — the independent
@@ -217,9 +234,10 @@ class ServedResult:
     ``certificate`` is the plan's provenance certificate
     (:class:`~repro.verify.PlanCertificate`) when the engine recorded
     one; ``verified`` is True only when
-    :attr:`ServiceOptions.verify_plans` re-checked it through the
-    independent checker and it passed *for this answer* (fresh run, or
-    this very cache hit).
+    :attr:`ServiceOptions.verify_plans` is on and the independent
+    checker accepted exactly this plan and certificate under the
+    statistics the answer is served under (on this fresh run, or when
+    the cache entry behind this hit was verified).
     """
 
     plan: PhysicalPlan
@@ -274,6 +292,33 @@ class PreparedQuery:
     def __str__(self) -> str:
         kind = "parameterized" if self.template_key is not None else "exact"
         return f"<prepared {kind} query @v{self.statistics_version}>"
+
+
+@dataclass(eq=False)
+class Statement:
+    """A query resolved once under one statistics version.
+
+    What :meth:`OptimizerService.resolve` derives and a repeated
+    statement need not derive again: ``expression`` and ``props``, the
+    expression's ``sexpr`` rendering (None when a :class:`PreparedQuery`
+    supplied the keys), the ``exact`` fingerprint and, lazily, the
+    version-independent :attr:`key`.  ``template`` is ``(template_key,
+    normalized)``, None until an exact lookup of this statement missed:
+    an exact hit never normalizes, a literal variant does so once.
+    Valid while the catalog stays at ``statistics_version``.
+    """
+
+    expression: LogicalExpression
+    props: PhysProps
+    exact: Fingerprint
+    statistics_version: int
+    sexpr: Optional[str] = None
+    template: Optional[Tuple[Optional[Fingerprint], Any]] = None
+
+    @cached_property
+    def key(self) -> str:
+        """The statement's :func:`~repro.service.fingerprint.stable_key`."""
+        return stable_key(self.expression, self.props, sexpr=self.sexpr)
 
 
 @dataclass(frozen=True)
@@ -465,6 +510,8 @@ class OptimizerService:
         # when the service is shared across threads (repro.server), one
         # engine run per cold key, every concurrent requester shares it.
         self.single_flight: SingleFlight[ServedResult] = SingleFlight()
+        # The statement memo: SQL text -> Statement, one per live text.
+        self.statements = StatementLRU()
         self._seen_version = self.catalog.statistics_version
         parameters = inspect.signature(optimizer.optimize).parameters
         self._engine_seeds = "preoptimized" in parameters
@@ -490,18 +537,22 @@ class OptimizerService:
         until the catalog's statistics move; passing a stale one to
         :meth:`optimize` is safe — it is re-keyed transparently.
         """
-        expression, props, _ = self._resolve(query, props)
-        # Read first: keys of a later version under an earlier label are
-        # only ever re-keyed, never trusted.
-        version = self.catalog.statistics_version
-        template_key, normalized = self._template_keys(expression, props)
+        return self._prepared(self.resolve(query, props))
+
+    def _prepared(self, statement: Statement, missed: bool = False) -> PreparedQuery:
+        """``statement`` with its complete keys; the template keys are
+        derived here, once per statement, when first needed."""
+        if statement.template is None:
+            statement.template = self._template_keys(
+                statement.expression, statement.props
+            )
         return PreparedQuery(
-            expression=expression,
-            props=props,
-            exact=fingerprint(expression, props, self.catalog),
-            template_key=template_key,
-            normalized=normalized,
-            statistics_version=version,
+            statement.expression,
+            statement.props,
+            statement.exact,
+            *statement.template,
+            statement.statistics_version,
+            missed,
         )
 
     def lookup(
@@ -514,7 +565,7 @@ class OptimizerService:
         """The cache-only half of :meth:`optimize`; never runs the engine.
 
         A hit is the :class:`ServedResult` :meth:`optimize` returns,
-        counted and (under ``verify_plans``) re-verified.  A miss is the
+        counted and (under ``verify_plans``) verified.  A miss is the
         query with its complete cache keys, as a :class:`PreparedQuery`
         marked ``missed``: hand it to :meth:`optimize`, :meth:`execute`
         or :meth:`optimize_many` and the request is counted once —
@@ -523,35 +574,33 @@ class OptimizerService:
         bounded by the query's size, so a server can do it on its event
         loop.
 
-        Keys come from a fresh :class:`PreparedQuery` or are derived
-        here, lazily: the exact fingerprint first (from ``sexpr``, the
-        expression's rendering, when the caller already has it), the
-        template keys only once the exact lookup has missed — an exact
-        hit never normalizes literals.  Hit latency is *service-side*
-        (the lookup cost paid now), never the original optimization's
-        elapsed time; it accumulates under ``stats.hit_seconds``.
+        Keys are those :meth:`resolve` found or derived (from ``sexpr``,
+        the expression's rendering, when the caller already has it):
+        the exact fingerprint at once, the template keys only once the
+        exact lookup has missed — an exact hit never normalizes
+        literals, a memoized statement at most once.  Hit latency is
+        *service-side* (the lookup cost paid now), never the original
+        optimization's elapsed time; it accumulates under
+        ``stats.hit_seconds``.
         """
-        expression, props, keys = self._resolve(query, props)
-        if keys is not None and isinstance(query, PreparedQuery) and query.missed:
+        statement = self.resolve(query, props, sexpr=sexpr)
+        if (
+            isinstance(query, PreparedQuery)
+            and query.missed
+            and statement.exact is query.exact
+        ):
             return query  # that very miss, still fresh: nothing to count
-        version = self.catalog.statistics_version
         started = time.perf_counter()
         self._sweep_if_stale()
-        if keys is None:
-            exact = fingerprint(expression, props, self.catalog, sexpr=sexpr)
-        else:
-            exact = keys[0]
-        entry = self.cache.get(exact)
+        entry = self.cache.get(statement.exact)
         quarantined = False
         if entry is not None:
-            served = self._serve_exact(entry, expression, started)
+            served = self._serve_exact(entry, statement.expression, started)
             if served is not None:
                 return served
             quarantined = True
-        if keys is None:
-            template_key, normalized = self._template_keys(expression, props)
-        else:
-            _, template_key, normalized = keys
+        missed = self._prepared(statement, missed=True)
+        template_key = missed.template_key
         if template_key is not None and quarantined:
             # The template entry came from the same (now distrusted)
             # optimization as the quarantined exact entry: drop it too.
@@ -559,7 +608,7 @@ class OptimizerService:
         elif template_key is not None:
             entry = self.cache.get(template_key)
             if entry is not None:
-                plan = bind_plan(entry.plan, normalized.bindings)
+                plan = bind_plan(entry.plan, missed.normalized.bindings)
                 elapsed = time.perf_counter() - started
                 self.cache.stats.bump(hit_seconds=elapsed)
                 return ServedResult(
@@ -571,45 +620,76 @@ class OptimizerService:
                     parameterized=True,
                     elapsed_seconds=elapsed,
                 )
-        return PreparedQuery(
-            expression, props, exact, template_key, normalized, version, missed=True
-        )
+        return missed
 
-    def _resolve(
+    def resolve(
         self,
         query: QueryLike,
-        props: Optional[PhysProps],
-    ) -> Tuple[LogicalExpression, PhysProps, Optional[_Keys]]:
-        """Coerce any accepted query form to (expression, props, keys).
+        props: Optional[PhysProps] = None,
+        *,
+        sexpr: Optional[str] = None,
+    ) -> Statement:
+        """Coerce any accepted query form to a :class:`Statement`.
 
-        ``keys`` is the precomputed ``(exact, template, normalized)``
-        triple when a fresh :class:`PreparedQuery` supplied it, else
-        None (derived by :meth:`lookup`).  A prepared query whose
-        ``statistics_version`` is stale — or that is being re-required
-        under different ``props`` — falls back to recomputation.
+        SQL text is **resolved once**: parsed, translated, rendered and
+        fingerprinted the first time it is seen under the current
+        statistics version, then served from the statement memo
+        (:attr:`statements`).  Freshness is :class:`PreparedQuery`'s
+        rule — every catalog mutation bumps ``statistics_version`` — and
+        a stale entry is replaced in place.  Never memoized: text that
+        fails to parse or translate (it raises), text longer than
+        ``MAX_MEMO_SQL``, text required under explicit ``props``.
+
+        A :class:`Statement` or :class:`PreparedQuery` of the current
+        version (and the same ``props``) keeps its keys; a stale one is
+        re-keyed from its expression, never trusted.
         """
-        if isinstance(query, PreparedQuery):
-            fresh = (
-                (props is None or props == query.props)
-                and query.statistics_version == self.catalog.statistics_version
-            )
-            return (
-                query.expression,
-                props if props is not None else query.props,
-                query.keys if fresh else None,
-            )
-        if isinstance(query, str):
+        # Read first: keys of a later version under an earlier label are
+        # only ever re-keyed, never trusted.
+        version = self.catalog.statistics_version
+        text = None
+        if isinstance(query, (Statement, PreparedQuery)):
+            if (
+                props is None or props == query.props
+            ) and query.statistics_version == version:
+                if isinstance(query, Statement):
+                    return query
+                return Statement(
+                    query.expression,
+                    query.props,
+                    query.exact,
+                    version,
+                    template=(query.template_key, query.normalized),
+                )
+            if props is None:
+                props = query.props
+            query = query.expression
+        elif isinstance(query, str):
+            if props is None and len(query) <= MAX_MEMO_SQL:
+                text = query
+                statement = self.statements.get(text, version)
+                if statement is not None:
+                    return statement
             from repro.sql.translator import Translator
 
             translation = Translator(self.catalog).translate(query)
             if props is None:
                 props = translation.required
             query = translation.expression
-        return (
+        if props is None:
+            props = self._default_props()
+        if sexpr is None:
+            sexpr = query.to_sexpr()  # rendered once, digested twice
+        statement = Statement(
             query,
-            props if props is not None else self._default_props(),
-            None,
+            props,
+            fingerprint(query, props, self.catalog, sexpr=sexpr),
+            version,
+            sexpr,
         )
+        if text is not None:
+            self.statements.put(text, statement, version)
+        return statement
 
     def optimize(
         self,
@@ -661,7 +741,7 @@ class OptimizerService:
             # another flight may have populated the entry before we won
             # the flight.  peek() is uncounted, so the common cold path
             # keeps its exact historical counter trail; a found entry is
-            # counted and re-verified exactly like a first-lookup hit.
+            # counted and verified exactly like a first-lookup hit.
             entry = self.cache.peek(exact)
             if entry is not None:
                 self.cache.stats.bump(lookups=1, hits=1)
@@ -719,24 +799,31 @@ class OptimizerService:
     ) -> Optional[ServedResult]:
         """Wrap an exact-fingerprint entry as a hit, or quarantine it.
 
-        Under ``verify_plans`` the entry's certificate is re-checked
-        first.  None means it failed: the entry has been dropped and
-        counted, and the caller must treat the lookup as a miss —
-        dropping the sibling template entry rather than falling back
-        to it — so a fresh (verified) optimization answers instead.
+        Under ``verify_plans`` it is served only under a certificate
+        the checker accepted: an entry still holding the very plan and
+        certificate it was verified with (:attr:`CacheEntry.verified`)
+        is served as it stands — the checker is a pure function of what
+        that mark and the exact fingerprint pin — and any other entry
+        is verified now and, passing, marked.  None means it failed:
+        the entry has been dropped and counted, and the caller must
+        treat the lookup as a miss — dropping the sibling template
+        entry rather than falling back to it — so a fresh (verified)
+        optimization answers instead.
         """
         verified = False
         if self.options.verify_plans and entry.certificate is not None:
-            ok = self.verify_served(query, entry.plan, entry.certificate)
-            if ok is False:
-                self.cache.remove(entry.fingerprint)
-                self.cache.stats.bump(verify_violations=1, quarantined=1)
-                return None
-            if ok:
-                self.cache.stats.bump(verified_hits=1)
-                verified = True
+            ok: Optional[bool] = True
+            if not entry.verified:
+                ok = self.verify_served(query, entry.plan, entry.certificate)
+                if ok is False:
+                    self.cache.remove(entry.fingerprint)
+                    self.cache.stats.bump(verify_violations=1, quarantined=1)
+                    return None
+                if ok:
+                    self.cache.accept(entry)
+            verified = bool(ok)
         elapsed = time.perf_counter() - started
-        self.cache.stats.bump(hit_seconds=elapsed)
+        self.cache.stats.bump(verified_hits=int(verified), hit_seconds=elapsed)
         return ServedResult(
             plan=entry.plan,
             cost=entry.cost,
@@ -770,11 +857,11 @@ class OptimizerService:
                 self.cache.stats.bump(verify_violations=1)
         # Degraded answers are served but never cached.  Neither is one
         # whose own certificate fails the checker (the plan may still
-        # be fine): the cache must hold only re-verifiable entries.
+        # be fine): the cache must hold only verifiable entries.
         if degraded:
             self.cache.stats.bump(degraded=1)
         elif ok is not False:
-            self._store(keys, result)
+            self._store(keys, result, verified=bool(ok))
             self._harvest(result)
         return ServedResult(
             plan=result.plan,
@@ -803,12 +890,14 @@ class OptimizerService:
         False (violation), or None.  Verification needs a model
         specification and a certificate; engines without either (or
         runs with recording off) are served unverified, not rejected.
+        Every run of the checker counts under ``stats.verifications``.
         """
         spec = getattr(self.optimizer, "spec", None)
         if spec is None or certificate is None:
             return None
         from repro.verify import verify_plan
 
+        self.cache.stats.bump(verifications=1)
         report = verify_plan(
             spec,
             query,
@@ -1352,17 +1441,19 @@ class OptimizerService:
             changed = True
         return options if changed else None
 
-    def _store(self, keys: _Keys, result: OptimizationResult) -> None:
+    def _store(
+        self, keys: _Keys, result: OptimizationResult, verified: bool = False
+    ) -> None:
+        """Cache a fresh answer; ``verified`` when the checker accepted it."""
         exact, template_key, normalized = keys
-        self.cache.put(
-            CacheEntry(
-                fingerprint=exact,
-                plan=result.plan,
-                cost=result.cost,
-                required=result.required,
-                certificate=getattr(result, "certificate", None),
-            )
+        entry = CacheEntry(
+            fingerprint=exact,
+            plan=result.plan,
+            cost=result.cost,
+            required=result.required,
+            certificate=getattr(result, "certificate", None),
         )
+        self.cache.put(entry.marked() if verified else entry)
         if template_key is not None:
             template_plan = parameterize_plan(result.plan, normalized.replacements)
             self.cache.put(

@@ -3,7 +3,9 @@
 A request resolves, pin-checks and looks up where it arrives; only a
 miss takes an admission slot and a worker hop.  Counter trails are
 pinned to the values the two-hop path (PR 22) left behind: every
-request is still counted exactly once.
+request is still counted exactly once.  A hit is served under a
+certificate the checker accepted — once per cached entry, not once per
+request.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from repro.server import app
 
 from tests.server.conftest import CHAIN_SQL, PAIR_SQL
 from tests.server.test_admission import wait_for_active_slot
-from tests.service.test_verify_service import corrupt_cached_certificate
+from tests.service.test_verify_service import (
+    corrupt_cached_certificate,
+    swap_cached_plan,
+)
 
 POINT_SQL = "SELECT * FROM r WHERE r.k = 7"
 OTHER_POINT_SQL = "SELECT * FROM r WHERE r.k = 9"  # same bucket, other literal
@@ -69,6 +74,10 @@ def test_scripted_sequence_leaves_the_parent_counters(client, service):
         "verified_hits": 3,
         "verify_violations": 1,
         "quarantined": 1,
+        # New with "verified once": the checker ran on the four fresh
+        # answers, the pin's own check and the corrupted entry — on none
+        # of the three verified hits.
+        "verifications": 6,
     }
     assert registry == {
         "incumbents": 1,
@@ -109,6 +118,7 @@ def test_execute_and_batch_count_each_query_once(client):
         "verified_hits": 5,
         "verify_violations": 0,
         "quarantined": 0,
+        "verifications": 3,  # the three fresh answers, none of the five hits
     }
     assert registry["incumbents"] == 3
     # /execute runs its plan in a slot even on a hit; the all-hit batch
@@ -121,6 +131,7 @@ def test_execute_and_batch_count_each_query_once(client):
     # The batch's own delta still covers its hits, found on the loop.
     assert moved(first["cache_stats"]) == {
         "lookups": 4, "hits": 1, "misses": 3, "insertions": 3, "verified_hits": 1,
+        "verifications": 2,
     }
     assert moved(again["cache_stats"]) == {"lookups": 3, "hits": 3, "verified_hits": 3}
 
@@ -158,14 +169,14 @@ def test_hits_and_pins_stay_on_the_loop_thread(client, server, service, monkeypa
     assert [name for name, _ in cold] == ["pin-check", "verify"]
     assert cold[1][1].startswith("repro-server_")  # the miss ran on a worker
 
+    # The entry was verified before it was cached: a hit on it (by text
+    # or through /bind) runs no checker and never leaves the loop.
     warm = threads_of(lambda: client.optimize(CHAIN_SQL))
-    assert [name for name, _ in warm] == ["pin-check", "verify"]
-    assert all(map(on_loop, warm))  # the hit, re-verified, never left the loop
+    assert warm == [("pin-check", "repro-server-loop")]
 
     prepared = client.prepare(CHAIN_SQL)["statement"]
     bound = threads_of(lambda: client.bind(prepared))
-    assert [name for name, _ in bound] == ["pin-check", "verify"]
-    assert all(map(on_loop, bound))
+    assert bound == [("pin-check", "repro-server-loop")]
 
     client.pin(CHAIN_SQL)
     pinned = threads_of(lambda: client.optimize(CHAIN_SQL))
@@ -177,6 +188,42 @@ def test_hits_and_pins_stay_on_the_loop_thread(client, server, service, monkeypa
     client.execute(PAIR_SQL)
     assert client.execute(PAIR_SQL)["cached"]
     assert client.stats()["admission"]["admitted"] == before + 3
+
+
+# ------------------------------------------ (ii-b) verified once, served often
+
+
+def test_a_cached_entry_is_verified_once_across_requests(client):
+    assert client.optimize(CHAIN_SQL)["verified"]  # cold: verified on a worker
+    before = client.stats()["cache"]
+    answers = [client.optimize(CHAIN_SQL) for _ in range(6)]
+    assert all(a["cached"] and a["verified"] for a in answers)
+    after = client.stats()["cache"]
+    assert after["verified_hits"] == before["verified_hits"] + 6
+    assert after["verifications"] == before["verifications"] == 1
+    assert after["verify_violations"] == after["quarantined"] == 0
+
+
+def test_a_swapped_plan_is_caught_on_the_next_request(client, service):
+    clean = client.optimize(CHAIN_SQL)
+    pair = client.optimize(PAIR_SQL)
+    assert client.optimize(CHAIN_SQL)["verified"]  # a verified hit first
+    cached = {e.fingerprint.digest: e for e in service.cache.entries()}
+    swap_cached_plan(
+        service,
+        cached[clean["fingerprint"]].fingerprint,
+        cached[pair["fingerprint"]].plan,
+    )
+    before = client.stats()["cache"]
+
+    served = client.optimize(CHAIN_SQL)
+    assert not served["cached"] and served["verified"]
+    assert served["sexpr"] == clean["sexpr"]
+    after = client.stats()["cache"]
+    assert after["verify_violations"] == before["verify_violations"] + 1
+    assert after["quarantined"] == before["quarantined"] + 1
+    assert after["verifications"] == before["verifications"] + 2
+    assert client.optimize(CHAIN_SQL)["cached"]
 
 
 # ------------------------------------- (iii) a hit needs no admission slot
@@ -284,10 +331,32 @@ def test_concurrent_identical_cold_requests_run_the_engine_once(
 # ------------------------------- loop-side lookups beside worker-side writes
 
 
-def test_loop_lookups_race_worker_inserts_and_statistics_writes(harness):
-    """Hits on the loop thread, misses and writes on workers, one cache."""
+def test_loop_lookups_race_worker_inserts_and_statistics_writes(
+    harness, service, monkeypatch
+):
+    """Hits on the loop thread, misses and writes on workers, one cache
+    and one statement memo: nothing is answered under superseded keys."""
     sqls = [CHAIN_SQL, PAIR_SQL, POINT_SQL, OTHER_POINT_SQL]
     bump = {"columns": {"t.v": {"distinct_values": 123.0}}}
+    catalog = service.catalog
+    superseded = []
+
+    def fresh_keys_only(function):
+        # Whatever it returns is keyed under table versions no older
+        # than those current when the call began.
+        def wrapper(query, *args, **kwargs):
+            began = {name: catalog.table_version(name) for name in "rst"}
+            found = function(query, *args, **kwargs)
+            key = found.exact if hasattr(found, "exact") else found.fingerprint
+            for name, version in zip(key.tables, key.versions):
+                if version < began[name]:
+                    superseded.append((name, version, began[name]))
+            return found
+
+        return wrapper
+
+    monkeypatch.setattr(service, "lookup", fresh_keys_only(service.lookup))
+    monkeypatch.setattr(service, "optimize", fresh_keys_only(service.optimize))
     with ServerClient(harness.address) as c:
         c.update_statistics("t", bump)  # later writes only move versions
         expected = {sql: c.optimize(sql)["cost_total"] for sql in sqls}
@@ -322,6 +391,7 @@ def test_loop_lookups_race_worker_inserts_and_statistics_writes(harness):
         sys.setswitchinterval(interval)
     assert len(answers) == 160
     assert all(cost == expected[sql] for sql, cost in answers)
+    assert superseded == []
     with ServerClient(harness.address) as c:
         stats = c.stats()
     cache = stats["cache"]
@@ -331,3 +401,6 @@ def test_loop_lookups_race_worker_inserts_and_statistics_writes(harness):
     )
     assert cache["verify_violations"] == cache["quarantined"] == 0
     assert cache["invalidations"] > 0  # the writes did land mid-traffic
+    # One memo entry per text, however many versions each was resolved at.
+    memo = stats["server"]["statement_memo"]
+    assert memo["entries"] == len(sqls) and memo["hits"] > 0

@@ -1,7 +1,8 @@
 """ServiceOptions.verify_plans: verified serving, quarantine, sharing.
 
-The policy under test: fresh answers are verified before caching, hits
-are re-verified on every lookup, a failing entry (and its template
+The policy under test: fresh answers are verified before caching, a hit
+is served only under a (plan, certificate) pair the checker accepted —
+verified once, not once per hit — a failing entry (and its template
 sibling) is quarantined and the query transparently re-optimized, and
 a sharing pass that fails verification is discarded wholesale.
 """
@@ -52,6 +53,14 @@ def corrupt_cached_certificate(service):
     return touched
 
 
+def swap_cached_plan(service, fingerprint, plan):
+    """Put ``plan`` under the cached entry's (now foreign) certificate."""
+    entry = service.cache.peek(fingerprint)
+    service.cache._entries[fingerprint.digest] = dataclasses.replace(
+        entry, plan=plan
+    )
+
+
 def test_fresh_answers_are_verified(catalog):
     service = make_service(catalog)
     served = service.optimize(chain_query(["t0", "t1", "t2"]))
@@ -70,6 +79,51 @@ def test_hits_are_reverified(catalog):
     assert served.verified
     assert service.stats.verified_hits == 1
     assert service.stats.quarantined == 0
+
+
+def test_an_entry_is_verified_once_not_once_per_hit(catalog):
+    service = make_service(catalog)
+    query = chain_query(["t0", "t1", "t2"])
+    service.optimize(query)
+    assert service.stats.verifications == 1  # the fresh answer
+    hits = [service.optimize(query) for _ in range(5)]
+    assert all(hit.cached and hit.verified for hit in hits)
+    assert service.stats.verified_hits == 5
+    assert service.stats.verifications == 1
+    assert service.stats.verify_violations == service.stats.quarantined == 0
+
+
+def test_an_entry_put_without_a_mark_is_verified_on_its_first_hit(catalog):
+    service = make_service(catalog, parameterized=False)
+    query = chain_query(["t0", "t1", "t2"])
+    fresh = service.optimize(query)
+    entry = service.cache.peek(fresh.fingerprint)
+    assert entry.verified
+    # Somebody else's entry: the same plan and certificate, no mark.
+    service.cache.put(dataclasses.replace(entry, accepted=None))
+    assert not service.cache.peek(fresh.fingerprint).verified
+
+    first, second = service.optimize(query), service.optimize(query)
+    assert first.cached and first.verified and second.verified
+    assert service.stats.verifications == 2  # fresh + the first hit only
+    assert service.stats.verified_hits == 2
+    assert service.cache.peek(fresh.fingerprint).verified
+    assert service.stats.insertions == 2  # marking is not an insertion
+
+
+def test_a_reoptimized_entry_is_verified_anew_after_a_statistics_bump(catalog):
+    service = make_service(catalog)
+    query = chain_query(["t0", "t1", "t2"])
+    service.optimize(query)
+    service.optimize(query)
+    catalog.update_statistics("t1", catalog.table("t1").statistics)
+
+    again = service.optimize(query)
+    assert not again.cached and again.verified
+    assert service.stats.verifications == 2
+    assert service.optimize(query).verified
+    assert service.stats.verifications == 2
+    assert service.stats.verified_hits == 2
 
 
 def test_verification_off_by_default(catalog):
@@ -103,6 +157,43 @@ def test_corrupted_entry_is_quarantined_and_reoptimized(catalog):
     assert again.cached
     assert again.verified
     assert service.stats.quarantined == 1
+
+
+def test_the_mark_is_an_identity_not_a_flag(catalog):
+    # ``dataclasses.replace`` copies the mark onto the corrupted entry;
+    # it must not vouch for objects the checker never saw.
+    service = make_service(catalog)
+    query = chain_query(["t0", "t1", "t2"])
+    fresh = service.optimize(query)
+    assert service.cache.peek(fresh.fingerprint).verified
+    corrupt_cached_certificate(service)
+    entry = service.cache.peek(fresh.fingerprint)
+    assert entry.accepted is not None and not entry.verified
+    swap_cached_plan(service, fresh.fingerprint, fresh.plan.inputs[0])
+    entry = service.cache.peek(fresh.fingerprint)
+    assert entry.accepted is not None and not entry.verified
+
+
+def test_a_swapped_plan_is_quarantined_with_its_template_sibling(catalog):
+    service = make_service(catalog, parameterized=True)
+    query = chain_query(["t0", "t1", "t2"])
+    first = service.optimize(query)
+    other = service.optimize(chain_query(["t1", "t2", "t3"]))
+    entries_before = len(service.cache._entries)
+    assert service.optimize(query).verified  # a verified hit, then the swap
+    swap_cached_plan(service, first.fingerprint, other.plan)
+    verifications = service.stats.verifications
+
+    served = service.optimize(query)
+    # The very next hit: caught, dropped with its sibling, re-optimized.
+    assert not served.cached and not served.parameterized
+    assert served.verified
+    assert served.plan.to_sexpr() == first.plan.to_sexpr()
+    assert service.stats.verify_violations == 1
+    assert service.stats.quarantined == 1
+    assert service.stats.verifications == verifications + 2  # the hit, the re-run
+    assert len(service.cache._entries) == entries_before
+    assert service.optimize(query).cached
 
 
 def test_quarantine_also_drops_the_template_sibling(catalog):
