@@ -5,8 +5,7 @@ Experiments (ids from DESIGN.md):
   figure4      the paper's Figure 4 (time + plan quality + memory)
   ablations    A1–A8 ablation tables
   validate     V1 cost-model-vs-executor validation
-  regress      benchmark-regression suite vs BENCH_baseline.json
-  all          everything above (except regress)
+  all          everything above
 
 Options:
   --queries N    queries per complexity level (default 50, paper's value)
@@ -54,44 +53,6 @@ def _parse_sizes(text: str):
     return tuple(range(int(low), int(high or low) + 1))
 
 
-def _run_regress_cli(arguments) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench.regress import (
-        RegressConfig,
-        apply_inflation,
-        compare,
-        render_report,
-        run_regress,
-    )
-
-    config = RegressConfig()
-    if arguments.time_tolerance is not None:
-        from dataclasses import replace
-
-        config = replace(config, time_tolerance=arguments.time_tolerance)
-    results = run_regress(config, progress=lambda line: print(line, flush=True))
-    if arguments.inflate is not None:
-        results = apply_inflation(results, arguments.inflate)
-        print(f"(times synthetically inflated {arguments.inflate}x)")
-    Path(arguments.output).write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {arguments.output}")
-    if arguments.write_baseline:
-        Path(arguments.baseline).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {arguments.baseline}")
-        return 0
-    baseline_path = Path(arguments.baseline)
-    if not baseline_path.exists():
-        print(f"no baseline at {arguments.baseline}; run with --write-baseline")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    failures = compare(results, baseline, config)
-    print()
-    print(render_report(results, failures))
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench", description=__doc__,
@@ -99,7 +60,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=["figure4", "ablations", "validate", "regress", "all"],
+        choices=["figure4", "ablations", "validate", "all"],
     )
     parser.add_argument("--queries", type=int, default=50)
     parser.add_argument("--sizes", type=_parse_sizes, default=tuple(range(2, 9)))
@@ -122,41 +83,10 @@ def main(argv=None) -> int:
         help="per-query optimization deadline in seconds (figure4 only)",
     )
     parser.add_argument("--quick", action="store_true")
-    regress_group = parser.add_argument_group("regress options")
-    regress_group.add_argument(
-        "--baseline",
-        default="BENCH_baseline.json",
-        help="committed baseline to compare against (regress only)",
-    )
-    regress_group.add_argument(
-        "--output",
-        default="BENCH_results.json",
-        help="where to write this run's results (regress only)",
-    )
-    regress_group.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write this run's results to --baseline and exit green",
-    )
-    regress_group.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=None,
-        help="wall-clock tolerance band as a fraction (default 1.5)",
-    )
-    regress_group.add_argument(
-        "--inflate",
-        type=float,
-        default=None,
-        help="synthetically multiply measured times (harness self-test)",
-    )
     arguments = parser.parse_args(argv)
     if arguments.quick:
         arguments.queries = 5
         arguments.sizes = tuple(range(2, 7))
-
-    if arguments.experiment == "regress":
-        return _run_regress_cli(arguments)
 
     if arguments.experiment in ("figure4", "all"):
         config = Figure4Config(

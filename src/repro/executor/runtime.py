@@ -75,9 +75,8 @@ class ExecutionStats:
 
         Pages are weighted to reflect that I/O dominates row handling in
         the cost model; the row-level counters approximate CPU work.
-        Deterministic for a fixed plan and dataset, so tests and the
-        regress harness can assert "the re-optimized plan did less
-        work" without wall-clock noise.
+        Deterministic for a fixed plan and dataset, so tests can assert
+        "the re-optimized plan did less work" without wall-clock noise.
         """
         return (
             10.0 * (self.pages_read + self.pages_written)

@@ -1,8 +1,8 @@
 """Synthetic drifted workloads for exercising the feedback loop.
 
-The canonical demonstration scenario, shared by the regress bench
-(``python -m repro.bench regress``), the end-to-end tests, and
-``examples/feedback_loop.py``: a three-table join whose smallest table
+The canonical demonstration scenario, shared by the end-to-end tests
+(``tests/feedback/test_service_loop.py`` pins its counters), the server
+tests, and ``examples/feedback_loop.py``: a three-table join whose smallest table
 quietly grows ~4x past its catalog statistics.  The stale statistics
 make the optimizer schedule the grown table early (it believes the
 table is small), producing an oversized intermediate; once feedback
@@ -10,8 +10,7 @@ refreshes the statistics, re-optimization pushes it later and the
 measured execution work drops.
 
 Everything is seeded and deterministic — the scenario's q-errors and
-per-plan work counters are exact, so tests and the regress harness can
-assert on them within tight bands.
+per-plan work counters are exact, so tests assert on them exactly.
 """
 
 from __future__ import annotations

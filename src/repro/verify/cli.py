@@ -31,7 +31,8 @@ __all__ = ["main"]
 
 #: The committed golden workload recipe (tests/service/test_mqo.py).
 GOLDEN_RECIPE = dict(count=42, seed=7, n_tables=6, relations=(2, 4))
-#: The mqo_sharing bench recipe: eight overlapping five-table queries.
+#: The mqo_sharing batch recipe (tests/service/test_mqo.py): eight
+#: overlapping five-table queries.
 SHARING_RECIPE = dict(count=8, seed=7, n_tables=5, relations=(2, 4))
 
 _COST_TOLERANCE = 1e-9

@@ -14,7 +14,6 @@ from repro.bench.ablations import (
 )
 from repro.bench.figure4 import Figure4Config, render_figure4, run_figure4
 from repro.bench.reporting import Table, geometric_mean, render_log_chart
-from repro.workloads import WorkloadOptions
 
 
 def test_geometric_mean():
@@ -57,6 +56,7 @@ def test_figure4_runs_and_has_rows(tiny_figure4):
     for row in tiny_figure4.rows:
         assert row.volcano_time > 0
         assert row.volcano_cost > 0
+        assert row.exodus_cost is None or row.exodus_cost > 0
 
 
 def test_figure4_shape_quality_equal_small(tiny_figure4):
@@ -111,8 +111,8 @@ def test_systemr_comparison_agrees():
 def test_setops_orders_alternatives_never_worse():
     table = run_setops_orders(row_counts=(2400,))
     for row in table.rows:
-        saving = float(row[-1].rstrip("x"))
-        assert saving >= 1.0
+        # Offering the (second, first) order saves the result's sort.
+        assert row[2] < row[1]
 
 
 def test_promise_ablation_faster_but_never_better():
@@ -128,8 +128,9 @@ def test_promise_ablation_faster_but_never_better():
 def test_executor_validation_rows_match():
     table = run_executor_validation(n_relations=2, queries=2, seed=3)
     for row in table.rows:
-        ratio = float(row[3])
-        assert 0.2 <= ratio <= 5.0
+        assert row[2] > 0  # actual rows
+        assert 0.2 <= float(row[3]) <= 5.0
+        assert row[6] > 0  # actual scan pages read
 
 
 def test_cli_quick(capsys):

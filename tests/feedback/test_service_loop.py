@@ -92,6 +92,12 @@ def test_drift_refresh_reoptimize_beats_stale_plan():
     assert fresh.stats.work() < stale.stats.work()
     assert len(fresh.rows) == len(stale.rows)
 
+    # Every counter of the loop is exact for the seeded scenario.
+    assert stale.max_q_error == 4.0
+    assert (stale.stats.work(), fresh.stats.work()) == (302134, 280576)
+    histogram = service.feedback.q_error_histogram()
+    assert histogram["<=4"] + histogram["<=10"] + histogram[">10"] == 3
+
 
 def test_refresh_invalidates_exactly_the_affected_fingerprints():
     """The PR 1 contract under mutation: surgical invalidation."""

@@ -112,6 +112,7 @@ def test_merge_intersect_picks_the_matching_alternative(catalog):
     required = sorted_on("r.v")
     result = optimizer.optimize(intersect(get("r"), get("s")), props=required)
     assert result.plan.algorithm == "merge_intersect"
+    assert result.plan.properties.covers(required)
     # The first sort key pair must align with the required column.
     first_key = result.plan.properties.sort_order[0]
     assert "r.v" in first_key

@@ -177,6 +177,7 @@ def test_failure_caching_does_not_change_result(catalog):
         relational_model(), catalog, SearchOptions(cache_failures=False)
     ).optimize(query, props=sorted_on("r.k"))
     assert with_failures.cost == without_failures.cost
+    assert without_failures.stats.failure_hits == 0
 
 
 # -- dynamic programming ------------------------------------------------------

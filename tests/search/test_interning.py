@@ -307,6 +307,8 @@ def test_long_merge_chains_are_not_quadratic():
     # Linear budget with headroom for the merges' own resolutions; the
     # quadratic failure mode is ~chain^2 / 2 = 11k+ hops.
     assert memo.stats.canonical_hops <= 6 * chain
+    # The count is exact: a drift means the union-find changed.
+    assert memo.stats.canonical_hops == 3 * chain - 5
     # After one resolution pass every stale id points directly at the
     # representative: re-resolving all of them costs one hop each.
     before = memo.stats.canonical_hops

@@ -36,6 +36,23 @@ def test_insert_is_idempotent(memo):
     assert memo.group_count() == 1
 
 
+def test_deep_join_reinserted_interns_once():
+    """An 8-table join tree inserted 50 times: 15 groups, 15 expressions."""
+    names = [f"t{i}" for i in range(8)]
+    context = OptimizerContext(
+        relational_model(), make_catalog([(name, 1000) for name in names])
+    )
+    memo = Memo(context, check_consistency=False)
+    context.group_props_resolver = memo.logical_props
+    tree = get(names[0])
+    for name in names[1:]:
+        tree = join(tree, get(name), eq(f"{names[0]}.k", f"{name}.k"))
+    for _ in range(50):
+        memo.insert_expression(tree)
+    assert memo.group_count() == 15
+    assert memo.expression_count() == 15
+
+
 def test_shared_subexpressions_share_groups(memo):
     tree_one = join(get("r"), get("s"), eq("r.k", "s.k"))
     tree_two = join(get("r"), get("t"), eq("r.k", "t.k"))

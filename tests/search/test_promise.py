@@ -25,6 +25,7 @@ from repro.search import (
     VolcanoOptimizer,
 )
 from repro.service import OptimizerService, ServiceOptions
+from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
 
@@ -138,6 +139,12 @@ def test_min_promise_filtering(spec, catalog, min_promise, pruned, fired):
         assert result.stats.moves_pruned == pruned
         assert result.stats.rules_fired == fired
     assert static.plan.to_sexpr() == learned.plan.to_sexpr()
+    # A threshold searches a smaller space and never finds a cheaper plan.
+    exhaustive = VolcanoOptimizer(
+        spec, catalog, SearchOptions(check_consistency=False)
+    ).optimize(query, sorted_on("s.k"))
+    assert static.stats.groups_created <= exhaustive.stats.groups_created
+    assert static.cost.total() >= exhaustive.cost.total()
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +247,76 @@ def test_learned_model_end_to_end_via_service(spec):
     ).optimize(query, required)
     assert repeat.cost == static.cost
     assert repeat.plan.to_sexpr() == static.plan.to_sexpr()
+
+
+def test_learned_model_repeat_workloads_cost_no_more(spec):
+    """Train on executed sorted chains, then repeat two workloads.
+
+    Merge join wins every sorted chain, so the trained model pursues it
+    first.  Every goal is solved once, to its optimum, so the order only
+    changes which inputs are abandoned: the learned pass costs at most
+    the static one, rule firings and every plan stay identical, and the
+    counts are exact for the seeds.
+    """
+    catalog = Catalog()
+    populate_catalog(
+        catalog,
+        [
+            TableSpec("r", 300, key_distinct=50),
+            TableSpec("s", 900, key_distinct=50),
+            TableSpec("t", 600, key_distinct=50),
+            TableSpec("u", 450, key_distinct=50),
+        ],
+        seed=7,
+    )
+    chains = [
+        (chain("r", "s", "t"), sorted_on("r.k")),
+        (chain("s", "t", "u"), sorted_on("s.k")),
+        (chain("r", "t", "u"), sorted_on("r.k")),
+        (chain("r", "s", "t", "u"), sorted_on("r.k")),
+    ]
+    model = LearnedPromiseModel(boost=0.75)
+    trained = VolcanoOptimizer(
+        spec, catalog, SearchOptions(check_consistency=False, promise_model=model)
+    )
+    service = OptimizerService(trained, options=ServiceOptions(promise_model=model))
+    for query, required in chains:
+        service.execute(query, required)
+    static = VolcanoOptimizer(spec, catalog, SearchOptions(check_consistency=False))
+    for query, required in chains:
+        assert (
+            trained.optimize(query, required).plan.to_sexpr()
+            == static.optimize(query, required).plan.to_sexpr()
+        )
+
+    workload = QueryGenerator(
+        WorkloadOptions(selectivity_range=(0.1, 0.1))
+    ).generate_shared(count=8, seed=11, n_tables=6, relations=(2, 4))
+
+    def sweep(promise_model, min_promise=None):
+        optimizer = VolcanoOptimizer(
+            spec,
+            workload.catalog,
+            SearchOptions(
+                check_consistency=False,
+                promise_model=promise_model,
+                min_promise=min_promise,
+            ),
+        )
+        return [optimizer.optimize(entry.query, ANY_PROPS) for entry in workload]
+
+    static_runs, learned_runs = sweep(None), sweep(model)
+    assert [run.plan.to_sexpr() for run in learned_runs] == [
+        run.plan.to_sexpr() for run in static_runs
+    ]
+    static_costings = sum(run.stats.algorithm_costings for run in static_runs)
+    learned_costings = sum(run.stats.algorithm_costings for run in learned_runs)
+    assert learned_costings <= static_costings == 230
+    assert sum(run.stats.rules_fired for run in learned_runs) == sum(
+        run.stats.rules_fired for run in static_runs
+    )
+    # Heuristic pruning under the trained model: the count is exact.
+    assert sweep(model, min_promise=0.9)[0].stats.moves_pruned == 4
 
 
 def test_service_options_fold_model_into_engine_calls(spec, catalog):
