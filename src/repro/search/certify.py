@@ -9,11 +9,12 @@ independent checker (:func:`repro.verify.verify_plan`) consumes:
 * the **frontier** — the logical expression the plan structurally
   implements — is reconstructed by re-matching each node's claimed
   implementation rule against its group's members;
-* the **derivation chain** proving source ⟶ frontier is found by
-  replaying transformation rules between group members: a BFS over each
-  group's member graph (edges are rule firings, re-validated against
-  the live rule set) yields concrete :class:`DerivationStep` sequences
-  the checker can replay on plain trees;
+* the **derivation chain** proving source ⟶ frontier is read from the
+  search's own record: the memo keeps, per member, the rewrite that
+  first brought it into its class (:attr:`Memo.derivations`), and
+  walking those pointers back from the frontier's member to the
+  source's gives the rule firings, each replayed on the concrete tree
+  into a :class:`DerivationStep` the checker can replay on plain trees;
 * per-node :class:`NodeClaim` objects carry the exact cost terms and
   logical properties the engine used, so cost reproduction (P3xx) is an
   exact equality, not a tolerance test.
@@ -33,9 +34,8 @@ re-aligned claims (scan nodes reference the certificate's
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import GROUP_LEAF, LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -68,16 +68,15 @@ __all__ = [
 #: than looping.  Real chains are short — the bound is a backstop.
 CHAIN_STEP_BUDGET = 8000
 _DERIVE_DEPTH_LIMIT = 200
-_BFS_VISIT_LIMIT = 20000
 
 
 @dataclass(frozen=True)
 class ClaimRecord:
     """What an engine knew when it created one plan node.
 
-    ``rule`` names the implementation rule (None for enforcers, and for
-    foreign engines that pick algorithms without rules — the builder
-    then searches for a justifying rule itself).  ``gid`` and
+    ``rule`` names the implementation rule (None for enforcers; plan
+    nodes with no record — foreign engines, seeded subplans — get a
+    justifying rule searched for by the builder).  ``gid`` and
     ``input_groups`` locate the node in the memo (−1 when unknown).
     ``local``/``output``/``inputs`` are the exact cost term and logical
     properties the cost function consumed.
@@ -95,15 +94,6 @@ class ClaimRecord:
 
 class _ChainFail(Exception):
     """Internal: certificate reconstruction failed (best-effort fallback)."""
-
-
-def _record_of(entry) -> Optional[ClaimRecord]:
-    """Engines store ``(plan, record)`` pairs (the plan pins the id)."""
-    if entry is None:
-        return None
-    if isinstance(entry, ClaimRecord):
-        return entry
-    return entry[1]
 
 
 class CertificateBuilder:
@@ -130,15 +120,11 @@ class CertificateBuilder:
         self._impl_by_algorithm: Dict[str, List] = {}
         for rule in spec.implementations:
             self._impl_by_algorithm.setdefault(rule.algorithm, []).append(rule)
-        self._transforms_by_op: Dict[str, List] = {}
-        for rule in spec.transformations:
-            self._transforms_by_op.setdefault(rule.top_operator, []).append(rule)
         #: id(plan node) → frontier subexpression (exposed for sharing).
         self.frontiers: Dict[int, LogicalExpression] = {}
         self._records: Dict[int, ClaimRecord] = {}
         self._resolve_cache: Dict[LogicalExpression, Optional[int]] = {}
         self._repr_cache: Dict[int, LogicalExpression] = {}
-        self._edge_cache: Dict[Tuple[int, GroupExpression], list] = {}
         self._keepalive: List[PhysicalPlan] = []
         self._steps: List[DerivationStep] = []
         self._budget = 0
@@ -207,7 +193,9 @@ class CertificateBuilder:
         if cached is not None:
             return cached
         gid = self.memo.canonical(gid)
-        record = _record_of(self.claims.get(id(node)))
+        # Engines store (plan, record) pairs: the plan pins the id.
+        entry = self.claims.get(id(node))
+        record = None if entry is None else entry[1]
         if node.is_enforcer:
             if record is None:
                 record = self._synthesize_enforcer(node, gid)
@@ -217,7 +205,7 @@ class CertificateBuilder:
         elif record is not None and record.rule is not None:
             frontier = self._frontier_known(node, gid, record)
         else:
-            record, frontier = self._frontier_search(node, gid, record)
+            record, frontier = self._frontier_search(node, gid)
         self._records[id(node)] = record
         self.frontiers[id(node)] = frontier
         self._keepalive.append(node)
@@ -253,14 +241,13 @@ class CertificateBuilder:
         children = [
             self._frontier_of(child, g) for child, g in zip(node.inputs, child_gids)
         ]
-        leaf_map = dict(zip(rule.input_names, children))
-        frontier = self._match_rule(rule, node, gid, child_gids, leaf_map)
+        frontier = self._match_rule(rule, node, gid, child_gids, children)
         if frontier is None:
             raise _ChainFail(f"no member of g{gid} justifies {rule.name!r}")
         return frontier
 
     def _frontier_search(
-        self, node: PhysicalPlan, gid: int, record: Optional[ClaimRecord]
+        self, node: PhysicalPlan, gid: int
     ) -> Tuple[ClaimRecord, LogicalExpression]:
         """Find *some* implementation rule justifying the node (foreign
         engines and seeded subplans record no rule attribution)."""
@@ -277,45 +264,44 @@ class CertificateBuilder:
                     ]
                 except _ChainFail:
                     continue
-                leaf_map = dict(zip(rule.input_names, children))
-                frontier = self._instantiate(rule.pattern, binding, gid, leaf_map)
-                if frontier is None or self._resolve(frontier) != gid:
+                frontier = self._realize_rule(rule, binding, gid, children)
+                if frontier is None:
                     continue
-                if record is not None:
-                    found = dataclasses.replace(
-                        record, rule=rule.name, gid=gid, input_groups=leaf_gids
-                    )
-                else:
-                    found = ClaimRecord(
-                        rule=rule.name,
-                        gid=gid,
-                        input_groups=leaf_gids,
-                        local=self.spec.algorithm(node.algorithm).cost(
-                            self.context,
-                            AlgorithmNode(
-                                node.args,
-                                self.memo.group(gid).logical_props,
-                                tuple(
-                                    self.memo.logical_props(g) for g in leaf_gids
-                                ),
-                            ),
-                        ),
-                        output=self.memo.group(gid).logical_props,
-                        inputs=tuple(
-                            self.memo.logical_props(g) for g in leaf_gids
-                        ),
-                    )
+                output = self.memo.group(gid).logical_props
+                inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
+                local = self.spec.algorithm(node.algorithm).cost(
+                    self.context, AlgorithmNode(node.args, output, inputs)
+                )
+                found = ClaimRecord(
+                    rule=rule.name,
+                    gid=gid,
+                    input_groups=leaf_gids,
+                    local=local,
+                    output=output,
+                    inputs=inputs,
+                )
                 return found, frontier
         raise _ChainFail(f"no rule justifies {node.algorithm!r} in g{gid}")
 
-    def _match_rule(self, rule, node, gid, child_gids, leaf_map):
+    def _match_rule(self, rule, node, gid, child_gids, children):
         for member, binding, args, leaf_gids in self._rule_sites(rule, gid):
             if args != node.args or leaf_gids != child_gids:
                 continue
-            frontier = self._instantiate(rule.pattern, binding, gid, leaf_map)
-            if frontier is not None and self._resolve(frontier) == gid:
+            frontier = self._realize_rule(rule, binding, gid, children)
+            if frontier is not None:
                 return frontier
         return None
+
+    def _realize_rule(self, rule, binding, gid: int, children):
+        """The rule's pattern in group ``gid`` with the plan inputs'
+        frontiers at its leaves, or None when it does not land there."""
+        leaf_map = dict(zip(rule.input_names, children))
+        frontier = self._realize(
+            rule.pattern, binding, gid, lambda name, _gid: leaf_map[name]
+        )
+        if frontier is None or self._resolve(frontier) != gid:
+            return None
+        return frontier
 
     def _rule_sites(self, rule, gid: int):
         """(member, binding, args, leaf group ids) for every way ``rule``
@@ -342,17 +328,16 @@ class CertificateBuilder:
                 )
                 yield member, binding, args, leaf_gids
 
-    def _instantiate(
+    def _realize(
         self,
         pattern,
         binding: dict,
         gid: int,
-        leaf_map: Dict[str, LogicalExpression],
+        leaf: Callable[[str, int], LogicalExpression],
     ) -> Optional[LogicalExpression]:
-        """A concrete expression shaped like ``pattern`` in group ``gid``,
-        with pattern leaves replaced by the plan inputs' frontiers."""
-        if isinstance(pattern, AnyPattern):
-            return leaf_map[pattern.name]
+        """A concrete expression in group ``gid`` shaped like the
+        (operator) ``pattern`` under a member binding, or None when no
+        member realizes it; ``leaf(name, gid)`` fills each pattern leaf."""
         memo = self.memo
         for member in list(memo.group(gid).expressions):
             if member.operator != pattern.operator:
@@ -364,22 +349,19 @@ class CertificateBuilder:
             ):
                 continue
             inputs: List[LogicalExpression] = []
-            fits = True
             for sub, raw_gid in zip(pattern.inputs, member.input_groups):
                 sub_gid = memo.canonical(raw_gid)
                 if isinstance(sub, AnyPattern):
                     bound = binding.get(sub.name)
                     if bound is None or memo.canonical(bound.args[0]) != sub_gid:
-                        fits = False
                         break
-                    inputs.append(leaf_map[sub.name])
+                    inputs.append(leaf(sub.name, sub_gid))
                 else:
-                    child = self._instantiate(sub, binding, sub_gid, leaf_map)
+                    child = self._realize(sub, binding, sub_gid, leaf)
                     if child is None:
-                        fits = False
                         break
                     inputs.append(child)
-            if fits:
+            else:
                 return LogicalExpression(member.operator, member.args, tuple(inputs))
         return None
 
@@ -470,60 +452,22 @@ class CertificateBuilder:
     def _member_path(
         self, gid: int, src: GroupExpression, dst: GroupExpression
     ) -> List[tuple]:
-        """BFS through the group's member graph (edges = rule firings)."""
-        parents: Dict[GroupExpression, Optional[tuple]] = {src: None}
-        queue = deque([src])
-        visited = 0
-        while queue:
-            member = queue.popleft()
-            if member == dst:
-                edges: List[tuple] = []
-                cursor = parents[member]
-                while cursor is not None:
-                    previous, edge = cursor
-                    edges.append(edge)
-                    cursor = parents[previous]
-                edges.reverse()
-                return edges
-            visited += 1
-            if visited > _BFS_VISIT_LIMIT:
-                break
-            for edge in self._edges_of(gid, member):
-                successor = edge[2]
-                if successor not in parents:
-                    parents[successor] = (member, edge)
-                    queue.append(successor)
-        raise _ChainFail(f"no transformation path in g{gid}")
-
-    def _edges_of(self, gid: int, member: GroupExpression) -> list:
-        key = (gid, member)
-        cached = self._edge_cache.get(key)
-        if cached is not None:
-            return cached
-        edges = []
-        for rule in self._transforms_by_op.get(member.operator, ()):
-            for binding in self.memo.rule_bindings(rule.pattern, member):
-                try:
-                    if not rule.applies(binding, self.context):
-                        continue
-                    results = rule.rewrite(binding, self.context)
-                except ReproError:
-                    continue
-                if results is None:
-                    continue
-                if isinstance(results, LogicalExpression):
-                    results = [results]
-                for output in results:
-                    if output.operator == GROUP_LEAF:
-                        continue  # group collapse: not replayable as a step
-                    target = self._member_of(output)
-                    if target is None:
-                        continue
-                    owner = self.memo._table.get(target)
-                    if owner is None or self.memo.canonical(owner) != gid:
-                        continue
-                    edges.append((rule, binding, target))
-        self._edge_cache[key] = edges
+        """The ``(rule, binding, target)`` firings that took the class
+        from ``src`` to ``dst``: the memo's first-derivation pointers,
+        walked back from ``dst`` and returned in firing order."""
+        edges: List[tuple] = []
+        member, seen = dst, {dst}
+        while member != src:
+            origin = self.memo.derivations.get(member)
+            if origin is None:
+                raise _ChainFail(f"no derivation of {member} from {src} in g{gid}")
+            source, rule, binding = origin
+            edges.append((rule, binding, member))
+            member = self._canon_member(source)
+            if member in seen:
+                raise _ChainFail(f"derivation pointers cycle in g{gid}")
+            seen.add(member)
+        edges.reverse()
         return edges
 
     def _apply_edge(
@@ -549,7 +493,11 @@ class CertificateBuilder:
             child_gid = self._resolve(children[index])
             if child_gid is None:
                 raise _ChainFail("unresolvable child during reshape")
-            goal = self._pattern_target(sub, binding, child_gid)
+            goal = self._realize(
+                sub, binding, child_gid, lambda _name, g: self._representative(g)
+            )
+            if goal is None:
+                raise _ChainFail("no member realizes the nested pattern")
             children[index] = self._derive_rec(
                 children[index], goal, path + (index,), depth + 1
             )
@@ -596,39 +544,6 @@ class CertificateBuilder:
             self._shape_matches(sub, child, binding)
             for sub, child in zip(pattern.inputs, tree.inputs)
         )
-
-    def _pattern_target(self, pattern, binding, gid: int) -> LogicalExpression:
-        """A concrete expression in group ``gid`` realizing a nested
-        pattern position of a member binding."""
-        if isinstance(pattern, AnyPattern):
-            return self._representative(
-                self.memo.canonical(binding[pattern.name].args[0])
-            )
-        memo = self.memo
-        for member in list(memo.group(gid).expressions):
-            if member.operator != pattern.operator:
-                continue
-            if len(member.input_groups) != len(pattern.inputs):
-                continue
-            if pattern.args_as is not None and binding.get(pattern.args_as) != (
-                member.args
-            ):
-                continue
-            inputs: List[LogicalExpression] = []
-            fits = True
-            for sub, raw_gid in zip(pattern.inputs, member.input_groups):
-                sub_gid = memo.canonical(raw_gid)
-                if isinstance(sub, AnyPattern):
-                    bound = binding.get(sub.name)
-                    if bound is None or memo.canonical(bound.args[0]) != sub_gid:
-                        fits = False
-                        break
-                    inputs.append(self._representative(sub_gid))
-                else:
-                    inputs.append(self._pattern_target(sub, binding, sub_gid))
-            if fits:
-                return LogicalExpression(member.operator, member.args, tuple(inputs))
-        raise _ChainFail("no member realizes the nested pattern")
 
 
 # ---------------------------------------------------------------------------

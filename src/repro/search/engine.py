@@ -930,7 +930,9 @@ class VolcanoOptimizer:
                         stats.rules_fired += 1
                         if run.metered:
                             meter.charge_rule_firing()
-                        added, created = memo.add_rewrite(new_expression, gid)
+                        added, created = memo.add_rewrite(
+                            new_expression, gid, (mexpr, rule, binding)
+                        )
                         changed |= added
                         for new_gid in created:
                             self._explore_group(run, new_gid)

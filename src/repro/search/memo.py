@@ -222,6 +222,11 @@ class Memo:
         # this memo, in insertion order (ids as registered; ``roots``
         # resolves them through the union-find on read).
         self._roots: List[int] = []
+        #: member → (source member, rule, binding) of the rewrite that
+        #: first brought it into its class; a certificate's derivation
+        #: chain is the walk back along these pointers.  Keys stay
+        #: canonical: a merge re-keys the members it re-homes.
+        self.derivations: Dict[GroupExpression, Tuple] = {}
 
     # -- basic access --------------------------------------------------------
 
@@ -360,7 +365,10 @@ class Memo:
         return self.add_rewrite(expression, group_id)[0]
 
     def add_rewrite(
-        self, expression: LogicalExpression, group_id: int
+        self,
+        expression: LogicalExpression,
+        group_id: int,
+        origin: Optional[Tuple] = None,
     ) -> Tuple[bool, List[int]]:
         """:meth:`add_expression_to_group`, also reporting the new groups.
 
@@ -369,6 +377,9 @@ class Memo:
         subexpressions the memo did not hold yet, inputs before the
         groups that consume them — the order in which the engine
         explores them (see ``docs/search-internals.md``, "Exploration").
+        ``origin`` is the rewrite's ``(source member, rule, binding)``;
+        the output member keeps it in :attr:`derivations` when this is
+        its first entry into the class.
         """
         created: List[int] = []
         group_id = self.canonical(group_id)
@@ -384,11 +395,14 @@ class Memo:
             [self._insert(node, created) for node in expression.inputs]
         )
         mexpr = GroupExpression(expression.operator, expression.args, input_groups)
-        _, changed = self._intern(mexpr, target_group=group_id)
+        _, changed = self._intern(mexpr, group_id, origin)
         return changed, created
 
     def _intern(
-        self, mexpr: GroupExpression, target_group: Optional[int]
+        self,
+        mexpr: GroupExpression,
+        target_group: Optional[int],
+        origin: Optional[Tuple] = None,
     ) -> Tuple[int, bool]:
         """Intern one group expression; returns ``(group_id, changed)``."""
         mexpr = self._canonical_mexpr(mexpr)
@@ -398,6 +412,8 @@ class Memo:
             if target_group is not None and existing != target_group:
                 # Two derivations of the same expression in different
                 # classes: the classes are equivalent — merge them.
+                if origin is not None:
+                    self.derivations.setdefault(mexpr, origin)
                 self._merge(target_group, existing)
                 return self.canonical(target_group), True
             return existing, False
@@ -408,6 +424,8 @@ class Memo:
             if self.check_consistency:
                 self._check_consistency(group, mexpr)
         self._attach(mexpr, group)
+        if origin is not None:
+            self.derivations[mexpr] = origin
         return group.id, True
 
     def _new_group(self, mexpr: GroupExpression) -> Group:
@@ -476,11 +494,8 @@ class Memo:
                 )
                 mexpr = GroupExpression(mexpr.operator, mexpr.args, canonical_inputs)
                 break
-        interned = self._interned.get(mexpr)
-        if interned is not None:
-            return interned
-        self._interned[mexpr] = mexpr
-        return mexpr
+        # One probe (one ``__hash__`` call) whether or not it is new.
+        return self._interned.setdefault(mexpr, mexpr)
 
     def _derive_props(self, mexpr: GroupExpression) -> LogicalProperties:
         input_props = tuple(
@@ -614,10 +629,14 @@ class Memo:
         # that read either of them.
         keeper.version += 1
         dead.version += 1
-        # Move the expressions across.
+        # Move the expressions across, each with its derivation pointer.
+        derivations = self.derivations
         for mexpr in dead.expressions:
             self._table.pop(mexpr, None)
             canonical = self._canonical_mexpr(mexpr)
+            origin = derivations.pop(mexpr, None)
+            if origin is not None:
+                derivations.setdefault(canonical, origin)
             clash = self._table.get(canonical)
             if clash is not None and self.canonical(clash) != keeper.id:
                 # Canonicalizing revealed that this expression already
@@ -657,6 +676,9 @@ class Memo:
             owner_group = self._groups[owner]
             owner_group.version += 1
             rewritten = self._canonical_mexpr(parent)
+            origin = derivations.pop(parent, None)
+            if origin is not None:
+                derivations.setdefault(rewritten, origin)
             if parent in owner_group.expression_set:
                 owner_group.expression_set.discard(parent)
                 owner_group.expressions = [

@@ -190,6 +190,38 @@ def late_equality_runs(spec, catalog, query, unwrapped):
     return runs
 
 
+def collapse_true_select_model():
+    """setops plus ``select[TRUE](x) -> x``, a rewrite to a bare group leaf."""
+    spec = setops_model()
+    spec.add_transformation(
+        TransformationRule(
+            "drop_true_select",
+            OpPattern("select", (AnyPattern("x"),), args_as="p"),
+            lambda binding, context: binding["x"],
+            condition=lambda binding, context: binding["p"][0].is_true,
+        )
+    )
+    return spec
+
+
+def skip_true_select_model():
+    """setops plus ``select[p](select[TRUE](x)) -> select[p](x)``."""
+    spec = setops_model()
+    spec.add_transformation(
+        TransformationRule(
+            "skip_true_select",
+            OpPattern(
+                "select",
+                (OpPattern("select", (AnyPattern("x"),), args_as="q"),),
+                args_as="p",
+            ),
+            lambda binding, context: select(binding["x"], binding["p"][0]),
+            condition=lambda binding, context: binding["q"][0].is_true,
+        )
+    )
+    return spec
+
+
 def test_engine_merges_when_a_rule_discovers_an_equality_late(tmp_path, monkeypatch):
     """Merge, reopen, confirming sweep: the fallback still runs end to end.
 
@@ -210,15 +242,7 @@ def test_engine_merges_when_a_rule_discovers_an_equality_late(tmp_path, monkeypa
     shared = select(get("r"), le("r.v", 10))
     narrowed = select(shared, le("r.k", 5))
 
-    spec = setops_model()
-    spec.add_transformation(
-        TransformationRule(
-            "drop_true_select",
-            OpPattern("select", (AnyPattern("x"),), args_as="p"),
-            lambda binding, context: binding["x"],
-            condition=lambda binding, context: binding["p"][0].is_true,
-        )
-    )
+    spec = collapse_true_select_model()
     query = union(narrowed, select(shared, TRUE))
     for result in late_equality_runs(spec, catalog, query, union(narrowed, shared)):
         memo = result.memo
@@ -227,19 +251,7 @@ def test_engine_merges_when_a_rule_discovers_an_equality_late(tmp_path, monkeypa
         reopened = memo.group(memo.insert_expression(narrowed))
         assert [mexpr.input_groups for mexpr in reopened.expressions] == [(merged,)]
 
-    spec = setops_model()
-    spec.add_transformation(
-        TransformationRule(
-            "skip_true_select",
-            OpPattern(
-                "select",
-                (OpPattern("select", (AnyPattern("x"),), args_as="q"),),
-                args_as="p",
-            ),
-            lambda binding, context: select(binding["x"], binding["p"][0]),
-            condition=lambda binding, context: binding["q"][0].is_true,
-        )
-    )
+    spec = skip_true_select_model()
     consumer = select(narrowed, le("r.v", 3))
     query = union(consumer, select(select(shared, TRUE), le("r.k", 5)))
     for result in late_equality_runs(spec, catalog, query, union(consumer, narrowed)):

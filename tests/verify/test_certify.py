@@ -15,6 +15,7 @@ from repro.search import SearchOptions, VolcanoOptimizer
 from repro.search.certify import certify_result, standalone_certificate
 from repro.systemr import SystemROptimizer
 from repro.verify import KIND_DEGRADED, KIND_SEARCH, verify_plan
+from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
 
@@ -128,3 +129,35 @@ def test_certificate_cost_matches_result(chain_case):
     catalog, query = chain_case
     result = certified_engine(catalog).optimize(query)
     assert result.certificate.claimed_cost == result.cost
+
+
+def chain_steps(results):
+    """Total derivation-chain length; every certificate bears a chain."""
+    certificates = [result.certificate for result in results]
+    assert all(c.steps or c.frontier == c.source for c in certificates)
+    return sum(len(c.steps) for c in certificates)
+
+
+def test_golden_chain_length_is_pinned():
+    """The 42 golden queries' chains total 45 steps, under any
+    ``PYTHONHASHSEED``: a longer chain would raise ``verify_plan``'s
+    cost on every fresh verified answer."""
+    workload = QueryGenerator(
+        WorkloadOptions(selectivity_range=(0.1, 0.1))
+    ).generate_shared(count=42, seed=7, n_tables=6, relations=(2, 4))
+    engine = certified_engine(workload.catalog)
+    required = workload.queries[0].required
+    assert chain_steps(
+        engine.optimize(item.query, required) for item in workload.queries
+    ) == 45
+
+
+@pytest.mark.parametrize(
+    "size, steps", [(4, 42), (5, 68), (6, 97), (7, 111), (8, 153)]
+)
+def test_figure4_chain_length_is_pinned(size, steps):
+    """``generate_batch(size, 10, seed=7)``: 471 steps over sizes 4–8."""
+    assert chain_steps(
+        certified_engine(query.catalog).optimize(query.query, query.required)
+        for query in QueryGenerator().generate_batch(size, 10, seed=7)
+    ) == steps
