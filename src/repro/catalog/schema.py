@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, UnknownColumnError
 
@@ -205,8 +205,3 @@ class Schema:
             for column in self.columns
         )
         return f"({parts})"
-
-
-def schema_from_names(names: Iterable[str]) -> Schema:
-    """Convenience: integer-typed schema from bare column names."""
-    return Schema(tuple(Column(name) for name in names))

@@ -62,14 +62,6 @@ class ExecutionStats:
     node_scan_rows: Dict[int, int] = field(default_factory=dict)
     node_scan_complete: Dict[int, bool] = field(default_factory=dict)
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for name, value in vars(self).items():
-            if isinstance(value, dict):
-                value.clear()
-            else:
-                setattr(self, name, 0)
-
     def work(self) -> float:
         """A scalar proxy for execution effort, comparable across plans.
 

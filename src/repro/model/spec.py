@@ -301,18 +301,6 @@ class ModelSpecification:
                 )
         return applications
 
-    def transformations_for(self, operator_name: str) -> List[TransformationRule]:
-        """Transformation rules whose pattern root is ``operator_name``."""
-        return [
-            rule for rule in self.transformations if rule.top_operator == operator_name
-        ]
-
-    def implementations_for(self, operator_name: str) -> List[ImplementationRule]:
-        """Implementation rules whose pattern root is ``operator_name``."""
-        return [
-            rule for rule in self.implementations if rule.top_operator == operator_name
-        ]
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:

@@ -41,23 +41,17 @@ from repro.errors import OptionsError
 __all__ = [
     "OptionsBase",
     "check_positive",
-    "check_fraction",
     "check_kernel",
     "ResourceBudget",
     "BudgetReport",
     "BudgetMeter",
     "BudgetTripped",
     "KERNEL_TIERS",
-    "PROMISE_HINTS",
-    "QueryHints",
     "ServerOptions",
 ]
 
-#: The generated-kernel tiers a hint or option may name.
+#: The generated-kernel tiers a ``kernel`` option may name.
 KERNEL_TIERS = ("interpreted", "specialized")
-
-#: The promise-model dispositions a per-query hint may name.
-PROMISE_HINTS = ("service", "static", "none")
 
 
 def check_positive(name: str, value) -> None:
@@ -66,26 +60,19 @@ def check_positive(name: str, value) -> None:
         raise OptionsError(f"{name} must be positive, got {value!r}")
 
 
-def check_fraction(name: str, value) -> None:
-    """Validation helper: ``value`` must be ``None`` or within [0, 1]."""
-    if value is not None and not 0.0 <= value <= 1.0:
-        raise OptionsError(f"{name} must be within [0, 1], got {value!r}")
-
-
-def check_kernel(kernel, *, objects: bool = True) -> None:
+def check_kernel(kernel) -> None:
     """Validation helper: a ``kernel`` knob must name a tier.
 
-    ``None`` passes, and so — unless ``objects=False`` (per-request
-    hints) — does a pre-built
+    ``None`` passes, and so does a pre-built
     :class:`~repro.generator.kernel.SearchKernel`, which the engine
     resolves at run time.
     """
-    if kernel is None or (objects and not isinstance(kernel, str)):
+    if kernel is None or not isinstance(kernel, str):
         return
     if kernel not in KERNEL_TIERS:
         raise OptionsError(
-            f"kernel must be one of {KERNEL_TIERS}"
-            f"{' or a SearchKernel' if objects else ''}; got {kernel!r}"
+            f"kernel must be one of {KERNEL_TIERS} or a SearchKernel; "
+            f"got {kernel!r}"
         )
 
 
@@ -305,49 +292,6 @@ class BudgetMeter:
             budget=self.budget if self.budget is not None else ResourceBudget(),
             best_cost=best_cost,
         )
-
-
-@dataclasses.dataclass(frozen=True, kw_only=True)
-class QueryHints(OptionsBase):
-    """Per-request steering of one optimization through the service.
-
-    The production plan-management knob set: a client (or the server's
-    request deserializer) attaches hints to a single query, and the
-    service folds them into the engine options for that one run — the
-    service's own defaults and the engine's construction-time options
-    are untouched.
-
-    ``kernel``
-        A generated-kernel tier (one of :data:`KERNEL_TIERS`) for this
-        run.  Unlike :attr:`~repro.service.ServiceOptions.kernel`, a
-        hint *overrides* an engine-pinned kernel — an explicit
-        per-query hint outranks construction-time defaults.  Plans are
-        byte-identical across tiers, so this only trades compilation
-        and dispatch cost.
-    ``promise``
-        Promise-model disposition: ``"service"`` (explicit default —
-        the service's configured model, if any), ``"static"`` (force
-        the identity :data:`~repro.search.promise.STATIC_PROMISE`,
-        bit-for-bit historical move ordering), or ``"none"`` (force
-        *no* promise model for this run, even one pinned in the
-        engine's own options).
-
-    Hints only steer *fresh* optimizations: a cache or pin hit serves
-    the stored plan regardless (the plan would be identical anyway —
-    kernel and promise never change answers, only effort).
-    """
-
-    kernel: Optional[str] = None
-    promise: Optional[str] = None
-
-    def validate(self) -> None:
-        """Check field invariants; raise :class:`OptionsError` on failure."""
-        check_kernel(self.kernel, objects=False)
-        if self.promise is not None and self.promise not in PROMISE_HINTS:
-            raise OptionsError(
-                f"promise hint must be one of {PROMISE_HINTS}, "
-                f"got {self.promise!r}"
-            )
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)

@@ -658,7 +658,6 @@ class VolcanoOptimizer:
             winners: List[Winner] = []
             for query in queries:
                 root = memo.insert_expression(query)
-                memo.register_root(root)
                 roots.append(root)
                 try:
                     self._explore_closure(run, root)

@@ -218,10 +218,6 @@ class Memo:
         # Per-group move lists (exact invalidation via probe records;
         # see cached_moves below).
         self._moves_cache: Dict[int, Tuple[Dict[int, int], tuple]] = {}
-        # Batch scoping: the root group of every query optimized against
-        # this memo, in insertion order (ids as registered; ``roots``
-        # resolves them through the union-find on read).
-        self._roots: List[int] = []
         #: member → (source member, rule, binding) of the rewrite that
         #: first brought it into its class; a certificate's derivation
         #: chain is the walk back along these pointers.  Keys stay
@@ -307,28 +303,6 @@ class Memo:
                 for input_gid in mexpr.input_groups:
                     stack.append(input_gid)
         return seen
-
-    # -- batch roots ---------------------------------------------------------
-
-    def register_root(self, group_id: int) -> None:
-        """Mark a group as the root goal of one query in a batch.
-
-        A single-query optimization has exactly one root; a batch-scoped
-        memo (``VolcanoOptimizer.optimize_batch``) accumulates one per
-        query, giving cross-root passes — the sharing detector, the
-        MemoAuditor's batch invariants — their entry points into the
-        shared AND-OR DAG.
-        """
-        self._roots.append(group_id)
-
-    @property
-    def roots(self) -> List[int]:
-        """Canonical root group ids, one per registered query, in order.
-
-        Duplicate queries in one batch resolve to the same canonical id;
-        duplicates are preserved so roots stay parallel to the batch.
-        """
-        return [self.canonical(gid) for gid in self._roots]
 
     # -- insertion -----------------------------------------------------------
 

@@ -19,9 +19,9 @@ Two models ship:
     engines' historical behavior.
 
 :class:`LearnedPromiseModel`
-    Derives priors from :class:`~repro.feedback.FeedbackStore`
-    evidence, keyed exactly the way the store aggregates it — per
-    table, per predicate shape, per selectivity bucket.
+    Derives priors from execution evidence: per algorithm from each
+    :class:`~repro.feedback.FeedbackReport`, per table from the
+    :class:`~repro.feedback.FeedbackStore`'s q-errors.
 
 **Safety.**  Under exhaustive search a promise model can only *reorder*
 moves, never add or remove them, and the engines select winners by the
@@ -38,7 +38,7 @@ from a single service loop, or guard it yourself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Optional, Protocol, runtime_checkable
 
 from repro.algebra.properties import LogicalProperties
 from repro.model.rules import ImplementationRule, TransformationRule
@@ -119,9 +119,9 @@ class LearnedPromiseModel:
 
     Evidence comes in through :meth:`observe`, which folds a
     :class:`~repro.feedback.FeedbackReport` (and, when given, refreshes
-    the mirrored :class:`~repro.feedback.FeedbackStore` aggregates — per
-    table, per predicate shape, per selectivity bucket, the store's own
-    keying), and out through the :class:`PromiseModel` protocol:
+    the per-table worst q-error mirrored from a
+    :class:`~repro.feedback.FeedbackStore`), and out through the
+    :class:`PromiseModel` protocol:
 
     * **implementation promise** — ``rule.promise`` plus a bounded
       additive boost (at most ``boost``) for algorithms that executed
@@ -151,11 +151,6 @@ class LearnedPromiseModel:
     _algorithms: Dict[str, AlgorithmEvidence] = field(default_factory=dict)
     #: Per-table worst q-error, mirrored from the store (1.0 = accurate).
     _tables: Dict[str, float] = field(default_factory=dict)
-    #: Mean observed selectivity per (table, predicate shape, bucket) —
-    #: the FeedbackStore's own aggregation key.
-    _selectivities: Dict[Tuple[str, Tuple[Tuple[str, str], ...], int], float] = field(
-        default_factory=dict
-    )
 
     # -- evidence in ------------------------------------------------------
 
@@ -184,9 +179,8 @@ class LearnedPromiseModel:
             self.refresh_from(store)
 
     def refresh_from(self, store: "FeedbackStore") -> None:
-        """Mirror the store's per-table / per-shape / per-bucket aggregates."""
+        """Mirror the store's per-table worst q-error, over every bucket."""
         for key, bucket in store.bucket_feedback().items():
-            self._selectivities[key] = bucket.mean_selectivity
             table = key[0]
             self._tables[table] = max(
                 self._tables.get(table, 1.0), bucket.max_q_error
@@ -231,12 +225,6 @@ class LearnedPromiseModel:
         return rule.promise + self.boost * accuracy * frequency * reliability
 
     # -- introspection ----------------------------------------------------
-
-    def selectivity_for(
-        self, table: str, shape: Tuple[Tuple[str, str], ...], bucket: int
-    ) -> Optional[float]:
-        """The mirrored mean selectivity of one store key, if observed."""
-        return self._selectivities.get((table, shape, bucket))
 
     def algorithm_evidence(self, algorithm: str) -> Optional[AlgorithmEvidence]:
         """The accumulated evidence for one algorithm, or None."""

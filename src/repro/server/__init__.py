@@ -3,7 +3,7 @@
 Promotes the :class:`~repro.service.OptimizerService` plan-cache front
 to a process boundary: an asyncio HTTP server
 (:class:`~repro.server.app.OptimizerServer`) with prepared statements,
-plan pinning and per-request hints, a statistics-refresh regression
+plan pinning and per-request budgets, a statistics-refresh regression
 guard (:class:`~repro.server.registry.PlanRegistry`), and admission
 control with fast-fail
 (:class:`~repro.server.admission.AdmissionController`).  Run it with

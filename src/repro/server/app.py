@@ -25,7 +25,7 @@ Endpoints (all bodies JSON):
 ``GET  /health``      liveness + catalog statistics version
 ``GET  /stats``       cache counters, admission counters, registry state
 ``GET  /plans``       pins, quarantined refreshes, recent events
-``POST /optimize``    ``{"sql": ...}`` (+ hints) → plan payload
+``POST /optimize``    ``{"sql": ...}`` (+ budget, deadline) → plan payload
 ``POST /execute``     optimize + run the plan + feedback round trip
 ``POST /prepare``     parameterize a SQL statement server-side
 ``POST /bind``        bind parameters to a prepared statement → plan
@@ -36,11 +36,13 @@ Endpoints (all bodies JSON):
 ``POST /admin/shutdown``    begin graceful drain
 ====================  ====================================================
 
-Per-request **hints** ride as top-level fields of any optimize-like
-body: ``kernel`` / ``promise`` / ``budget`` steer that one run
-(:class:`~repro.options.QueryHints`), and ``deadline_seconds`` bounds
-the whole request — queue wait included; whatever remains once a
-slot is granted becomes the optimization's wall-clock budget.
+A request bounds its own run and nothing else.  Two top-level fields
+of any optimize-like body do that: ``budget``
+(:class:`~repro.options.ResourceBudget`) bounds each engine run it
+starts, and ``deadline_seconds`` bounds the whole request — queue wait
+included; whatever remains once a slot is granted becomes the
+optimization's wall-clock budget.  Engine knobs are the engine's own
+options: a body naming ``engine``, ``kernel`` or ``promise`` is a 400.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from repro.server.admission import AdmissionController
 from repro.server.protocol import (
     cost_total,
     executed_payload,
+    parse_budget,
     parse_deadline,
-    parse_hints,
     require,
     served_payload,
 )
@@ -83,6 +85,13 @@ from repro.sql.normalize import bind_expression, normalize_literals
 __all__ = ["OptimizerServer", "ServerThread"]
 
 _MAX_BODY = 4 * 1024 * 1024
+#: Bytes one socket read may take: the stream reader's own buffer limit.
+#: asyncio's default (256 KiB) allocates and shrinks that much per read,
+#: and whenever the heap's top sits near glibc's trim threshold — which
+#: the process's allocation history alone decides — the heap is trimmed
+#: and regrown on every request (+15-20 µs of system time per warm
+#: request on a 2-CPU Linux container, Python 3.11).
+_READ_SIZE = 64 * 1024
 #: A request carrying more SQL text than this is resolved and looked up
 #: on a worker: parse, translate, render and verify all grow with the
 #: statement, and the event loop only does bounded work.  The same text
@@ -212,6 +221,7 @@ class OptimizerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
+        writer.transport.max_size = _READ_SIZE  # type: ignore[attr-defined]
         task = asyncio.current_task()
         if task is not None:
             self._connection_tasks.add(task)
@@ -358,13 +368,13 @@ class OptimizerServer:
     ) -> List[_Answer]:
         """The one path every optimize-like request takes.
 
-        On the event loop: hints → resolve (memoized per statement
+        On the event loop: budget → resolve (memoized per statement
         text) → stable key → pin check → cache lookup
         (:meth:`OptimizerService.lookup`: counted, and verified, like
         any hit).  A pin or a hit is answered right there.  Only a
         query that missed goes on: admission slot → budget → one worker
-        hop → regression guard, where ``work(missed, budget, hints,
-        deadline)`` returns one :class:`ServedResult` per miss.
+        hop → regression guard, where ``work(missed, budget, deadline)``
+        returns one :class:`ServedResult` per miss.
 
         The loop only does bounded work: a request carrying more than
         ``_MAX_LOOP_SQL`` characters of SQL (``size``) takes its first
@@ -375,7 +385,7 @@ class OptimizerServer:
         pin, no guard.
         """
         started = time.monotonic()
-        hints, budget = parse_hints(body)
+        budget = parse_budget(body)
         deadline = parse_deadline(body)
 
         def check() -> List[Tuple[Statement, str, bool, Any]]:
@@ -402,7 +412,7 @@ class OptimizerServer:
         missed = [found for *_, found in rows if isinstance(found, PreparedQuery)]
 
         def run() -> List[ServedResult]:
-            fresh = iter(work(missed, budget, hints, deadline) if missed else ())
+            fresh = iter(work(missed, budget, deadline) if missed else ())
             results = []
             for _query, _key, pinned, found in rows:
                 if isinstance(found, PreparedQuery):
@@ -453,11 +463,8 @@ class OptimizerServer:
             answers.append(_Answer(query, key, served, pinned, guard))
         return answers
 
-    def _optimize_each(self, queries, budget, hints, deadline) -> List[ServedResult]:
-        return [
-            self.service.optimize(query, budget=budget, hints=hints)
-            for query in queries
-        ]
+    def _optimize_each(self, queries, budget, deadline) -> List[ServedResult]:
+        return [self.service.optimize(query, budget=budget) for query in queries]
 
     # -- endpoints -----------------------------------------------------
 
@@ -499,10 +506,10 @@ class OptimizerServer:
         sql = require(body, "sql", str)
         executed: Optional[ExecutedResult] = None
 
-        def run_fresh(queries, budget, hints, deadline) -> List[ServedResult]:
+        def run_fresh(queries, budget, deadline) -> List[ServedResult]:
             nonlocal executed
             [query] = queries
-            executed = self.service.execute(query, budget=budget, hints=hints)
+            executed = self.service.execute(query, budget=budget)
             return [executed.served]
 
         def run_served(served: ServedResult, pinned: bool) -> None:
@@ -548,7 +555,7 @@ class OptimizerServer:
 
     async def _handle_prepare(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         sql = require(body, "sql", str)
-        parse_hints(body)  # nothing to steer here; malformed hints are still a 400
+        parse_budget(body)  # nothing to bound here; a bad budget is still a 400
 
         def build():
             prepared = self.service.prepare(sql)
@@ -609,16 +616,10 @@ class OptimizerServer:
         sqls = require(body, "queries", list)
         if not sqls or not all(isinstance(q, str) for q in sqls):
             raise ServerError("queries must be a non-empty list of SQL strings")
-        for name in ("kernel", "promise"):
-            if body.get(name) is not None:
-                raise ServerError(
-                    f"field {name!r} is not accepted by /batch: one shared "
-                    "memo cannot honour a per-query hint"
-                )
         batch = BatchResult(results=())
         before = self.service.stats.counters()
 
-        def optimize_together(queries, budget, hints, deadline):
+        def optimize_together(queries, budget, deadline):
             # Only the members that missed, optimized together.  The
             # request deadline goes to optimize_many whole (it splits it
             # itself); the budget bounds each run it starts.

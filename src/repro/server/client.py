@@ -111,7 +111,7 @@ class ServerClient:
         return self.request("GET", "/plans")
 
     def optimize(self, sql: str, **fields: Any) -> Dict[str, Any]:
-        """Optimize ``sql``; extra ``fields`` are hints / deadline / budget."""
+        """Optimize ``sql``; extra ``fields`` are deadline / budget."""
         return self.request("POST", "/optimize", {"sql": sql, **fields})
 
     def execute(self, sql: str, **fields: Any) -> Dict[str, Any]:

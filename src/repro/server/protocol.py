@@ -17,14 +17,13 @@ these.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ServerError
-from repro.options import KERNEL_TIERS, PROMISE_HINTS, QueryHints, ResourceBudget
+from repro.options import ResourceBudget
 from repro.service.service import ExecutedResult, ServedResult
 
 __all__ = [
-    "parse_hints",
     "parse_budget",
     "parse_deadline",
     "require",
@@ -47,8 +46,24 @@ def require(body: Mapping[str, Any], name: str, kind: type) -> Any:
     return value
 
 
-def parse_budget(raw: Any) -> Optional[ResourceBudget]:
-    """A ``budget`` request object → :class:`ResourceBudget`, or a 400."""
+#: Request fields that once chose or steered the engine.  Engine knobs are
+#: set on the engine's own options, so naming one is a 400.
+_RETIRED_FIELDS = ("engine", "kernel", "promise")
+
+
+def parse_budget(body: Mapping[str, Any]) -> Optional[ResourceBudget]:
+    """A request's ``budget`` object → :class:`ResourceBudget`, or a 400.
+
+    A request may bound its one run and nothing else: a body naming a
+    retired engine field is a 400 that names it.
+    """
+    for name in _RETIRED_FIELDS:
+        if name in body:
+            raise ServerError(
+                f"unknown field {name!r}: engine options are set on the "
+                "server's engine, not per request"
+            )
+    raw = body.get("budget")
     if raw is None:
         return None
     if not isinstance(raw, Mapping):
@@ -71,30 +86,6 @@ def parse_deadline(body: Mapping[str, Any]) -> Optional[float]:
     if not isinstance(deadline, (int, float)) or deadline <= 0:
         raise ServerError("deadline_seconds must be a positive number")
     return float(deadline)
-
-
-def parse_hints(
-    body: Mapping[str, Any],
-) -> Tuple[Optional[QueryHints], Optional[ResourceBudget]]:
-    """The steering fields of a request body → ``(hints, budget)``.
-
-    Hints ride as top-level request fields (``kernel``, ``promise``,
-    ``budget``) rather than a nested object, so a curl one-liner stays a
-    one-liner.  ``hints`` is None when neither ``kernel`` nor
-    ``promise`` is set; ``budget`` is the parsed ``budget`` object.
-    """
-    if "engine" in body:
-        raise ServerError("unknown field 'engine': the server runs one search engine")
-    kernel = body.get("kernel")
-    promise = body.get("promise")
-    budget = parse_budget(body.get("budget"))
-    if kernel is not None and kernel not in KERNEL_TIERS:
-        raise ServerError(f"kernel must be one of {list(KERNEL_TIERS)}")
-    if promise is not None and promise not in PROMISE_HINTS:
-        raise ServerError(f"promise must be one of {list(PROMISE_HINTS)}")
-    if kernel is None and promise is None:
-        return None, budget
-    return QueryHints(kernel=kernel, promise=promise), budget
 
 
 def cost_total(cost: Any) -> float:

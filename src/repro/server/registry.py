@@ -306,11 +306,6 @@ class PlanRegistry:
         with self._lock:
             self.pinned_hits += 1
 
-    def pins(self) -> List[PinnedPlan]:
-        """Every live pin (user pins and guard rollbacks)."""
-        with self._lock:
-            return list(self._pins.values())
-
     # -- evidence ------------------------------------------------------
 
     def observe(

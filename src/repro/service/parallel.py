@@ -3,9 +3,10 @@
 Optimizing a batch of queries is embarrassingly parallel — each engine
 run owns its memo, and the engines are reentrant — but the *optimizer
 object* is not picklable (model specifications carry rule closures).
-The driver therefore uses the ``fork`` start method: the parent stashes
-the optimizer in a module global immediately before creating the pool,
-and each forked worker inherits it by memory image.  Only plain data
+The driver therefore uses the ``fork`` start method: the optimizer is
+the pool's initializer argument, which a forked worker inherits by
+memory image (fork never pickles a ``Process``'s arguments), and the
+initializer stores it in the worker's own module global.  Only plain data
 crosses the pipe afterwards: queries, property vectors, options, and
 slim :class:`~repro.search.OptimizationResult` payloads (no memo, no
 tracer), all of which pickle cleanly — the expression/predicate/property
@@ -31,12 +32,15 @@ from repro.search.engine import OptimizationResult
 
 __all__ = ["WorkItem", "WorkOutcome", "fork_available", "run_batch"]
 
-# The optimizer the forked workers inherit.  Set by run_batch() in the
-# parent immediately before the pool forks, cleared right after; workers
-# read it once per task.  Never populated in worker processes' parents'
-# absence — a worker importing this module fresh (spawn) would see None
-# and fail loudly, which is why run_batch requires the fork method.
+# The optimizer of this worker process, set by _init_worker when the
+# pool starts it.  Never set in the parent, so concurrent batches of
+# different services cannot hand a worker the other one's optimizer.
 _WORKER_OPTIMIZER: Any = None
+
+
+def _init_worker(optimizer) -> None:
+    global _WORKER_OPTIMIZER
+    _WORKER_OPTIMIZER = optimizer
 
 
 @dataclass(frozen=True)
@@ -69,22 +73,13 @@ def _portable_exception(exc: BaseException) -> BaseException:
 
 
 def _worker_optimize(item: WorkItem) -> WorkOutcome:
-    optimizer = _WORKER_OPTIMIZER
-    if optimizer is None:
-        return WorkOutcome(
-            index=item.index,
-            error=ServiceError(
-                "worker has no inherited optimizer (pool not forked "
-                "from run_batch)"
-            ),
-        )
     kwargs = {}
     if item.options is not None:
         kwargs["options"] = item.options
     if item.seeds:
         kwargs["preoptimized"] = item.seeds
     try:
-        result = optimizer.optimize(item.query, item.props, **kwargs)
+        result = _WORKER_OPTIMIZER.optimize(item.query, item.props, **kwargs)
     except ReproError as exc:
         return WorkOutcome(index=item.index, error=_portable_exception(exc))
     # Strip the memo and trace: neither is picklable (the context holds
@@ -121,12 +116,10 @@ def run_batch(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    global _WORKER_OPTIMIZER
-    context = multiprocessing.get_context("fork")
-    workers = min(max_workers, len(items))
-    _WORKER_OPTIMIZER = optimizer
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return tuple(pool.map(_worker_optimize, items))
-    finally:
-        _WORKER_OPTIMIZER = None
+    with ProcessPoolExecutor(
+        max_workers=min(max_workers, len(items)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(optimizer,),
+    ) as pool:
+        return tuple(pool.map(_worker_optimize, items))

@@ -54,13 +54,10 @@ from repro.feedback import (
 from repro.options import (
     BudgetReport,
     OptionsBase,
-    QueryHints,
     ResourceBudget,
-    check_kernel,
     check_positive,
 )
 from repro.search.engine import OptimizationResult, PreoptimizedPlan
-from repro.search.promise import PromiseModel
 from repro.search.sharing import (
     SharedPlan,
     SharingOptions,
@@ -105,6 +102,10 @@ MAX_MEMO_SQL = 2048
 class ServiceOptions(OptionsBase):
     """Policy knobs of an :class:`OptimizerService`.
 
+    Engine knobs (default budget, promise model, kernel) are not among
+    them: the wrapped engine's own options are the one place they are
+    set, and a request may only bound its one run (``budget=``).
+
     ``max_entries``
         LRU bound of the plan cache.
     ``parameterized``
@@ -128,12 +129,6 @@ class ServiceOptions(OptionsBase):
         Bound of the harvested-winner library.
     ``max_seeds_per_query``
         At most this many seeds are planted into any one search.
-    ``budget``
-        Default :class:`~repro.options.ResourceBudget` applied to every
-        engine run through this service (a per-request ``budget=`` on
-        :meth:`OptimizerService.optimize` overrides it).  Degraded
-        answers are served but never cached or harvested — a budget
-        trip must not poison the cache with suboptimal plans.
     ``feedback_policy``
         Drift policy for :meth:`OptimizerService.execute`'s adaptive
         loop.  When set, every instrumented execution's feedback is
@@ -143,19 +138,6 @@ class ServiceOptions(OptionsBase):
         stale and the next optimization of those queries is fresh.
         When None (the default), executions still record feedback
         telemetry but statistics are never rewritten.
-    ``promise_model``
-        A :class:`~repro.search.promise.PromiseModel` folded into every
-        engine run through this service (unless the engine's own
-        options already carry one).  Pair it with
-        :class:`~repro.search.promise.LearnedPromiseModel` to close the
-        feedback loop: :meth:`OptimizerService.execute` feeds each
-        instrumented execution's report (and the accumulated
-        :attr:`feedback` store) into the model, so later
-        :meth:`optimize` / :meth:`optimize_many` calls order moves and
-        seed branch-and-bound limits from observed behavior.  Under
-        exhaustive search served plans are unaffected — the engines'
-        winner selection is ordering-independent — only the search
-        effort changes.
     ``sharing``
         Multi-query optimization policy for :meth:`optimize_many`
         (:class:`~repro.search.sharing.SharingOptions`).  When enabled
@@ -164,15 +146,6 @@ class ServiceOptions(OptionsBase):
         greedy sharing pass proposes materialized common subplans; see
         :class:`BatchResult.sharing_report`.  Individual answers are
         unaffected — sharing only adds the batch-level report.
-    ``kernel``
-        A specialized search kernel folded into every engine run through
-        this service (unless the engine's own options already pin one):
-        a tier string — ``"interpreted"`` or ``"specialized"`` — or a
-        pre-built :class:`~repro.generator.kernel.SearchKernel`; see
-        :mod:`repro.generator.kernel`.  Kernels only swap the engine's
-        binding enumerators, so served plans, costs, and certificates
-        are byte-identical across tiers; engines whose options have no
-        kernel field (baselines) are left untouched.
     ``verify_plans``
         Serve every plan under a provenance certificate the independent
         checker (:func:`repro.verify.verify_plan`) accepted under the
@@ -203,11 +176,8 @@ class ServiceOptions(OptionsBase):
     reuse_subplans: bool = False
     max_subplans: int = 256
     max_seeds_per_query: int = 32
-    budget: Optional[ResourceBudget] = None
-    promise_model: Optional[PromiseModel] = None
     feedback_policy: Optional[FeedbackPolicy] = None
     sharing: SharingOptions = field(default_factory=SharingOptions)
-    kernel: Optional[object] = None
     verify_plans: bool = False
 
     def validate(self) -> None:
@@ -216,7 +186,6 @@ class ServiceOptions(OptionsBase):
         check_positive("selectivity_buckets", self.selectivity_buckets)
         check_positive("max_subplans", self.max_subplans)
         check_positive("max_seeds_per_query", self.max_seeds_per_query)
-        check_kernel(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -697,7 +666,6 @@ class OptimizerService:
         props: Optional[PhysProps] = None,
         *,
         budget: Optional[ResourceBudget] = None,
-        hints: Optional[QueryHints] = None,
     ) -> ServedResult:
         """Serve the cheapest plan for ``query``, from cache when possible.
 
@@ -710,15 +678,11 @@ class OptimizerService:
         query's selectivity bucket (plan re-bound to these literals).
         A miss runs the wrapped engine and caches both forms.
 
-        ``budget`` bounds this one engine run (overriding the service's
-        default ``options.budget``).  A degraded answer — the engine's
-        budget tripped and it fell back to its anytime plan — is served
-        with ``degraded=True`` but neither cached nor harvested, and is
-        counted in ``stats.degraded``.
-
-        ``hints`` are per-request :class:`~repro.options.QueryHints`
-        (kernel tier, promise disposition) folded into this one engine
-        run; see the class docs.
+        ``budget`` bounds this one engine run (overriding the engine's
+        own default, ``optimizer.options.budget``).  A degraded answer —
+        the engine's budget tripped and it fell back to its anytime plan
+        — is served with ``degraded=True`` but neither cached nor
+        harvested, and is counted in ``stats.degraded``.
 
         Concurrent misses of the same fingerprint are **single-flight**
         deduplicated: the first caller runs the engine, every caller
@@ -726,8 +690,8 @@ class OptimizerService:
         answer (counted under ``stats.shared_waits`` and served with
         ``cached=True`` — from the requester's side it is
         indistinguishable from a warm hit).  Followers share the
-        leader's answer as-is, so a follower's own ``budget``/``hints``
-        do not shape the shared plan.
+        leader's answer as-is, so a follower's own ``budget`` does not
+        shape the shared plan.
         """
         found = self.lookup(query, props)
         if isinstance(found, ServedResult):
@@ -750,7 +714,7 @@ class OptimizerService:
                     return served
                 if template_key is not None:
                     self.cache.remove(template_key)
-            result = self._run_engine(expression, props, budget, hints)
+            result = self._run_engine(expression, props, budget)
             if result.stats is not None:
                 self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
             return self._serve_fresh(keys, result, expression, started)
@@ -954,7 +918,7 @@ class OptimizerService:
         ``deadline_seconds`` is a *batch* deadline: the shared run gets
         it whole; on the independent path it is split evenly into
         per-query wall-clock budgets over the cache misses, composing
-        with ``budget`` (or the service default) by taking the tighter
+        with ``budget`` (or the engine's default) by taking the tighter
         deadline.  Per-query budget semantics are unchanged: a query
         whose budget trips degrades (anytime plan, flagged
         ``degraded=True``) and is served but never cached.
@@ -992,7 +956,7 @@ class OptimizerService:
 
         # The batch deadline goes whole to the shared run and is split
         # evenly over the misses on the independent path.
-        base_budget = budget if budget is not None else self.options.budget
+        base_budget = budget if budget is not None else self.optimizer.options.budget
         per_query_budget = base_budget
         if deadline_seconds is not None and dispatch:
             per_query_budget = ResourceBudget.tighten(
@@ -1247,15 +1211,14 @@ class OptimizerService:
         props: Optional[PhysProps] = None,
         *,
         budget: Optional[ResourceBudget] = None,
-        hints: Optional[QueryHints] = None,
         instrument: bool = True,
         policy: Optional[FeedbackPolicy] = None,
     ) -> ExecutedResult:
         """Optimize ``query``, run its plan, and close the feedback loop.
 
-        ``query``, ``props``, ``budget`` and ``hints`` are exactly
-        :meth:`optimize`'s and are forwarded to it unchanged; an answer
-        already served (a :meth:`lookup` hit) is executed as it stands.
+        ``query``, ``props`` and ``budget`` are exactly :meth:`optimize`'s
+        and are forwarded to it unchanged; an answer already served (a
+        :meth:`lookup` hit) is executed as it stands.
 
         The adaptive path of the service: the plan (cached or fresh) is
         executed with per-operator instrumentation, the observed
@@ -1268,7 +1231,11 @@ class OptimizerService:
         versioned API — which invalidates exactly the cache entries
         reading those tables, so the *next* optimization of an affected
         query transparently re-plans against fresh statistics while
-        every other cached plan stays warm.
+        every other cached plan stays warm.  The report also reaches the
+        engine's promise model when it learns (a
+        :class:`~repro.search.promise.LearnedPromiseModel` on
+        ``optimizer.options.promise_model``), so later searches order
+        their moves by observed behavior; served plans do not change.
 
         Degraded plans (budget-tripped optimizations) record feedback
         telemetry but never trigger a refresh: a knowingly cut-short
@@ -1279,7 +1246,7 @@ class OptimizerService:
         served = (
             query
             if isinstance(query, ServedResult)
-            else self.optimize(query, props, budget=budget, hints=hints)
+            else self.optimize(query, props, budget=budget)
         )
         stats = ExecutionStats()
         rows = execute_plan(
@@ -1297,9 +1264,7 @@ class OptimizerService:
                 degraded=served.degraded,
             )
             self.feedback.record(report)
-            model = self.options.promise_model
-            if model is None:
-                model = getattr(self.optimizer.options, "promise_model", None)
+            model = getattr(self.optimizer.options, "promise_model", None)
             observe = getattr(model, "observe", None)
             if callable(observe):
                 # Close the loop: a learned promise model folds this
@@ -1361,11 +1326,9 @@ class OptimizerService:
         query: LogicalExpression,
         props: PhysProps,
         budget: Optional[ResourceBudget] = None,
-        hints: Optional[QueryHints] = None,
     ) -> OptimizationResult:
-        budget = budget if budget is not None else self.options.budget
         kwargs = {}
-        options = self._engine_options(budget, hints)
+        options = self._engine_options(budget)
         if options is not None:
             kwargs["options"] = options
         seeds = self._seeds_for(query)
@@ -1381,65 +1344,25 @@ class OptimizerService:
             query, self.catalog, limit=self.options.max_seeds_per_query
         )
 
-    def _engine_options(
-        self,
-        budget: Optional[ResourceBudget],
-        hints: Optional[QueryHints] = None,
-    ):
-        """The wrapped engine's options with service overrides folded in.
+    def _engine_options(self, budget: Optional[ResourceBudget]):
+        """The wrapped engine's options for one run, or None if unchanged.
 
-        Returns None when nothing needs overriding (the common case, so
-        the engine runs with exactly the options it was built with).
-        Every engine options class carries a ``budget`` field;
-        certificate recording is switched on only for engines whose
-        options expose it.
-
-        Per-request ``hints`` outrank both the service defaults and the
-        engine's construction-time options — an explicit per-query
-        kernel or promise hint is the caller steering *this* run — but
-        a hint naming a knob the engine's options class does not carry
-        (baselines) is silently skipped.
+        Two things are folded in: a per-request ``budget`` (every engine
+        options class carries one), and certificate recording under
+        ``verify_plans`` for engines whose options expose it.  Every
+        other knob is the engine's own.  None (the common case) means
+        the engine runs with exactly the options it was built with.
         """
         options = self.optimizer.options
-        changed = False
+        changed = {}
         if budget is not None:
-            options = options.replace(budget=budget)
-            changed = True
-        model = self.options.promise_model
-        if model is not None and getattr(options, "promise_model", model) is None:
-            # Fold the service's model in — unless the engine's options
-            # already pin one (engine-level wins), or the engine's
-            # options class has no such field (baselines).
-            options = options.replace(promise_model=model)
-            changed = True
-        kernel = self.options.kernel
-        if kernel is not None and getattr(options, "kernel", kernel) is None:
-            # Same folding rule as promise_model: engine-level wins, and
-            # baseline engines without a kernel field are left alone.
-            options = options.replace(kernel=kernel)
-            changed = True
-        if hints is not None:
-            if hints.kernel is not None and hasattr(options, "kernel"):
-                options = options.replace(kernel=hints.kernel)
-                changed = True
-            if hints.promise is not None and hasattr(options, "promise_model"):
-                if hints.promise == "static":
-                    from repro.search.promise import STATIC_PROMISE
-
-                    options = options.replace(promise_model=STATIC_PROMISE)
-                    changed = True
-                elif hints.promise == "none":
-                    if getattr(options, "promise_model") is not None:
-                        options = options.replace(promise_model=None)
-                        changed = True
-                # "service": the explicit default — folding above stands.
+            changed["budget"] = budget
         if (
             self.options.verify_plans
             and getattr(options, "certificates", None) is False
         ):
-            options = options.replace(certificates=True)
-            changed = True
-        return options if changed else None
+            changed["certificates"] = True
+        return options.replace(**changed) if changed else None
 
     def _store(
         self, keys: _Keys, result: OptimizationResult, verified: bool = False

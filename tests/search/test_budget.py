@@ -282,7 +282,6 @@ def test_exploration_trip_leaves_no_group_on_the_stack(budget):
         BudgetMeter(None),
     )
     root = memo.insert_expression(query)
-    memo.register_root(root)
     engine._explore_closure(run, root)
     undisturbed = engine.optimize(query)
 

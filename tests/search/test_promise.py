@@ -24,7 +24,7 @@ from repro.search import (
     SearchOptions,
     VolcanoOptimizer,
 )
-from repro.service import OptimizerService, ServiceOptions
+from repro.service import OptimizerService
 from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
@@ -214,9 +214,8 @@ def test_learned_model_end_to_end_via_service(spec):
     optimizer = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False, promise_model=model)
     )
-    service = OptimizerService(
-        optimizer, options=ServiceOptions(promise_model=model)
-    )
+    # The model lives on the engine's options only; execute() feeds it.
+    service = OptimizerService(optimizer)
     service.execute(query, required)
     service.execute(query, required)
 
@@ -279,7 +278,7 @@ def test_learned_model_repeat_workloads_cost_no_more(spec):
     trained = VolcanoOptimizer(
         spec, catalog, SearchOptions(check_consistency=False, promise_model=model)
     )
-    service = OptimizerService(trained, options=ServiceOptions(promise_model=model))
+    service = OptimizerService(trained)
     for query, required in chains:
         service.execute(query, required)
     static = VolcanoOptimizer(spec, catalog, SearchOptions(check_consistency=False))
@@ -317,23 +316,6 @@ def test_learned_model_repeat_workloads_cost_no_more(spec):
     )
     # Heuristic pruning under the trained model: the count is exact.
     assert sweep(model, min_promise=0.9)[0].stats.moves_pruned == 4
-
-
-def test_service_options_fold_model_into_engine_calls(spec, catalog):
-    """``ServiceOptions(promise_model=...)`` reaches plain optimize()."""
-    asked = []
-
-    class Recording(FlipModel):
-        def implementation_promise(self, rule, props):
-            asked.append(rule.algorithm)
-            return rule.promise
-
-    optimizer = VolcanoOptimizer(spec, catalog, SearchOptions(check_consistency=False))
-    service = OptimizerService(
-        optimizer, options=ServiceOptions(promise_model=Recording(None))
-    )
-    service.optimize(chain_query(["r", "s"]))
-    assert "hybrid_hash_join" in asked  # the engine ordered moves by it
 
 
 def test_observe_skips_enforcers_and_quarantines_degraded():

@@ -7,7 +7,13 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.server import ClientError
+from repro.generator.generate import generate_optimizer
+from repro.models.relational import relational_model
+from repro.options import ServerOptions
+from repro.search.engine import SearchOptions
+from repro.search.promise import STATIC_PROMISE
+from repro.server import ClientError, OptimizerServer, ServerClient, ServerThread
+from repro.service import OptimizerService, ServiceOptions
 
 from tests.server.conftest import (
     CHAIN_SQL,
@@ -70,7 +76,7 @@ def test_bad_sql_is_400(client):
     assert caught.value.status == 400
 
 
-# ----------------------------------------------------- optimize / hints
+# -------------------------------------------------- optimize / engine fields
 
 
 def test_cold_then_warm_optimize(client):
@@ -85,29 +91,73 @@ def test_cold_then_warm_optimize(client):
     assert warm["key"] == cold["key"]
 
 
-def test_kernel_and_promise_hints_keep_the_plan(client):
-    baseline = client.optimize(CHAIN_SQL)
-    specialized = client.optimize(PAIR_SQL, kernel="specialized")
-    static = client.optimize(PAIR_SQL, promise="static")
+def test_kernel_and_promise_hints_keep_the_plan(client, scenario):
+    """The kernel and promise knobs live on the engine's options only.
+
+    A server whose engine is built with the specialized kernel, or with
+    static promise, serves the same plan as the default engine; neither
+    knob changes an exhaustive search's answer.
+    """
+    baseline = client.optimize(PAIR_SQL)
+
+    def serve(options):
+        engine = generate_optimizer(relational_model(), scenario.catalog, options)
+        server = OptimizerServer(
+            OptimizerService(engine, options=ServiceOptions(verify_plans=True)),
+            options=ServerOptions(max_concurrent=2, workers=2),
+        )
+        with ServerThread(server) as running:
+            with ServerClient(running.address) as other:
+                return other.optimize(PAIR_SQL)
+
+    specialized = serve(SearchOptions(kernel="specialized"))
+    static = serve(SearchOptions(promise_model=STATIC_PROMISE))
     assert specialized["cost_total"] > 0
+    assert specialized["sexpr"] == baseline["sexpr"]
     assert static["sexpr"] == specialized["sexpr"]
-    assert baseline["sexpr"] != specialized["sexpr"]  # different queries
+    assert static["cost_total"] == baseline["cost_total"]
 
 
 @pytest.mark.parametrize("kernel", ["imaginary", "compiled"])
-def test_bad_kernel_hint_is_400(client, kernel):
+def test_bad_kernel_hint_is_400(client, counting, kernel):
+    """No wire value of ``kernel`` is accepted: the field itself is retired."""
     with pytest.raises(ClientError) as caught:
         client.optimize(CHAIN_SQL, kernel=kernel)
     assert caught.value.status == 400
-    assert "kernel must be one of" in str(caught.value)
+    assert "unknown field 'kernel'" in str(caught.value)
+    assert counting.runs == 0
 
 
-@pytest.mark.parametrize("endpoint", ["optimize", "execute", "prepare", "pin"])
-def test_engine_field_is_rejected_by_name(client, endpoint):
-    with pytest.raises(ClientError) as caught:
-        getattr(client, endpoint)(CHAIN_SQL, engine="volcano")
-    assert caught.value.status == 400
-    assert "'engine'" in str(caught.value)
+@pytest.mark.parametrize(
+    "endpoint",["optimize", "execute", "prepare", "bind", "batch", "pin"]
+)
+def test_engine_field_is_rejected_by_name(client, service, counting, endpoint):
+    """A field that picks or steers the engine is a 400 naming it.
+
+    The engine and its knobs are set once, on the engine's own options;
+    a request may bound its run (``budget``, ``deadline_seconds``) and
+    nothing else.  A refused request reaches neither cache nor engine.
+    """
+    statement = client.prepare(POINT_SQL)["statement"]
+    send = {
+        "optimize": lambda **field: client.optimize(CHAIN_SQL, **field),
+        "execute": lambda **field: client.execute(CHAIN_SQL, **field),
+        "prepare": lambda **field: client.prepare(CHAIN_SQL, **field),
+        "bind": lambda **field: client.bind(statement, {"p0": 9}, **field),
+        "batch": lambda **field: client.batch([CHAIN_SQL, PAIR_SQL], **field),
+        "pin": lambda **field: client.pin(CHAIN_SQL, **field),
+    }[endpoint]
+    for field, value in (
+        ("engine", "volcano"),
+        ("kernel", "specialized"),
+        ("promise", "static"),
+    ):
+        with pytest.raises(ClientError) as caught:
+            send(**{field: value})
+        assert caught.value.status == 400
+        assert f"unknown field {field!r}" in str(caught.value)
+    assert service.stats.lookups == 0
+    assert counting.runs == 0
 
 
 # ------------------------------------------------------- prepare / bind
@@ -160,18 +210,11 @@ def test_batch_then_cached_batch(client):
         assert after["sexpr"] == before["sexpr"]
 
 
-def test_batch_honours_budget_and_refuses_per_query_hints(client, service):
+def test_batch_honours_budget(client, service):
     degraded = client.batch([CHAIN_SQL, PAIR_SQL], budget={"max_costings": 1})
     assert degraded["degraded_to_independent"]  # the shared run tripped it
     assert all(r["degraded"] for r in degraded["results"])
     assert len(service.cache) == 0  # degraded answers are never cached
-
-    for field, value in (("kernel", "specialized"), ("promise", "static")):
-        with pytest.raises(ClientError) as caught:
-            client.batch([CHAIN_SQL, PAIR_SQL], **{field: value})
-        assert caught.value.status == 400
-        assert repr(field) in str(caught.value)
-        assert "/batch" in str(caught.value)
     with pytest.raises(ClientError) as caught:
         client.batch([CHAIN_SQL], budget={"max_rows": 3})
     assert caught.value.status == 400  # still validated
@@ -291,32 +334,6 @@ def test_batch_answers_a_pinned_member_from_the_pin(client, service, monkeypatch
     both = client.batch([CHAIN_SQL, PAIR_SQL])
     assert all(result["pinned"] for result in both["results"])
     assert batched == [1]
-
-
-def test_execute_hints_reach_the_engine(client, counting, service, monkeypatch):
-    seen = []
-    optimize = counting.optimize
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("options"))
-        return optimize(*args, **kwargs)
-
-    monkeypatch.setattr(counting, "optimize", spy)
-    received = []
-    execute = service.execute
-
-    def spy_execute(query, *args, **kwargs):
-        received.append(type(query).__name__)
-        return execute(query, *args, **kwargs)
-
-    monkeypatch.setattr(service, "execute", spy_execute)
-
-    client.execute(PAIR_SQL, kernel="specialized")
-    assert seen[-1].kernel == "specialized"
-    client.execute(CHAIN_SQL, promise="static")
-    assert seen[-1].promise_model is not None  # STATIC_PROMISE forced
-    # The request's cache keys are computed once, by prepare().
-    assert received == ["PreparedQuery", "PreparedQuery"]
 
 
 # --------------------------------------------------------------- stats

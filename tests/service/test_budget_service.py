@@ -8,8 +8,8 @@ never proven optimal.
 import pytest
 
 from repro.options import ResourceBudget
-from repro.search import VolcanoOptimizer
-from repro.service import OptimizerService, ServiceOptions
+from repro.search import SearchOptions, VolcanoOptimizer
+from repro.service import OptimizerService
 from repro.models.relational import relational_model
 
 from tests.helpers import chain_query, make_catalog
@@ -19,12 +19,12 @@ pytestmark = pytest.mark.budget
 SPEC = relational_model()
 
 
-def make_service(n_tables=5, **options):
+def make_service(n_tables=5, budget=None):
+    """A service over an engine whose own default budget is ``budget``."""
     names = [f"t{i}" for i in range(n_tables)]
     catalog = make_catalog([(n, 500 + 100 * i) for i, n in enumerate(names)])
-    optimizer = VolcanoOptimizer(SPEC, catalog)
-    service = OptimizerService(optimizer, options=ServiceOptions(**options))
-    return service, chain_query(names)
+    optimizer = VolcanoOptimizer(SPEC, catalog, SearchOptions(budget=budget))
+    return OptimizerService(optimizer), chain_query(names)
 
 
 def test_degraded_result_served_but_not_cached():
@@ -44,6 +44,7 @@ def test_degraded_result_served_but_not_cached():
 
 
 def test_service_level_budget_applies_to_all_requests():
+    # The default budget of every request is the engine's own.
     service, query = make_service(
         budget=ResourceBudget(max_rule_firings=5)
     )
@@ -54,7 +55,7 @@ def test_service_level_budget_applies_to_all_requests():
 
 def test_per_request_budget_overrides_service_budget():
     service, query = make_service(budget=ResourceBudget(max_costings=5))
-    # A generous per-request budget wins over the strict service default.
+    # A generous per-request budget wins over the engine's strict default.
     served = service.optimize(
         query, budget=ResourceBudget(max_costings=1_000_000)
     )

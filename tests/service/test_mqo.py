@@ -276,8 +276,15 @@ def test_budget_trip_degrades_batch_to_independent_plans():
 def test_batch_budget_composes_with_default_budget():
     catalog = make_catalog()
     q1, q2 = overlapping_queries()
-    service = make_service(
-        catalog, budget=ResourceBudget(max_costings=5)
+    service = OptimizerService(
+        VolcanoOptimizer(
+            SPEC,
+            catalog,
+            SearchOptions(
+                check_consistency=False, budget=ResourceBudget(max_costings=5)
+            ),
+        ),
+        options=ServiceOptions(parameterized=False),
     )
     batch = service.optimize_many([q1, q2])
     assert batch.degraded_to_independent

@@ -30,10 +30,8 @@ def workload():
     )
 
 
-def make_service(catalog, **options):
-    optimizer = VolcanoOptimizer(
-        SPEC, catalog, SearchOptions(check_consistency=False)
-    )
+def make_service(catalog, engine=SearchOptions(check_consistency=False), **options):
+    optimizer = VolcanoOptimizer(SPEC, catalog, engine)
     return OptimizerService(
         optimizer, options=ServiceOptions(parameterized=False, **options)
     )
@@ -232,21 +230,23 @@ def test_forked_batch_is_served_under_the_service_options(workload):
 
     A forked batch under ``verify_plans=True`` must come back with
     certificates the parent verified, and must search under the
-    service's promise model — the same overrides the serial and
-    shared-memo paths fold in.
+    engine's own promise model — the options the serial and shared-memo
+    paths run with, plus the certificates the service folds in.
     """
     from repro.search import LearnedPromiseModel
 
     queries, required = queries_of(workload)
     model = LearnedPromiseModel()
     service = make_service(
-        workload.catalog, verify_plans=True, promise_model=model
+        workload.catalog,
+        SearchOptions(check_consistency=False, promise_model=model),
+        verify_plans=True,
     )
     seen = []
     inner = service._engine_options
 
-    def spy(budget, hints=None):
-        options = inner(budget, hints)
+    def spy(budget):
+        options = inner(budget)
         seen.append(options)
         return options
 
@@ -262,3 +262,62 @@ def test_forked_batch_is_served_under_the_service_options(workload):
     # What the workers shipped is what the cache now serves, verified.
     warm = service.optimize_many(queries[:4], required).results
     assert all(result.cached and result.verified for result in warm)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+@pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning"
+)
+def test_concurrent_forked_batches_keep_their_own_optimizer():
+    """Two services fanning out at once each fork their own optimizer.
+
+    Both catalogs name the same tables with different statistics, so a
+    worker forked with the other service's optimizer answers without an
+    error — at the other catalog's costs, which the parent then caches.
+    """
+    import threading
+
+    from repro.errors import ReproError
+
+    workloads = [
+        QueryGenerator().generate_shared(
+            count=6, seed=seed, n_tables=8, relations=(3, 5)
+        )
+        for seed in (11, 12)
+    ]
+    expected = [
+        [
+            str(served.cost)
+            for served in make_service(w.catalog).optimize_many(
+                *queries_of(w)
+            ).results
+        ]
+        for w in workloads
+    ]
+    assert expected[0] != expected[1]
+    barrier = threading.Barrier(2)
+    rounds, wrong = [0, 0], [0, 0]
+
+    def run(side):
+        queries, required = queries_of(workloads[side])
+        for _ in range(15):
+            service = make_service(workloads[side].catalog)
+            barrier.wait(timeout=60)
+            rounds[side] += 1
+            try:
+                results = service.optimize_many(
+                    queries, required, max_workers=2
+                ).results
+            except ReproError:  # a worker without an optimizer
+                wrong[side] += 1
+                continue
+            wrong[side] += [str(r.cost) for r in results] != expected[side]
+
+    threads = [threading.Thread(target=run, args=(side,)) for side in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert rounds == [15, 15]
+    assert wrong == [0, 0]
