@@ -90,8 +90,8 @@ class LogicalExpression:
         )
 
     def __getstate__(self):
-        # String hashes are randomized per process: never ship a cached
-        # hash across a pickle boundary (the parallel driver does).
+        # String hashes are randomized per process: a pickled cached hash
+        # would be wrong wherever the pickle is loaded, so recompute it.
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state

@@ -71,10 +71,9 @@ class _PickleWithoutCaches:
     """Strip per-instance caches (``_hash`` etc.) on pickling.
 
     Cached hashes are process-local (string hashing is randomized per
-    process); shipping one across a pickle boundary — as the parallel
-    multi-query driver does — would poison the receiving process's hash
-    tables.  Dropping every underscore key restores the lazy caches to
-    their unset state on the other side.
+    process); one loaded from a pickle in another process would poison
+    that process's hash tables.  Dropping every underscore key restores
+    the lazy caches to their unset state on the other side.
     """
 
     def __getstate__(self):

@@ -262,11 +262,6 @@ class SearchKernel:
     operator to a tuple of ``(rule, matcher)`` pairs in specification
     order — drop-in replacements for the engine's interpreted dispatch
     tables, with a generated matcher alongside each rule.
-
-    Pickling collapses to the *tier string* (kernels hold generated
-    functions, which do not pickle): the receiving process —
-    e.g. an ``optimize_many`` worker — re-resolves the kernel for its
-    own spec object via :func:`resolve_kernel`, hitting the module cache.
     """
 
     __slots__ = (
@@ -305,9 +300,6 @@ class SearchKernel:
             "implementation",
             spec,
         )
-
-    def __reduce__(self):
-        return (str, (self.tier,))
 
     def __repr__(self) -> str:
         return (

@@ -149,20 +149,6 @@ class CacheStats:
                 f.name: getattr(self, f.name) for f in dataclasses.fields(self)
             }
 
-    def __getstate__(self):
-        # The lock is process-local; pickled stats travel as plain
-        # counters and re-grow a lock (unfrozen) on the other side.
-        state = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        state["_frozen"] = self._frozen
-        return state
-
-    def __setstate__(self, state):
-        frozen = state.pop("_frozen", False)
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        self._lock = threading.Lock()
-        self._frozen = frozen
-
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups answered from the cache (either way)."""
@@ -252,10 +238,6 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        with self._lock:
-            return fingerprint.digest in self._entries
 
     def get(self, fingerprint: Fingerprint) -> Optional[CacheEntry]:
         """Look up an entry; counts a hit/miss and refreshes recency."""

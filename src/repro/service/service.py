@@ -141,8 +141,8 @@ class ServiceOptions(OptionsBase):
     ``sharing``
         Multi-query optimization policy for :meth:`optimize_many`
         (:class:`~repro.search.sharing.SharingOptions`).  When enabled
-        and the wrapped engine supports batch optimization, a serial
-        batch's cache misses are optimized over one shared memo and a
+        and the wrapped engine supports batch optimization, a batch's
+        cache misses are optimized over one shared memo and a
         greedy sharing pass proposes materialized common subplans; see
         :class:`BatchResult.sharing_report`.  Individual answers are
         unaffected — sharing only adds the batch-level report.
@@ -300,9 +300,9 @@ class BatchResult:
 
     ``shared_plans``
         Materialized common subplans the multi-query sharing pass
-        chose (empty when sharing is off, the batch ran in parallel,
-        or nothing was worth materializing).  Execute them in order
-        against one ``intermediates`` store, then the rewritten
+        chose (empty when sharing is off, fewer than two queries
+        missed, or nothing was worth materializing).  Execute them in
+        order against one ``intermediates`` store, then the rewritten
         consumer plans in ``sharing_report`` against the same store.
     ``sharing_report``
         The full :class:`~repro.search.sharing.SharingReport` —
@@ -808,9 +808,9 @@ class OptimizerService:
     ) -> ServedResult:
         """One fresh engine answer: verify, cache, harvest, wrap.
 
-        Shared by the single-query miss and both batch paths.  Engine
-        time is accounted by the caller, once per engine *run* (a
-        shared-memo batch is one run behind many answers).
+        Shared by the single-query miss and the shared-memo batch.
+        Engine time is accounted by the caller, once per engine *run*
+        (a shared-memo batch is one run behind many answers).
         """
         degraded = bool(getattr(result, "degraded", False))
         certificate = getattr(result, "certificate", None)
@@ -877,7 +877,6 @@ class OptimizerService:
         queries,
         props: Optional[PhysProps] = None,
         *,
-        max_workers: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         budget: Optional[ResourceBudget] = None,
     ) -> "BatchResult":
@@ -887,33 +886,24 @@ class OptimizerService:
         order (each exactly what :meth:`optimize` would have produced),
         plus the batch-level sharing report and cache-stats delta.
 
-        The warm plan cache is consulted *before* any dispatch, and
-        duplicate queries within the batch are optimized once — keyed
-        on the cache fingerprint, so with parameterized caching enabled
-        two queries differing only in same-bucket literals also count
-        as duplicates.  Fresh answers are cached so later batches (and
-        later duplicates) hit.
+        The warm plan cache is consulted *before* any engine run, each
+        query is looked up once, and duplicate queries within the batch
+        are optimized once — keyed on the cache fingerprint, so with
+        parameterized caching enabled two queries differing only in
+        same-bucket literals also count as duplicates.  Fresh answers
+        are cached so later batches (and later duplicates) hit.
 
-        When ``options.sharing`` is enabled (the default) and the batch
-        runs serially with more than one cache miss, the misses are
-        optimized over **one shared memo** (the wrapped engine's
-        ``optimize_batch``), so cross-query common subexpressions
-        collide; a greedy sharing pass (Volcano-SH style) then proposes
-        materialized common subplans — see
-        :attr:`BatchResult.sharing_report`.  Each query's own served
+        When ``options.sharing`` is enabled (the default) and more than
+        one query misses, the misses are optimized over **one shared
+        memo** (the wrapped engine's ``optimize_batch``), so
+        cross-query common subexpressions collide; a greedy sharing pass
+        (Volcano-SH style) then proposes materialized common subplans —
+        see :attr:`BatchResult.sharing_report`.  Each query's own served
         plan is unchanged; the rewritten consumer plans live only in
         the report.  A budget trip during the shared run degrades the
         batch to independent per-query optimization (recorded in
-        :attr:`BatchResult.budget_report`).
-
-        ``max_workers`` > 1 fans the cache misses out to a pool of
-        forked worker processes (the optimizer is inherited by memory
-        image; only picklable data crosses the pipe — see
-        :mod:`repro.service.parallel`); the sharing pass is skipped.
-        With ``max_workers`` of None, 0, or 1 — or on platforms without
-        the ``fork`` start method, or when at most one query misses —
-        the batch runs serially in this process.  Either way the
-        per-query answers are identical; each search is deterministic.
+        :attr:`BatchResult.budget_report`).  Otherwise every miss is
+        optimized on its own, in input order.
 
         ``deadline_seconds`` is a *batch* deadline: the shared run gets
         it whole; on the independent path it is split evenly into
@@ -923,11 +913,9 @@ class OptimizerService:
         whose budget trips degrades (anytime plan, flagged
         ``degraded=True``) and is served but never cached.
 
-        Worker failures re-raise deterministically: the earliest failed
-        query in input order wins, regardless of completion order.
+        A query the engine cannot optimize raises its
+        :class:`~repro.errors.ReproError` out of the batch.
         """
-        from repro.service import parallel as parallel_mod
-
         queries = list(queries)
         stats_before = self.cache.stats.counters()
 
@@ -936,8 +924,11 @@ class OptimizerService:
         # Dedup keys on the *cache* fingerprint — the template digest
         # when the query parameterizes — so same-bucket literal
         # variants dispatch once and the rest re-bind from the cache.
+        # A duplicate keeps its keys but not its ``missed`` mark: it is
+        # looked up again, where it hits (or, behind a degraded first
+        # occurrence, misses and re-runs).
         results: List[Optional[ServedResult]] = [None] * len(queries)
-        keyed: Dict[int, Tuple[LogicalExpression, PhysProps, _Keys]] = {}
+        missed: Dict[int, PreparedQuery] = {}
         dispatch: List[int] = []
         seen_digests: set = set()
         for index, query in enumerate(queries):
@@ -945,14 +936,16 @@ class OptimizerService:
             if isinstance(found, ServedResult):
                 results[index] = found
                 continue
-            keyed[index] = (found.expression, found.props, found.keys)
             exact, template_key, _ = found.keys
             digest = (
                 template_key.digest if template_key is not None else exact.digest
             )
-            if digest not in seen_digests:
+            if digest in seen_digests:
+                found = dataclasses.replace(found, missed=False)
+            else:
                 seen_digests.add(digest)
                 dispatch.append(index)
+            missed[index] = found
 
         # The batch deadline goes whole to the shared run and is split
         # evenly over the misses on the independent path.
@@ -962,54 +955,35 @@ class OptimizerService:
             per_query_budget = ResourceBudget.tighten(
                 base_budget, deadline_seconds / len(dispatch)
             )
-        workers = max_workers or 0
-        parallel = (
-            workers > 1 and len(dispatch) > 1 and parallel_mod.fork_available()
-        )
         sharing_report: Optional[SharingReport] = None
         batch_budget_report: Optional[BudgetReport] = None
         consumer_certs: Tuple[Optional[PlanCertificate], ...] = ()
         producer_certs: Tuple[Optional[PlanCertificate], ...] = ()
-        use_sharing = (
-            not parallel
-            and len(dispatch) > 1
+        if (
+            len(dispatch) > 1
             and self.options.sharing.enabled
             and hasattr(self.optimizer, "optimize_batch")
-            and len({keyed[index][1] for index in dispatch}) == 1
-        )
-        if use_sharing:
+            and len({missed[index].props for index in dispatch}) == 1
+        ):
             (
                 sharing_report,
                 batch_budget_report,
                 consumer_certs,
                 producer_certs,
             ) = self._optimize_batch_shared(
-                keyed,
+                missed,
                 dispatch,
                 ResourceBudget.tighten(base_budget, deadline_seconds),
                 results,
             )
-        if sharing_report is None:
-            if parallel:
-                self._optimize_batch_parallel(
-                    keyed, dispatch, per_query_budget, workers, results
-                )
-            else:
-                for index in dispatch:
-                    if results[index] is None:
-                        expression, qprops, _ = keyed[index]
-                        results[index] = self.optimize(
-                            expression, qprops, budget=per_query_budget
-                        )
-        # Second pass: batch duplicates (and parallel-path stragglers)
-        # now hit the warm cache; degraded answers were never cached, so
-        # their duplicates re-run serially with the same budget —
+        # Every miss the shared run did not serve, in input order: a
+        # first occurrence runs the engine without a second lookup, a
+        # duplicate hits what it cached.  Degraded answers were never
+        # cached, so their duplicates re-run with the same budget —
         # preserving single-query semantics exactly.
-        for index, (expression, qprops, _) in keyed.items():
+        for index, found in missed.items():
             if results[index] is None:
-                results[index] = self.optimize(
-                    expression, qprops, budget=per_query_budget
-                )
+                results[index] = self.optimize(found, budget=per_query_budget)
         return BatchResult(
             results=tuple(results),  # type: ignore[arg-type]
             shared_plans=(
@@ -1024,7 +998,7 @@ class OptimizerService:
 
     def _optimize_batch_shared(
         self,
-        resolved,
+        missed: Dict[int, PreparedQuery],
         dispatch: List[int],
         batch_budget: Optional[ResourceBudget],
         results: List[Optional[ServedResult]],
@@ -1044,8 +1018,8 @@ class OptimizerService:
         untouched so the caller can fall back to independent per-query
         optimization with split budgets.
         """
-        expressions = [resolved[index][0] for index in dispatch]
-        props = resolved[dispatch[0]][1]
+        expressions = [missed[index].expression for index in dispatch]
+        props = missed[dispatch[0]].props
         kwargs = {}
         options = self._engine_options(batch_budget)
         if options is not None:
@@ -1061,13 +1035,11 @@ class OptimizerService:
         # exactly once, not once per result.
         if outcomes and outcomes[0].stats is not None:
             self.cache.stats.bump(engine_seconds=outcomes[0].stats.elapsed_seconds)
-        for index, result in zip(dispatch, outcomes):
-            expression, _, keys = resolved[index]
-            results[index] = self._serve_fresh(keys, result, expression, started)
-        spec = getattr(self.optimizer, "spec", None)
-        if spec is None:
-            report = SharingReport(plans=tuple(r.plan for r in outcomes))
-            return report, None, (), ()
+        for index, expression, result in zip(dispatch, expressions, outcomes):
+            results[index] = self._serve_fresh(
+                missed[index].keys, result, expression, started
+            )
+        spec = self.optimizer.spec
         estimator = getattr(self.optimizer, "estimator", None)
         certifier = None
         local_costs = None
@@ -1161,49 +1133,6 @@ class OptimizerService:
         return CacheStats(
             **{name: after[name] - value for name, value in before.items()}
         )
-
-    def _optimize_batch_parallel(
-        self,
-        resolved,
-        dispatch: List[int],
-        per_query_budget: Optional[ResourceBudget],
-        max_workers: int,
-        results: List[Optional[ServedResult]],
-    ) -> None:
-        """Fan cache misses out to forked workers; fill ``results``."""
-        from repro.service import parallel as parallel_mod
-
-        options = self._engine_options(per_query_budget)
-        items = []
-        for index in dispatch:
-            expression, qprops, _ = resolved[index]
-            items.append(
-                parallel_mod.WorkItem(
-                    index=index,
-                    query=expression,
-                    props=qprops,
-                    options=options,
-                    seeds=tuple(self._seeds_for(expression)),
-                )
-            )
-        outcomes = parallel_mod.run_batch(self.optimizer, items, max_workers)
-        failure: Optional[BaseException] = None
-        for outcome in outcomes:  # already in input order
-            if outcome.error is not None:
-                if failure is None:
-                    failure = outcome.error
-                continue
-            started = time.perf_counter()
-            result = outcome.result
-            assert result is not None  # no error => a result was shipped
-            if result.stats is not None:
-                self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
-            expression, _, keys = resolved[outcome.index]
-            results[outcome.index] = self._serve_fresh(
-                keys, result, expression, started
-            )
-        if failure is not None:
-            raise failure
 
     def execute(
         self,

@@ -11,7 +11,7 @@ translation validation: the search may be arbitrarily clever, but the
 emitted artifact must carry a proof a much simpler checker accepts.
 
 Certificates are plain frozen dataclasses over the algebra's picklable
-value types, so they survive process pools and plan caches unchanged.
+value types, so they survive pickling and plan caches unchanged.
 """
 
 from __future__ import annotations

@@ -110,13 +110,6 @@ def test_dispatch_tables_cover_every_rule():
             assert rule.top_operator in kernel.implementation_dispatch
 
 
-def test_kernel_pickles_to_tier_string():
-    import pickle
-
-    kernel = kernel_for(relational_model(), "specialized")
-    assert pickle.loads(pickle.dumps(kernel)) == "specialized"
-
-
 def test_resolve_kernel_rejects_foreign_kernel():
     spec = relational_model()
     other = relational_model(RelationalModelOptions(enable_filter_scan=False))

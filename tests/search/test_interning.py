@@ -17,7 +17,7 @@ discovers an equality late:
 * long merge chains resolve in linear total work (path compression),
   pinned by the ``canonical_hops`` counter rather than wall-clock;
 * the cached hashes are process-local: pickling strips and recomputes
-  them, so objects survive the trip to forked pool workers.
+  them, so an object loaded from a pickle hashes like the original.
 """
 
 import dataclasses
@@ -358,7 +358,7 @@ def test_render_and_reachable_work_after_deep_merging():
 
 
 def test_cached_hashes_survive_pickling():
-    """Interned objects ship to forked workers: hashes must recompute."""
+    """A pickled interned object carries no cached hash: it recomputes."""
     expr = three_way_join()
     clone = pickle.loads(pickle.dumps(expr))
     assert clone == expr

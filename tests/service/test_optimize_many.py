@@ -2,22 +2,19 @@
 
 The contract under test: a batch call returns, in input order, exactly
 what a sequence of :meth:`optimize` calls would have returned — whether
-the queries were served warm, optimized serially, or fanned out to
-forked worker processes.  Plus the batch-only semantics: duplicate
-queries optimized once, batch deadlines split into per-query budgets,
-degraded answers served but never cached, and worker failures re-raised
-deterministically.
+the queries were served warm, optimized over one shared memo, or
+optimized one by one.  Plus the batch-only semantics: each query looked
+up once, duplicate queries optimized once, batch deadlines split into
+per-query budgets, degraded answers served but never cached, and a
+failing query's error raised out of the batch.
 """
-
-import os
 
 import pytest
 
 from repro.models.relational import relational_model
 from repro.options import ResourceBudget
-from repro.search import SearchOptions, VolcanoOptimizer
+from repro.search import SearchOptions, SharingOptions, VolcanoOptimizer
 from repro.service import OptimizerService, ServiceOptions
-from repro.service.parallel import fork_available
 from repro.workloads import QueryGenerator
 
 SPEC = relational_model()
@@ -74,37 +71,26 @@ def test_duplicates_in_one_batch_optimized_once(workload):
     assert str(results[0].plan) == str(results[2].plan) == str(results[4].plan)
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-def test_parallel_batch_is_deterministic_and_identical(workload):
-    queries, required = queries_of(workload)
-    serial = make_service(workload.catalog).optimize_many(queries, required).results
-    parallel = make_service(workload.catalog).optimize_many(
-        queries, required, max_workers=4
-    ).results
-    assert len(parallel) == len(queries)
-    for left, right in zip(serial, parallel):
-        assert str(left.plan) == str(right.plan)
-        assert str(left.cost) == str(right.cost)
-        assert left.required == right.required
-    # The parallel results populated the parent's cache.
-    service = make_service(workload.catalog)
-    service.optimize_many(queries, required, max_workers=4)
-    assert all(
-        result.cached
-        for result in service.optimize_many(queries, required).results
-    )
+def test_batch_miss_is_looked_up_once(workload):
+    """A miss handed on to the engine is not looked up (or counted) again.
 
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-def test_parallel_results_are_slim_but_complete(workload):
+    Only a duplicate, served from what its first occurrence cached, is
+    looked up a second time — on the shared and the independent path.
+    """
     queries, required = queries_of(workload)
-    service = make_service(workload.catalog)
-    results = service.optimize_many(queries[:4], required, max_workers=2).results
-    for served in results:
-        assert served.result is not None
-        assert served.result.memo is None  # not shipped across the pipe
-        assert served.result.stats.elapsed_seconds > 0
-        assert served.plan is served.result.plan
+    stats = make_service(workload.catalog).optimize_many(
+        queries[:1], required
+    ).cache_stats
+    assert (stats.lookups, stats.hits, stats.misses) == (1, 0, 1)
+
+    batch = [queries[0], queries[1], queries[0]]
+    for sharing in (SharingOptions(), SharingOptions(enabled=False)):
+        served = make_service(workload.catalog, sharing=sharing).optimize_many(
+            batch, required
+        )
+        stats = served.cache_stats
+        assert (served.sharing_report is not None) == sharing.enabled
+        assert (stats.lookups, stats.hits, stats.misses) == (4, 1, 3)
 
 
 def test_batch_deadline_splits_into_per_query_budgets(workload):
@@ -141,34 +127,27 @@ def test_batch_deadline_composes_with_budget(workload):
     assert service.stats.degraded == 4
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-def test_degraded_parallel_batch_never_cached(workload):
-    queries, required = queries_of(workload)
-    budget = ResourceBudget(max_costings=10)
-    service = make_service(workload.catalog)
-    results = service.optimize_many(
-        queries[:6], required, budget=budget, max_workers=3
-    ).results
-    assert all(result.degraded for result in results)
-    assert len(service.cache) == 0
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 def test_worker_failure_reraises_earliest_in_input_order(workload):
-    queries, required = queries_of(workload)
-    # A query the relational spec cannot optimize (a set operation): it
-    # fingerprints fine in the parent, then fails inside the worker; the
-    # failure ships back as a value and the parent re-raises it.
+    """Queries the relational spec cannot optimize (set operations)
+    fingerprint fine, then fail in the engine: the earliest one's error
+    leaves the batch, whether the misses share one memo or run one by
+    one."""
     from repro.algebra.expressions import LogicalExpression
     from repro.errors import ReproError
     from repro.models.relational import get
 
-    bad = LogicalExpression("union", (), (get("t0"), get("t1")))
-    service = make_service(workload.catalog)
-    with pytest.raises(ReproError, match="union"):
-        service.optimize_many(
-            [queries[0], bad, queries[1]], required, max_workers=2
-        )
+    queries, required = queries_of(workload)
+    union, intersect = (
+        LogicalExpression(operator, (), (get("t0"), get("t1")))
+        for operator in ("union", "intersect")
+    )
+    for sharing in (SharingOptions(), SharingOptions(enabled=False)):
+        service = make_service(workload.catalog, sharing=sharing)
+        for first, second in ((union, intersect), (intersect, union)):
+            with pytest.raises(ReproError, match=first.operator):
+                service.optimize_many(
+                    [queries[0], first, queries[1], second], required
+                )
 
 
 def test_warm_hits_report_service_side_latency(workload):
@@ -196,42 +175,13 @@ def test_warm_hits_report_service_side_latency(workload):
     assert stats.as_dict()["hit_seconds"] == stats.hit_seconds
 
 
-@pytest.mark.skipif(
-    not fork_available() or len(os.sched_getaffinity(0)) < 4,
-    reason="throughput comparison needs >= 4 usable cores",
-)
-def test_parallel_throughput_beats_serial():
-    """4 workers vs serial on a 32-query batch: >= 2.5x throughput."""
-    import time
-
-    workload = QueryGenerator().generate_shared(
-        count=32, seed=11, n_tables=8, relations=(4, 7)
-    )
-    queries, required = queries_of(workload)
-
-    started = time.perf_counter()
-    serial = make_service(workload.catalog).optimize_many(queries, required).results
-    serial_elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel = make_service(workload.catalog).optimize_many(
-        queries, required, max_workers=4
-    ).results
-    parallel_elapsed = time.perf_counter() - started
-
-    for left, right in zip(serial, parallel):
-        assert str(left.plan) == str(right.plan)
-    assert serial_elapsed / parallel_elapsed >= 2.5
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 def test_forked_batch_is_served_under_the_service_options(workload):
-    """Forked workers run with ``_engine_options``, like every other path.
+    """The shared-memo batch runs with ``_engine_options``.
 
-    A forked batch under ``verify_plans=True`` must come back with
-    certificates the parent verified, and must search under the
-    engine's own promise model — the options the serial and shared-memo
-    paths run with, plus the certificates the service folds in.
+    A batch under ``verify_plans=True`` must come back with certificates
+    the service verified, and must search under the engine's own promise
+    model — the engine's options plus the certificates the service folds
+    in.
     """
     from repro.search import LearnedPromiseModel
 
@@ -251,73 +201,15 @@ def test_forked_batch_is_served_under_the_service_options(workload):
         return options
 
     service._engine_options = spy
-    served = service.optimize_many(queries[:4], required, max_workers=2).results
+    batch = service.optimize_many(queries[:4], required)
+    assert batch.sharing_report is not None
     assert seen and all(
         options.certificates and options.promise_model is model for options in seen
     )
-    for result in served:
+    for result in batch.results:
         assert result.certificate is not None
         assert result.verified
     assert service.cache.stats.verify_violations == 0
-    # What the workers shipped is what the cache now serves, verified.
+    # What the shared run served is what the cache now serves, verified.
     warm = service.optimize_many(queries[:4], required).results
     assert all(result.cached and result.verified for result in warm)
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-@pytest.mark.filterwarnings(
-    "ignore:This process .* is multi-threaded:DeprecationWarning"
-)
-def test_concurrent_forked_batches_keep_their_own_optimizer():
-    """Two services fanning out at once each fork their own optimizer.
-
-    Both catalogs name the same tables with different statistics, so a
-    worker forked with the other service's optimizer answers without an
-    error — at the other catalog's costs, which the parent then caches.
-    """
-    import threading
-
-    from repro.errors import ReproError
-
-    workloads = [
-        QueryGenerator().generate_shared(
-            count=6, seed=seed, n_tables=8, relations=(3, 5)
-        )
-        for seed in (11, 12)
-    ]
-    expected = [
-        [
-            str(served.cost)
-            for served in make_service(w.catalog).optimize_many(
-                *queries_of(w)
-            ).results
-        ]
-        for w in workloads
-    ]
-    assert expected[0] != expected[1]
-    barrier = threading.Barrier(2)
-    rounds, wrong = [0, 0], [0, 0]
-
-    def run(side):
-        queries, required = queries_of(workloads[side])
-        for _ in range(15):
-            service = make_service(workloads[side].catalog)
-            barrier.wait(timeout=60)
-            rounds[side] += 1
-            try:
-                results = service.optimize_many(
-                    queries, required, max_workers=2
-                ).results
-            except ReproError:  # a worker without an optimizer
-                wrong[side] += 1
-                continue
-            wrong[side] += [str(r.cost) for r in results] != expected[side]
-
-    threads = [threading.Thread(target=run, args=(side,)) for side in (0, 1)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-    assert rounds == [15, 15]
-    assert wrong == [0, 0]
