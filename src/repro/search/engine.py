@@ -186,7 +186,7 @@ class OptimizationResult:
     answer carries ``plan``, ``cost``, ``required``, and ``stats`` —
     the contract the :class:`~repro.service.OptimizerService` and the
     benchmarks rely on.  ``memo``/``root_group`` are only populated by
-    the memo-based engines; the harvesting helpers raise
+    the memo-based engines; :meth:`harvest` raises
     :class:`~repro.errors.SearchError` without them.
 
     ``degraded`` marks an *anytime* answer: a resource budget tripped
@@ -249,51 +249,6 @@ class OptimizationResult:
             cost=winner.cost,
             required=required,
         )
-
-    def harvest_winners(
-        self, max_plans: Optional[int] = None
-    ) -> List["PreoptimizedPlan"]:
-        """Every memoized winner of this run, as reusable seeds.
-
-        The bulk counterpart of :meth:`harvest` and the persistence half
-        of the cross-query reuse hooks: a warm
-        :class:`~repro.service.OptimizerService` drains a finished run's
-        memo with this and seeds later searches over shared
-        subexpressions.  Only ordinary goals are exported (winners found
-        under an enforcer's *excluding* vector are valid solely in that
-        context); groups whose every expression is cyclic are skipped.
-        ``max_plans`` bounds the export (pre-order from the root, so the
-        full query's winner comes first).
-        """
-        if self.memo is None or self.root_group is None:
-            raise SearchError("this result carries no memo to harvest from")
-        seeds: List[PreoptimizedPlan] = []
-        for gid in self.memo.reachable(self.root_group):
-            group = self.memo.group(gid)
-            if not group.winners:
-                continue
-            try:
-                expression = self.memo.representative_expression(gid)
-            except SearchError:
-                continue
-            for (props, excluded), winner in group.winners.items():
-                if excluded is not None:
-                    continue
-                seeds.append(
-                    PreoptimizedPlan(
-                        expression=expression,
-                        plan=winner.plan,
-                        cost=winner.cost,
-                        required=props,
-                    )
-                )
-                if max_plans is not None and len(seeds) >= max_plans:
-                    if self.stats is not None:
-                        self.stats.winners_harvested += len(seeds)
-                    return seeds
-        if self.stats is not None:
-            self.stats.winners_harvested += len(seeds)
-        return seeds
 
 
 @dataclass(frozen=True)
@@ -502,9 +457,8 @@ class VolcanoOptimizer:
         to set their own limits to 'catch' unreasonable queries".
 
         ``preoptimized`` seeds the memo with trusted subplans (harvested
-        via :meth:`OptimizationResult.harvest` /
-        :meth:`OptimizationResult.harvest_winners`) before costing
-        begins — the Section 6 "longer-lived partial results" direction.
+        via :meth:`OptimizationResult.harvest`) before costing begins —
+        the Section 6 "longer-lived partial results" direction.
         The memo itself is still "reinitialized for each query being
         optimized", exactly as the paper says; only what the caller
         explicitly hands over survives.

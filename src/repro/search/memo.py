@@ -685,9 +685,7 @@ class Memo:
         member whose expansion does not revisit a group already on the
         path (rule-derived self references would otherwise recurse
         forever).  The first member is the earliest inserted one —
-        for the root that is the query's original form — which is the
-        form most likely to be re-derived by a later search, making
-        these trees good keys for cross-query winner reuse.
+        for the root that is the query's original form.
 
         Raises :class:`~repro.errors.SearchError` when every member is
         cyclic.

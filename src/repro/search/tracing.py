@@ -55,9 +55,8 @@ class SearchStats:
     moves_cache_hits: int = 0
     moves_cache_misses: int = 0
     canonical_hops: int = 0
-    # Cross-query reuse counters (the service's memo persistence hooks).
+    # Seeds planted through ``optimize(..., preoptimized=)``.
     seeds_planted: int = 0
-    winners_harvested: int = 0
     # Resource-governance counters (repro.options.ResourceBudget).
     budget_trips: int = 0
     greedy_plans: int = 0

@@ -1,8 +1,8 @@
-"""The optimizer service: cross-query plan caching and memo reuse (S17).
+"""The optimizer service: cross-query plan caching (S17).
 
 Fronts any :class:`~repro.search.Optimizer` with a fingerprint-keyed,
-statistics-version-invalidated LRU plan cache, parameterized caching of
-literal-normalized templates, and optional cross-query subplan seeding.
+statistics-version-invalidated LRU plan cache and parameterized caching
+of literal-normalized templates; a batch's misses share one memo.
 See :mod:`repro.service.service` for the full story and
 ``docs/plan-cache.md`` for a walkthrough.
 """
@@ -19,7 +19,6 @@ from repro.service.service import (
     ServedResult,
     ServiceOptions,
     Statement,
-    SubplanLibrary,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "ServiceOptions",
     "Statement",
     "SingleFlight",
-    "SubplanLibrary",
     "SharedPlan",
     "SharingOptions",
     "SharingReport",

@@ -15,11 +15,7 @@ twice.  :class:`OptimizerService` is that front:
   template plan is re-bound to the new constants on a hit;
 * **invalidation by versioning** — every catalog mutation bumps a
   monotonic statistics version, so stale entries can never be hit (the
-  fingerprint changes) and are swept out lazily on the next call;
-* **subplan reuse** — optionally, winners harvested from finished
-  memo-based runs seed later searches over shared subexpressions
-  (:meth:`~repro.search.OptimizationResult.harvest_winners` /
-  the engine's ``preoptimized=`` hook).
+  fingerprint changes) and are swept out lazily on the next call.
 
 The service programs against the :class:`~repro.search.Optimizer`
 protocol, so it wraps the Volcano engine or either comparison baseline
@@ -29,9 +25,7 @@ interchangeably.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -41,7 +35,7 @@ from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import ANY_PROPS, PhysProps
 from repro.catalog.catalog import Catalog
 from repro.dynamic import bind_plan
-from repro.errors import BudgetExceededError, ServiceError
+from repro.errors import BudgetExceededError
 from repro.executor import ExecutionStats, execute_plan
 from repro.feedback import (
     FeedbackPolicy,
@@ -57,7 +51,7 @@ from repro.options import (
     ResourceBudget,
     check_positive,
 )
-from repro.search.engine import OptimizationResult, PreoptimizedPlan
+from repro.search.engine import OptimizationResult
 from repro.search.sharing import (
     SharedPlan,
     SharingOptions,
@@ -65,12 +59,7 @@ from repro.search.sharing import (
     plan_sharing,
 )
 from repro.service.cache import CacheEntry, CacheStats, PlanCache, StatementLRU
-from repro.service.fingerprint import (
-    Fingerprint,
-    fingerprint,
-    stable_key,
-    table_dependencies,
-)
+from repro.service.fingerprint import Fingerprint, fingerprint, stable_key
 from repro.service.singleflight import SingleFlight
 from repro.sql.normalize import normalize_literals, parameterize_plan
 from repro.verify.certificate import PlanCertificate
@@ -82,7 +71,6 @@ __all__ = [
     "PreparedQuery",
     "Statement",
     "ExecutedResult",
-    "SubplanLibrary",
     "OptimizerService",
 ]
 
@@ -120,15 +108,6 @@ class ServiceOptions(OptionsBase):
     ``selectivity_buckets``
         How finely range-predicate selectivities are quantized; more
         buckets mean fewer cross-literal hits but tighter cost fidelity.
-    ``reuse_subplans``
-        Harvest memoized winners from finished runs and seed later
-        searches that share subexpressions.  Costs stay optimal, but a
-        seeded search may break ties between equal-cost plans
-        differently than a cold one, so this defaults to off.
-    ``max_subplans``
-        Bound of the harvested-winner library.
-    ``max_seeds_per_query``
-        At most this many seeds are planted into any one search.
     ``feedback_policy``
         Drift policy for :meth:`OptimizerService.execute`'s adaptive
         loop.  When set, every instrumented execution's feedback is
@@ -173,9 +152,6 @@ class ServiceOptions(OptionsBase):
     max_entries: int = 512
     parameterized: bool = True
     selectivity_buckets: int = 10
-    reuse_subplans: bool = False
-    max_subplans: int = 256
-    max_seeds_per_query: int = 32
     feedback_policy: Optional[FeedbackPolicy] = None
     sharing: SharingOptions = field(default_factory=SharingOptions)
     verify_plans: bool = False
@@ -184,8 +160,6 @@ class ServiceOptions(OptionsBase):
         """Check field invariants; raise :class:`OptionsError` on failure."""
         check_positive("max_entries", self.max_entries)
         check_positive("selectivity_buckets", self.selectivity_buckets)
-        check_positive("max_subplans", self.max_subplans)
-        check_positive("max_seeds_per_query", self.max_seeds_per_query)
 
 
 @dataclass(frozen=True)
@@ -380,75 +354,6 @@ class ExecutedResult:
         return self.report.max_q_error if self.report is not None else 1.0
 
 
-@dataclass
-class SubplanLibrary:
-    """Harvested winners, keyed by (expression, goal), version-checked.
-
-    The persistence half of cross-query memo reuse: winners drained from
-    finished runs via
-    :meth:`~repro.search.OptimizationResult.harvest_winners` live here
-    until their tables' statistics move, and are re-planted (as
-    ``preoptimized=`` seeds) into searches whose queries read a
-    superset of their tables.
-    """
-
-    max_entries: int = 256
-
-    def __post_init__(self):
-        if self.max_entries <= 0:
-            raise ServiceError("max_entries must be positive")
-        self._seeds: "OrderedDict[Tuple, Tuple[PreoptimizedPlan, Tuple]]" = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._seeds)
-
-    def add(self, seed: PreoptimizedPlan, catalog: Catalog) -> None:
-        """Store a harvested winner under the current table versions."""
-        tables = table_dependencies(seed.expression, catalog)
-        versions = tuple(
-            (name, catalog.table_version(name)) for name in tables
-        )
-        key = (seed.expression, seed.required)
-        if key in self._seeds:
-            self._seeds.move_to_end(key)
-        self._seeds[key] = (seed, versions)
-        while len(self._seeds) > self.max_entries:
-            self._seeds.popitem(last=False)
-
-    def seeds_for(
-        self,
-        query: LogicalExpression,
-        catalog: Catalog,
-        limit: Optional[int] = None,
-    ) -> List[PreoptimizedPlan]:
-        """Valid seeds whose tables the query also reads, freshest first."""
-        query_tables = set(table_dependencies(query, catalog))
-        matched: List[PreoptimizedPlan] = []
-        stale = []
-        for key, (seed, versions) in reversed(self._seeds.items()):
-            current = all(
-                name in catalog and catalog.table_version(name) == version
-                for name, version in versions
-            )
-            if not current:
-                stale.append(key)
-                continue
-            if not versions or not {name for name, _ in versions} <= query_tables:
-                continue
-            matched.append(seed)
-            if limit is not None and len(matched) >= limit:
-                break
-        for key in stale:
-            del self._seeds[key]
-        return matched
-
-    def clear(self) -> None:
-        """Drop every stored seed."""
-        self._seeds.clear()
-
-
 class OptimizerService:
     """A caching front over any :class:`~repro.search.Optimizer`.
 
@@ -468,7 +373,6 @@ class OptimizerService:
         self.catalog: Catalog = optimizer.catalog
         self.options = options or ServiceOptions()
         self.cache = PlanCache(max_entries=self.options.max_entries)
-        self.subplans = SubplanLibrary(max_entries=self.options.max_subplans)
         feedback_buckets = (
             self.options.feedback_policy.buckets
             if self.options.feedback_policy is not None
@@ -482,8 +386,6 @@ class OptimizerService:
         # The statement memo: SQL text -> Statement, one per live text.
         self.statements = StatementLRU()
         self._seen_version = self.catalog.statistics_version
-        parameters = inspect.signature(optimizer.optimize).parameters
-        self._engine_seeds = "preoptimized" in parameters
 
     # ------------------------------------------------------------------
 
@@ -681,8 +583,8 @@ class OptimizerService:
         ``budget`` bounds this one engine run (overriding the engine's
         own default, ``optimizer.options.budget``).  A degraded answer —
         the engine's budget tripped and it fell back to its anytime plan
-        — is served with ``degraded=True`` but neither cached nor
-        harvested, and is counted in ``stats.degraded``.
+        — is served with ``degraded=True`` but not cached, and is
+        counted in ``stats.degraded``.
 
         Concurrent misses of the same fingerprint are **single-flight**
         deduplicated: the first caller runs the engine, every caller
@@ -714,7 +616,9 @@ class OptimizerService:
                     return served
                 if template_key is not None:
                     self.cache.remove(template_key)
-            result = self._run_engine(expression, props, budget)
+            result = self.optimizer.optimize(
+                expression, props, options=self._engine_options(budget)
+            )
             if result.stats is not None:
                 self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
             return self._serve_fresh(keys, result, expression, started)
@@ -806,7 +710,7 @@ class OptimizerService:
         query: LogicalExpression,
         started: float,
     ) -> ServedResult:
-        """One fresh engine answer: verify, cache, harvest, wrap.
+        """One fresh engine answer: verify, cache, wrap.
 
         Shared by the single-query miss and the shared-memo batch.
         Engine time is accounted by the caller, once per engine *run*
@@ -826,7 +730,6 @@ class OptimizerService:
             self.cache.stats.bump(degraded=1)
         elif ok is not False:
             self._store(keys, result, verified=bool(ok))
-            self._harvest(result)
         return ServedResult(
             plan=result.plan,
             cost=result.cost,
@@ -1011,7 +914,7 @@ class OptimizerService:
         """Optimize the cache misses over one shared memo; fill ``results``.
 
         Returns ``(report, None, consumers, producers)`` on success —
-        every dispatched index served, cached, and harvested, with the
+        every dispatched index served and cached, with the
         sharing pass's consumer/producer certificates when verification
         is on and checked out — or ``(None, budget_report, (), ())``
         when the batch-wide budget tripped, leaving ``results``
@@ -1020,14 +923,10 @@ class OptimizerService:
         """
         expressions = [missed[index].expression for index in dispatch]
         props = missed[dispatch[0]].props
-        kwargs = {}
-        options = self._engine_options(batch_budget)
-        if options is not None:
-            kwargs["options"] = options
         started = time.perf_counter()
         try:
             outcomes = self.optimizer.optimize_batch(
-                expressions, props, **kwargs
+                expressions, props, options=self._engine_options(batch_budget)
             )
         except BudgetExceededError as error:
             return None, error.report, (), ()
@@ -1218,16 +1117,14 @@ class OptimizerService:
     def invalidate(self, table: Optional[str] = None) -> int:
         """Drop cached plans: those reading ``table``, or all stale ones."""
         if table is not None:
-            self.subplans.clear()
             return self.cache.invalidate_table(table)
         dropped = self.cache.purge_stale(self.catalog)
         self._seen_version = self.catalog.statistics_version
         return dropped
 
     def clear(self) -> None:
-        """Drop every cached plan and harvested subplan."""
+        """Drop every cached plan."""
         self.cache.clear()
-        self.subplans.clear()
 
     def __len__(self) -> int:
         return len(self.cache)
@@ -1249,29 +1146,6 @@ class OptimizerService:
         if version != self._seen_version:
             self.cache.purge_stale(self.catalog)
             self._seen_version = version
-
-    def _run_engine(
-        self,
-        query: LogicalExpression,
-        props: PhysProps,
-        budget: Optional[ResourceBudget] = None,
-    ) -> OptimizationResult:
-        kwargs = {}
-        options = self._engine_options(budget)
-        if options is not None:
-            kwargs["options"] = options
-        seeds = self._seeds_for(query)
-        if seeds:
-            kwargs["preoptimized"] = seeds
-        return self.optimizer.optimize(query, props, **kwargs)
-
-    def _seeds_for(self, query: LogicalExpression) -> List[PreoptimizedPlan]:
-        """Harvested winners to plant into a search of ``query``."""
-        if not (self.options.reuse_subplans and self._engine_seeds):
-            return []
-        return self.subplans.seeds_for(
-            query, self.catalog, limit=self.options.max_seeds_per_query
-        )
 
     def _engine_options(self, budget: Optional[ResourceBudget]):
         """The wrapped engine's options for one run, or None if unchanged.
@@ -1317,13 +1191,3 @@ class OptimizerService:
                     parameterized=True,
                 )
             )
-
-    def _harvest(self, result: OptimizationResult) -> None:
-        if not self.options.reuse_subplans:
-            return
-        if getattr(result, "memo", None) is None or result.root_group is None:
-            return
-        for seed in result.harvest_winners(
-            max_plans=self.options.max_seeds_per_query
-        ):
-            self.subplans.add(seed, self.catalog)

@@ -113,9 +113,17 @@ def test_merge_dedupes_members_and_preserves_winners(builder):
     original = memo.insert_expression(query.query)
     commuted = commute_lowest_join(query.query)
     assert memo.insert_expression(commuted) != original
-    for seed in solved.harvest_winners():
-        gid = memo.insert_expression(seed.expression)
-        memo.group(gid).winners[(seed.required, None)] = Winner(seed.plan, seed.cost)
+    for source in solved.memo.reachable(solved.root_group):
+        plain = [
+            (props, winner)
+            for (props, excluded), winner in solved.memo.group(source).winners.items()
+            if excluded is None
+        ]
+        if not plain:
+            continue
+        gid = memo.insert_expression(solved.memo.representative_expression(source))
+        for props, winner in plain:
+            memo.group(gid).winners[(props, None)] = Winner(winner.plan, winner.cost)
     planted = {group.id: dict(group.winners) for group in memo.groups()}
     spine, spine_commuted = [query.query], [commuted]
     while spine[-1].inputs[0].operator == "join":

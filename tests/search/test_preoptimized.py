@@ -54,6 +54,8 @@ def test_seeding_saves_work_and_preserves_the_result(optimizer):
     seeded = optimizer.optimize(BIG(), preoptimized=[seed])
     assert seeded.cost == unseeded.cost
     assert seeded.stats.find_best_plan_calls < unseeded.stats.find_best_plan_calls
+    assert seeded.stats.seeds_planted == 1
+    assert unseeded.stats.seeds_planted == 0
 
 
 def test_seeded_winner_lands_in_the_right_class(optimizer):

@@ -1,6 +1,6 @@
 """Service-layer resource governance.
 
-Degraded results are served but never cached or harvested — a budget
+Degraded results are served but never cached — a budget
 trip must not poison the cross-query plan cache with a plan that was
 never proven optimal.
 """

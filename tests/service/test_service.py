@@ -159,55 +159,6 @@ def test_lru_bound_is_respected(workload):
     assert service.stats.evictions >= len(workload) - 5
 
 
-def test_reuse_subplans_preserves_costs():
-    catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
-    chain = join(
-        join(get("r"), get("s"), eq("r.k", "s.k")),
-        get("t"),
-        eq("s.k", "t.k"),
-    )
-    prefix = join(get("r"), get("s"), eq("r.k", "s.k"))
-    cold_chain = VolcanoOptimizer(SPEC, catalog).optimize(chain)
-    cold_prefix = VolcanoOptimizer(SPEC, catalog).optimize(prefix)
-    service = make_service(catalog, reuse_subplans=True)
-    service.optimize(prefix)
-    assert len(service.subplans) > 0
-    seeded = service.optimize(chain)
-    assert seeded.cost == cold_chain.cost
-    assert service.optimize(prefix).cached
-    assert service.optimize(prefix).cost == cold_prefix.cost
-
-
-def test_seeding_reports_planted_seeds():
-    catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
-    service = make_service(catalog, reuse_subplans=True)
-    prefix = join(get("r"), get("s"), eq("r.k", "s.k"))
-    chain = join(prefix, get("t"), eq("s.k", "t.k"))
-    service.optimize(prefix)
-    seeded = service.optimize(chain)
-    assert seeded.result.stats.seeds_planted > 0
-
-
-def test_subplan_library_invalidated_by_stats_mutation():
-    from repro.service import table_dependencies
-
-    catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
-    service = make_service(catalog, reuse_subplans=True)
-    prefix = join(get("r"), get("s"), eq("r.k", "s.k"))
-    service.optimize(prefix)
-    catalog.update_statistics("r", catalog.table("r").statistics)
-    chain = join(prefix, get("t"), eq("s.k", "t.k"))
-    # Seeds touching the mutated table are dropped; seeds over the
-    # untouched table survive and stay plantable.
-    seeds = service.subplans.seeds_for(chain, catalog)
-    assert all(
-        "r" not in table_dependencies(seed.expression, catalog)
-        for seed in seeds
-    )
-    cold = VolcanoOptimizer(SPEC, catalog).optimize(chain)
-    assert service.optimize(chain).cost == cold.cost
-
-
 def test_explicit_invalidation():
     catalog = make_catalog([("r", 1200), ("s", 2400)])
     service = make_service(catalog)
@@ -296,4 +247,4 @@ def test_service_options_validate():
     with pytest.raises(OptionsError):
         ServiceOptions(max_entries=-1)
     with pytest.raises(OptionsError):
-        ServiceOptions(max_seeds_per_query=0)
+        ServiceOptions(selectivity_buckets=0)

@@ -1,6 +1,8 @@
 """Tests for the shared options contract (frozen, validated, replaceable)."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro.options import ResourceBudget, ServerOptions
 from repro.search import SearchOptions
 from repro.service import ServiceOptions
 from repro.systemr import SystemROptions
+
+PLAN_CACHE_DOC = Path(__file__).resolve().parents[1] / "docs" / "plan-cache.md"
 
 OPTION_CLASSES = [SearchOptions, ExodusOptions, SystemROptions, ServiceOptions]
 
@@ -32,9 +36,6 @@ FIELD_NAMES = {
         "max_entries",
         "parameterized",
         "selectivity_buckets",
-        "reuse_subplans",
-        "max_subplans",
-        "max_seeds_per_query",
         "feedback_policy",
         "sharing",
         "verify_plans",
@@ -57,6 +58,14 @@ FIELD_NAMES = {
 @pytest.mark.parametrize("cls", FIELD_NAMES, ids=lambda cls: cls.__name__)
 def test_option_field_names_are_pinned(cls):
     assert {field.name for field in dataclasses.fields(cls)} == FIELD_NAMES[cls]
+
+
+def test_plan_cache_knobs_table_lists_every_service_option():
+    text = PLAN_CACHE_DOC.read_text(encoding="utf-8")
+    table = text.split("## Knobs", 1)[1].split("\n\n", 2)[1]
+    documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert len(documented) == len(FIELD_NAMES[ServiceOptions]) == 6
+    assert set(documented) == FIELD_NAMES[ServiceOptions]
 
 
 @pytest.mark.parametrize("cls", OPTION_CLASSES)
