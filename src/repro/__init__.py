@@ -114,16 +114,12 @@ from repro.models import (
     setops_model,
 )
 from repro.search import (
-    STATIC_PROMISE,
     BudgetReport,
-    LearnedPromiseModel,
     OptimizationResult,
     Optimizer,
     PreoptimizedPlan,
-    PromiseModel,
     ResourceBudget,
     SearchOptions,
-    StaticPromise,
     VolcanoOptimizer,
 )
 from repro.service import (
@@ -216,10 +212,6 @@ __all__ = [
     "BudgetReport",
     "SearchOptions",
     "VolcanoOptimizer",
-    "PromiseModel",
-    "StaticPromise",
-    "STATIC_PROMISE",
-    "LearnedPromiseModel",
     "BatchResult",
     "CacheStats",
     "OptimizerService",

@@ -436,26 +436,10 @@ def run_setops_orders(row_counts: Sequence[int] = (2400, 4800, 7200)) -> Table:
 def run_promise_ablation(
     sizes: Sequence[int] = _DEFAULT_SIZES, queries_per_size: int = 10, seed: int = 7
 ) -> Table:
-    """A7: a promise threshold that skips associativity (heuristic mode).
-
-    A third variant runs exhaustive search with a
-    :class:`repro.search.LearnedPromiseModel` active: the model may
-    reorder move pursuit, so its cost column must match the exhaustive
-    one exactly — the order-independent winner rule, exercised on every
-    CI run alongside the ``min_promise`` point.
-    """
-    from repro.search import LearnedPromiseModel
-
+    """A7: a promise threshold that skips associativity (heuristic mode)."""
     variants = [
         ("exhaustive", SearchOptions(check_consistency=False)),
         ("promise≥0.9", SearchOptions(min_promise=0.9, check_consistency=False)),
-        (
-            "learned",
-            SearchOptions(
-                check_consistency=False,
-                promise_model=LearnedPromiseModel(boost=0.75),
-            ),
-        ),
     ]
     results = _run_variants(sizes, queries_per_size, seed, WorkloadOptions(), variants)
     table = Table(
@@ -468,13 +452,11 @@ def run_promise_ablation(
             "exhaustive cost",
             "heuristic cost",
             "quality loss",
-            "learned cost",
         ],
     )
     for size in sizes:
         full_time, full_cost, _ = results["exhaustive"][size]
         fast_time, fast_cost, _ = results["promise≥0.9"][size]
-        _, learned_cost, _ = results["learned"][size]
         table.add_row(
             size,
             full_time * 1000,
@@ -483,17 +465,10 @@ def run_promise_ablation(
             full_cost,
             fast_cost,
             f"{fast_cost / full_cost:.3f}x",
-            learned_cost,
         )
-        if learned_cost != full_cost:
-            raise AssertionError(
-                "a promise model must never change plan cost under "
-                f"exhaustive search ({learned_cost} vs {full_cost})"
-            )
     table.add_note(
         "the heuristic explores commutations only; quality loss is the "
-        "price of skipping the associativity rule; the learned column "
-        "must equal the exhaustive one (models only reorder)"
+        "price of skipping the associativity rule"
     )
     return table
 

@@ -263,9 +263,9 @@ def _check_rules_wellformed(spec: ModelSpecification, report: LintReport) -> Non
 
 
 def _check_promise(rule, kind: str, report: LintReport) -> None:
-    """Promise must be a finite number: it orders move pursuit, feeds
-    ``min_promise`` pruning, and is scaled by promise models — a NaN or
-    infinity silently corrupts all three."""
+    """Promise must be a finite number: it orders move pursuit, greedy
+    degradation and ``min_promise`` pruning — a NaN or infinity silently
+    corrupts all three."""
     promise = rule.promise
     if (
         isinstance(promise, bool)

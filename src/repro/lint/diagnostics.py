@@ -105,7 +105,8 @@ V009 = _register(
 )
 V010 = _register(
     "V010", Severity.ERROR, "rule promise is not a finite number",
-    "promise orders move pursuit; give the rule a finite numeric promise",
+    "promise orders move pursuit and feeds min_promise pruning; give the "
+    "rule a finite numeric promise",
 )
 
 # -- coverage / closure ------------------------------------------------------

@@ -20,12 +20,6 @@ from repro.search.engine import (
     VolcanoOptimizer,
 )
 from repro.search.memo import Group, GroupExpression, Memo, Winner
-from repro.search.promise import (
-    STATIC_PROMISE,
-    LearnedPromiseModel,
-    PromiseModel,
-    StaticPromise,
-)
 from repro.search.sharing import (
     SharedPlan,
     SharingOptions,
@@ -44,10 +38,6 @@ __all__ = [
     "GroupExpression",
     "Memo",
     "Winner",
-    "PromiseModel",
-    "StaticPromise",
-    "STATIC_PROMISE",
-    "LearnedPromiseModel",
     "SearchStats",
     "Tracer",
     "ResourceBudget",

@@ -835,23 +835,13 @@ def standalone_certificate(
     """
     # Imported here: this module must not depend on the engine at import
     # time (the engine imports ClaimRecord from us).
-    from repro.model.context import OptimizerContext
-    from repro.options import BudgetMeter
-    from repro.search.engine import VolcanoOptimizer, _SearchRun
-    from repro.search.tracing import SearchStats, Tracer
+    from repro.search.engine import VolcanoOptimizer
 
     explorer = VolcanoOptimizer(spec, catalog, estimator=estimator)
-    context = OptimizerContext(spec, catalog, estimator)
-    stats = SearchStats()
-    memo = Memo(context, stats=stats)
-    context.group_props_resolver = memo.logical_props
-    run = _SearchRun(
-        explorer.options, memo, context, stats, Tracer(enabled=False),
-        BudgetMeter(None),
-    )
-    root = memo.insert_expression(source)
+    run = explorer._new_run(explorer.options)
+    root = run.memo.insert_expression(source)
     explorer._explore_closure(run, root)
-    builder = CertificateBuilder(spec, memo, claims=None)
+    builder = CertificateBuilder(spec, run.memo, claims=None)
     return builder.certify(
         source, plan, required, degraded=degraded, engine=engine
     )

@@ -80,7 +80,6 @@ from repro.options import (
 )
 from repro.search.certify import CertificateBuilder, ClaimRecord
 from repro.search.memo import GoalKey, Group, Memo, Winner
-from repro.search.promise import STATIC_PROMISE, PromiseModel
 from repro.search.tracing import SearchStats, Tracer
 from repro.verify.certificate import PlanCertificate
 
@@ -134,15 +133,6 @@ class SearchOptions(OptionsBase):
         (wall-clock deadline, costing quota, rule-firing quota).  When a
         limit trips, the engine degrades gracefully and flags the result
         ``degraded=True``; see :mod:`repro.search.engine`.
-    ``promise_model``
-        A :class:`~repro.search.promise.PromiseModel` supplying rule
-        promises (move ordering, ``min_promise`` pruning).  ``None``
-        means the static model — promises are the rule authors'
-        numbers, bit-for-bit the historical behavior.  Under exhaustive
-        search a model can only *reorder* moves, and winners are
-        selected by the order-independent ``(cost, rank, alternative)``
-        rule, so the chosen plan is identical for every model; see
-        ``docs/search-internals.md``.
     ``trace``
         Record a human-readable search trace (slow; for debugging).
     ``certificates``
@@ -162,7 +152,6 @@ class SearchOptions(OptionsBase):
     branch_and_bound: bool = True
     cache_failures: bool = True
     min_promise: Optional[float] = None
-    promise_model: Optional[PromiseModel] = None
     check_consistency: bool = True
     max_groups: Optional[int] = None
     budget: Optional[ResourceBudget] = None
@@ -274,13 +263,6 @@ class PreoptimizedPlan:
 class _AlgorithmMove:
     """One costed candidate source: an implementation rule binding.
 
-    ``promise`` is the active promise model's number (it orders the
-    pursuit); ``rank`` is the move's position under the *static*
-    ordering — stable sort by descending ``rule.promise``, discovery
-    order within ties.  Winner selection compares ``(cost, rank,
-    alternative)``, never the pursuit position, so the chosen plan is
-    independent of how a model reorders equal-cost moves.
-
     ``applicability`` memoizes ``(algorithm, node, alternatives, local
     cost)`` per required property vector: move objects live in the
     per-run moves cache and are revisited once per property goal on
@@ -289,47 +271,32 @@ class _AlgorithmMove:
     by the full move identity) makes the hit path one small-dict probe.
     """
 
-    __slots__ = (
-        "rule",
-        "args",
-        "input_groups",
-        "promise",
-        "rank",
-        "applicability",
-        "node",
-    )
+    __slots__ = ("rule", "args", "input_groups", "applicability", "node")
 
     def __init__(
         self,
         rule: ImplementationRule,
         args: Tuple,
         input_groups: Tuple[int, ...],
-        promise: float,
-        rank: int,
     ):
         self.rule = rule
         self.args = args
         self.input_groups = input_groups
-        self.promise = promise
-        self.rank = rank
         self.applicability: Dict = {}
         # The AlgorithmNode is required-independent; built lazily once
         # per move (see _move_applicability) instead of once per goal.
         self.node: Optional[AlgorithmNode] = None
 
 
-def _move_order(move: _AlgorithmMove) -> Tuple[float, int]:
-    """Pursuit order: descending promise, static rank within ties."""
-    return (-move.promise, move.rank)
-
-
 class _SearchRun:
     """All per-run state of one ``optimize()`` call.
 
-    Created at the entry point and threaded through every search method,
-    so engine instances hold no mutable per-query state: two threads (or
-    a re-entrant caller) can optimize through one engine concurrently,
-    each run carrying its own memo, stats, tracer, and budget meter.
+    Created at the entry point (:meth:`VolcanoOptimizer._new_run`) and
+    threaded through every search method, so engine instances hold no
+    mutable per-query state: two threads (or a re-entrant caller) can
+    optimize through one engine concurrently, each run carrying its own
+    memo, stats, tracer, and budget meter.  The context and stats are
+    the memo's own.
     """
 
     __slots__ = (
@@ -341,38 +308,22 @@ class _SearchRun:
         "meter",
         "metered",
         "claims",
-        "promise",
         "kernel",
     )
 
-    def __init__(
-        self,
-        options: SearchOptions,
-        memo: Memo,
-        context: OptimizerContext,
-        stats: SearchStats,
-        tracer: Tracer,
-        meter: BudgetMeter,
-    ):
+    def __init__(self, options: SearchOptions, memo: Memo, kernel):
         self.options = options
         self.memo = memo
-        self.context = context
-        self.stats = stats
-        self.tracer = tracer
-        self.meter = meter
+        self.context = memo.context
+        self.stats = memo.stats
+        self.tracer = Tracer(enabled=options.trace)
+        self.meter = BudgetMeter(options.budget)
         # Budget accounting is skipped entirely on unbudgeted runs: the
         # meter's counters are only ever read in trip reports, so with
         # no (or an unbounded) budget the checks are pure overhead.
-        self.metered = meter.armed
+        self.metered = self.meter.armed
         # The specialized search kernel (None = interpreted paths).
-        self.kernel = None
-        # The active promise model; STATIC_PROMISE (compared by
-        # identity for the fast path) unless the options name one.
-        self.promise: PromiseModel = (
-            options.promise_model
-            if options.promise_model is not None
-            else STATIC_PROMISE
-        )
+        self.kernel = kernel
         # Provenance claims for certificate construction: id(plan node)
         # → (plan, ClaimRecord).  Keeping the plan in the value pins its
         # id, so reused ids always carry a fresh, overwritten record.
@@ -486,20 +437,8 @@ class VolcanoOptimizer:
     ) -> OptimizationResult:
         required = required if required is not None else self.spec.any_props
         started = time.perf_counter()
-        stats = SearchStats()
-        tracer = Tracer(enabled=options.trace)
-        context = OptimizerContext(self.spec, self.catalog, self.estimator)
-        memo = Memo(
-            context,
-            stats=stats,
-            check_consistency=options.check_consistency,
-            max_groups=options.max_groups,
-        )
-        context.group_props_resolver = lambda gid: memo.logical_props(gid)
-        run = _SearchRun(
-            options, memo, context, stats, tracer, BudgetMeter(options.budget)
-        )
-        run.kernel = self._resolve_kernel(options)
+        run = self._new_run(options)
+        memo, stats, tracer = run.memo, run.stats, run.tracer
         try:
             root = memo.insert_expression(query)
             report: Optional[BudgetReport] = None
@@ -512,17 +451,7 @@ class VolcanoOptimizer:
                 )
             except BudgetTripped as trip:
                 winner, report = self._degrade(run, root, required, limit, trip)
-            if winner is None:
-                raise OptimizationFailedError(
-                    f"no plan for goal [{required}] within limit {limit}"
-                )
-            if options.check_consistency and not self.spec.props_cover(
-                winner.plan.properties, required
-            ):
-                raise PlanValidationError(
-                    f"chosen plan delivers [{winner.plan.properties}] which does "
-                    f"not satisfy the goal [{required}]"
-                )
+            self._check_winner(run, winner, required, limit)
             certificate: Optional[PlanCertificate] = None
             if options.certificates:
                 builder = CertificateBuilder(self.spec, memo, run.claims)
@@ -593,20 +522,8 @@ class VolcanoOptimizer:
         options = options if options is not None else self.options
         required = props if props is not None else self.spec.any_props
         started = time.perf_counter()
-        stats = SearchStats()
-        tracer = Tracer(enabled=options.trace)
-        context = OptimizerContext(self.spec, self.catalog, self.estimator)
-        memo = Memo(
-            context,
-            stats=stats,
-            check_consistency=options.check_consistency,
-            max_groups=options.max_groups,
-        )
-        context.group_props_resolver = lambda gid: memo.logical_props(gid)
-        run = _SearchRun(
-            options, memo, context, stats, tracer, BudgetMeter(options.budget)
-        )
-        run.kernel = self._resolve_kernel(options)
+        run = self._new_run(options)
+        memo, stats, tracer = run.memo, run.stats, run.tracer
         try:
             roots: List[int] = []
             winners: List[Winner] = []
@@ -630,17 +547,7 @@ class VolcanoOptimizer:
                         report=report,
                         stats=stats,
                     )
-                if winner is None:
-                    raise OptimizationFailedError(
-                        f"no plan for goal [{required}] within limit {limit}"
-                    )
-                if options.check_consistency and not self.spec.props_cover(
-                    winner.plan.properties, required
-                ):
-                    raise PlanValidationError(
-                        f"chosen plan delivers [{winner.plan.properties}] "
-                        f"which does not satisfy the goal [{required}]"
-                    )
+                self._check_winner(run, winner, required, limit)
                 # Extract immediately: a later root's closure may merge
                 # groups and clear memoized winners, but the Winner
                 # object (and its plan) stays valid.
@@ -687,6 +594,44 @@ class VolcanoOptimizer:
         finally:
             stats.elapsed_seconds = time.perf_counter() - started
 
+    def _new_run(
+        self, options: SearchOptions, memo: Optional[Memo] = None
+    ) -> _SearchRun:
+        """Per-run state for one search under ``options``.
+
+        A fresh memo (with its own context and stats) unless ``memo``
+        continues one a previous run built.
+        """
+        if memo is None:
+            context = OptimizerContext(self.spec, self.catalog, self.estimator)
+            memo = Memo(
+                context,
+                check_consistency=options.check_consistency,
+                max_groups=options.max_groups,
+            )
+            context.group_props_resolver = memo.logical_props
+        return _SearchRun(options, memo, self._resolve_kernel(options))
+
+    def _check_winner(
+        self,
+        run: _SearchRun,
+        winner: Optional[Winner],
+        required: PhysProps,
+        limit: Cost,
+    ) -> None:
+        """Raise unless ``winner`` is a plan delivering ``required``."""
+        if winner is None:
+            raise OptimizationFailedError(
+                f"no plan for goal [{required}] within limit {limit}"
+            )
+        if run.options.check_consistency and not self.spec.props_cover(
+            winner.plan.properties, required
+        ):
+            raise PlanValidationError(
+                f"chosen plan delivers [{winner.plan.properties}] which does "
+                f"not satisfy the goal [{required}]"
+            )
+
     def _resolve_kernel(self, options: SearchOptions):
         """Resolve ``options.kernel`` to a bound SearchKernel (or None).
 
@@ -732,14 +677,7 @@ class VolcanoOptimizer:
         if winner is not None and not winner.cost <= limit:
             winner = None
         if winner is None:
-            plan = greedy_plan(
-                memo,
-                run.context,
-                gid,
-                required,
-                claims=run.claims,
-                promise_model=run.promise,
-            )
+            plan = greedy_plan(memo, run.context, gid, required, claims=run.claims)
             if plan is not None and plan.cost <= limit:
                 run.stats.greedy_plans += 1
                 winner = Winner(plan, plan.cost)
@@ -851,11 +789,9 @@ class VolcanoOptimizer:
             for rule, matcher in transformations.get(mexpr.operator, ()):
                 if run.metered:
                     meter.check("exploration")
-                # Heuristic pruning consults the promise model; the
-                # exhaustive default (min_promise None) never calls it.
-                if options.min_promise is not None and (
-                    run.promise.transformation_promise(rule, group.logical_props)
-                    < options.min_promise
+                if (
+                    options.min_promise is not None
+                    and rule.promise < options.min_promise
                 ):
                     stats.moves_pruned += 1
                     continue
@@ -938,8 +874,8 @@ class VolcanoOptimizer:
         best: Optional[Winner] = None
         if excluded is not None:
             # An excluded goal costs a subset of its plain goal's
-            # candidates under the same (cost, rank) rule, so a plain
-            # winner outside the excluded region is its winner too.
+            # candidates in the same order, so a plain winner outside
+            # the excluded region is its first strict minimum too.
             plain = self._find_best_plan(
                 run, gid, required, INFINITE_COST, None, depth
             )
@@ -986,14 +922,10 @@ class VolcanoOptimizer:
         their local cost; pruning is strict, so it never hides a plan
         that ties the best.
 
-        Winner selection is by ``(cost, rank)`` — strictly cheaper
-        always wins; at equal cost the move with the lower *static*
-        rank wins regardless of pursuit order.  Under the static model
-        pursuit order equals rank order, so the tie-break never fires
-        and behavior is bit-identical to plain first-minimum selection;
-        under a learned model it makes the chosen plan independent of
-        how the model reordered the moves.  Enforcer moves rank after
-        every algorithm move, in specification order.
+        The first strictly cheaper candidate wins: algorithm moves in
+        pursuit order (see :meth:`_algorithm_moves`), then enforcer
+        moves in specification order, so at equal cost the earlier move
+        keeps the goal.
 
         The move loop is the engine's hottest code: the algorithm-move
         pursuit (Figure 2's "TotalCost := cost of the algorithm; for
@@ -1007,14 +939,13 @@ class VolcanoOptimizer:
         """
         memo, stats, context = run.memo, run.stats, run.context
         group = memo.group(gid)
-        moves = self._ordered_moves(run, group)
+        moves = self._algorithm_moves(run, group)
 
         spec = self.spec
         metered, tracing = run.metered, run.tracer.enabled
         b_and_b = run.options.branch_and_bound
         claims = run.claims
         best: Optional[Winner] = None
-        best_rank = 0
         bound = INFINITE_COST
         for move in moves:
             if metered:
@@ -1122,18 +1053,12 @@ class VolcanoOptimizer:
                     candidate = Winner(plan, total)
             if candidate is None:
                 continue
-            if (
-                best is None
-                or candidate.cost < best.cost
-                or (candidate.cost == best.cost and move.rank < best_rank)
-            ):
+            if best is None or candidate.cost < best.cost:
                 best = candidate
-                best_rank = move.rank
                 if b_and_b and candidate.cost < bound:
                     bound = candidate.cost
         # Enforcer moves: "enforcers for required PhysProp".
         if not required.is_any:
-            rank = len(moves)
             for enforcer_name in self.spec.enforcers:
                 for application in self.spec.enforcer_applications(
                     enforcer_name, run.context, required, group.logical_props
@@ -1144,33 +1069,13 @@ class VolcanoOptimizer:
                         run, gid, enforcer_name, application, required, bound,
                         excluded, depth,
                     )
-                    current_rank = rank
-                    rank += 1
                     if candidate is None:
                         continue
-                    if (
-                        best is None
-                        or candidate.cost < best.cost
-                        or (
-                            candidate.cost == best.cost
-                            and current_rank < best_rank
-                        )
-                    ):
+                    if best is None or candidate.cost < best.cost:
                         best = candidate
-                        best_rank = current_rank
                         if run.options.branch_and_bound and candidate.cost < bound:
                             bound = candidate.cost
         return best
-
-    def _ordered_moves(self, run: _SearchRun, group: Group) -> List[_AlgorithmMove]:
-        """A group's algorithm moves in pursuit order.
-
-        The ordering contract (documented in
-        ``docs/search-internals.md``, "Promise and move ordering"):
-        stable sort by descending model promise, static rank within
-        ties — so equal-promise moves are pursued in discovery order.
-        """
-        return self._algorithm_moves(run, group)
 
     def _algorithm_moves(self, run: _SearchRun, group: Group) -> List[_AlgorithmMove]:
         """Implementation-rule bindings over every expression of a group.
@@ -1184,12 +1089,10 @@ class VolcanoOptimizer:
         is already in pursuit order; a fresh list is returned on every
         call so the caller may consume it freely.
 
-        Each move carries the active promise model's promise and its
-        static rank (position under stable descending-``rule.promise``
-        order).  The memo (and therefore this cache) is per-run, so
-        baking per-run model promises into cached moves is sound — and
-        so is storing the list already in pursuit order (the sort is
-        paid once per group, not once per goal).
+        Pursuit order (``docs/search-internals.md``, "Promise and move
+        ordering") is a stable sort on descending ``rule.promise``:
+        equal-promise moves keep discovery order.  The sort is paid once
+        per group, not once per goal.
         """
         memo, context = run.memo, run.context
         cached = memo.cached_moves(group.id)
@@ -1202,7 +1105,7 @@ class VolcanoOptimizer:
             if run.kernel is not None
             else self._implementations
         )
-        found: List[Tuple[ImplementationRule, Tuple, Tuple[int, ...]]] = []
+        moves: List[_AlgorithmMove] = []
         seen = set()
         for mexpr in group.expressions:
             for rule, matcher in implementations.get(mexpr.operator, ()):
@@ -1233,33 +1136,8 @@ class VolcanoOptimizer:
                     if fingerprint in seen:
                         continue
                     seen.add(fingerprint)
-                    found.append((rule, args, input_groups))
-        # Static ranks: stable descending rule promise, discovery order
-        # within ties — the reference order every tie-break compares by.
-        order = sorted(
-            range(len(found)), key=lambda index: -found[index][0].promise
-        )
-        ranks = [0] * len(found)
-        for rank, index in enumerate(order):
-            ranks[index] = rank
-        if run.promise is STATIC_PROMISE:
-            moves = [
-                _AlgorithmMove(rule, args, input_groups, rule.promise, ranks[i])
-                for i, (rule, args, input_groups) in enumerate(found)
-            ]
-        else:
-            props = group.logical_props
-            moves = [
-                _AlgorithmMove(
-                    rule,
-                    args,
-                    input_groups,
-                    run.promise.implementation_promise(rule, props),
-                    ranks[i],
-                )
-                for i, (rule, args, input_groups) in enumerate(found)
-            ]
-        moves.sort(key=_move_order)
+                    moves.append(_AlgorithmMove(rule, args, input_groups))
+        moves.sort(key=lambda move: -move.rule.promise)
         memo.store_moves(group.id, probes, tuple(moves))
         return moves
 
@@ -1282,10 +1160,8 @@ class VolcanoOptimizer:
         group drops the moves and their caches together.  Budget accounting is
         untouched: callers still charge one costing per alternative
         pursued, so degraded/anytime semantics are byte-compatible.
+        The caller has already missed ``move.applicability``.
         """
-        entry = move.applicability.get(required)
-        if entry is not None:
-            return entry
         memo = run.memo
         algorithm = self.spec.algorithm(move.rule.algorithm)
         node = move.node

@@ -22,7 +22,6 @@ from repro.model.context import OptimizerContext
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.search.engine import OptimizationResult
 from repro.search.memo import Memo
-from repro.search.promise import STATIC_PROMISE
 
 __all__ = ["alternative_plans", "count_logical_expressions", "greedy_plan"]
 
@@ -129,7 +128,6 @@ def greedy_plan(
     gid: int,
     required: PhysProps,
     claims: Optional[dict] = None,
-    promise_model=None,
 ) -> Optional[PhysicalPlan]:
     """A deterministic first-feasible plan over a (partially) explored memo.
 
@@ -156,13 +154,6 @@ def greedy_plan(
     ``_SearchRun.claims``): every plan node built here records a
     :class:`~repro.search.certify.ClaimRecord` into it, so even
     degraded plans certify with exact cost terms.
-
-    ``promise_model`` is the run's active
-    :class:`~repro.search.promise.PromiseModel`, if any: greedy
-    first-feasible extraction is ordering-*sensitive* (unlike the
-    exhaustive search), so learned promises steer which plan a
-    degraded run returns.  When ``None`` (or the static default), the
-    historical ``rule.promise`` ordering is used bit-for-bit.
     """
     from repro.search.certify import ClaimRecord
 
@@ -198,18 +189,8 @@ def greedy_plan(
                         continue
                     seen.add(fingerprint)
                     moves.append((rule, args, input_groups))
-        # Stable sort: descending promise, discovery order within
-        # ties — consulting the active promise model when one is set,
-        # so degraded anytime plans benefit from learned ordering too.
-        if promise_model is None or promise_model is STATIC_PROMISE:
-            moves.sort(key=lambda move: -move[0].promise)
-        else:
-            props = group.logical_props
-            moves.sort(
-                key=lambda move: -promise_model.implementation_promise(
-                    move[0], props
-                )
-            )
+        # Stable sort: descending promise, discovery order within ties.
+        moves.sort(key=lambda move: -move[0].promise)
         return moves
 
     def solve(goal_gid, goal_required, excluded, path):

@@ -90,7 +90,7 @@ MAX_MEMO_SQL = 2048
 class ServiceOptions(OptionsBase):
     """Policy knobs of an :class:`OptimizerService`.
 
-    Engine knobs (default budget, promise model, kernel) are not among
+    Engine knobs (default budget, ``min_promise``, kernel) are not among
     them: the wrapped engine's own options are the one place they are
     set, and a request may only bound its one run (``budget=``).
 
@@ -1059,11 +1059,7 @@ class OptimizerService:
         versioned API — which invalidates exactly the cache entries
         reading those tables, so the *next* optimization of an affected
         query transparently re-plans against fresh statistics while
-        every other cached plan stays warm.  The report also reaches the
-        engine's promise model when it learns (a
-        :class:`~repro.search.promise.LearnedPromiseModel` on
-        ``optimizer.options.promise_model``), so later searches order
-        their moves by observed behavior; served plans do not change.
+        every other cached plan stays warm.
 
         Degraded plans (budget-tripped optimizations) record feedback
         telemetry but never trigger a refresh: a knowingly cut-short
@@ -1092,13 +1088,6 @@ class OptimizerService:
                 degraded=served.degraded,
             )
             self.feedback.record(report)
-            model = getattr(self.optimizer.options, "promise_model", None)
-            observe = getattr(model, "observe", None)
-            if callable(observe):
-                # Close the loop: a learned promise model folds this
-                # execution's report (and the store's aggregates) into
-                # its priors, steering later optimize() calls.
-                observe(report, self.feedback)
             policy = policy if policy is not None else self.options.feedback_policy
             if policy is not None and not served.degraded:
                 refresh = refresh_statistics(

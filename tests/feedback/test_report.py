@@ -12,7 +12,9 @@ from repro.algebra.properties import sorted_on
 from repro.executor import ExecutionStats, execute_plan
 from repro.explain import explain_plan
 from repro.feedback import estimate_rows, mirror_expressions, observed_report, q_error
-from repro.models.relational import get, join, relational_model, select
+from repro.model.context import OptimizerContext
+from repro.models.aggregates import aggregate, aggregate_model
+from repro.models.relational import get, join, project, relational_model, select
 from repro.search import SearchOptions, VolcanoOptimizer
 
 
@@ -122,6 +124,47 @@ def test_uninstrumented_stats_produce_no_observations(rowed_catalog):
     assert all(op.q_error is None for op in report.operators)
     assert report.max_q_error == 1.0
     assert report.observed_operators == 0
+
+
+@pytest.mark.parametrize("algorithm", ["hash_aggregate", "stream_aggregate"])
+def test_filter_project_aggregate_mirrors_estimate_like_the_model(
+    rowed_catalog, algorithm
+):
+    """Each node's estimate is the model's cardinality of its logical mirror."""
+    predicate = eq("r.v", 1)
+    group_by, aggregates = ("r.k",), (("n", "count", None),)
+    plan = PhysicalPlan(
+        algorithm,
+        (group_by, aggregates),
+        (
+            PhysicalPlan(
+                "project",
+                (("r.k", "r.v"),),
+                (
+                    PhysicalPlan(
+                        "filter",
+                        (predicate,),
+                        (PhysicalPlan("file_scan", ("r", None)),),
+                    ),
+                ),
+            ),
+        ),
+    )
+    scanned = get("r")
+    filtered = select(scanned, predicate)
+    projected = project(filtered, ["r.k", "r.v"])
+    grouped = aggregate(projected, group_by, aggregates)
+    spec = aggregate_model()
+    context = OptimizerContext(spec, rowed_catalog)
+    expected = {
+        node_id: context.logical_props(mirror).cardinality
+        for node_id, mirror in enumerate((grouped, projected, filtered, scanned))
+    }
+    assert mirror_expressions(plan) == dict(
+        enumerate((grouped, projected, filtered, scanned))
+    )
+    assert estimate_rows(plan, rowed_catalog, spec) == expected
+    assert expected[2] < expected[3]  # the filter's estimate is selective
 
 
 def test_unknown_algorithm_has_no_estimate(rowed_catalog):

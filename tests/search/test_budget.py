@@ -20,7 +20,6 @@ from repro.model.cost import ScalarCost
 from repro.models.relational import relational_model
 from repro.options import BudgetMeter, BudgetTripped, ResourceBudget
 from repro.search import SearchOptions, Tracer, VolcanoOptimizer
-from repro.search.engine import _SearchRun
 from repro.systemr import SystemROptimizer, SystemROptions
 
 from tests.helpers import chain_query, make_catalog
@@ -277,10 +276,7 @@ def test_exploration_trip_leaves_no_group_on_the_stack(budget):
     # A later query of a batch finds the same shared memo explorable: the
     # interrupted classes are picked up where they stopped and the closure
     # is the one an undisturbed search builds.
-    run = _SearchRun(
-        engine.options, memo, memo.context, memo.stats, Tracer(enabled=False),
-        BudgetMeter(None),
-    )
+    run = engine._new_run(engine.options, memo)
     root = memo.insert_expression(query)
     engine._explore_closure(run, root)
     undisturbed = engine.optimize(query)

@@ -39,10 +39,7 @@ from repro.models.oodb import materialize, oodb_model
 from repro.models.parallel import parallel_relational_model, partitioned_on
 from repro.models.relational import get, join, relational_model, select
 from repro.models.setops import intersect, setops_model, union
-from repro.options import BudgetMeter
 from repro.search import SearchOptions, VolcanoOptimizer
-from repro.search.engine import _SearchRun
-from repro.search.tracing import Tracer
 from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
@@ -318,10 +315,7 @@ def test_excluded_winners_equal_the_move_loop(case):
     optimizer = VolcanoOptimizer(SPEC, catalog)
     result = optimizer.optimize(query, required)
     memo = result.memo
-    run = _SearchRun(
-        optimizer.options, memo, memo.context, memo.stats,
-        Tracer(enabled=False), BudgetMeter(None),
-    )
+    run = optimizer._new_run(optimizer.options, memo)
     checked = 0
     for group in memo.groups():
         for (goal, excluded), winner in list(group.winners.items()):

@@ -11,7 +11,6 @@ from repro.generator.generate import generate_optimizer
 from repro.models.relational import relational_model
 from repro.options import ServerOptions
 from repro.search.engine import SearchOptions
-from repro.search.promise import STATIC_PROMISE
 from repro.server import ClientError, OptimizerServer, ServerClient, ServerThread
 from repro.service import OptimizerService, ServiceOptions
 
@@ -91,12 +90,12 @@ def test_cold_then_warm_optimize(client):
     assert warm["key"] == cold["key"]
 
 
-def test_kernel_and_promise_hints_keep_the_plan(client, scenario):
-    """The kernel and promise knobs live on the engine's options only.
+def test_kernel_and_memory_knobs_keep_the_plan(client, scenario):
+    """The kernel and memory-budget knobs live on the engine's options only.
 
     A server whose engine is built with the specialized kernel, or with
-    static promise, serves the same plan as the default engine; neither
-    knob changes an exhaustive search's answer.
+    a (generous) ``max_groups``, serves the same plan as the default
+    engine; neither knob changes an exhaustive search's answer.
     """
     baseline = client.optimize(PAIR_SQL)
 
@@ -111,11 +110,11 @@ def test_kernel_and_promise_hints_keep_the_plan(client, scenario):
                 return other.optimize(PAIR_SQL)
 
     specialized = serve(SearchOptions(kernel="specialized"))
-    static = serve(SearchOptions(promise_model=STATIC_PROMISE))
+    bounded = serve(SearchOptions(max_groups=10_000))
     assert specialized["cost_total"] > 0
     assert specialized["sexpr"] == baseline["sexpr"]
-    assert static["sexpr"] == specialized["sexpr"]
-    assert static["cost_total"] == baseline["cost_total"]
+    assert bounded["sexpr"] == specialized["sexpr"]
+    assert bounded["cost_total"] == baseline["cost_total"]
 
 
 @pytest.mark.parametrize("kernel", ["imaginary", "compiled"])

@@ -238,9 +238,9 @@ def test_single_query_plans_match_committed_golden():
 
 def test_batch_answers_cost_exactly_like_single_query_runs():
     """The shared-memo batch answers exactly like single-query runs —
-    plans byte-identical.  Equal-cost ties are broken
-    by the order-independent ``(cost, rank, alternative)`` winner rule,
-    so pre-populating the memo with earlier queries cannot flip them."""
+    plans byte-identical.  Equal-cost ties go to the move pursued first
+    (descending rule promise, discovery order within ties), and
+    pre-populating the memo with earlier queries does not flip them."""
     workload = golden_workload()
     queries = [q.query for q in workload.queries]
     required = workload.queries[0].required

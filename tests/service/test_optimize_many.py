@@ -179,17 +179,14 @@ def test_forked_batch_is_served_under_the_service_options(workload):
     """The shared-memo batch runs with ``_engine_options``.
 
     A batch under ``verify_plans=True`` must come back with certificates
-    the service verified, and must search under the engine's own promise
-    model — the engine's options plus the certificates the service folds
-    in.
+    the service verified, and must search under the engine's own knobs
+    (here a memory budget) — the engine's options plus the certificates
+    the service folds in.
     """
-    from repro.search import LearnedPromiseModel
-
     queries, required = queries_of(workload)
-    model = LearnedPromiseModel()
     service = make_service(
         workload.catalog,
-        SearchOptions(check_consistency=False, promise_model=model),
+        SearchOptions(check_consistency=False, max_groups=10_000),
         verify_plans=True,
     )
     seen = []
@@ -204,7 +201,7 @@ def test_forked_batch_is_served_under_the_service_options(workload):
     batch = service.optimize_many(queries[:4], required)
     assert batch.sharing_report is not None
     assert seen and all(
-        options.certificates and options.promise_model is model for options in seen
+        options.certificates and options.max_groups == 10_000 for options in seen
     )
     for result in batch.results:
         assert result.certificate is not None

@@ -24,7 +24,6 @@ FIELD_NAMES = {
         "branch_and_bound",
         "cache_failures",
         "min_promise",
-        "promise_model",
         "check_consistency",
         "max_groups",
         "budget",
@@ -90,6 +89,11 @@ def test_replace_returns_validated_copy(cls):
     copy = options.replace(**{field: getattr(options, field)})
     assert copy == options
     assert copy is not options
+
+
+def test_retired_promise_model_field_is_rejected():
+    with pytest.raises(TypeError):
+        SearchOptions(promise_model=object())
 
 
 def test_validation_rejects_bad_knobs():

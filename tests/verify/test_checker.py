@@ -10,9 +10,15 @@ import dataclasses
 import pickle
 
 from repro.algebra.expressions import LogicalExpression
-from repro.algebra.predicates import eq
-from repro.models.relational import get, join
-from repro.verify import KIND_SEARCH, PlanCertificate, VerifyReport, verify_plan
+from repro.algebra.predicates import conjunction_of, eq
+from repro.models.relational import get, join, select
+from repro.verify import (
+    KIND_DEGRADED,
+    KIND_SEARCH,
+    PlanCertificate,
+    VerifyReport,
+    verify_plan,
+)
 
 from .conftest import SPEC
 
@@ -123,3 +129,41 @@ def test_certificate_survives_pickle(certified_case):
     assert isinstance(thawed, PlanCertificate)
     assert thawed == result.certificate
     assert verify_plan(SPEC, query, result.plan, thawed, catalog=catalog).ok
+
+
+# -- P404: a degraded certificate without a chain falls back to the
+# normalizer, which must prove source and frontier equivalent.
+
+
+def _chainless_degraded(certificate, source):
+    return dataclasses.replace(
+        certificate, kind=KIND_DEGRADED, steps=(), source=source
+    )
+
+
+def test_chainless_degraded_certificate_verifies_by_normal_form(certified_case):
+    catalog, _, result = certified_case
+    # The frontier is ((σr ⋈ s) ⋈ t); this source is σr ⋈ (t ⋈ s):
+    # re-associated and commuted, with the same conjuncts.
+    source = join(
+        select(get("r"), eq("r.v", 1)),
+        join(get("t"), get("s"), eq("s.k", "t.k")),
+        eq("r.k", "s.k"),
+    )
+    assert source != result.certificate.frontier
+    certificate = _chainless_degraded(result.certificate, source)
+    report = verify_plan(SPEC, source, result.plan, certificate, catalog=catalog)
+    assert report.ok, [str(diagnostic) for diagnostic in report.diagnostics]
+
+
+def test_chainless_degraded_frontier_dropping_a_conjunct_is_p404(certified_case):
+    catalog, _, result = certified_case
+    # The source joins on one more conjunct than the frontier carries.
+    source = join(
+        select(get("r"), eq("r.v", 1)),
+        join(get("t"), get("s"), eq("s.k", "t.k")),
+        conjunction_of([eq("r.k", "s.k"), eq("r.v", "s.v")]),
+    )
+    certificate = _chainless_degraded(result.certificate, source)
+    report = verify_plan(SPEC, source, result.plan, certificate, catalog=catalog)
+    assert codes(report) == {"P404"}
