@@ -78,7 +78,6 @@ from repro.service.service import (
     OptimizerService,
     PreparedQuery,
     ServedResult,
-    Statement,
 )
 from repro.sql.normalize import bind_expression, normalize_literals
 
@@ -284,30 +283,41 @@ class OptimizerServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], Mapping[str, Any]]]:
-        """One HTTP/1.1 request off the stream, or None at EOF."""
-        line = await reader.readline()
-        if not line:
-            return None
+        """One HTTP/1.1 request off the stream, or None at EOF.
+
+        Bad framing raises :class:`ServerError`, which is answered and
+        counted; no exception escapes to asyncio's handler.
+        """
         try:
-            method, target, _version = line.decode("ascii").split(None, 2)
-        except ValueError:
-            raise ServerError("malformed request line") from None
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+            line = await reader.readline()
+            if not line:
+                return None
+            try:
+                method, target, _version = line.decode("ascii").split(None, 2)
+            except ValueError:
+                raise ServerError("malformed request line") from None
+            headers: Dict[str, str] = {}
+            while True:
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = raw.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip().lower()
+        except ValueError:  # a line longer than the stream's limit
+            raise ServerError("request head line too long") from None
+        declared = headers.get("content-length", "0") or "0"
+        if not declared.isdecimal():
+            raise ServerError(f"invalid Content-Length: {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY:
             raise ServerError("request body too large", status=413)
         body: Mapping[str, Any] = {}
         if length:
-            raw_body = await reader.readexactly(length)
             try:
-                parsed = json.loads(raw_body)
-            except json.JSONDecodeError as error:
+                parsed = json.loads(await reader.readexactly(length))
+            except asyncio.IncompleteReadError:
+                raise ServerError("request body shorter than its length") from None
+            except ValueError as error:  # not JSON, or not UTF-8
                 raise ServerError(f"invalid JSON body: {error}") from None
             if not isinstance(parsed, Mapping):
                 raise ServerError("request body must be a JSON object")
@@ -350,7 +360,7 @@ class OptimizerServer:
             self._executor, fn
         )
 
-    def _translate(self, sql: str) -> Statement:
+    def _translate(self, sql: str) -> PreparedQuery:
         """SQL text → what :meth:`_serve` resolves a request to, through
         the service's statement memo: a repeated text is not parsed,
         translated, rendered or fingerprinted again."""
@@ -360,7 +370,7 @@ class OptimizerServer:
         self,
         body: Mapping[str, Any],
         size: int,
-        resolve: Callable[[], List[Statement]],
+        resolve: Callable[[], List[PreparedQuery]],
         work: Callable[..., Any],
         *,
         served_work: Optional[Callable[[ServedResult, bool], None]] = None,
@@ -388,7 +398,7 @@ class OptimizerServer:
         budget = parse_budget(body)
         deadline = parse_deadline(body)
 
-        def check() -> List[Tuple[Statement, str, bool, Any]]:
+        def check() -> List[Tuple[PreparedQuery, str, bool, Any]]:
             rows = []
             for query in resolve():
                 key = query.key

@@ -2,7 +2,9 @@
 
 Fronts any :class:`~repro.search.Optimizer` with a fingerprint-keyed,
 statistics-version-invalidated LRU plan cache and parameterized caching
-of literal-normalized templates; a batch's misses share one memo.
+of literal-normalized templates.  A query resolved under one statistics
+version, with its cache keys, is one type, :class:`PreparedQuery` — what
+the statement memo holds per SQL text; a batch's misses share one memo.
 See :mod:`repro.service.service` for the full story and
 ``docs/plan-cache.md`` for a walkthrough.
 """
@@ -18,7 +20,6 @@ from repro.service.service import (
     PreparedQuery,
     ServedResult,
     ServiceOptions,
-    Statement,
 )
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "PreparedQuery",
     "ServedResult",
     "ServiceOptions",
-    "Statement",
     "SingleFlight",
     "SharedPlan",
     "SharingOptions",

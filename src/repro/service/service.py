@@ -15,7 +15,10 @@ twice.  :class:`OptimizerService` is that front:
   template plan is re-bound to the new constants on a hit;
 * **invalidation by versioning** — every catalog mutation bumps a
   monotonic statistics version, so stale entries can never be hit (the
-  fingerprint changes) and are swept out lazily on the next call.
+  fingerprint changes) and are swept out lazily on the next call;
+* **resolve once** — a query resolved under one statistics version, with
+  its keys, is one :class:`PreparedQuery`; the statement memo holds one
+  per SQL text, so a repeated text is not parsed again.
 
 The service programs against the :class:`~repro.search.Optimizer`
 protocol, so it wraps the Volcano engine or either comparison baseline
@@ -69,13 +72,12 @@ __all__ = [
     "ServedResult",
     "BatchResult",
     "PreparedQuery",
-    "Statement",
     "ExecutedResult",
     "OptimizerService",
 ]
 
 #: Anything ``optimize``/``optimize_many``/``prepare`` accepts as a query.
-QueryLike = Union[str, LogicalExpression, "PreparedQuery", "Statement"]
+QueryLike = Union[str, LogicalExpression, "PreparedQuery"]
 
 #: A query's cache keys: (exact, template or None, normalized or None).
 _Keys = Tuple[Fingerprint, Optional[Fingerprint], Any]
@@ -202,53 +204,24 @@ class ServedResult:
         return f"[{source}] plan cost {self.cost}\n{self.plan.pretty()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedQuery:
-    """A query with its cache keys computed once, reusable across calls.
+    """A query resolved once under one statistics version, with its keys.
 
-    Built by :meth:`OptimizerService.prepare` from a SQL string or a
-    logical expression; pass it wherever the service accepts a query
-    and the fingerprint / literal-normalization work is skipped — as
-    long as the catalog's statistics have not moved since preparation
-    (``statistics_version`` pins that; a stale prepared query is
-    transparently re-keyed, never served wrong answers).
+    What :meth:`OptimizerService.resolve` derives, and the statement memo
+    holds, so a repeated query need not derive it again: ``expression``,
+    ``props``, the expression's ``sexpr`` rendering, the ``exact``
+    fingerprint and, lazily, the version-independent :attr:`key`.
+    ``template`` is ``(template_key, normalized)``, set once by the
+    service when first needed (:meth:`~OptimizerService.prepare` and a
+    lookup miss always carry it).  Pass one wherever the service takes a
+    query; a stale one (``statistics_version`` moved) is re-keyed, never
+    trusted.
 
-    ``missed`` marks what :meth:`OptimizerService.lookup` returns for a
-    miss: the cache has been consulted (and counted) under these keys,
+    ``missed`` marks the copy :meth:`OptimizerService.lookup` returns for
+    a miss: the cache has been consulted (and counted) under these keys,
     so :meth:`~OptimizerService.optimize` goes straight to
     single-flight and the engine instead of looking up again.
-    """
-
-    expression: LogicalExpression
-    props: PhysProps
-    exact: Fingerprint
-    template_key: Optional[Fingerprint]
-    normalized: Optional[object]
-    statistics_version: int
-    missed: bool = False
-
-    @property
-    def keys(self) -> _Keys:
-        """The cache keys: ``(exact, template_key, normalized)``."""
-        return self.exact, self.template_key, self.normalized
-
-    def __str__(self) -> str:
-        kind = "parameterized" if self.template_key is not None else "exact"
-        return f"<prepared {kind} query @v{self.statistics_version}>"
-
-
-@dataclass(eq=False)
-class Statement:
-    """A query resolved once under one statistics version.
-
-    What :meth:`OptimizerService.resolve` derives and a repeated
-    statement need not derive again: ``expression`` and ``props``, the
-    expression's ``sexpr`` rendering (None when a :class:`PreparedQuery`
-    supplied the keys), the ``exact`` fingerprint and, lazily, the
-    version-independent :attr:`key`.  ``template`` is ``(template_key,
-    normalized)``, None until an exact lookup of this statement missed:
-    an exact hit never normalizes, a literal variant does so once.
-    Valid while the catalog stays at ``statistics_version``.
     """
 
     expression: LogicalExpression
@@ -257,11 +230,31 @@ class Statement:
     statistics_version: int
     sexpr: Optional[str] = None
     template: Optional[Tuple[Optional[Fingerprint], Any]] = None
+    missed: bool = False
 
     @cached_property
     def key(self) -> str:
-        """The statement's :func:`~repro.service.fingerprint.stable_key`."""
+        """The query's :func:`~repro.service.fingerprint.stable_key`."""
         return stable_key(self.expression, self.props, sexpr=self.sexpr)
+
+    @property
+    def keys(self) -> _Keys:
+        """The cache keys: ``(exact, template_key, normalized)``."""
+        return (self.exact, *(self.template or (None, None)))
+
+    @property
+    def template_key(self) -> Optional[Fingerprint]:
+        """The template's fingerprint; None without one (or not yet derived)."""
+        return self.keys[1]
+
+    @property
+    def normalized(self) -> Any:
+        """The literal normalization behind :attr:`template_key`, or None."""
+        return self.keys[2]
+
+    def __str__(self) -> str:
+        kind = "parameterized" if self.template_key is not None else "exact"
+        return f"<prepared {kind} query @v{self.statistics_version}>"
 
 
 @dataclass(frozen=True)
@@ -383,7 +376,7 @@ class OptimizerService:
         # when the service is shared across threads (repro.server), one
         # engine run per cold key, every concurrent requester shares it.
         self.single_flight: SingleFlight[ServedResult] = SingleFlight()
-        # The statement memo: SQL text -> Statement, one per live text.
+        # The statement memo: SQL text -> PreparedQuery, one per live text.
         self.statements = StatementLRU()
         self._seen_version = self.catalog.statistics_version
 
@@ -401,30 +394,19 @@ class OptimizerService:
     ) -> PreparedQuery:
         """Compute a query's cache keys once, for reuse across calls.
 
-        ``query`` may be a SQL string (translated through
-        :class:`~repro.sql.translator.Translator`), a logical
-        expression, or an existing :class:`PreparedQuery` (re-prepared
-        against the current statistics).  The returned value is valid
-        until the catalog's statistics move; passing a stale one to
-        :meth:`optimize` is safe — it is re-keyed transparently.
+        :meth:`resolve` with the template keys derived — for SQL text,
+        the statement memo's own object.  A stale one is safe to pass
+        to :meth:`optimize`: it is re-keyed transparently.
         """
-        return self._prepared(self.resolve(query, props))
+        return self._templated(self.resolve(query, props))
 
-    def _prepared(self, statement: Statement, missed: bool = False) -> PreparedQuery:
-        """``statement`` with its complete keys; the template keys are
-        derived here, once per statement, when first needed."""
-        if statement.template is None:
-            statement.template = self._template_keys(
-                statement.expression, statement.props
+    def _templated(self, query: PreparedQuery) -> PreparedQuery:
+        """``query`` with its template keys, derived once, when first needed."""
+        if query.template is None:
+            object.__setattr__(
+                query, "template", self._template_keys(query.expression, query.props)
             )
-        return PreparedQuery(
-            statement.expression,
-            statement.props,
-            statement.exact,
-            *statement.template,
-            statement.statistics_version,
-            missed,
-        )
+        return query
 
     def lookup(
         self,
@@ -436,14 +418,13 @@ class OptimizerService:
         """The cache-only half of :meth:`optimize`; never runs the engine.
 
         A hit is the :class:`ServedResult` :meth:`optimize` returns,
-        counted and (under ``verify_plans``) verified.  A miss is the
-        query with its complete cache keys, as a :class:`PreparedQuery`
-        marked ``missed``: hand it to :meth:`optimize`, :meth:`execute`
-        or :meth:`optimize_many` and the request is counted once —
-        unless the statistics moved in between, when it is re-keyed and
-        looked up afresh like any stale prepared query.  The work is
-        bounded by the query's size, so a server can do it on its event
-        loop.
+        counted and (under ``verify_plans``) verified.  A miss is a copy
+        of the resolved query, marked ``missed`` (the memoized one never
+        is): hand it to :meth:`optimize`, :meth:`execute` or
+        :meth:`optimize_many` and the request is counted once — unless
+        the statistics moved in between, when it is re-keyed and looked
+        up afresh like any stale query.  The work is bounded by the
+        query's size, so a server can do it on its event loop.
 
         Keys are those :meth:`resolve` found or derived (from ``sexpr``,
         the expression's rendering, when the caller already has it):
@@ -455,12 +436,8 @@ class OptimizerService:
         ``stats.hit_seconds``.
         """
         statement = self.resolve(query, props, sexpr=sexpr)
-        if (
-            isinstance(query, PreparedQuery)
-            and query.missed
-            and statement.exact is query.exact
-        ):
-            return query  # that very miss, still fresh: nothing to count
+        if statement.missed:
+            return statement  # that very miss, still fresh: nothing to count
         started = time.perf_counter()
         self._sweep_if_stale()
         entry = self.cache.get(statement.exact)
@@ -470,8 +447,7 @@ class OptimizerService:
             if served is not None:
                 return served
             quarantined = True
-        missed = self._prepared(statement, missed=True)
-        template_key = missed.template_key
+        template_key, normalized = self._templated(statement).template
         if template_key is not None and quarantined:
             # The template entry came from the same (now distrusted)
             # optimization as the quarantined exact entry: drop it too.
@@ -479,7 +455,7 @@ class OptimizerService:
         elif template_key is not None:
             entry = self.cache.get(template_key)
             if entry is not None:
-                plan = bind_plan(entry.plan, missed.normalized.bindings)
+                plan = bind_plan(entry.plan, normalized.bindings)
                 elapsed = time.perf_counter() - started
                 self.cache.stats.bump(hit_seconds=elapsed)
                 return ServedResult(
@@ -491,7 +467,15 @@ class OptimizerService:
                     parameterized=True,
                     elapsed_seconds=elapsed,
                 )
-        return missed
+        return PreparedQuery(
+            statement.expression,
+            statement.props,
+            statement.exact,
+            statement.statistics_version,
+            statement.sexpr,
+            statement.template,
+            missed=True,
+        )
 
     def resolve(
         self,
@@ -499,39 +483,30 @@ class OptimizerService:
         props: Optional[PhysProps] = None,
         *,
         sexpr: Optional[str] = None,
-    ) -> Statement:
-        """Coerce any accepted query form to a :class:`Statement`.
+    ) -> PreparedQuery:
+        """Coerce any accepted query form to a :class:`PreparedQuery`.
 
         SQL text is **resolved once**: parsed, translated, rendered and
         fingerprinted the first time it is seen under the current
         statistics version, then served from the statement memo
-        (:attr:`statements`).  Freshness is :class:`PreparedQuery`'s
-        rule — every catalog mutation bumps ``statistics_version`` — and
-        a stale entry is replaced in place.  Never memoized: text that
-        fails to parse or translate (it raises), text longer than
-        ``MAX_MEMO_SQL``, text required under explicit ``props``.
+        (:attr:`statements`) as the same object.  Every catalog mutation
+        bumps ``statistics_version``, and a stale entry is replaced in
+        place.  Never memoized: text that fails to parse or translate
+        (it raises), text longer than ``MAX_MEMO_SQL``, text required
+        under explicit ``props``.
 
-        A :class:`Statement` or :class:`PreparedQuery` of the current
-        version (and the same ``props``) keeps its keys; a stale one is
-        re-keyed from its expression, never trusted.
+        A :class:`PreparedQuery` of the current version (and the same
+        ``props``) comes back as it is; a stale one is re-keyed from its
+        expression, never trusted.
         """
         # Read first: keys of a later version under an earlier label are
         # only ever re-keyed, never trusted.
         version = self.catalog.statistics_version
         text = None
-        if isinstance(query, (Statement, PreparedQuery)):
-            if (
-                props is None or props == query.props
-            ) and query.statistics_version == version:
-                if isinstance(query, Statement):
-                    return query
-                return Statement(
-                    query.expression,
-                    query.props,
-                    query.exact,
-                    version,
-                    template=(query.template_key, query.normalized),
-                )
+        if isinstance(query, PreparedQuery):
+            fresh = query.statistics_version == version
+            if fresh and (props is None or props == query.props):
+                return query
             if props is None:
                 props = query.props
             query = query.expression
@@ -551,7 +526,7 @@ class OptimizerService:
             props = self._default_props()
         if sexpr is None:
             sexpr = query.to_sexpr()  # rendered once, digested twice
-        statement = Statement(
+        statement = PreparedQuery(
             query,
             props,
             fingerprint(query, props, self.catalog, sexpr=sexpr),

@@ -8,6 +8,7 @@ so the tests can assert on guard decisions and counters exactly.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -48,6 +49,37 @@ class CountingOptimizer:
         if self.delay_seconds:
             time.sleep(self.delay_seconds)
         return self._inner.optimize(*args, **kwargs)
+
+
+class _ErrorRecords(logging.Handler):
+    """Keeps every ERROR-or-worse record it is handed."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records: list = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def no_unhandled_loop_errors():
+    """Fail any test in which an ERROR record reaches the ``asyncio`` logger.
+
+    An exception that escapes a connection handler or a task is logged
+    by asyncio ("Unhandled exception in client_connected_cb"), not
+    raised, so ``filterwarnings = ["error"]`` never sees it.
+    """
+    handler = _ErrorRecords()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    yield
+    logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail(
+            "asyncio logged an unhandled error: "
+            + "; ".join(record.getMessage() for record in handler.records)
+        )
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import http.client
+import json
+import socket
 from urllib.parse import urlsplit
 
 import pytest
@@ -67,6 +69,59 @@ def test_malformed_json_is_400(harness):
         assert response.status == 400
     finally:
         connection.close()
+
+
+#: Raw requests whose framing the server must answer, never drop:
+#: (bytes sent, shut the write side afterwards, expected status).
+FRAMING = {
+    "non-numeric content-length": (
+        b"POST /optimize HTTP/1.1\r\nContent-Length: ten\r\n\r\n", False, 400
+    ),
+    "negative content-length": (
+        b"POST /optimize HTTP/1.1\r\nContent-Length: -5\r\n\r\n", False, 400
+    ),
+    "body not utf-8": (
+        b'POST /optimize HTTP/1.1\r\nContent-Length: 12\r\n\r\n{"sql": "\xff"}',
+        False,
+        400,
+    ),
+    "body shorter than its length": (
+        b"POST /optimize HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}", True, 400
+    ),
+    "head line over the stream limit": (
+        b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", False, 400
+    ),
+    "oversize body": (
+        b"POST /optimize HTTP/1.1\r\nContent-Length: 5000000\r\n\r\n", False, 413
+    ),
+    "malformed request line": (b"GARBAGE\r\n\r\n", False, 400),
+    "non-object json": (
+        b"POST /optimize HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]", False, 400
+    ),
+    "bare-lf head": (b"GET /health HTTP/1.1\nConnection: close\n\n", False, 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAMING))
+def test_malformed_framing_is_answered_and_counted(harness, server, case):
+    request, half_close, status = FRAMING[case]
+    parts = urlsplit(harness.address)
+    before = server.errors
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split(b" ")[1:2] == [str(status).encode()], response[:200]
+    assert b"content-type: application/json" in head.lower()
+    payload = json.loads(body)
+    if status == 200:
+        assert payload["ok"] is True and server.errors == before
+    else:
+        assert payload["error"] and server.errors == before + 1
 
 
 def test_bad_sql_is_400(client):

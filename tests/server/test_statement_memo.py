@@ -2,9 +2,10 @@
 
 Parse, translate, render and fingerprint happen the first time a text is
 seen under a statistics version; afterwards the service hands back the
-same :class:`~repro.service.Statement`.  One entry per live text — a
-stale one is replaced in place — and the same bounded LRU class holds
-the server's prepared statements.
+same :class:`~repro.service.PreparedQuery` — ``resolve`` and ``prepare``
+alike, while a ``lookup`` miss is a marked copy.  One entry per live
+text — a stale one is replaced in place — and the same bounded LRU class
+holds the server's prepared statements.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 
 from repro.errors import SqlError
 from repro.server import ClientError, OptimizerServer, ServerClient, ServerThread
-from repro.service import StatementLRU
+from repro.service import PreparedQuery, StatementLRU
 from repro.service import service as service_module
 from repro.service.cache import MAX_STATEMENTS
 from repro.sql.translator import Translator
@@ -138,6 +139,56 @@ def test_the_service_memoizes_text_for_library_callers(service, monkeypatch):
     with pytest.raises(SqlError):
         service.resolve("SELECT FROM")
     assert len(service.statements) == 1
+
+
+def counted(service):
+    stats = service.stats.counters()
+    return {name: stats[name] for name in ("lookups", "hits", "misses", "insertions")}
+
+
+def test_prepare_returns_the_memos_own_query(service):
+    prepared = service.prepare(RANGE_SQL)
+    assert isinstance(prepared, PreparedQuery)
+    assert prepared is service.resolve(RANGE_SQL)
+    assert prepared.template_key is not None  # a range literal parameterizes
+    assert prepared.keys == (prepared.exact, *prepared.template)
+    assert service.prepare(RANGE_SQL) is prepared
+    assert service.statements.counters() == {"entries": 1, "hits": 2, "misses": 1}
+
+
+def test_a_lookup_miss_is_a_marked_copy(service):
+    memoized = service.resolve(RANGE_SQL)
+    missed = service.lookup(RANGE_SQL)
+    assert isinstance(missed, PreparedQuery) and missed is not memoized
+    assert missed.missed and not memoized.missed
+    assert missed.keys == memoized.keys and missed.key == memoized.key
+    assert counted(service) == {"lookups": 2, "hits": 0, "misses": 2, "insertions": 0}
+    # The memo's object is unmarked, so the text is looked up (and
+    # counted) again; the copy itself is not.
+    again = service.lookup(RANGE_SQL)
+    assert again is not missed and again.missed
+    assert counted(service) == {"lookups": 4, "hits": 0, "misses": 4, "insertions": 0}
+    assert service.lookup(missed) is missed
+    assert not service.optimize(missed).cached
+    assert counted(service) == {"lookups": 4, "hits": 0, "misses": 4, "insertions": 2}
+    assert service.lookup(RANGE_SQL).cached
+
+
+def test_a_query_prepared_before_a_statistics_bump_is_rekeyed(service):
+    prepared = service.prepare(RANGE_SQL)
+    missed = service.lookup(prepared)
+    assert missed.missed
+    catalog = service.catalog
+    catalog.update_statistics("r", catalog.table("r").statistics)
+    rekeyed = service.resolve(prepared)
+    assert rekeyed is not prepared and not rekeyed.missed
+    assert rekeyed.statistics_version == catalog.statistics_version
+    assert rekeyed.exact != prepared.exact and rekeyed.key == prepared.key
+    assert service.resolve(RANGE_SQL) is not prepared  # the memo moved on too
+    # A stale miss is not trusted either: it is looked up afresh.
+    before = counted(service)["lookups"]
+    assert service.lookup(missed).missed
+    assert counted(service)["lookups"] == before + 2
 
 
 # ------------------------------------------------------------ one bounded LRU
