@@ -117,7 +117,6 @@ from repro.search import (
     BudgetReport,
     OptimizationResult,
     Optimizer,
-    PreoptimizedPlan,
     ResourceBudget,
     SearchOptions,
     VolcanoOptimizer,
@@ -207,7 +206,6 @@ __all__ = [
     "setops_model",
     "OptimizationResult",
     "Optimizer",
-    "PreoptimizedPlan",
     "ResourceBudget",
     "BudgetReport",
     "SearchOptions",

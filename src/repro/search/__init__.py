@@ -15,7 +15,6 @@ from repro.algebra.properties import PhysProps
 from repro.options import BudgetReport, ResourceBudget
 from repro.search.engine import (
     OptimizationResult,
-    PreoptimizedPlan,
     SearchOptions,
     VolcanoOptimizer,
 )
@@ -31,7 +30,6 @@ from repro.search.tracing import SearchStats, Tracer
 __all__ = [
     "Optimizer",
     "OptimizationResult",
-    "PreoptimizedPlan",
     "SearchOptions",
     "VolcanoOptimizer",
     "Group",
@@ -59,8 +57,9 @@ class Optimizer(Protocol):
     :class:`OptimizationResult` — engines may return a subclass carrying
     extra diagnostics (:class:`~repro.exodus.ExodusResult`,
     :class:`~repro.systemr.SystemRResult`) and may accept extra
-    keyword-only arguments (``limit``, ``preoptimized``).  ``options``
-    overrides the engine's construction-time options for one call.
+    keyword-only arguments (:class:`VolcanoOptimizer` takes ``limit``).
+    ``options`` overrides the engine's construction-time options for one
+    call.
 
     Conformers: :class:`VolcanoOptimizer`,
     :class:`~repro.exodus.ExodusOptimizer`,

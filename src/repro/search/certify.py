@@ -7,8 +7,10 @@ memo into the :class:`~repro.verify.certificate.PlanCertificate` the
 independent checker (:func:`repro.verify.verify_plan`) consumes:
 
 * the **frontier** — the logical expression the plan structurally
-  implements — is reconstructed by re-matching each node's claimed
-  implementation rule against its group's members;
+  implements — is reconstructed by one function that re-matches each
+  node's claimed implementation rule against its group's members (or,
+  for a plan from a memo-less engine, the first rule that justifies the
+  node);
 * the **derivation chain** proving source ⟶ frontier is read from the
   search's own record: the memo keeps, per member, the rewrite that
   first brought it into its class (:attr:`Memo.derivations`), and
@@ -75,8 +77,9 @@ class ClaimRecord:
     """What an engine knew when it created one plan node.
 
     ``rule`` names the implementation rule (None for enforcers; plan
-    nodes with no record — foreign engines, seeded subplans — get a
-    justifying rule searched for by the builder).  ``gid`` and
+    nodes with no record — plans from memo-less engines, certified
+    through :func:`standalone_certificate` — get a justifying rule
+    searched for by the builder).  ``gid`` and
     ``input_groups`` locate the node in the memo (−1 when unknown).
     ``local``/``output``/``inputs`` are the exact cost term and logical
     properties the cost function consumed.
@@ -202,10 +205,8 @@ class CertificateBuilder:
             if len(node.inputs) != 1:
                 raise _ChainFail("enforcer arity")
             frontier = self._frontier_of(node.inputs[0], gid)
-        elif record is not None and record.rule is not None:
-            frontier = self._frontier_known(node, gid, record)
         else:
-            record, frontier = self._frontier_search(node, gid)
+            record, frontier = self._frontier_search(node, gid, record)
         self._records[id(node)] = record
         self.frontiers[id(node)] = frontier
         self._keepalive.append(node)
@@ -228,34 +229,33 @@ class CertificateBuilder:
             required=node.properties,
         )
 
-    def _frontier_known(
-        self, node: PhysicalPlan, gid: int, record: ClaimRecord
-    ) -> LogicalExpression:
-        """Frontier via the engine-recorded rule and input groups."""
-        rule = self._impl_by_name.get(record.rule or "")
-        if rule is None or rule.algorithm != node.algorithm:
-            raise _ChainFail(f"claimed rule {record.rule!r} does not fit")
-        child_gids = tuple(self.memo.canonical(g) for g in record.input_groups)
-        if len(child_gids) != len(node.inputs):
-            raise _ChainFail("input group arity")
-        children = [
-            self._frontier_of(child, g) for child, g in zip(node.inputs, child_gids)
-        ]
-        frontier = self._match_rule(rule, node, gid, child_gids, children)
-        if frontier is None:
-            raise _ChainFail(f"no member of g{gid} justifies {rule.name!r}")
-        return frontier
-
     def _frontier_search(
-        self, node: PhysicalPlan, gid: int
+        self, node: PhysicalPlan, gid: int, record: Optional[ClaimRecord]
     ) -> Tuple[ClaimRecord, LogicalExpression]:
-        """Find *some* implementation rule justifying the node (foreign
-        engines and seeded subplans record no rule attribution)."""
-        for rule in self._impl_by_algorithm.get(node.algorithm, ()):
-            if len(rule.input_names) != len(node.inputs):
-                continue
+        """The node's frontier in group ``gid`` and the record justifying it.
+
+        A record that names a rule pins that rule and its canonical input
+        groups, and keeps the engine's exact cost terms.  With no record
+        (a plan from a memo-less engine, certified over a fresh closure
+        by :func:`standalone_certificate`) the first rule that justifies
+        the node is taken and its cost terms are recomputed.
+        """
+        pinned = None
+        if record is not None and record.rule is not None:
+            rule = self._impl_by_name.get(record.rule)
+            if rule is None or rule.algorithm != node.algorithm:
+                raise _ChainFail(f"claimed rule {record.rule!r} does not fit")
+            rules = (rule,)
+            pinned = tuple(self.memo.canonical(g) for g in record.input_groups)
+        else:
+            rules = [
+                rule
+                for rule in self._impl_by_algorithm.get(node.algorithm, ())
+                if len(rule.input_names) == len(node.inputs)
+            ]
+        for rule in rules:
             for member, binding, args, leaf_gids in self._rule_sites(rule, gid):
-                if args != node.args:
+                if args != node.args or (pinned is not None and leaf_gids != pinned):
                     continue
                 try:
                     children = [
@@ -267,30 +267,22 @@ class CertificateBuilder:
                 frontier = self._realize_rule(rule, binding, gid, children)
                 if frontier is None:
                     continue
-                output = self.memo.group(gid).logical_props
-                inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
-                local = self.spec.algorithm(node.algorithm).cost(
-                    self.context, AlgorithmNode(node.args, output, inputs)
-                )
-                found = ClaimRecord(
-                    rule=rule.name,
-                    gid=gid,
-                    input_groups=leaf_gids,
-                    local=local,
-                    output=output,
-                    inputs=inputs,
-                )
-                return found, frontier
+                if pinned is None:
+                    output = self.memo.group(gid).logical_props
+                    inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
+                    local = self.spec.algorithm(node.algorithm).cost(
+                        self.context, AlgorithmNode(node.args, output, inputs)
+                    )
+                    record = ClaimRecord(
+                        rule=rule.name,
+                        gid=gid,
+                        input_groups=leaf_gids,
+                        local=local,
+                        output=output,
+                        inputs=inputs,
+                    )
+                return record, frontier
         raise _ChainFail(f"no rule justifies {node.algorithm!r} in g{gid}")
-
-    def _match_rule(self, rule, node, gid, child_gids, children):
-        for member, binding, args, leaf_gids in self._rule_sites(rule, gid):
-            if args != node.args or leaf_gids != child_gids:
-                continue
-            frontier = self._realize_rule(rule, binding, gid, children)
-            if frontier is not None:
-                return frontier
-        return None
 
     def _realize_rule(self, rule, binding, gid: int, children):
         """The rule's pattern in group ``gid`` with the plan inputs'

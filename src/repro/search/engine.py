@@ -86,7 +86,6 @@ from repro.verify.certificate import PlanCertificate
 __all__ = [
     "SearchOptions",
     "OptimizationResult",
-    "PreoptimizedPlan",
     "VolcanoOptimizer",
 ]
 
@@ -175,8 +174,7 @@ class OptimizationResult:
     answer carries ``plan``, ``cost``, ``required``, and ``stats`` —
     the contract the :class:`~repro.service.OptimizerService` and the
     benchmarks rely on.  ``memo``/``root_group`` are only populated by
-    the memo-based engines; :meth:`harvest` raises
-    :class:`~repro.errors.SearchError` without them.
+    the memo-based engines.
 
     ``degraded`` marks an *anytime* answer: a resource budget tripped
     mid-search and the plan is valid (it satisfies ``required``) but not
@@ -202,62 +200,6 @@ class OptimizationResult:
     def __str__(self) -> str:
         status = " (DEGRADED)" if self.degraded else ""
         return f"plan cost {self.cost}{status}\n{self.plan.pretty()}"
-
-    def harvest(
-        self,
-        subexpression: LogicalExpression,
-        required: Optional[PhysProps] = None,
-    ) -> "PreoptimizedPlan":
-        """Extract a memoized subplan for reuse in a later optimization.
-
-        The paper's Section 6 lists "preoptimized subplans" among the
-        search-strategy directions ("We are considering research into
-        longer-lived partial results"); this is the harvesting half.
-        ``subexpression`` must be a logical expression this run explored
-        (any member of its equivalence class works — the hash table
-        resolves syntactic variants the rules derived); ``required``
-        selects which property goal's winner to take (default: any).
-
-        Raises :class:`~repro.errors.SearchError` when the class or the
-        goal was never optimized in this run.
-        """
-        if self.memo is None:
-            raise SearchError("this result carries no memo to harvest from")
-        required = required if required is not None else ANY_PROPS
-        gid = self.memo.insert_expression(subexpression)
-        group = self.memo.group(gid)
-        winner = group.winners.get((required, None))
-        if winner is None:
-            raise SearchError(
-                f"no memoized winner for [{required}] on that subexpression; "
-                f"available goals: {sorted(str(k[0]) for k in group.winners)}"
-            )
-        return PreoptimizedPlan(
-            expression=subexpression,
-            plan=winner.plan,
-            cost=winner.cost,
-            required=required,
-        )
-
-
-@dataclass(frozen=True)
-class PreoptimizedPlan:
-    """A trusted, reusable subplan for :meth:`VolcanoOptimizer.optimize`.
-
-    Seeding declares the plan *optimal* for its (expression, required)
-    goal under the current catalog and cost model — the caller vouches
-    for it (typically by harvesting it from a previous exhaustive run
-    over the same catalog).  Matching is syntactic up to the rule set:
-    a seed helps whenever exploration derives the seed expression's
-    exact form (the memo's hash table then lands the winner in the
-    right equivalence class, including rule-derived variants such as
-    commuted joins).
-    """
-
-    expression: LogicalExpression
-    plan: PhysicalPlan
-    cost: Cost
-    required: PhysProps = ANY_PROPS
 
 
 class _AlgorithmMove:
@@ -392,7 +334,6 @@ class VolcanoOptimizer:
         props: Optional[PhysProps] = None,
         *,
         limit: Cost = INFINITE_COST,
-        preoptimized: Sequence["PreoptimizedPlan"] = (),
         options: Optional[SearchOptions] = None,
     ) -> OptimizationResult:
         """Find the cheapest plan for ``query`` delivering ``props``.
@@ -407,86 +348,17 @@ class VolcanoOptimizer:
         infinity for a user query, but the user interface may permit users
         to set their own limits to 'catch' unreasonable queries".
 
-        ``preoptimized`` seeds the memo with trusted subplans (harvested
-        via :meth:`OptimizationResult.harvest`) before costing begins —
-        the Section 6 "longer-lived partial results" direction.
-        The memo itself is still "reinitialized for each query being
-        optimized", exactly as the paper says; only what the caller
-        explicitly hands over survives.
+        One query is a batch of one: the same solve loop as
+        :meth:`optimize_batch` over a memo "reinitialized for each query
+        being optimized", except that a budget trip degrades to an
+        anytime answer instead of raising.
 
         Raises :class:`OptimizationFailedError` when no plan satisfying
         the goal exists within the limit, and
         :class:`~repro.errors.BudgetExceededError` when a resource
         budget tripped *and* not even a degraded plan could be built.
         """
-        return self._optimize(
-            query,
-            props,
-            limit,
-            preoptimized,
-            options if options is not None else self.options,
-        )
-
-    def _optimize(
-        self,
-        query: LogicalExpression,
-        required: Optional[PhysProps],
-        limit: Cost,
-        preoptimized: Sequence["PreoptimizedPlan"],
-        options: SearchOptions,
-    ) -> OptimizationResult:
-        required = required if required is not None else self.spec.any_props
-        started = time.perf_counter()
-        run = self._new_run(options)
-        memo, stats, tracer = run.memo, run.stats, run.tracer
-        try:
-            root = memo.insert_expression(query)
-            report: Optional[BudgetReport] = None
-            try:
-                self._explore_closure(run, root)
-                if preoptimized:
-                    self._plant_preoptimized(run, root, preoptimized)
-                winner = self._find_best_plan(
-                    run, root, required, limit, excluded=None, depth=0
-                )
-            except BudgetTripped as trip:
-                winner, report = self._degrade(run, root, required, limit, trip)
-            self._check_winner(run, winner, required, limit)
-            certificate: Optional[PlanCertificate] = None
-            if options.certificates:
-                builder = CertificateBuilder(self.spec, memo, run.claims)
-                certificate = builder.certify(
-                    query,
-                    winner.plan,
-                    required,
-                    degraded=report is not None,
-                    engine=type(self).__name__,
-                )
-            result = OptimizationResult(
-                plan=winner.plan,
-                cost=winner.cost,
-                required=required,
-                stats=stats,
-                memo=memo,
-                trace=tracer.render() if tracer.enabled else None,
-                root_group=memo.canonical(root),
-                degraded=report is not None,
-                budget_report=report,
-                certificate=certificate,
-            )
-            for hook in self.post_optimize_hooks:
-                hook(result)
-            return result
-        except ReproError as error:
-            # Aborted searches still report how far they got: partial
-            # stats (with wall-clock) ride on the raised error.
-            if getattr(error, "stats", None) is None:
-                error.stats = stats
-            raise
-        finally:
-            # Success, degradation, and abort all account elapsed time
-            # (the stats object is shared with the result).
-            stats.elapsed_seconds = time.perf_counter() - started
+        return self._solve([query], props, limit, options, degrade=True)[0]
 
     def optimize_batch(
         self,
@@ -511,7 +383,8 @@ class VolcanoOptimizer:
         Each root is explored and solved incrementally before the next
         root is inserted, so every query sees exactly the closure a
         single-query optimization would have seen plus already-settled
-        knowledge — plans are byte-identical to per-query runs.  All
+        knowledge — plans are byte-identical to per-query runs, and
+        :meth:`optimize` is this loop over a batch of one.  All
         results share one :class:`SearchStats`, one memo, and one
         :class:`~repro.options.BudgetMeter`: the budget governs the
         whole batch, and a trip raises
@@ -519,55 +392,73 @@ class VolcanoOptimizer:
         falling back to per-query optimization, where the anytime
         machinery applies).
         """
+        return self._solve(queries, props, limit, options, degrade=False)
+
+    def _solve(
+        self,
+        queries: Sequence[LogicalExpression],
+        props: Optional[PhysProps],
+        limit: Cost,
+        options: Optional[SearchOptions],
+        *,
+        degrade: bool,
+    ) -> List[OptimizationResult]:
+        """The one solve loop: insert, explore to closure, FindBestPlan.
+
+        Roots are solved in input order over one run.  A budget trip
+        degrades the query when ``degrade`` (a single query) and raises
+        :class:`~repro.errors.BudgetExceededError` for the run otherwise.
+        Aborted runs carry their partial stats on the raised error.
+        """
         options = options if options is not None else self.options
         required = props if props is not None else self.spec.any_props
         started = time.perf_counter()
         run = self._new_run(options)
         memo, stats, tracer = run.memo, run.stats, run.tracer
         try:
-            roots: List[int] = []
-            winners: List[Winner] = []
+            solved: List[Tuple[int, Winner, Optional[BudgetReport]]] = []
             for query in queries:
                 root = memo.insert_expression(query)
-                roots.append(root)
+                report: Optional[BudgetReport] = None
                 try:
                     self._explore_closure(run, root)
                     winner = self._find_best_plan(
                         run, root, required, limit, excluded=None, depth=0
                     )
                 except BudgetTripped as trip:
-                    # No per-query degradation here: the budget belongs
-                    # to the batch, so the whole batch reports the trip.
-                    run.stats.budget_trips += 1
-                    report = run.meter.report(trip.phase, best_cost=None)
-                    raise BudgetExceededError(
-                        f"batch optimization budget exhausted "
-                        f"({report.tripped} during {report.phase}) after "
-                        f"{len(winners)} of {len(queries)} queries",
-                        report=report,
-                        stats=stats,
-                    )
+                    if not degrade:
+                        stats.budget_trips += 1
+                        report = run.meter.report(trip.phase, best_cost=None)
+                        raise BudgetExceededError(
+                            f"batch optimization budget exhausted "
+                            f"({report.tripped} during {report.phase}) after "
+                            f"{len(solved)} of {len(queries)} queries",
+                            report=report,
+                            stats=stats,
+                        )
+                    winner, report = self._degrade(run, root, required, limit, trip)
                 self._check_winner(run, winner, required, limit)
                 # Extract immediately: a later root's closure may merge
                 # groups and clear memoized winners, but the Winner
                 # object (and its plan) stays valid.
-                winners.append(winner)
+                solved.append((root, winner, report))
             rendered = tracer.render() if tracer.enabled else None
-            # One builder for the whole batch: winners shared across
-            # results get identical frontier subexpressions in every
-            # certificate, which the sharing pass's certifier relies on.
+            # One builder per run: winners shared across results get
+            # identical frontier subexpressions in every certificate,
+            # which the sharing pass's certifier relies on.
             builder = (
                 CertificateBuilder(self.spec, memo, run.claims)
                 if options.certificates
                 else None
             )
             results: List[OptimizationResult] = []
-            for query, root, winner in zip(queries, roots, winners):
+            for query, (root, winner, report) in zip(queries, solved):
                 certificate = (
                     builder.certify(
                         query,
                         winner.plan,
                         required,
+                        degraded=report is not None,
                         engine=type(self).__name__,
                     )
                     if builder is not None
@@ -581,6 +472,8 @@ class VolcanoOptimizer:
                     memo=memo,
                     trace=rendered,
                     root_group=memo.canonical(root),
+                    degraded=report is not None,
+                    budget_report=report,
                     certificate=certificate,
                 )
                 for hook in self.post_optimize_hooks:
@@ -592,6 +485,8 @@ class VolcanoOptimizer:
                 error.stats = stats
             raise
         finally:
+            # Success, degradation, and abort all account elapsed time
+            # (the stats object is shared with the results).
             stats.elapsed_seconds = time.perf_counter() - started
 
     def _new_run(
@@ -694,26 +589,6 @@ class VolcanoOptimizer:
                 stats=run.stats,
             )
         return winner, report
-
-    def _plant_preoptimized(self, run: _SearchRun, root, preoptimized) -> None:
-        """Seed trusted winners into the memo (after logical closure).
-
-        Inserting a seed expression may add new logical content; closure
-        is re-run so any merges settle *before* the winners are planted
-        (merges clear cached winners, so planting must come last).
-        """
-        memo = run.memo
-        for seed in preoptimized:
-            memo.insert_expression(seed.expression)
-        self._explore_closure(run, root)
-        for seed in preoptimized:
-            gid = memo.insert_expression(seed.expression)
-            winners = memo.group(gid).winners
-            existing = winners.get((seed.required, None))
-            if existing is not None and existing.cost <= seed.cost:
-                continue
-            winners[(seed.required, None)] = Winner(seed.plan, seed.cost)
-            run.stats.seeds_planted += 1
 
     # ------------------------------------------------------------------
     # Logical exploration (transformation moves)

@@ -55,8 +55,6 @@ class SearchStats:
     moves_cache_hits: int = 0
     moves_cache_misses: int = 0
     canonical_hops: int = 0
-    # Seeds planted through ``optimize(..., preoptimized=)``.
-    seeds_planted: int = 0
     # Resource-governance counters (repro.options.ResourceBudget).
     budget_trips: int = 0
     greedy_plans: int = 0

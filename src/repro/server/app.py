@@ -63,6 +63,8 @@ from repro.server.admission import AdmissionController
 from repro.server.protocol import (
     cost_total,
     executed_payload,
+    is_number,
+    number,
     parse_budget,
     parse_deadline,
     require,
@@ -603,6 +605,12 @@ class OptimizerServer:
                 f"unknown parameters {sorted(unknown)}; "
                 f"statement has {sorted(normalized.bindings)}"
             )
+        for name, value in values.items():
+            if not (isinstance(value, str) or is_number(value)):
+                raise ServerError(
+                    f"parameter {name!r} must be a number or a string, "
+                    f"got {value!r}"
+                )
         # Unbound parameters keep the literals of the prepared text.
         merged = {**dict(normalized.bindings), **dict(values)}
         [answer] = await self._serve(
@@ -736,15 +744,19 @@ class OptimizerServer:
             raise ServerError(f"unknown table: {table!r}", status=404)
         current = catalog.table(table).statistics
         columns = dict(current.columns)
-        for name, spec in (raw.get("columns") or {}).items():
+        given = raw.get("columns", {})
+        if not isinstance(given, Mapping):
+            raise ServerError("columns must be an object")
+        for name, spec in given.items():
             if not isinstance(spec, Mapping):
                 raise ServerError(f"column {name!r} statistics must be an object")
+            distinct = spec.get(
+                "distinct_values",
+                getattr(columns.get(name), "distinct_values", 1.0),
+            )
             columns[name] = ColumnStatistics(
                 distinct_values=float(
-                    spec.get(
-                        "distinct_values",
-                        getattr(columns.get(name), "distinct_values", 1.0),
-                    )
+                    number(f"column {name!r} distinct_values", distinct)
                 ),
                 min_value=spec.get(
                     "min_value", getattr(columns.get(name), "min_value", None)
@@ -754,8 +766,12 @@ class OptimizerServer:
                 ),
             )
         updated = TableStatistics(
-            row_count=float(raw.get("row_count", current.row_count)),
-            row_width=int(raw.get("row_width", current.row_width)),
+            row_count=float(
+                number("row_count", raw.get("row_count", current.row_count))
+            ),
+            row_width=int(
+                number("row_width", raw.get("row_width", current.row_width))
+            ),
             columns=columns,
         )
         await self._in_thread(

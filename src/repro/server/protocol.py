@@ -17,6 +17,7 @@ these.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ServerError
@@ -24,6 +25,8 @@ from repro.options import ResourceBudget
 from repro.service.service import ExecutedResult, ServedResult
 
 __all__ = [
+    "is_number",
+    "number",
     "parse_budget",
     "parse_deadline",
     "require",
@@ -43,6 +46,21 @@ def require(body: Mapping[str, Any], name: str, kind: type) -> Any:
             f"field {name!r} must be {kind.__name__}, got "
             f"{type(value).__name__}"
         )
+    return value
+
+
+def is_number(value: Any) -> bool:
+    """True for a finite JSON number; booleans are not numbers."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def number(name: str, value: Any) -> Any:
+    """``value`` if it is a finite JSON number, or a 400 naming ``name``."""
+    if not is_number(value):
+        raise ServerError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -83,7 +101,7 @@ def parse_deadline(body: Mapping[str, Any]) -> Optional[float]:
     deadline = body.get("deadline_seconds")
     if deadline is None:
         return None
-    if not isinstance(deadline, (int, float)) or deadline <= 0:
+    if number("deadline_seconds", deadline) <= 0:
         raise ServerError("deadline_seconds must be a positive number")
     return float(deadline)
 

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
+import repro
+import repro.search
 from repro.algebra.predicates import TRUE, eq
 from repro.algebra.properties import ANY_PROPS, PhysProps, sorted_on
-from repro.errors import OptimizationFailedError
+from repro.errors import BudgetExceededError, OptimizationFailedError
 from repro.model.cost import CpuIoCost, INFINITE_COST
 from repro.models.relational import (
     RelationalModelOptions,
@@ -15,7 +17,14 @@ from repro.models.relational import (
     relational_model,
     select,
 )
-from repro.search import SearchOptions, VolcanoOptimizer
+from repro.options import ResourceBudget
+from repro.search import (
+    OptimizationResult,
+    SearchOptions,
+    SearchStats,
+    VolcanoOptimizer,
+)
+from repro.workloads import QueryGenerator
 
 from tests.helpers import chain_query, make_catalog
 
@@ -235,3 +244,51 @@ def test_optimization_is_deterministic(catalog):
     second = VolcanoOptimizer(relational_model(), catalog).optimize(query)
     assert first.cost == second.cost
     assert first.plan.to_sexpr() == second.plan.to_sexpr()
+
+
+# -- one solve loop: a query is a batch of one ----------------------------------
+
+
+def _counters(stats):
+    counters = stats.as_dict()
+    del counters["elapsed_seconds"]
+    return counters
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_a_one_query_batch_is_the_single_query_search(size):
+    spec = relational_model()
+    for item in QueryGenerator().generate_batch(size, 10, seed=7):
+        engine = VolcanoOptimizer(
+            spec, item.catalog, SearchOptions(certificates=True)
+        )
+        solo = engine.optimize(item.query, item.required)
+        (batched,) = engine.optimize_batch([item.query], item.required)
+        assert batched.plan.to_sexpr() == solo.plan.to_sexpr()
+        assert batched.cost == solo.cost
+        assert batched.certificate == solo.certificate
+        assert batched.root_group == solo.root_group
+        assert _counters(batched.stats) == _counters(solo.stats)
+
+
+def test_a_budget_trip_degrades_a_query_and_fails_a_batch(catalog):
+    engine = VolcanoOptimizer(
+        relational_model(),
+        catalog,
+        SearchOptions(budget=ResourceBudget(max_costings=5)),
+    )
+    query = chain_query(["r", "s", "t", "u"])
+    assert engine.optimize(query).degraded
+    with pytest.raises(BudgetExceededError, match="after 0 of 1 queries"):
+        engine.optimize_batch([query])
+
+
+def test_the_seeding_hook_is_retired(optimizer):
+    with pytest.raises(TypeError):
+        optimizer.optimize(get("r"), preoptimized=[])
+    assert not hasattr(repro, "PreoptimizedPlan")
+    assert not hasattr(repro.search, "PreoptimizedPlan")
+    assert not hasattr(OptimizationResult, "harvest")
+    assert "seeds_planted" not in {
+        field.name for field in dataclasses.fields(SearchStats)
+    }

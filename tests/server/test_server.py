@@ -251,6 +251,64 @@ def test_bind_unknown_parameter_is_400(client):
     assert caught.value.status == 400
 
 
+#: Bodies with a value no Python conversion may see unchecked, as raw
+#: JSON text so ``NaN``/``Infinity`` literals reach the server (``STMT``
+#: is a prepared statement id): (path, body, status, text of the error).
+BIND = '{"statement": STMT, "parameters": {"p0": %s}}'
+STATS = '{"table": "r", "statistics": %s}'
+DEADLINE = '{"sql": SQL, "deadline_seconds": %s}'
+NUMBERS = {
+    "bind object": ("/bind", BIND % '{"x": 1}', 400, "'p0'"),
+    "bind list": ("/bind", BIND % "[1, 2]", 400, "'p0'"),
+    "bind true": ("/bind", BIND % "true", 400, "'p0'"),
+    "bind null": ("/bind", BIND % "null", 400, "'p0'"),
+    "bind NaN": ("/bind", BIND % "NaN", 400, "'p0'"),
+    "bind number": ("/bind", BIND % "9", 200, None),
+    "row_count string": ("/admin/statistics", STATS % '{"row_count": "abc"}', 400, "row_count"),
+    "row_width string": ("/admin/statistics", STATS % '{"row_width": "x"}', 400, "row_width"),
+    "distinct_values string": (
+        "/admin/statistics",
+        STATS % '{"columns": {"r.v": {"distinct_values": "many"}}}',
+        400,
+        "distinct_values",
+    ),
+    "row_count null": ("/admin/statistics", STATS % '{"row_count": null}', 400, "row_count"),
+    "row_count NaN": ("/admin/statistics", STATS % '{"row_count": NaN}', 400, "row_count"),
+    "row_count Infinity": ("/admin/statistics", STATS % '{"row_count": Infinity}', 400, "row_count"),
+    "columns list": ("/admin/statistics", STATS % '{"columns": []}', 400, "columns"),
+    "negative row_count": ("/admin/statistics", STATS % '{"row_count": -5}', 400, "row_count"),
+    "unknown table": ("/admin/statistics", '{"table": "nowhere", "statistics": {}}', 404, "nowhere"),
+    "deadline NaN": ("/optimize", DEADLINE % "NaN", 400, "deadline_seconds"),
+    "deadline Infinity": ("/optimize", DEADLINE % "Infinity", 400, "deadline_seconds"),
+    "deadline true": ("/optimize", DEADLINE % "true", 400, "deadline_seconds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBERS))
+def test_malformed_numbers_are_answered_and_counted(harness, server, client, case):
+    """A value that is not a finite JSON number (booleans are not) where a
+    number is meant is a 400 naming the field, never a 500."""
+    path, body, status, named = NUMBERS[case]
+    statement = client.prepare(POINT_SQL)["statement"]
+    body = body.replace("STMT", json.dumps(statement)).replace("SQL", json.dumps(POINT_SQL))
+    before = server.errors
+    parts = urlsplit(harness.address)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10.0)
+    try:
+        connection.request(
+            "POST", path, body=body.encode(), headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+    finally:
+        connection.close()
+    assert response.status == status, payload
+    if status == 200:
+        assert server.errors == before
+    else:
+        assert named in payload["error"] and server.errors == before + 1
+
+
 # --------------------------------------------------------------- batch
 
 
