@@ -78,19 +78,17 @@ class Parameter(Scalar):
 
 def _predicate_parameters(predicate: Predicate) -> frozenset:
     names = set()
-
-    def visit(node):
+    stack = [predicate]  # explicit stack: no self-recursive closure
+    while stack:
+        node = stack.pop()
         if isinstance(node, Comparison):
             for side in (node.left, node.right):
                 if isinstance(side, Parameter):
                     names.add(side.name)
         elif isinstance(node, (Conjunction, Disjunction)):
-            for part in node.parts:
-                visit(part)
+            stack.extend(node.parts)
         elif isinstance(node, Negation):
-            visit(node.part)
-
-    visit(predicate)
+            stack.append(node.part)
     return frozenset(names)
 
 

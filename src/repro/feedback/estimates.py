@@ -18,7 +18,8 @@ models without an executor mapping yield no mirror and no estimate;
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -162,18 +163,25 @@ def mirror_expressions(
     unmapped algorithms (and every node above them) map to None.
     """
     mirrors: Dict[int, Optional[LogicalExpression]] = {}
-    counter = [0]
-
-    def visit(node: PhysicalPlan) -> Optional[LogicalExpression]:
-        node_id = counter[0]
-        counter[0] += 1
-        inputs = tuple(visit(child) for child in node.inputs)
-        mirror = node_mirror(node, inputs)
-        mirrors[node_id] = mirror
-        return mirror
-
-    visit(plan)
+    _mirror_into(plan, mirrors, itertools.count())
     return mirrors
+
+
+def _mirror_into(
+    node: PhysicalPlan,
+    mirrors: Dict[int, Optional[LogicalExpression]],
+    node_ids: Iterator[int],
+) -> Optional[LogicalExpression]:
+    """Record ``node``'s subtree in ``mirrors``; return ``node``'s mirror.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a function <-> cell cycle left for the cyclic collector.
+    """
+    node_id = next(node_ids)
+    inputs = tuple(_mirror_into(child, mirrors, node_ids) for child in node.inputs)
+    mirror = node_mirror(node, inputs)
+    mirrors[node_id] = mirror
+    return mirror
 
 
 def estimate_rows(

@@ -3,9 +3,9 @@
 One context is created per optimization and threaded through every rule
 condition, rewrite, applicability, cost, and property function.  It owns
 logical-property derivation (with caching) for plain expression trees and
-— when a memo is attached — for group-leaf references, so the same rule
-code runs unchanged in the Volcano engine, the EXODUS baseline, and unit
-tests.
+— while the memo built on it lives — for group-leaf references, so the
+same rule code runs unchanged in the Volcano engine, the EXODUS baseline,
+and unit tests.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ class OptimizerContext:
         self.spec = spec
         self.catalog = catalog
         self.estimator = estimator or SelectivityEstimator()
-        # Installed by the search engine so that group leaves resolve to
-        # their group's logical properties during pattern matching.
-        self.group_props_resolver: Optional[Callable[[int], LogicalProperties]] = None
+        # Installed by a memo built on this context so that group leaves
+        # resolve to their group's logical properties during pattern
+        # matching; it answers None once that memo has been freed.
+        self.group_props_resolver: Optional[
+            Callable[[int], Optional[LogicalProperties]]
+        ] = None
         self._props_cache: Dict[LogicalExpression, LogicalProperties] = {}
 
     # -- logical property derivation ---------------------------------------
@@ -53,18 +56,20 @@ class OptimizerContext:
     def logical_props(self, expression: LogicalExpression) -> LogicalProperties:
         """Logical properties of an expression tree (cached).
 
-        Group leaves are resolved through the search engine's resolver;
-        using one outside an engine run is an internal error.
+        Group leaves are resolved through the memo's resolver; using one
+        with no memo attached, or after the memo was freed, is an
+        internal error.
         """
         cached = self._props_cache.get(expression)
         if cached is not None:
             return cached
         if expression.operator == GROUP_LEAF:
-            if self.group_props_resolver is None:
+            resolver = self.group_props_resolver
+            props = None if resolver is None else resolver(expression.args[0])
+            if props is None:
                 raise SearchError(
                     "group leaf encountered outside a search engine run"
                 )
-            props = self.group_props_resolver(expression.args[0])
         else:
             input_props = tuple(
                 self.logical_props(node) for node in expression.inputs

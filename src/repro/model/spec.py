@@ -347,12 +347,16 @@ class ModelSpecification:
         # Local import to avoid a cycle at module load time.
         from repro.model.patterns import AnyPattern, OpPattern
 
-        def visit(node):
+        # Pre-order over an explicit stack: a self-recursive closure
+        # would leave a function <-> cell cycle on every construction.
+        stack = [pattern]
+        while stack:
+            node = stack.pop()
             if isinstance(node, AnyPattern):
-                return
+                continue
             if not isinstance(node, OpPattern):
                 problems.append(f"rule {rule_name!r}: bad pattern node {node!r}")
-                return
+                continue
             operator = self.operators.get(node.operator)
             if operator is None:
                 problems.append(
@@ -364,8 +368,5 @@ class ModelSpecification:
                     f"rule {rule_name!r}: pattern gives {node.operator!r} "
                     f"{len(node.inputs)} inputs but its arity is {operator.arity}"
                 )
-            for sub in node.inputs:
-                visit(sub)
-
-        visit(pattern)
+            stack.extend(reversed(node.inputs))
         return problems

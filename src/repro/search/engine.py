@@ -174,7 +174,11 @@ class OptimizationResult:
     answer carries ``plan``, ``cost``, ``required``, and ``stats`` —
     the contract the :class:`~repro.service.OptimizerService` and the
     benchmarks rely on.  ``memo``/``root_group`` are only populated by
-    the memo-based engines.
+    the memo-based engines.  The memo lives exactly as long as something
+    holds ``result.memo``.  Not even ``memo.context`` keeps it alive: the
+    context's group-leaf resolver holds the memo weakly, so resolving a
+    group leaf through a context that outlived its memo raises
+    :class:`~repro.errors.SearchError`.
 
     ``degraded`` marks an *anytime* answer: a resource budget tripped
     mid-search and the plan is valid (it satisfies ``required``) but not
@@ -498,13 +502,11 @@ class VolcanoOptimizer:
         continues one a previous run built.
         """
         if memo is None:
-            context = OptimizerContext(self.spec, self.catalog, self.estimator)
             memo = Memo(
-                context,
+                OptimizerContext(self.spec, self.catalog, self.estimator),
                 check_consistency=options.check_consistency,
                 max_groups=options.max_groups,
             )
-            context.group_props_resolver = memo.logical_props
         return _SearchRun(options, memo, self._resolve_kernel(options))
 
     def _check_winner(

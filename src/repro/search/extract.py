@@ -20,6 +20,7 @@ from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
 from repro.model.context import OptimizerContext
 from repro.model.spec import AlgorithmNode, ModelSpecification
+from repro.search.certify import ClaimRecord
 from repro.search.engine import OptimizationResult
 from repro.search.memo import Memo
 
@@ -155,23 +156,39 @@ def greedy_plan(
     :class:`~repro.search.certify.ClaimRecord` into it, so even
     degraded plans certify with exact cost terms.
     """
-    from repro.search.certify import ClaimRecord
+    return _GreedySearch(memo, context, claims).solve(gid, required, None, set())
 
-    spec = context.spec
-    implementations: dict = {}
-    for rule in spec.implementations:
-        implementations.setdefault(rule.top_operator, []).append(rule)
 
-    # (gid, required, excluded) -> plan or None; a None is only cached
-    # when the failure did not hinge on a cycle refusal (see below).
-    cache: dict = {}
-    refusals = [0]
+class _GreedySearch:
+    """The state of one :func:`greedy_plan` call.
 
-    def moves_of(group):
+    Methods rather than nested functions: a nested function that calls
+    itself is a function <-> cell cycle, which would keep the memo alive
+    until the cyclic collector's next full pass.
+    """
+
+    def __init__(
+        self, memo: Memo, context: OptimizerContext, claims: Optional[dict]
+    ):
+        self.memo = memo
+        self.context = context
+        self.spec = context.spec
+        self.claims = claims
+        self.implementations: dict = {}
+        for rule in self.spec.implementations:
+            self.implementations.setdefault(rule.top_operator, []).append(rule)
+        # (gid, required, excluded) -> plan or None; a None is only cached
+        # when the failure did not hinge on a cycle refusal (see below).
+        self.cache: dict = {}
+        self.refusals = 0
+
+    def moves_of(self, group):
+        """The group's implementation moves, in greedy trial order."""
+        memo, context = self.memo, self.context
         moves = []
         seen = set()
         for mexpr in group.expressions:
-            for rule in implementations.get(mexpr.operator, ()):
+            for rule in self.implementations.get(mexpr.operator, ()):
                 for binding in memo.rule_bindings(rule.pattern, mexpr):
                     if not rule.applies(binding, context):
                         continue
@@ -193,7 +210,10 @@ def greedy_plan(
         moves.sort(key=lambda move: -move[0].promise)
         return moves
 
-    def solve(goal_gid, goal_required, excluded, path):
+    def solve(self, goal_gid, goal_required, excluded, path):
+        """The first feasible plan for one goal, or None."""
+        memo, context, spec = self.memo, self.context, self.spec
+        cache, claims = self.cache, self.claims
         goal_gid = memo.canonical(goal_gid)
         key = (goal_gid, goal_required, excluded)
         if key in cache:
@@ -201,7 +221,7 @@ def greedy_plan(
         if key in path:
             # A cycle through equivalent goals: refuse here, the outer
             # attempt decides.  Not a definitive failure, so not cached.
-            refusals[0] += 1
+            self.refusals += 1
             return None
         group = memo.group(goal_gid)
         winner = group.winners.get((goal_required, excluded))
@@ -209,9 +229,9 @@ def greedy_plan(
             cache[key] = winner.plan
             return winner.plan
         path.add(key)
-        before = refusals[0]
+        before = self.refusals
         try:
-            for rule, args, input_groups in moves_of(group):
+            for rule, args, input_groups in self.moves_of(group):
                 algorithm = spec.algorithm(rule.algorithm)
                 node = AlgorithmNode(
                     args,
@@ -230,7 +250,7 @@ def greedy_plan(
                     for input_gid, input_required in zip(
                         input_groups, requirements
                     ):
-                        sub = solve(input_gid, input_required, None, path)
+                        sub = self.solve(input_gid, input_required, None, path)
                         if sub is None:
                             feasible = False
                             break
@@ -282,7 +302,7 @@ def greedy_plan(
                             application.delivered, excluded
                         ):
                             continue
-                        sub = solve(
+                        sub = self.solve(
                             goal_gid,
                             application.relaxed,
                             application.excluded,
@@ -326,14 +346,12 @@ def greedy_plan(
                             )
                         cache[key] = plan
                         return plan
-            if refusals[0] == before:
+            if self.refusals == before:
                 # No cycle refusal influenced this failure: definitive.
                 cache[key] = None
             return None
         finally:
             path.discard(key)
-
-    return solve(gid, required, None, set())
 
 
 def _root_group(memo: Memo) -> int:

@@ -39,10 +39,16 @@ Performance internals (see docs/search-internals.md):
 * **Union-find path compression** in :meth:`Memo.canonical` keeps merge
   chains O(α); ``SearchStats.canonical_hops`` counts chain links
   actually chased, so tests can assert the amortized bound.
+* **Freed by reference counting.**  The memo installs its context's
+  group-leaf resolver itself, and that resolver holds the memo only
+  through a weak reference, so ``Memo`` → context → resolver is not a
+  cycle: a memo (and everything in it) is freed the moment its last
+  owner drops it, with no full pass of the cyclic collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -190,6 +196,20 @@ class Group:
         return f"Group({self.id}, {len(self.expressions)} exprs)"
 
 
+def _weak_resolver(memo_ref: "weakref.ref[Memo]"):
+    """A group-leaf resolver that reaches its memo through ``memo_ref``.
+
+    It answers ``None`` once the memo is gone, which the context reports
+    as a group leaf outside a search.
+    """
+
+    def resolve(group_id: int) -> Optional[LogicalProperties]:
+        memo = memo_ref()
+        return None if memo is None else memo.logical_props(group_id)
+
+    return resolve
+
+
 class Memo:
     """The hash table of expressions and equivalence classes."""
 
@@ -201,6 +221,7 @@ class Memo:
         max_groups: Optional[int] = None,
     ):
         self.context = context
+        context.group_props_resolver = _weak_resolver(weakref.ref(self))
         self.stats = stats if stats is not None else SearchStats()
         self.check_consistency = check_consistency
         self.max_groups = max_groups

@@ -305,23 +305,34 @@ def _dependency_order(shared: Sequence[SharedPlan]) -> Tuple[SharedPlan, ...]:
     ordered: List[SharedPlan] = []
     done: set = set()
     visiting: set = set()
-
-    def visit(item: SharedPlan) -> None:
-        if item.name in done:
-            return
-        if item.name in visiting:  # pragma: no cover - acyclic by construction
-            raise ReproError(f"cyclic materialization {item.name!r}")
-        visiting.add(item.name)
-        for node in item.plan.walk():
-            if node.algorithm == SCAN_INTERMEDIATE and node.args[0] in by_name:
-                visit(by_name[node.args[0]])
-        visiting.discard(item.name)
-        done.add(item.name)
-        ordered.append(item)
-
     for item in shared:
-        visit(item)
+        _visit_producer(item, by_name, done, visiting, ordered)
     return tuple(ordered)
+
+
+def _visit_producer(
+    item: SharedPlan,
+    by_name: Dict[str, SharedPlan],
+    done: set,
+    visiting: set,
+    ordered: List[SharedPlan],
+) -> None:
+    """Append ``item`` to ``ordered`` after every producer it scans.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a function <-> cell cycle left for the cyclic collector.
+    """
+    if item.name in done:
+        return
+    if item.name in visiting:  # pragma: no cover - acyclic by construction
+        raise ReproError(f"cyclic materialization {item.name!r}")
+    visiting.add(item.name)
+    for node in item.plan.walk():
+        if node.algorithm == SCAN_INTERMEDIATE and node.args[0] in by_name:
+            _visit_producer(by_name[node.args[0]], by_name, done, visiting, ordered)
+    visiting.discard(item.name)
+    done.add(item.name)
+    ordered.append(item)
 
 
 def plan_sharing(

@@ -28,7 +28,7 @@ round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -110,6 +110,37 @@ def selectivity_bucket(selectivity: float, buckets: int) -> int:
 
 _bucket = selectivity_bucket
 
+# The rewrites below are module-level functions that take their state as
+# arguments: a nested function that calls itself is a function <-> cell
+# cycle, left on every call for the cyclic collector to find.
+
+
+def _map_comparisons(
+    predicate: Predicate, rewrite: Callable[[Comparison], Predicate]
+) -> Predicate:
+    """``predicate`` with ``rewrite`` applied to every comparison in it."""
+    if isinstance(predicate, Comparison):
+        return rewrite(predicate)
+    if isinstance(predicate, Conjunction):
+        return Conjunction(tuple(_map_comparisons(p, rewrite) for p in predicate.parts))
+    if isinstance(predicate, Disjunction):
+        return Disjunction(tuple(_map_comparisons(p, rewrite) for p in predicate.parts))
+    if isinstance(predicate, Negation):
+        return Negation(_map_comparisons(predicate.part, rewrite))
+    return predicate
+
+
+def _rewrite_expression(
+    node: LogicalExpression, rewrite: Callable[[Comparison], Predicate]
+) -> LogicalExpression:
+    """``node`` with ``rewrite`` applied to every comparison in its tree."""
+    args = tuple(
+        _map_comparisons(arg, rewrite) if isinstance(arg, Predicate) else arg
+        for arg in node.args
+    )
+    inputs = tuple(_rewrite_expression(child, rewrite) for child in node.inputs)
+    return LogicalExpression(node.operator, args, inputs)
+
 
 def normalize_literals(
     query: LogicalExpression,
@@ -133,6 +164,8 @@ def normalize_literals(
     key: list = []
 
     def parameterize(comparison: Comparison) -> Comparison:
+        if comparison.column_literal() is None:
+            return comparison
         if comparison in replacements:
             return replacements[comparison]
         name = f"p{len(bindings)}"
@@ -149,28 +182,7 @@ def normalize_literals(
         key.append((name, comparison.op.value, _bucket(selectivity, buckets)))
         return replaced
 
-    def rewrite_predicate(predicate: Predicate) -> Predicate:
-        if isinstance(predicate, Comparison):
-            if predicate.column_literal() is not None:
-                return parameterize(predicate)
-            return predicate
-        if isinstance(predicate, Conjunction):
-            return Conjunction(tuple(rewrite_predicate(p) for p in predicate.parts))
-        if isinstance(predicate, Disjunction):
-            return Disjunction(tuple(rewrite_predicate(p) for p in predicate.parts))
-        if isinstance(predicate, Negation):
-            return Negation(rewrite_predicate(predicate.part))
-        return predicate
-
-    def rewrite_expression(node: LogicalExpression) -> LogicalExpression:
-        args = tuple(
-            rewrite_predicate(arg) if isinstance(arg, Predicate) else arg
-            for arg in node.args
-        )
-        inputs = tuple(rewrite_expression(child) for child in node.inputs)
-        return LogicalExpression(node.operator, args, inputs)
-
-    template = rewrite_expression(query)
+    template = _rewrite_expression(query, parameterize)
     return NormalizedQuery(
         template=template,
         bucket_key=tuple(key),
@@ -189,20 +201,10 @@ def parameterize_plan(
     Binding the result with the query's literals is an exact round trip:
     ``bind_plan(parameterize_plan(plan, r), bindings) == plan``.
     """
-
-    def rewrite_predicate(predicate: Predicate) -> Predicate:
-        if isinstance(predicate, Comparison):
-            return replacements.get(predicate, predicate)
-        if isinstance(predicate, Conjunction):
-            return Conjunction(tuple(rewrite_predicate(p) for p in predicate.parts))
-        if isinstance(predicate, Disjunction):
-            return Disjunction(tuple(rewrite_predicate(p) for p in predicate.parts))
-        if isinstance(predicate, Negation):
-            return Negation(rewrite_predicate(predicate.part))
-        return predicate
-
     args = tuple(
-        rewrite_predicate(arg) if isinstance(arg, Predicate) else arg
+        _map_comparisons(arg, lambda c: replacements.get(c, c))
+        if isinstance(arg, Predicate)
+        else arg
         for arg in plan.args
     )
     return PhysicalPlan(
@@ -231,12 +233,4 @@ def bind_expression(
     """
     from repro.dynamic import bind_predicate
 
-    def rewrite(node: LogicalExpression) -> LogicalExpression:
-        args = tuple(
-            bind_predicate(arg, values) if isinstance(arg, Predicate) else arg
-            for arg in node.args
-        )
-        inputs = tuple(rewrite(child) for child in node.inputs)
-        return LogicalExpression(node.operator, args, inputs)
-
-    return rewrite(template)
+    return _rewrite_expression(template, lambda c: bind_predicate(c, values))

@@ -95,15 +95,15 @@ def decompose_join_query(
     leaves: List[LogicalExpression] = []
     conjuncts: List[Predicate] = []
 
-    def visit(node: LogicalExpression) -> None:
+    stack = [query]  # pre-order, left input first
+    while stack:
+        node = stack.pop()
         if node.operator == "join":
             conjuncts.extend(node.args[0].conjuncts())
-            visit(node.inputs[0])
-            visit(node.inputs[1])
+            stack.append(node.inputs[1])
+            stack.append(node.inputs[0])
         else:
             leaves.append(node)
-
-    visit(query)
     return leaves, conjuncts
 
 

@@ -16,7 +16,6 @@ TABLES = [("r", 1200), ("s", 2400), ("t", 4800)]
 def fresh_memo():
     context = OptimizerContext(relational_model(), make_catalog(TABLES))
     memo = Memo(context)
-    context.group_props_resolver = memo.logical_props
     return memo
 
 

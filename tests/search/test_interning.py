@@ -95,7 +95,6 @@ def commute_lowest_join(expression):
 def hand_built_memo(spec, catalog, check_consistency=True):
     context = OptimizerContext(spec, catalog)
     memo = Memo(context, check_consistency=check_consistency)
-    context.group_props_resolver = memo.logical_props
     return memo
 
 
@@ -315,7 +314,6 @@ def test_long_merge_chains_are_not_quadratic():
     chain = 150
     context = OptimizerContext(relational_model(), make_catalog(TABLES))
     memo = Memo(context, check_consistency=False)
-    context.group_props_resolver = memo.logical_props
     roots = [
         memo.insert_expression(select(get("r"), le("r.v", float(i))))
         for i in range(chain)
@@ -379,7 +377,6 @@ def test_cached_hashes_survive_pickling():
 
     context = OptimizerContext(relational_model(), make_catalog(TABLES))
     memo = Memo(context, check_consistency=False)
-    context.group_props_resolver = memo.logical_props
     memo.insert_expression(expr)
     for group in memo.groups():
         for mexpr in group.expressions:

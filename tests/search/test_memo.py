@@ -18,7 +18,6 @@ def memo():
     catalog = make_catalog([("r", 1200), ("s", 2400), ("t", 4800)])
     context = OptimizerContext(spec, catalog)
     memo = Memo(context)
-    context.group_props_resolver = memo.logical_props
     return memo
 
 
@@ -43,7 +42,6 @@ def test_deep_join_reinserted_interns_once():
         relational_model(), make_catalog([(name, 1000) for name in names])
     )
     memo = Memo(context, check_consistency=False)
-    context.group_props_resolver = memo.logical_props
     tree = get(names[0])
     for name in names[1:]:
         tree = join(tree, get(name), eq(f"{names[0]}.k", f"{name}.k"))
