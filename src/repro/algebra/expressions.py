@@ -23,7 +23,7 @@ Two special pseudo-operators support the rule machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Iterator, Tuple
 
 from repro.errors import AlgebraError
@@ -34,7 +34,6 @@ GROUP_LEAF = "$group"
 """Operator name of a leaf referring to a memo group (rule-internal)."""
 
 
-@dataclass(frozen=True, eq=False)
 class LogicalExpression:
     """A node of a logical algebra expression tree.
 
@@ -50,38 +49,61 @@ class LogicalExpression:
 
     Equality is structural; the hash is precomputed at construction so
     repeated hashing (the memo's hot path) costs one attribute read.
+    A frozen value, slotted and filled through its slot descriptors
+    (every rewrite builds several); pickling rebuilds through the
+    constructor, so the hash is recomputed wherever a pickle is loaded.
     """
 
-    operator: str
-    args: Tuple = ()
-    inputs: Tuple["LogicalExpression", ...] = ()
+    __slots__ = ("operator", "args", "inputs", "_hash")
 
-    def __post_init__(self):
-        if not self.operator:
+    operator: str
+    args: Tuple
+    inputs: Tuple["LogicalExpression", ...]
+    _hash: int
+
+    def __init__(
+        self,
+        operator: str,
+        args: Tuple = (),
+        inputs: Tuple["LogicalExpression", ...] = (),
+    ):
+        if not operator:
             raise AlgebraError("operator name must be non-empty")
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        if not isinstance(self.inputs, tuple):
-            object.__setattr__(self, "inputs", tuple(self.inputs))
-        for node in self.inputs:
+        if type(args) is not tuple:
+            args = tuple(args)
+        if type(inputs) is not tuple:
+            inputs = tuple(inputs)
+        for node in inputs:
             if not isinstance(node, LogicalExpression):
                 raise AlgebraError(
-                    f"inputs of {self.operator!r} must be LogicalExpression, "
+                    f"inputs of {operator!r} must be LogicalExpression, "
                     f"got {type(node).__name__}"
                 )
-        object.__setattr__(
-            self, "_hash", hash((self.operator, self.args, self.inputs))
-        )
+        _set_operator(self, operator)
+        _set_args(self, args)
+        _set_inputs(self, inputs)
+        _set_hash(self, hash((operator, args, inputs)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # String hashes are randomized per process: rebuilding through
+        # the constructor recomputes the hash wherever the pickle loads.
+        return (type(self), (self.operator, self.args, self.inputs))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, LogicalExpression):
             return NotImplemented
-        if self._hash != other._hash:  # type: ignore[attr-defined]
+        if self._hash != other._hash:
             return False
         return (
             self.operator == other.operator
@@ -89,17 +111,10 @@ class LogicalExpression:
             and self.inputs == other.inputs
         )
 
-    def __getstate__(self):
-        # String hashes are randomized per process: a pickled cached hash
-        # would be wrong wherever the pickle is loaded, so recompute it.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        object.__setattr__(
-            self, "_hash", hash((self.operator, self.args, self.inputs))
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(operator={self.operator!r}, "
+            f"args={self.args!r}, inputs={self.inputs!r})"
         )
 
     @property
@@ -161,6 +176,11 @@ class LogicalExpression:
     def __str__(self) -> str:
         return self.to_sexpr()
 
+
+_set_operator = LogicalExpression.operator.__set__  # type: ignore[attr-defined]
+_set_args = LogicalExpression.args.__set__  # type: ignore[attr-defined]
+_set_inputs = LogicalExpression.inputs.__set__  # type: ignore[attr-defined]
+_set_hash = LogicalExpression._hash.__set__  # type: ignore[attr-defined]
 
 _GROUP_LEAVES: dict = {}
 

@@ -59,11 +59,13 @@ def _cached_hash(self) -> int:
     class name so structurally identical nodes of different classes
     stay distinct, matching the generated ``__eq__``'s class check.
     """
-    cached = self.__dict__.get("_hash")
-    if cached is None:
-        fields = tuple(getattr(self, name) for name in self._hash_fields)
-        cached = hash((type(self).__name__, fields))
-        object.__setattr__(self, "_hash", cached)
+    try:
+        return self._hash  # one instance-dict probe once cached
+    except AttributeError:
+        pass
+    fields = tuple([getattr(self, name) for name in self._hash_fields])
+    cached = hash((type(self).__name__, fields))
+    object.__setattr__(self, "_hash", cached)
     return cached
 
 

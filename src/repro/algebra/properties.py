@@ -255,18 +255,14 @@ class LogicalProperties:
     cardinality: float
     column_stats: Mapping[str, ColumnStatistics] = field(default_factory=dict, compare=False, hash=False)
     tables: FrozenSet[str] = frozenset()
+    #: The schema's column names as a set; rule conditions and cost
+    #: functions read it on every binding, so it is set at construction.
+    column_names: FrozenSet[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "column_stats", dict(self.column_stats))
         object.__setattr__(self, "tables", frozenset(self.tables))
-
-    @property
-    def column_names(self) -> FrozenSet[str]:
-        cached = self.__dict__.get("_column_names")
-        if cached is None:
-            cached = frozenset(self.schema.column_names)
-            object.__setattr__(self, "_column_names", cached)
-        return cached
+        object.__setattr__(self, "column_names", frozenset(self.schema.column_names))
 
     def column_stat(self, name: str) -> Optional[ColumnStatistics]:
         """Statistics for column ``name``, or None when unknown."""

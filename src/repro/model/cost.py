@@ -22,7 +22,7 @@ which the search engine uses as the initial branch-and-bound limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from repro.errors import ModelSpecError
 
@@ -49,6 +49,8 @@ class Cost:
     float comparison.  Subclasses defined outside this module need no
     cache: ``__getattr__`` lazily answers ``_total`` from ``total()``.
     """
+
+    __slots__ = ()
 
     is_infinite = False
     _total: float  # cached total(); annotation only — filled per subclass
@@ -157,13 +159,12 @@ class ScalarCost(Cost):
         return ScalarCost(self.value - other.value)
 
     def __hash__(self):
-        return hash(self.value)
+        return hash(self._total)
 
     def __str__(self) -> str:
         return f"{self.value:.3f}"
 
 
-@dataclass(frozen=True, eq=False)
 class CpuIoCost(Cost):
     """Cost as a (CPU, I/O) record, compared by a weighted total.
 
@@ -172,14 +173,38 @@ class CpuIoCost(Cost):
     I/O in page accesses, so the default weight makes one page access as
     expensive as processing one page worth of tuples several times over —
     the I/O-dominant regime of 1993 hardware.
+
+    A frozen value like the dataclass costs, but slotted and filled
+    through its slot descriptors: the costing loop builds one per
+    candidate, so construction is kept to four C-level stores.
     """
 
-    cpu: float = 0.0
-    io: float = 0.0
-    io_weight: float = 100.0
+    __slots__ = ("cpu", "io", "io_weight", "_total")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_total", self.cpu + self.io * self.io_weight)
+    cpu: float
+    io: float
+    io_weight: float
+
+    def __init__(self, cpu: float = 0.0, io: float = 0.0, io_weight: float = 100.0):
+        _set_cpu(self, cpu)
+        _set_io(self, io)
+        _set_io_weight(self, io_weight)
+        _set_total(self, cpu + io * io_weight)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.cpu, self.io, self.io_weight))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(cpu={self.cpu!r}, io={self.io!r}, "
+            f"io_weight={self.io_weight!r})"
+        )
 
     def total(self) -> float:
         """CPU plus weighted I/O."""
@@ -202,10 +227,16 @@ class CpuIoCost(Cost):
         return CpuIoCost(self.cpu - other.cpu, self.io - other.io, self.io_weight)
 
     def __hash__(self):
-        return hash((self.cpu, self.io, self.io_weight))
+        return hash(self._total)
 
     def __str__(self) -> str:
         return f"cpu={self.cpu:.1f} io={self.io:.1f} (total {self.total():.1f})"
+
+
+_set_cpu = CpuIoCost.cpu.__set__  # type: ignore[attr-defined]
+_set_io = CpuIoCost.io.__set__  # type: ignore[attr-defined]
+_set_io_weight = CpuIoCost.io_weight.__set__  # type: ignore[attr-defined]
+_set_total = CpuIoCost._total.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +301,7 @@ class ResourceCost(Cost):
         )
 
     def __hash__(self):
-        return hash((self.cpu, self.io, self.working_set, self.memory_bytes))
+        return hash(self._total)
 
     def __str__(self) -> str:
         return (

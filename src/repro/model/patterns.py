@@ -19,7 +19,7 @@ available to condition code and rewrite functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.algebra.expressions import LogicalExpression, group_leaf
 from repro.errors import PatternError
@@ -63,6 +63,15 @@ class OpPattern(Pattern):
     """Matches a node with a specific logical operator.
 
     ``args_as`` optionally binds the matched node's args tuple.
+
+    Construction compiles the pattern into the flat plan
+    :func:`match_memo` walks: ``(head, loops)``, where ``head`` lists the
+    top node's bindings as ``(name, input index)`` pairs (index ``None``
+    binds the args) and each loop is ``(source level, source index,
+    operator, arity, bindings)`` — one per nested ``OpPattern``, in
+    pre-order, each nested inside the ones before it.  A loop's
+    bindings are ``(name, level, index)`` triples read from the top
+    node (level 0) or the expression loop ``level`` stands on.
     """
 
     operator: str
@@ -74,6 +83,7 @@ class OpPattern(Pattern):
             raise PatternError("OpPattern needs an operator name")
         if not isinstance(self.inputs, tuple):
             object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "_plan", _compile_match_plan(self))
 
     def __str__(self) -> str:
         parts = [self.operator]
@@ -81,6 +91,35 @@ class OpPattern(Pattern):
             parts.append(f"[?{self.args_as}]")
         parts.extend(str(p) for p in self.inputs)
         return "(" + " ".join(parts) + ")"
+
+
+def _compile_match_plan(pattern: OpPattern) -> Tuple[tuple, tuple]:
+    """The ``(head, loops)`` match plan of ``pattern`` (see :class:`OpPattern`).
+
+    Nodes are visited in pre-order, a nested node's inputs before its
+    right siblings, which is the order the bindings' keys take.
+    """
+    head: List[tuple] = [] if pattern.args_as is None else [(pattern.args_as, None)]
+    loops: List[tuple] = []
+    actions: List[tuple] = head
+    todo = [(node, 0, index) for index, node in enumerate(pattern.inputs)]
+    while todo:
+        node, level, index = todo.pop(0)
+        if isinstance(node, AnyPattern):
+            if actions is head:
+                head.append((node.name, index))
+            else:
+                actions.append((node.name, level, index))
+        elif isinstance(node, OpPattern):
+            nested = len(loops) + 1
+            actions = [] if node.args_as is None else [(node.args_as, nested, None)]
+            loops.append((level, index, node.operator, len(node.inputs), actions))
+            todo[:0] = [(sub, nested, i) for i, sub in enumerate(node.inputs)]
+        # Anything else is not a pattern node; validate_pattern rejects it.
+    return tuple(head), tuple(
+        (level, index, operator, arity, tuple(actions))
+        for level, index, operator, arity, actions in loops
+    )
 
 
 def pattern_leaves(pattern: Pattern) -> Tuple[str, ...]:
@@ -164,41 +203,49 @@ def match_memo(
     argument tuples.  The caller (the search engine) is responsible for
     exploring input groups before matching, so that every equivalent
     expression is visible to nested pattern nodes.
+
+    The walk follows the pattern's compiled plan (see
+    :class:`OpPattern`): the top node's bindings, then one loop per
+    nested ``OpPattern`` node, innermost last, each entered lazily when
+    the loops around it have matched — so a rule fired mid-enumeration
+    is seen by the loops still to run.
     """
     if pattern.operator != operator or len(pattern.inputs) != len(input_groups):
         return
-    base: Binding = {}
-    if pattern.args_as is not None:
-        base[pattern.args_as] = args
-    yield from _match_inputs(pattern.inputs, input_groups, base, expressions_of)
-
-
-def _match_inputs(patterns, groups, binding, expressions_of) -> Iterator[Binding]:
-    if not patterns:
-        yield dict(binding)
+    head, loops = pattern._plan  # type: ignore[attr-defined]
+    binding: Binding = {}
+    for name, index in head:
+        binding[name] = args if index is None else group_leaf(input_groups[index])
+    if not loops:
+        yield binding
         return
-    head, rest_patterns = patterns[0], patterns[1:]
-    head_group, rest_groups = groups[0], groups[1:]
-    if isinstance(head, AnyPattern):
-        binding[head.name] = group_leaf(head_group)
-        yield from _match_inputs(rest_patterns, rest_groups, binding, expressions_of)
-        del binding[head.name]
-        return
-    # OpPattern one level down: try every expression of the input group.
-    for operator, args, input_groups in expressions_of(head_group):
-        if head.operator != operator or len(head.inputs) != len(input_groups):
+    # scopes[k] is the (args, input groups) of level k: 0 is the top node,
+    # k the expression loop k currently stands on.
+    scopes: List[Tuple[Tuple, Tuple[int, ...]]] = [(args, input_groups)]
+    pending = [iter(expressions_of(input_groups[loops[0][1]]))]
+    innermost = len(loops)
+    while pending:
+        depth = len(pending)
+        _, _, loop_operator, arity, actions = loops[depth - 1]
+        for found_operator, found_args, found_groups in pending[-1]:
+            if found_operator == loop_operator and len(found_groups) == arity:
+                break
+        else:
+            pending.pop()
             continue
-        added = []
-        if head.args_as is not None:
-            binding[head.args_as] = args
-            added.append(head.args_as)
-        # Patterns nested deeper than two levels recurse the same way.
-        for sub_binding in _match_inputs(
-            head.inputs, input_groups, binding, expressions_of
-        ):
-            # sub_binding is a fresh copy holding everything in ``binding``.
-            yield from _match_inputs(
-                rest_patterns, rest_groups, sub_binding, expressions_of
+        del scopes[depth:]
+        scopes.append((found_args, found_groups))
+        for name, level, index in actions:
+            level_args, level_groups = scopes[level]
+            binding[name] = (
+                level_args if index is None else group_leaf(level_groups[index])
             )
-        for name in added:
-            del binding[name]
+        if depth == innermost:
+            # Keys keep the plan's order: each is first written in plan
+            # order and later loops only overwrite values.
+            yield dict(binding)
+        else:
+            source_level, source_index = loops[depth][0], loops[depth][1]
+            pending.append(
+                iter(expressions_of(scopes[source_level][1][source_index]))
+            )

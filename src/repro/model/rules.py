@@ -117,15 +117,13 @@ class ImplementationRule:
                 f"rule {self.name!r}: the pattern root must be an OpPattern"
             )
         validate_pattern(self.pattern)
+        #: Leaf names supplying the algorithm's inputs, left to right
+        #: (read on every binding, so computed once here).
+        self.input_names: Tuple[str, ...] = pattern_leaves(self.pattern)
 
     @property
     def top_operator(self) -> str:
         return self.pattern.operator
-
-    @property
-    def input_names(self) -> Tuple[str, ...]:
-        """Leaf names supplying the algorithm's inputs, left to right."""
-        return pattern_leaves(self.pattern)
 
     def applies(self, binding: Binding, context) -> bool:
         """Run the rule's condition code (True when absent)."""

@@ -68,7 +68,12 @@ from repro.model.context import OptimizerContext
 from repro.model.cost import Cost, INFINITE_COST
 from repro.model.patterns import match_memo
 from repro.model.rules import ImplementationRule, TransformationRule
-from repro.model.spec import AlgorithmNode, EnforcerApplication, ModelSpecification
+from repro.model.spec import (
+    AlgorithmDef,
+    AlgorithmNode,
+    EnforcerApplication,
+    ModelSpecification,
+)
 from repro.options import (
     BudgetMeter,
     BudgetReport,
@@ -209,23 +214,27 @@ class OptimizationResult:
 class _AlgorithmMove:
     """One costed candidate source: an implementation rule binding.
 
-    ``applicability`` memoizes ``(algorithm, node, alternatives, local
-    cost)`` per required property vector: move objects live in the
+    ``algorithm`` is the rule's :class:`~repro.model.spec.AlgorithmDef`,
+    resolved once when the move is built.  ``applicability`` memoizes
+    ``(algorithm, node, alternatives, local cost)`` per required
+    property vector: move objects live in the
     per-run moves cache and are revisited once per property goal on
     their group, and the model calls are pure within a run.  Keying the
     cache on the move object itself (instead of a run-global dict keyed
     by the full move identity) makes the hit path one small-dict probe.
     """
 
-    __slots__ = ("rule", "args", "input_groups", "applicability", "node")
+    __slots__ = ("rule", "algorithm", "args", "input_groups", "applicability", "node")
 
     def __init__(
         self,
         rule: ImplementationRule,
+        algorithm: AlgorithmDef,
         args: Tuple,
         input_groups: Tuple[int, ...],
     ):
         self.rule = rule
+        self.algorithm = algorithm
         self.args = args
         self.input_groups = input_groups
         self.applicability: Dict = {}
@@ -642,6 +651,7 @@ class VolcanoOptimizer:
         """
         memo, stats, context = run.memo, run.stats, run.context
         options, meter = run.options, run.meter
+        expressions_of = memo.expressions_of
         changed = False
         index = 0
         # Kernelized runs dispatch through the kernel's (rule, matcher)
@@ -672,20 +682,31 @@ class VolcanoOptimizer:
                 ):
                     stats.moves_pruned += 1
                     continue
-                for binding in memo.rule_bindings(rule.pattern, mexpr, matcher):
+                condition = rule.condition
+                bindings = (
+                    matcher(mexpr.args, mexpr.input_groups, expressions_of)
+                    if matcher is not None
+                    else match_memo(
+                        rule.pattern,
+                        mexpr.operator,
+                        mexpr.args,
+                        mexpr.input_groups,
+                        expressions_of,
+                    )
+                )
+                for binding in bindings:
                     # Bindings are built in pattern-traversal order, so
                     # equal bindings always itemize identically — the
                     # tuple is as injective as a frozenset and cheaper.
-                    fingerprint = (
-                        rule.name,
-                        mexpr,
-                        tuple(binding.items()),
-                    )
-                    if fingerprint in group.applied:
+                    # One probe: a fingerprint already applied leaves the
+                    # set's size unchanged.
+                    applied = group.applied
+                    seen = len(applied)
+                    applied.add((rule.name, mexpr, tuple(binding.items())))
+                    if len(applied) == seen:
                         continue
-                    group.applied.add(fingerprint)
                     stats.rule_bindings_tried += 1
-                    if not rule.applies(binding, context):
+                    if condition is not None and not condition(binding, context):
                         continue
                     results = rule.rewrite(binding, context)
                     if results is None:
@@ -721,8 +742,8 @@ class VolcanoOptimizer:
         depth: int,
     ) -> Optional[Winner]:
         memo, stats = run.memo, run.stats
-        gid = memo.canonical(gid)
         group = memo.group(gid)
+        gid = group.id
         key: GoalKey = memo.goal_key(required, excluded)
         stats.find_best_plan_calls += 1
         if run.metered:
@@ -895,7 +916,7 @@ class VolcanoOptimizer:
                 delivered = algorithm.derive_props(
                     context,
                     node,
-                    tuple(winner.plan.properties for winner in input_winners),
+                    tuple([winner.plan.properties for winner in input_winners]),
                 )
                 if not spec.props_cover(delivered, required):
                     # The applicability function over-promised; skip (a
@@ -984,8 +1005,12 @@ class VolcanoOptimizer:
         )
         moves: List[_AlgorithmMove] = []
         seen = set()
+        canonical = memo.canonical
+        # Rules name algorithms the specification declares (validated).
+        algorithms = self.spec.algorithms
         for mexpr in group.expressions:
             for rule, matcher in implementations.get(mexpr.operator, ()):
+                condition, input_names = rule.condition, rule.input_names
                 bindings = (
                     matcher(mexpr.args, mexpr.input_groups, expressions_of)
                     if matcher is not None
@@ -999,21 +1024,24 @@ class VolcanoOptimizer:
                 )
                 for binding in bindings:
                     run.stats.rule_bindings_tried += 1
-                    if not rule.applies(binding, context):
+                    if condition is not None and not condition(binding, context):
                         continue
                     if rule.build_args is not None:
                         args = tuple(rule.build_args(binding, context))
                     else:
                         args = mexpr.args
                     input_groups = tuple(
-                        memo.canonical(binding[name].args[0])
-                        for name in rule.input_names
+                        [canonical(binding[name].args[0]) for name in input_names]
                     )
                     fingerprint = (rule.algorithm, args, input_groups)
                     if fingerprint in seen:
                         continue
                     seen.add(fingerprint)
-                    moves.append(_AlgorithmMove(rule, args, input_groups))
+                    moves.append(
+                        _AlgorithmMove(
+                            rule, algorithms[rule.algorithm], args, input_groups
+                        )
+                    )
         moves.sort(key=lambda move: -move.rule.promise)
         memo.store_moves(group.id, probes, tuple(moves))
         return moves
@@ -1040,13 +1068,13 @@ class VolcanoOptimizer:
         The caller has already missed ``move.applicability``.
         """
         memo = run.memo
-        algorithm = self.spec.algorithm(move.rule.algorithm)
+        algorithm = move.algorithm
         node = move.node
         if node is None:
             node = AlgorithmNode(
                 move.args,
                 group.logical_props,
-                tuple(memo.logical_props(gid) for gid in move.input_groups),
+                tuple([memo.logical_props(gid) for gid in move.input_groups]),
             )
             move.node = node
         alternatives = algorithm.applicability(run.context, node, required)

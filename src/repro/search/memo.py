@@ -49,7 +49,7 @@ Performance internals (see docs/search-internals.md):
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.algebra.expressions import GROUP_LEAF, LogicalExpression
@@ -64,7 +64,6 @@ from repro.search.tracing import SearchStats
 __all__ = ["GroupExpression", "Winner", "Group", "Memo", "GoalKey"]
 
 
-@dataclass(frozen=True, eq=False)
 class GroupExpression:
     """A logical expression whose inputs are equivalence classes.
 
@@ -72,26 +71,44 @@ class GroupExpression:
     are the memo's hash-table keys, probed on every insertion), and the
     memo interns canonical instances so most equality checks are
     identity checks.
+
+    A frozen value, slotted and filled through its slot descriptors
+    (every rewrite builds one).  Pickling rebuilds through the
+    constructor, so the hash — of strings, randomized per process — is
+    recomputed wherever the pickle is loaded.
     """
+
+    __slots__ = ("operator", "args", "input_groups", "_hash")
 
     operator: str
     args: Tuple
-    input_groups: Tuple[int, ...] = ()
+    input_groups: Tuple[int, ...]
+    _hash: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.operator, self.args, self.input_groups))
-        )
+    def __init__(self, operator: str, args: Tuple, input_groups: Tuple[int, ...] = ()):
+        _set_operator(self, operator)
+        _set_args(self, args)
+        _set_input_groups(self, input_groups)
+        _set_hash(self, hash((operator, args, input_groups)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.operator, self.args, self.input_groups))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, GroupExpression):
             return NotImplemented
-        if self._hash != other._hash:  # type: ignore[attr-defined]
+        if self._hash != other._hash:
             return False
         return (
             self.operator == other.operator
@@ -99,15 +116,10 @@ class GroupExpression:
             and self.input_groups == other.input_groups
         )
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        object.__setattr__(
-            self, "_hash", hash((self.operator, self.args, self.input_groups))
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(operator={self.operator!r}, "
+            f"args={self.args!r}, input_groups={self.input_groups!r})"
         )
 
     def __str__(self) -> str:
@@ -115,6 +127,12 @@ class GroupExpression:
         args = ", ".join(str(arg) for arg in self.args)
         body = " ".join(part for part in (f"[{args}]" if args else "", inputs) if part)
         return f"({self.operator} {body})" if body else f"({self.operator})"
+
+
+_set_operator = GroupExpression.operator.__set__  # type: ignore[attr-defined]
+_set_args = GroupExpression.args.__set__  # type: ignore[attr-defined]
+_set_input_groups = GroupExpression.input_groups.__set__  # type: ignore[attr-defined]
+_set_hash = GroupExpression._hash.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -333,20 +351,43 @@ class Memo:
         Group leaves resolve to their (canonical) group.  Identical
         subexpressions share groups through the hash table.
         """
-        return self._insert(expression, [])
-
-    def _insert(self, expression: LogicalExpression, created: List[int]) -> int:
-        """``insert_expression``, appending each group it creates to ``created``."""
         if expression.operator == GROUP_LEAF:
             return self.canonical(expression.args[0])
+        return self._insert(expression, [])[0]
+
+    def _insert(
+        self,
+        expression: LogicalExpression,
+        created: List[int],
+        target_group: Optional[int] = None,
+        origin: Optional[Tuple] = None,
+    ) -> Tuple[int, bool]:
+        """Intern a non-leaf expression tree; returns ``(group_id, changed)``.
+
+        Subtrees are interned first, each group they create appended to
+        ``created``; group leaves among the inputs resolve in place,
+        without a call for an unmerged group.  The top node joins
+        ``target_group`` (with ``origin``, see :meth:`add_rewrite`) or,
+        when None, its own group.
+        """
+        groups = self._groups
         input_groups = tuple(
-            [self._insert(node, created) for node in expression.inputs]
+            [
+                (
+                    node.args[0]
+                    if groups[node.args[0]].merged_into is None
+                    else self.canonical(node.args[0])
+                )
+                if node.operator == GROUP_LEAF
+                else self._insert(node, created)[0]
+                for node in expression.inputs
+            ]
         )
         mexpr = GroupExpression(expression.operator, expression.args, input_groups)
-        group_id, is_new = self._intern(mexpr, target_group=None)
-        if is_new:
+        group_id, changed = self._intern(mexpr, target_group, origin)
+        if changed and target_group is None:
             created.append(group_id)
-        return group_id
+        return group_id, changed
 
     def add_expression_to_group(
         self, expression: LogicalExpression, group_id: int
@@ -386,11 +427,7 @@ class Memo:
                 return False, created
             self._merge(group_id, other)
             return True, created
-        input_groups = tuple(
-            [self._insert(node, created) for node in expression.inputs]
-        )
-        mexpr = GroupExpression(expression.operator, expression.args, input_groups)
-        _, changed = self._intern(mexpr, group_id, origin)
+        _, changed = self._insert(expression, created, group_id, origin)
         return changed, created
 
     def _intern(
@@ -494,7 +531,7 @@ class Memo:
 
     def _derive_props(self, mexpr: GroupExpression) -> LogicalProperties:
         input_props = tuple(
-            self.group(gid).logical_props for gid in mexpr.input_groups
+            [self.group(gid).logical_props for gid in mexpr.input_groups]
         )
         return self.context.derive_logical_props(
             mexpr.operator, mexpr.args, input_props
@@ -507,18 +544,14 @@ class Memo:
         for mexpr in self.group(gid).expressions:
             yield mexpr.operator, mexpr.args, mexpr.input_groups
 
-    def rule_bindings(self, pattern, mexpr: GroupExpression, matcher=None):
+    def rule_bindings(self, pattern, mexpr: GroupExpression):
         """Enumerate a rule pattern's bindings on one group expression.
 
-        Lazy: the engine fires rules mid-iteration and the live
-        generator must see their effects.  ``matcher`` is an optional
-        specialized binding enumerator (a generated kernel's unrolled
-        equivalent of :func:`~repro.model.patterns.match_memo` for this
-        pattern — see :mod:`repro.generator.kernel`) yielding the same
-        bindings in the same order.
+        Lazy, like every matcher: a rule fired mid-iteration is seen by
+        the loops still to run.  (The engine's two binding loops call
+        :func:`~repro.model.patterns.match_memo`, or a generated kernel's
+        matcher, themselves.)
         """
-        if matcher is not None:
-            return matcher(mexpr.args, mexpr.input_groups, self.expressions_of)
         return match_memo(
             pattern,
             mexpr.operator,

@@ -160,27 +160,29 @@ def test_figure4_smoke_run_audits_clean():
 
 
 @pytest.mark.parametrize(
-    "size, groups, expressions, costings, moves_hit_rate, violations",
+    "size, groups, expressions, costings, fired, tried, moves_hit_rate, violations",
     [
-        (4, 14, 28, 640, 0.52, 0),
-        (6, 30.5, 103, 2340, 0.59, 0),
+        (4, 14, 28, 640, 300, 920, 0.52, 0),
+        (6, 30.5, 103, 2340, 1840, 4770, 0.59, 0),
         # The two M005 findings at n=8 are the sub-goal optimality gap
         # of ROADMAP item 1(1): they may fall, never rise.
-        (8, 72.1, 402.6, 10339, 0.63, 2),
+        (8, 72.1, 402.6, 10339, 9924, 23954, 0.63, 2),
     ],
     ids=["n4", "n6", "n8"],
 )
 def test_figure4_points_pin_search_counts(
-    size, groups, expressions, costings, moves_hit_rate, violations
+    size, groups, expressions, costings, fired, tried, moves_hit_rate, violations
 ):
     """Figure 4's workload, 10 queries per size, seed 1993, audited.
 
-    The memo sizes and costings are deterministic for the seed: a drift
-    means the search changed.  The moves-cache hit rate may only rise.
+    The memo sizes, costings, rule firings and bindings tried are
+    deterministic for the seed: a drift means the search changed.  The
+    moves-cache hit rate may only rise.
     """
     spec = relational_model()
     options = SearchOptions(check_consistency=False)
     total_groups = total_expressions = total_costings = found = 0
+    total_fired = total_tried = 0
     moves_hits = moves_misses = 0
     for query in QueryGenerator().generate_batch(size, 10, seed=1993):
         optimizer = VolcanoOptimizer(spec, query.catalog, options)
@@ -189,11 +191,15 @@ def test_figure4_points_pin_search_counts(
         total_groups += stats.groups_created
         total_expressions += stats.expressions_created
         total_costings += stats.algorithm_costings
+        total_fired += stats.rules_fired
+        total_tried += stats.rule_bindings_tried
         moves_hits += stats.moves_cache_hits
         moves_misses += stats.moves_cache_misses
         found += len(auditor.violations)
     assert total_groups / 10 == pytest.approx(groups)
     assert total_expressions / 10 == pytest.approx(expressions)
     assert total_costings == costings
+    assert total_fired == fired
+    assert total_tried == tried
     assert moves_hits / (moves_hits + moves_misses) >= moves_hit_rate
     assert found <= violations
