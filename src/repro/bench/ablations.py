@@ -125,11 +125,9 @@ def run_shape_complexity(
                 started = time.perf_counter()
                 result = optimizer.optimize(query.query)
                 times.append(time.perf_counter() - started)
-                root = max(
-                    result.memo.groups(),
-                    key=lambda group: len(group.logical_props.tables),
-                ).id
-                counts.append(count_logical_expressions(result.memo, root))
+                counts.append(
+                    count_logical_expressions(result.memo, result.root_group)
+                )
             measurements[shape] = (
                 statistics.mean(times),
                 statistics.mean(counts),

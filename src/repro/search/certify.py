@@ -7,10 +7,12 @@ memo into the :class:`~repro.verify.certificate.PlanCertificate` the
 independent checker (:func:`repro.verify.verify_plan`) consumes:
 
 * the **frontier** — the logical expression the plan structurally
-  implements — is reconstructed by one function that re-matches each
-  node's claimed implementation rule against its group's members (or,
-  for a plan from a memo-less engine, the first rule that justifies the
-  node);
+  implements — is reconstructed by one function that reads the search's
+  own implementation moves on each node's group
+  (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`, handed
+  to the builder as ``moves``) and realizes the claimed move's binding
+  (or, for a plan from a memo-less engine, the first move that justifies
+  the node) — the certifier enumerates no rule bindings of its own;
 * the **derivation chain** proving source ⟶ frontier is read from the
   search's own record: the memo keeps, per member, the rewrite that
   first brought it into its class (:attr:`Memo.derivations`), and
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import GROUP_LEAF, LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -56,6 +58,9 @@ from repro.verify.certificate import (
     NodeClaim,
     PlanCertificate,
 )
+
+if TYPE_CHECKING:
+    from repro.search.engine import _AlgorithmMove
 
 __all__ = [
     "ClaimRecord",
@@ -113,16 +118,16 @@ class CertificateBuilder:
         self,
         spec: ModelSpecification,
         memo: Memo,
-        claims: Optional[Mapping[int, object]] = None,
+        claims: Optional[Mapping[int, object]],
+        moves: Callable[[int], Sequence[_AlgorithmMove]],
     ):
         self.spec = spec
         self.memo = memo
         self.context = memo.context
         self.claims = claims if claims is not None else {}
-        self._impl_by_name = {rule.name: rule for rule in spec.implementations}
-        self._impl_by_algorithm: Dict[str, List] = {}
-        for rule in spec.implementations:
-            self._impl_by_algorithm.setdefault(rule.algorithm, []).append(rule)
+        #: ``gid`` → the search's implementation moves on that group
+        #: (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`).
+        self.moves = moves
         #: id(plan node) → frontier subexpression (exposed for sharing).
         self.frontiers: Dict[int, LogicalExpression] = {}
         self._records: Dict[int, ClaimRecord] = {}
@@ -234,55 +239,58 @@ class CertificateBuilder:
     ) -> Tuple[ClaimRecord, LogicalExpression]:
         """The node's frontier in group ``gid`` and the record justifying it.
 
-        A record that names a rule pins that rule and its canonical input
-        groups, and keeps the engine's exact cost terms.  With no record
-        (a plan from a memo-less engine, certified over a fresh closure
-        by :func:`standalone_certificate`) the first rule that justifies
-        the node is taken and its cost terms are recomputed.
+        Candidates are the search's own moves on the group that build the
+        node's algorithm with the node's arguments.  A record that names a
+        rule pins that rule and its canonical input groups, and keeps the
+        engine's exact cost terms.  With no record (a plan from a
+        memo-less engine, certified over a fresh closure by
+        :func:`standalone_certificate`) the first move that justifies the
+        node is taken and its cost terms are recomputed.
         """
-        pinned = None
-        if record is not None and record.rule is not None:
-            rule = self._impl_by_name.get(record.rule)
-            if rule is None or rule.algorithm != node.algorithm:
-                raise _ChainFail(f"claimed rule {record.rule!r} does not fit")
-            rules = (rule,)
-            pinned = tuple(self.memo.canonical(g) for g in record.input_groups)
-        else:
-            rules = [
-                rule
-                for rule in self._impl_by_algorithm.get(node.algorithm, ())
-                if len(rule.input_names) == len(node.inputs)
-            ]
-        for rule in rules:
-            for member, binding, args, leaf_gids in self._rule_sites(rule, gid):
-                if args != node.args or (pinned is not None and leaf_gids != pinned):
+        canonical = self.memo.canonical
+        pinned = record if record is not None and record.rule is not None else None
+        pinned_groups = (
+            () if pinned is None else tuple(canonical(g) for g in pinned.input_groups)
+        )
+        for move in self.moves(gid):
+            rule = move.rule
+            if rule.algorithm != node.algorithm or move.args != node.args:
+                continue
+            leaf_gids = tuple(canonical(g) for g in move.input_groups)
+            if pinned is not None:
+                if rule.name != pinned.rule or leaf_gids != pinned_groups:
                     continue
-                try:
-                    children = [
-                        self._frontier_of(child, g)
-                        for child, g in zip(node.inputs, leaf_gids)
-                    ]
-                except _ChainFail:
-                    continue
-                frontier = self._realize_rule(rule, binding, gid, children)
-                if frontier is None:
-                    continue
-                if pinned is None:
-                    output = self.memo.group(gid).logical_props
-                    inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
-                    local = self.spec.algorithm(node.algorithm).cost(
-                        self.context, AlgorithmNode(node.args, output, inputs)
-                    )
-                    record = ClaimRecord(
-                        rule=rule.name,
-                        gid=gid,
-                        input_groups=leaf_gids,
-                        local=local,
-                        output=output,
-                        inputs=inputs,
-                    )
-                return record, frontier
-        raise _ChainFail(f"no rule justifies {node.algorithm!r} in g{gid}")
+            elif len(leaf_gids) != len(node.inputs):
+                continue
+            try:
+                children = [
+                    self._frontier_of(child, g)
+                    for child, g in zip(node.inputs, leaf_gids)
+                ]
+            except _ChainFail:
+                continue
+            frontier = self._realize_rule(rule, move.binding, gid, children)
+            if frontier is None:
+                continue
+            if pinned is not None:
+                return pinned, frontier
+            output = self.memo.group(gid).logical_props
+            inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
+            local = move.algorithm.cost(
+                self.context, AlgorithmNode(node.args, output, inputs)
+            )
+            return (
+                ClaimRecord(
+                    rule=rule.name,
+                    gid=gid,
+                    input_groups=leaf_gids,
+                    local=local,
+                    output=output,
+                    inputs=inputs,
+                ),
+                frontier,
+            )
+        raise _ChainFail(f"no move justifies {node.algorithm!r} in g{gid}")
 
     def _realize_rule(self, rule, binding, gid: int, children):
         """The rule's pattern in group ``gid`` with the plan inputs'
@@ -294,31 +302,6 @@ class CertificateBuilder:
         if frontier is None or self._resolve(frontier) != gid:
             return None
         return frontier
-
-    def _rule_sites(self, rule, gid: int):
-        """(member, binding, args, leaf group ids) for every way ``rule``
-        fires on the group — re-enumerated from the live memo."""
-        memo = self.memo
-        for member in list(memo.group(gid).expressions):
-            if member.operator != rule.top_operator:
-                continue
-            member = self._canon_member(member)
-            for binding in memo.rule_bindings(rule.pattern, member):
-                try:
-                    if not rule.applies(binding, self.context):
-                        continue
-                    args = (
-                        tuple(rule.build_args(binding, self.context))
-                        if rule.build_args is not None
-                        else member.args
-                    )
-                except ReproError:
-                    continue
-                leaf_gids = tuple(
-                    memo.canonical(binding[name].args[0])
-                    for name in rule.input_names
-                )
-                yield member, binding, args, leaf_gids
 
     def _realize(
         self,
@@ -770,31 +753,17 @@ def certify_result(
     spec: ModelSpecification,
     source: LogicalExpression,
     *,
-    catalog=None,
+    catalog,
     estimator=None,
-    claims: Optional[Mapping[int, object]] = None,
     engine: str = "",
 ) -> PlanCertificate:
-    """Certificate for any engine's :class:`OptimizationResult`.
+    """Certificate for a memo-less engine's result (EXODUS, System R).
 
-    Memo-carrying results are certified against their own memo (using
-    engine-recorded claims when given); memo-less results (EXODUS,
-    System R) go through :func:`standalone_certificate`, which explores
-    a fresh closure memo over the source to reconstruct provenance.
+    Goes through :func:`standalone_certificate`, which explores a fresh
+    closure memo over the source to reconstruct provenance.  (A Volcano
+    result carries its own certificate when
+    :attr:`~repro.search.SearchOptions.certificates` is on.)
     """
-    memo = getattr(result, "memo", None)
-    engine = engine or type(result).__name__.replace("Result", "")
-    if memo is not None:
-        builder = CertificateBuilder(spec, memo, claims)
-        return builder.certify(
-            source,
-            result.plan,
-            result.required,
-            degraded=bool(getattr(result, "degraded", False)),
-            engine=engine,
-        )
-    if catalog is None:
-        raise SearchError("certifying a memo-less result needs a catalog")
     return standalone_certificate(
         spec,
         catalog,
@@ -803,7 +772,7 @@ def certify_result(
         result.required,
         estimator=estimator,
         degraded=bool(getattr(result, "degraded", False)),
-        engine=engine,
+        engine=engine or type(result).__name__.replace("Result", ""),
     )
 
 
@@ -822,8 +791,9 @@ def standalone_certificate(
 
     Used for engines that do not expose a memo (the EXODUS and System R
     baselines).  Rule attribution and cost terms are synthesized from
-    the closure memo, so the certificate is exactly as strong as the
-    claim that the plan's choices are re-derivable from the model.
+    the closure memo and the explorer's own implementation moves on it,
+    so the certificate is exactly as strong as the claim that the plan's
+    choices are re-derivable from the model.
     """
     # Imported here: this module must not depend on the engine at import
     # time (the engine imports ClaimRecord from us).
@@ -833,7 +803,7 @@ def standalone_certificate(
     run = explorer._new_run(explorer.options)
     root = run.memo.insert_expression(source)
     explorer._explore_closure(run, root)
-    builder = CertificateBuilder(spec, run.memo, claims=None)
+    builder = CertificateBuilder(spec, run.memo, None, explorer._run_moves(run))
     return builder.certify(
         source, plan, required, degraded=degraded, engine=engine
     )

@@ -66,7 +66,7 @@ from repro.errors import (
 )
 from repro.model.context import OptimizerContext
 from repro.model.cost import Cost, INFINITE_COST
-from repro.model.patterns import match_memo
+from repro.model.patterns import Binding, match_memo
 from repro.model.rules import ImplementationRule, TransformationRule
 from repro.model.spec import (
     AlgorithmDef,
@@ -215,7 +215,9 @@ class _AlgorithmMove:
     """One costed candidate source: an implementation rule binding.
 
     ``algorithm`` is the rule's :class:`~repro.model.spec.AlgorithmDef`,
-    resolved once when the move is built.  ``applicability`` memoizes
+    resolved once when the move is built; ``binding`` is the binding the
+    move was discovered with (the certifier realizes frontiers from it).
+    ``applicability`` memoizes
     ``(algorithm, node, alternatives, local cost)`` per required
     property vector: move objects live in the
     per-run moves cache and are revisited once per property goal on
@@ -224,17 +226,21 @@ class _AlgorithmMove:
     by the full move identity) makes the hit path one small-dict probe.
     """
 
-    __slots__ = ("rule", "algorithm", "args", "input_groups", "applicability", "node")
+    __slots__ = (
+        "rule", "algorithm", "binding", "args", "input_groups", "applicability", "node"
+    )
 
     def __init__(
         self,
         rule: ImplementationRule,
         algorithm: AlgorithmDef,
+        binding: Binding,
         args: Tuple,
         input_groups: Tuple[int, ...],
     ):
         self.rule = rule
         self.algorithm = algorithm
+        self.binding = binding
         self.args = args
         self.input_groups = input_groups
         self.applicability: Dict = {}
@@ -460,7 +466,9 @@ class VolcanoOptimizer:
             # identical frontier subexpressions in every certificate,
             # which the sharing pass's certifier relies on.
             builder = (
-                CertificateBuilder(self.spec, memo, run.claims)
+                CertificateBuilder(
+                    self.spec, memo, run.claims, self._run_moves(run)
+                )
                 if options.certificates
                 else None
             )
@@ -583,7 +591,7 @@ class VolcanoOptimizer:
         if winner is not None and not winner.cost <= limit:
             winner = None
         if winner is None:
-            plan = greedy_plan(memo, run.context, gid, required, claims=run.claims)
+            plan = greedy_plan(self, run, gid, required)
             if plan is not None and plan.cost <= limit:
                 run.stats.greedy_plans += 1
                 winner = Winner(plan, plan.cost)
@@ -857,12 +865,6 @@ class VolcanoOptimizer:
             bound_total = bound._total
             candidate: Optional[Winner] = None
             for input_requirements in alternatives:
-                if len(input_requirements) != len(move.input_groups):
-                    raise SearchError(
-                        f"algorithm {algorithm.name!r} returned "
-                        f"{len(input_requirements)} input requirements for "
-                        f"{len(move.input_groups)} inputs"
-                    )
                 stats.algorithm_costings += 1
                 if metered:
                     run.meter.charge_costing()
@@ -978,9 +980,12 @@ class VolcanoOptimizer:
     def _algorithm_moves(self, run: _SearchRun, group: Group) -> List[_AlgorithmMove]:
         """Implementation-rule bindings over every expression of a group.
 
-        Memoized per group: the same group is typically optimized for
-        several property goals, and the binding enumeration is identical
-        for each (promises are goal-independent).  The cache records
+        The one enumerator of implementation-rule bindings: the greedy
+        fallback, :func:`~repro.search.extract.alternative_plans` and the
+        certificate builder read these moves rather than matching rules
+        themselves.  Memoized per group: the same group is typically
+        optimized for several property goals, and the binding enumeration
+        is identical for each (promises are goal-independent).  The cache records
         which groups the pattern matcher read and is dropped exactly
         when any of them changes — see
         :meth:`repro.search.memo.Memo.cached_moves`.  The returned list
@@ -1039,12 +1044,18 @@ class VolcanoOptimizer:
                     seen.add(fingerprint)
                     moves.append(
                         _AlgorithmMove(
-                            rule, algorithms[rule.algorithm], args, input_groups
+                            rule, algorithms[rule.algorithm], binding, args,
+                            input_groups,
                         )
                     )
         moves.sort(key=lambda move: -move.rule.promise)
         memo.store_moves(group.id, probes, tuple(moves))
         return moves
+
+    def _run_moves(self, run: _SearchRun) -> Callable[[int], List[_AlgorithmMove]]:
+        """``gid`` → the group's moves over ``run``: what a certificate
+        builder reads to realize each plan node's frontier."""
+        return lambda gid: self._algorithm_moves(run, run.memo.group(gid))
 
     def _move_applicability(
         self,
@@ -1065,7 +1076,9 @@ class VolcanoOptimizer:
         group drops the moves and their caches together.  Budget accounting is
         untouched: callers still charge one costing per alternative
         pursued, so degraded/anytime semantics are byte-compatible.
-        The caller has already missed ``move.applicability``.
+        The caller has already missed ``move.applicability``.  An
+        alternative whose arity differs from the move's inputs is a model
+        error, raised here once per (move, required vector).
         """
         memo = run.memo
         algorithm = move.algorithm
@@ -1078,6 +1091,13 @@ class VolcanoOptimizer:
             )
             move.node = node
         alternatives = algorithm.applicability(run.context, node, required)
+        for input_requirements in alternatives or ():
+            if len(input_requirements) != len(move.input_groups):
+                raise SearchError(
+                    f"algorithm {algorithm.name!r} returned "
+                    f"{len(input_requirements)} input requirements for "
+                    f"{len(move.input_groups)} inputs"
+                )
         local = algorithm.cost(run.context, node) if alternatives else None
         entry = (algorithm, node, alternatives, local)
         move.applicability[required] = entry

@@ -1,15 +1,20 @@
-"""Extract alternative plans from a solved memo.
+"""Read plans out of a solved (or partially solved) memo.
 
 After an optimization run the memo holds not just the winner but the
 whole explored space.  These utilities enumerate alternative plans of an
 equivalence class — useful for debugging cost models, teaching, and for
-tests that check every memoized plan computes the same result.
+tests that check every memoized plan computes the same result — and
+build the greedy plan of a budget-tripped search.
 
-Enumeration is *logical-space complete* but physically one-level: for
-each expression of the class it builds each applicable algorithm over
-the recorded per-goal winners of the input classes.  (Enumerating every
-combination of sub-alternatives would be exponential; for full
-exhaustive costing see ``tests/helpers.BruteForceOracle``.)
+Neither enumerates rule bindings of its own: both read the engine's move
+list (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`)
+and its cached per-goal applicability and local cost
+(:meth:`~repro.search.engine.VolcanoOptimizer._move_applicability`), so
+they see exactly the moves the search costed.  Alternatives are
+physically one-level: each move's algorithm over the recorded per-goal
+winners of its input classes.  (Enumerating every combination of
+sub-alternatives would be exponential; for full exhaustive costing see
+``tests/helpers.BruteForceOracle``.)
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ from typing import List, Optional
 
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
-from repro.model.context import OptimizerContext
-from repro.model.spec import AlgorithmNode, ModelSpecification
+from repro.model.spec import AlgorithmNode
 from repro.search.certify import ClaimRecord
-from repro.search.engine import OptimizationResult
+from repro.search.engine import OptimizationResult, VolcanoOptimizer, _SearchRun
 from repro.search.memo import Memo
 
 __all__ = ["alternative_plans", "count_logical_expressions", "greedy_plan"]
@@ -40,95 +44,69 @@ def count_logical_expressions(memo: Memo, root: int) -> int:
 
 
 def alternative_plans(
+    optimizer: VolcanoOptimizer,
     result: OptimizationResult,
-    spec: ModelSpecification,
-    catalog,
     required: Optional[PhysProps] = None,
     limit: int = 100,
 ) -> List[PhysicalPlan]:
-    """Alternative plans for the optimized query's root class.
+    """Alternative plans for the result's root class.
 
-    Returns up to ``limit`` plans (the winner among them), each satisfying
-    ``required`` (the result's goal by default), costed consistently with
-    the engine.
+    One plan per implementation move of ``result.root_group`` (the
+    engine's own move list, see
+    :meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`) and
+    per input-requirement alternative whose input goals have memoized
+    winners.  Returns up to ``limit`` plans (the winner among them), each
+    satisfying ``required`` (the result's goal by default), costed with
+    the engine's own cached local terms.  ``optimizer`` is the engine that
+    produced ``result``.
     """
-    memo = result.memo
+    memo, root = result.memo, result.root_group
+    if memo is None or root is None:
+        raise ValueError("alternative plans need a memo-based result")
     required = required if required is not None else result.required
-    context = OptimizerContext(spec, catalog)
-    context.group_props_resolver = memo.logical_props
-    root = _root_group(memo)
-    plans: List[PhysicalPlan] = []
-    transformations = {}
-    for rule in spec.implementations:
-        transformations.setdefault(rule.top_operator, []).append(rule)
-
+    run = optimizer._new_run(optimizer.options, memo)
+    spec, context = optimizer.spec, run.context
     group = memo.group(root)
-    for mexpr in group.expressions:
-        for rule in transformations.get(mexpr.operator, ()):
-            for binding in memo.rule_bindings(rule.pattern, mexpr):
-                if not rule.applies(binding, context):
+    plans: List[PhysicalPlan] = []
+    for move in optimizer._algorithm_moves(run, group):
+        algorithm, node, alternatives, local = (
+            move.applicability.get(required)
+            or optimizer._move_applicability(run, group, move, required)
+        )
+        for requirements in alternatives or ():
+            input_plans = []
+            total = local
+            for input_gid, input_required in zip(move.input_groups, requirements):
+                winner = memo.group(input_gid).winners.get((input_required, None))
+                if winner is None:
+                    break
+                input_plans.append(winner.plan)
+                total = total + winner.cost
+            else:
+                delivered = algorithm.derive_props(
+                    context, node, tuple(plan.properties for plan in input_plans)
+                )
+                if not spec.props_cover(delivered, required):
                     continue
-                args = (
-                    tuple(rule.build_args(binding, context))
-                    if rule.build_args is not None
-                    else mexpr.args
-                )
-                input_groups = tuple(
-                    memo.canonical(binding[name].args[0])
-                    for name in rule.input_names
-                )
-                algorithm = spec.algorithm(rule.algorithm)
-                node = AlgorithmNode(
-                    args,
-                    group.logical_props,
-                    tuple(memo.logical_props(gid) for gid in input_groups),
-                )
-                for requirements in algorithm.applicability(
-                    context, node, required
-                ) or ():
-                    input_plans = []
-                    feasible = True
-                    total = algorithm.cost(context, node)
-                    for input_gid, input_required in zip(
-                        input_groups, requirements
-                    ):
-                        winner = memo.group(input_gid).winners.get(
-                            (input_required, None)
-                        )
-                        if winner is None:
-                            feasible = False
-                            break
-                        input_plans.append(winner.plan)
-                        total = total + winner.cost
-                    if not feasible:
-                        continue
-                    delivered = algorithm.derive_props(
-                        context,
-                        node,
-                        tuple(plan.properties for plan in input_plans),
+                plans.append(
+                    PhysicalPlan(
+                        algorithm.name,
+                        move.args,
+                        tuple(input_plans),
+                        properties=delivered,
+                        cost=total,
                     )
-                    if not spec.props_cover(delivered, required):
-                        continue
-                    plans.append(
-                        PhysicalPlan(
-                            algorithm.name,
-                            args,
-                            tuple(input_plans),
-                            properties=delivered,
-                            cost=total,
-                        )
-                    )
-                    if len(plans) >= limit:
-                        return plans
+                )
+                if len(plans) >= limit:
+                    return plans
     return plans
 
 
 def greedy_plan(
-    memo: Memo,
-    context: OptimizerContext,
+    optimizer: VolcanoOptimizer,
+    run: _SearchRun,
     gid: int,
     required: PhysProps,
-    claims: Optional[dict] = None,
 ) -> Optional[PhysicalPlan]:
     """A deterministic first-feasible plan over a (partially) explored memo.
 
@@ -141,8 +119,9 @@ def greedy_plan(
     * memoized winners are reused wherever they exist (they are sound —
       the trip cannot corrupt completed goals);
     * otherwise each goal takes the *first feasible* implementation
-      move, trying moves in descending rule promise (ties broken by
-      discovery order) and alternatives in the algorithm's own order;
+      move of the engine's own move list (descending rule promise, ties
+      broken by discovery order) and alternatives in the algorithm's own
+      order, costed with the engine's cached local terms;
     * when no algorithm can deliver the goal's properties, enforcers
       are tried with their relaxed/excluding vectors, exactly like the
       real search.
@@ -151,12 +130,11 @@ def greedy_plan(
     plan's ``cost`` is honest — just not proven minimal.  Returns
     ``None`` when no valid plan exists in the explored space.
 
-    ``claims`` is an optional provenance sink (the engine's
-    ``_SearchRun.claims``): every plan node built here records a
-    :class:`~repro.search.certify.ClaimRecord` into it, so even
-    degraded plans certify with exact cost terms.
+    When the run records certificates, every plan node built here
+    records a :class:`~repro.search.certify.ClaimRecord` into
+    ``run.claims``, so even degraded plans certify with exact cost terms.
     """
-    return _GreedySearch(memo, context, claims).solve(gid, required, None, set())
+    return _GreedySearch(optimizer, run).solve(gid, required, None, set())
 
 
 class _GreedySearch:
@@ -167,53 +145,19 @@ class _GreedySearch:
     until the cyclic collector's next full pass.
     """
 
-    def __init__(
-        self, memo: Memo, context: OptimizerContext, claims: Optional[dict]
-    ):
-        self.memo = memo
-        self.context = context
-        self.spec = context.spec
-        self.claims = claims
-        self.implementations: dict = {}
-        for rule in self.spec.implementations:
-            self.implementations.setdefault(rule.top_operator, []).append(rule)
+    def __init__(self, optimizer: VolcanoOptimizer, run: _SearchRun):
+        self.optimizer = optimizer
+        self.run = run
         # (gid, required, excluded) -> plan or None; a None is only cached
         # when the failure did not hinge on a cycle refusal (see below).
         self.cache: dict = {}
         self.refusals = 0
 
-    def moves_of(self, group):
-        """The group's implementation moves, in greedy trial order."""
-        memo, context = self.memo, self.context
-        moves = []
-        seen = set()
-        for mexpr in group.expressions:
-            for rule in self.implementations.get(mexpr.operator, ()):
-                for binding in memo.rule_bindings(rule.pattern, mexpr):
-                    if not rule.applies(binding, context):
-                        continue
-                    args = (
-                        tuple(rule.build_args(binding, context))
-                        if rule.build_args is not None
-                        else mexpr.args
-                    )
-                    input_groups = tuple(
-                        memo.canonical(binding[name].args[0])
-                        for name in rule.input_names
-                    )
-                    fingerprint = (rule.algorithm, args, input_groups)
-                    if fingerprint in seen:
-                        continue
-                    seen.add(fingerprint)
-                    moves.append((rule, args, input_groups))
-        # Stable sort: descending promise, discovery order within ties.
-        moves.sort(key=lambda move: -move[0].promise)
-        return moves
-
     def solve(self, goal_gid, goal_required, excluded, path):
         """The first feasible plan for one goal, or None."""
-        memo, context, spec = self.memo, self.context, self.spec
-        cache, claims = self.cache, self.claims
+        optimizer, run = self.optimizer, self.run
+        memo, context, spec = run.memo, run.context, optimizer.spec
+        cache, claims = self.cache, run.claims
         goal_gid = memo.canonical(goal_gid)
         key = (goal_gid, goal_required, excluded)
         if key in cache:
@@ -231,24 +175,17 @@ class _GreedySearch:
         path.add(key)
         before = self.refusals
         try:
-            for rule, args, input_groups in self.moves_of(group):
-                algorithm = spec.algorithm(rule.algorithm)
-                node = AlgorithmNode(
-                    args,
-                    group.logical_props,
-                    tuple(memo.logical_props(g) for g in input_groups),
+            for move in optimizer._algorithm_moves(run, group):
+                algorithm, node, alternatives, local = (
+                    move.applicability.get(goal_required)
+                    or optimizer._move_applicability(run, group, move, goal_required)
                 )
-                for requirements in (
-                    algorithm.applicability(context, node, goal_required) or ()
-                ):
-                    if len(requirements) != len(input_groups):
-                        continue
+                for requirements in alternatives or ():
                     input_plans = []
-                    local = algorithm.cost(context, node)
                     total = local
                     feasible = True
                     for input_gid, input_required in zip(
-                        input_groups, requirements
+                        move.input_groups, requirements
                     ):
                         sub = self.solve(input_gid, input_required, None, path)
                         if sub is None:
@@ -271,7 +208,7 @@ class _GreedySearch:
                         continue
                     plan = PhysicalPlan(
                         algorithm.name,
-                        args,
+                        move.args,
                         tuple(input_plans),
                         properties=delivered,
                         cost=total,
@@ -280,9 +217,9 @@ class _GreedySearch:
                         claims[id(plan)] = (
                             plan,
                             ClaimRecord(
-                                rule=rule.name,
+                                rule=move.rule.name,
                                 gid=goal_gid,
-                                input_groups=input_groups,
+                                input_groups=move.input_groups,
                                 local=local,
                                 output=node.output,
                                 inputs=node.inputs,
@@ -353,15 +290,3 @@ class _GreedySearch:
         finally:
             path.discard(key)
 
-
-def _root_group(memo: Memo) -> int:
-    """The class with the most base tables: the whole query."""
-    best = None
-    for group in memo.groups():
-        if best is None or len(group.logical_props.tables) > len(
-            best.logical_props.tables
-        ):
-            best = group
-    if best is None:
-        raise ValueError("empty memo")
-    return best.id

@@ -58,7 +58,6 @@ from repro.algebra.properties import LogicalProperties, PhysProps
 from repro.errors import SearchError
 from repro.model.context import OptimizerContext
 from repro.model.cost import Cost
-from repro.model.patterns import match_memo
 from repro.search.tracing import SearchStats
 
 __all__ = ["GroupExpression", "Winner", "Group", "Memo", "GoalKey"]
@@ -543,22 +542,6 @@ class Memo:
         """Pattern-matching callback: a group's expressions as triples."""
         for mexpr in self.group(gid).expressions:
             yield mexpr.operator, mexpr.args, mexpr.input_groups
-
-    def rule_bindings(self, pattern, mexpr: GroupExpression):
-        """Enumerate a rule pattern's bindings on one group expression.
-
-        Lazy, like every matcher: a rule fired mid-iteration is seen by
-        the loops still to run.  (The engine's two binding loops call
-        :func:`~repro.model.patterns.match_memo`, or a generated kernel's
-        matcher, themselves.)
-        """
-        return match_memo(
-            pattern,
-            mexpr.operator,
-            mexpr.args,
-            mexpr.input_groups,
-            self.expressions_of,
-        )
 
     def probing_expressions_of(self, probes: Dict[int, int]):
         """An ``expressions_of`` callback that records which groups it reads.

@@ -292,3 +292,35 @@ def test_the_seeding_hook_is_retired(optimizer):
     assert "seeds_planted" not in {
         field.name for field in dataclasses.fields(SearchStats)
     }
+
+
+def _one_input_short(spec, algorithm_name):
+    """A copy of ``spec`` whose ``algorithm_name`` asks for one input too few."""
+    original = spec.algorithms[algorithm_name]
+
+    def applicability(context, node, required):
+        return [
+            requirements[:-1]
+            for requirements in original.applicability(context, node, required) or ()
+        ]
+
+    copy = dataclasses.replace(spec)
+    copy.algorithms = dict(
+        spec.algorithms,
+        **{algorithm_name: dataclasses.replace(original, applicability=applicability)},
+    )
+    return copy
+
+
+@pytest.mark.parametrize(
+    "budget", [None, ResourceBudget(max_rule_firings=1)], ids=["full", "greedy"]
+)
+def test_a_malformed_applicability_raises_in_every_search(catalog, budget):
+    """The arity check sits on the move, so the greedy fallback runs it too."""
+    spec = _one_input_short(relational_model(), "hybrid_hash_join")
+    engine = VolcanoOptimizer(spec, catalog, SearchOptions(budget=budget))
+    with pytest.raises(
+        repro.errors.SearchError,
+        match="'hybrid_hash_join' returned 1 input requirements for 2 inputs",
+    ):
+        engine.optimize(chain_query(["r", "s", "t"]))

@@ -189,7 +189,7 @@ def _greedy_root(spec, catalog, query):
     run = engine._new_run(engine.options)
     root = run.memo.insert_expression(query)
     engine._explore_closure(run, root)
-    return greedy_plan(run.memo, run.context, root, ANY_PROPS)
+    return greedy_plan(engine, run, root, ANY_PROPS)
 
 
 def test_greedy_degradation_unchanged_without_model(spec, catalog):

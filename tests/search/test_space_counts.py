@@ -37,13 +37,6 @@ def optimize(query, tables):
     return optimizer.optimize(query)
 
 
-def root_group(memo):
-    return max(
-        (group for group in memo.groups()),
-        key=lambda group: len(group.logical_props.tables),
-    ).id
-
-
 def chain(names):
     expression = get(names[0])
     for previous, name in zip(names, names[1:]):
@@ -80,8 +73,7 @@ def test_chain_space_counts(n):
     names = [f"t{i}" for i in range(n)]
     tables = [(name, 1200 + 100 * i) for i, name in enumerate(names)]
     result = optimize(chain(names), tables)
-    memo = result.memo
-    root = root_group(memo)
+    memo, root = result.memo, result.root_group
     assert len(memo.reachable(root)) == chain_group_count(n)
     assert count_logical_expressions(memo, root) == chain_expression_count(n)
 
@@ -92,8 +84,7 @@ def test_star_space_counts(k):
     spokes = [f"s{i}" for i in range(k)]
     tables = [(hub, 1200)] + [(s, 2400 + 100 * i) for i, s in enumerate(spokes)]
     result = optimize(star(hub, spokes), tables)
-    memo = result.memo
-    root = root_group(memo)
+    memo, root = result.memo, result.root_group
     assert len(memo.reachable(root)) == star_group_count(k)
     assert count_logical_expressions(memo, root) == star_expression_count(k)
 
@@ -118,7 +109,7 @@ def test_work_tracks_space_size():
         names = [f"t{i}" for i in range(n)]
         tables = [(name, 1200) for name in names]
         result = optimize(chain(names), tables)
-        counts.append(count_logical_expressions(result.memo, root_group(result.memo)))
+        counts.append(count_logical_expressions(result.memo, result.root_group))
         work.append(result.stats.algorithm_costings)
     assert counts == sorted(counts)
     assert work == sorted(work)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from repro.algebra.predicates import eq
 from repro.models.relational import get, join, select
+from repro.options import ResourceBudget
 from repro.search import SearchOptions, VolcanoOptimizer
 from repro.search.certify import certify_result
 from repro.verify import KIND_DEGRADED, KIND_SEARCH, verify_plan
@@ -50,20 +51,31 @@ def test_certificates_verify_and_round_trip(sizes, select_first):
     assert report.ok, report.render()
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_every_bundled_model_verifies(name):
+@pytest.mark.parametrize(
+    "name, budget",
+    [pytest.param(name, None, id=name) for name in sorted(MODELS)]
+    + [
+        pytest.param(name, ResourceBudget(max_costings=1), id=f"{name}-tripped")
+        for name in sorted(MODELS)
+    ],
+)
+def test_every_bundled_model_verifies(name, budget):
     # The same relational-shaped query every model supports (see
-    # tests/generator/test_codegen_all_models.py).
+    # tests/generator/test_codegen_all_models.py).  A tripped budget
+    # certifies the greedy fallback's plan instead of the search's.
     spec = build_spec(name)
     catalog = make_catalog([("r", 1200), ("s", 2400)])
     query = join(select(get("r"), eq("r.v", 1)), get("s"), eq("r.k", "s.k"))
     engine = VolcanoOptimizer(
         spec,
         catalog,
-        SearchOptions(check_consistency=False, certificates=True),
+        SearchOptions(check_consistency=False, certificates=True, budget=budget),
     )
     result = engine.optimize(query)
+    assert result.degraded == (budget is not None)
+    assert result.stats.greedy_plans == (budget is not None)
     assert result.certificate is not None
+    assert result.certificate.kind == (KIND_DEGRADED if budget else KIND_SEARCH)
     report = verify_plan(
         spec, query, result.plan, result.certificate, catalog=catalog
     )
