@@ -475,7 +475,7 @@ def run_executor_validation(
     n_relations: int = 3, queries: int = 5, seed: int = 21
 ) -> Table:
     """V1: estimated vs. actual — cardinalities and scan page counts."""
-    from repro.executor import ExecutionStats, execute_plan, generate_table, TableSpec
+    from repro.executor import ExecutionStats, execute_plan
     from repro.feedback import observed_report
 
     generator = QueryGenerator(

@@ -20,7 +20,7 @@ optimizer knowingly cut short must never trigger a statistics rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.feedback.report import FeedbackReport, OperatorFeedback

@@ -28,16 +28,13 @@ Construction is best-effort by design: the builder never raises out of
 certificate the *checker* will flag (empty claims → P002, missing chain
 → P401).  The checker stays the single source of truth.
 
-:class:`SharingCertifier` extends certificates across the multi-query
-sharing pass: consumer plans keep their source/chain/frontier but get
-re-aligned claims (scan nodes reference the certificate's
-``intermediates``), and every materialized producer gets a
-``producer``-kind certificate of its own.
+Certificates for the multi-query sharing pass's rewrites are built by
+the pass itself (:func:`repro.search.sharing.plan_sharing`) from the
+claims of these certificates.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,10 +46,8 @@ from repro.model.cost import Cost
 from repro.model.patterns import AnyPattern, match_tree
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.search.memo import GroupExpression, Memo
-from repro.search.sharing import MATERIALIZE, SCAN_INTERMEDIATE, SharingReport
 from repro.verify.certificate import (
     KIND_DEGRADED,
-    KIND_PRODUCER,
     KIND_SEARCH,
     DerivationStep,
     NodeClaim,
@@ -65,7 +60,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ClaimRecord",
     "CertificateBuilder",
-    "SharingCertifier",
     "certify_result",
     "standalone_certificate",
 ]
@@ -108,10 +102,8 @@ class CertificateBuilder:
     """Builds certificates for plans of one solved memo.
 
     One builder per engine run (or batch): its caches are keyed by node
-    identity, so winners shared across a batch's results get the *same*
-    frontier subexpressions in every certificate — which is what lets
-    the sharing pass tie ``scan_intermediate`` references back to their
-    producers structurally.
+    identity, so a winner shared across a batch's results is
+    reconstructed once and gets the same frontier in every certificate.
     """
 
     def __init__(
@@ -128,8 +120,8 @@ class CertificateBuilder:
         #: ``gid`` → the search's implementation moves on that group
         #: (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`).
         self.moves = moves
-        #: id(plan node) → frontier subexpression (exposed for sharing).
-        self.frontiers: Dict[int, LogicalExpression] = {}
+        #: id(plan node) → frontier subexpression.
+        self._frontiers: Dict[int, LogicalExpression] = {}
         self._records: Dict[int, ClaimRecord] = {}
         self._resolve_cache: Dict[LogicalExpression, Optional[int]] = {}
         self._repr_cache: Dict[int, LogicalExpression] = {}
@@ -162,7 +154,7 @@ class CertificateBuilder:
             if root_gid is None:
                 raise _ChainFail("the source expression is not in the memo")
             self._frontier_of(plan, root_gid)
-            frontier = self.frontiers[id(plan)]
+            frontier = self._frontiers[id(plan)]
             claims = tuple(self._node_claim(node) for node in plan.walk())
         except (_ChainFail, ReproError, KeyError):
             frontier, claims = source, ()
@@ -197,7 +189,7 @@ class CertificateBuilder:
         )
 
     def _frontier_of(self, node: PhysicalPlan, gid: int) -> LogicalExpression:
-        cached = self.frontiers.get(id(node))
+        cached = self._frontiers.get(id(node))
         if cached is not None:
             return cached
         gid = self.memo.canonical(gid)
@@ -213,7 +205,7 @@ class CertificateBuilder:
         else:
             record, frontier = self._frontier_search(node, gid, record)
         self._records[id(node)] = record
-        self.frontiers[id(node)] = frontier
+        self._frontiers[id(node)] = frontier
         self._keepalive.append(node)
         return frontier
 
@@ -519,228 +511,6 @@ class CertificateBuilder:
             self._shape_matches(sub, child, binding)
             for sub, child in zip(pattern.inputs, tree.inputs)
         )
-
-
-# ---------------------------------------------------------------------------
-# Sharing-pass certification
-# ---------------------------------------------------------------------------
-
-
-class SharingCertifier:
-    """Carry certificates across :func:`repro.search.sharing.plan_sharing`.
-
-    Usage: feed every pre-sharing (plan, certificate) pair through
-    :meth:`add_result`, hand :attr:`local_costs` to ``plan_sharing`` (so
-    rewritten cumulative costs stay exactly reproducible), then call
-    :meth:`certify` with the report to get consumer certificates (claims
-    re-aligned to the rewritten plans, scans bound to ``intermediates``)
-    and one ``producer``-kind certificate per materialized intermediate.
-    """
-
-    def __init__(self, spec: ModelSpecification, context):
-        self.spec = spec
-        self.context = context
-        self._impl_by_name = {rule.name: rule for rule in spec.implementations}
-        self.claims: Dict[int, NodeClaim] = {}
-        self.frontiers: Dict[int, LogicalExpression] = {}
-        self._keepalive: List[PhysicalPlan] = []
-
-    def add_result(
-        self, plan: PhysicalPlan, certificate: Optional[PlanCertificate]
-    ) -> bool:
-        """Index one pre-sharing plan's claims and frontiers by node id."""
-        if certificate is None:
-            return False
-        if len(certificate.claims) != sum(1 for _ in plan.walk()):
-            return False
-        try:
-            self._index(plan, certificate.frontier, certificate.claims, [0])
-        except (_ChainFail, KeyError):
-            return False
-        return True
-
-    @property
-    def local_costs(self) -> Dict[int, Cost]:
-        """id(node) → the engine's exact local cost, for ``plan_sharing``."""
-        return {key: claim.local for key, claim in self.claims.items()}
-
-    def _index(self, node, frontier, claims, counter) -> None:
-        claim = claims[counter[0]]
-        counter[0] += 1
-        if claim.algorithm != node.algorithm:
-            raise _ChainFail("claims misaligned")
-        self.claims[id(node)] = claim
-        if frontier is not None:
-            self.frontiers.setdefault(id(node), frontier)
-        self._keepalive.append(node)
-        if node.is_enforcer or claim.enforcer:
-            subs = [frontier] * len(node.inputs)
-        elif claim.rule is None:
-            raise _ChainFail("algorithm node without a rule claim")
-        else:
-            rule = self._impl_by_name.get(claim.rule)
-            binding = (
-                match_tree(rule.pattern, frontier)
-                if rule is not None and frontier is not None
-                else None
-            )
-            if binding is not None:
-                subs = [binding.get(name) for name in rule.input_names]
-            else:
-                subs = [None] * len(node.inputs)
-            if len(subs) != len(node.inputs):
-                raise _ChainFail("rule arity")
-        for child, sub in zip(node.inputs, subs):
-            self._index(child, sub, claims, counter)
-
-    def certify(
-        self,
-        report: SharingReport,
-        originals: Sequence[PhysicalPlan],
-        certificates: Sequence[Optional[PlanCertificate]],
-    ) -> Tuple[List[Optional[PlanCertificate]], List[Optional[PlanCertificate]]]:
-        """(consumer certificates, producer certificates) for a report."""
-        scan_props = {
-            plan.name: getattr(plan, "props", None) for plan in report.shared_plans
-        }
-        original_best: Dict[str, PhysicalPlan] = {}
-        consumers: List[Optional[PlanCertificate]] = []
-        for original, rewritten, certificate in zip(
-            originals, report.plans, certificates
-        ):
-            if certificate is None:
-                consumers.append(None)
-                continue
-            claims: List[NodeClaim] = []
-            intermediates: Dict[str, LogicalExpression] = {}
-            try:
-                self._realign(
-                    original, rewritten, claims, intermediates,
-                    original_best, scan_props,
-                )
-            except (_ChainFail, KeyError):
-                consumers.append(None)
-                continue
-            consumers.append(
-                dataclasses.replace(
-                    certificate,
-                    claims=tuple(claims),
-                    claimed_cost=rewritten.cost,
-                    intermediates=dict(intermediates),
-                )
-            )
-        producers: List[Optional[PlanCertificate]] = []
-        mat_def = self.spec.algorithms.get(MATERIALIZE)
-        for shared in report.shared_plans:
-            best_original = original_best.get(shared.name)
-            props = scan_props.get(shared.name)
-            best_rewritten = shared.plan.inputs[0] if shared.plan.inputs else None
-            source = (
-                self.frontiers.get(id(best_original))
-                if best_original is not None
-                else None
-            )
-            if (
-                best_original is None
-                or best_rewritten is None
-                or props is None
-                or source is None
-                or mat_def is None
-            ):
-                producers.append(None)
-                continue
-            local = mat_def.cost(
-                self.context, AlgorithmNode(shared.plan.args, props, (props,))
-            )
-            claims = [
-                NodeClaim(
-                    algorithm=MATERIALIZE,
-                    local=local,
-                    output=props,
-                    inputs=(props,),
-                )
-            ]
-            intermediates = {}
-            try:
-                self._realign(
-                    best_original, best_rewritten, claims, intermediates,
-                    original_best, scan_props,
-                )
-            except (_ChainFail, KeyError):
-                producers.append(None)
-                continue
-            producers.append(
-                PlanCertificate(
-                    kind=KIND_PRODUCER,
-                    source=source,
-                    required=self.spec.any_props,
-                    frontier=source,
-                    steps=(),
-                    claims=tuple(claims),
-                    claimed_cost=shared.plan.cost,
-                    intermediates=dict(intermediates),
-                    engine="sharing",
-                )
-            )
-        return consumers, producers
-
-    def _realign(
-        self, original, rewritten, out, intermediates, original_best, scan_props
-    ) -> None:
-        """Parallel walk original ↔ rewritten, emitting pre-order claims."""
-        if rewritten is original:
-            for node in rewritten.walk():
-                claim = self.claims.get(id(node))
-                if claim is None:
-                    raise _ChainFail("untracked original node")
-                out.append(claim)
-            return
-        if (
-            rewritten.algorithm == SCAN_INTERMEDIATE
-            and original.algorithm != SCAN_INTERMEDIATE
-            and rewritten.args
-            and rewritten.args[0] in scan_props
-        ):
-            name = rewritten.args[0]
-            frontier = self.frontiers.get(id(original))
-            props = scan_props.get(name)
-            if frontier is None or props is None:
-                raise _ChainFail("scan without a producer frontier")
-            intermediates[name] = frontier
-            original_best.setdefault(name, original)
-            claim = NodeClaim(
-                algorithm=SCAN_INTERMEDIATE,
-                local=rewritten.cost,
-                output=props,
-                inputs=(),
-            )
-            out.append(claim)
-            self.claims.setdefault(id(rewritten), claim)
-            self.frontiers.setdefault(id(rewritten), frontier)
-            self._keepalive.append(rewritten)
-            return
-        claim = self.claims.get(id(rewritten))
-        if claim is None:
-            claim = self.claims.get(id(original))
-        if (
-            claim is None
-            or rewritten.algorithm != original.algorithm
-            or len(rewritten.inputs) != len(original.inputs)
-        ):
-            raise _ChainFail("rewritten node does not mirror its original")
-        out.append(claim)
-        self.claims.setdefault(id(rewritten), claim)
-        frontier = self.frontiers.get(id(original))
-        if frontier is not None:
-            self.frontiers.setdefault(id(rewritten), frontier)
-        self._keepalive.append(rewritten)
-        for child_original, child_rewritten in zip(
-            original.inputs, rewritten.inputs
-        ):
-            self._realign(
-                child_original, child_rewritten, out, intermediates,
-                original_best, scan_props,
-            )
 
 
 # ---------------------------------------------------------------------------

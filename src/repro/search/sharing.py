@@ -25,6 +25,16 @@ definitions, so the trade-off is priced in the same currency as every
 other plan.  The greedy loop only ever accepts candidates with benefit
 strictly above ``min_benefit``, so the shared plan set is provably never
 more expensive than the independent plans it replaces.
+
+The pass also certifies its own rewrites.  When every input result
+carries a certificate, each node's :class:`~repro.verify.certificate.NodeClaim`
+and frontier are indexed once at entry, and every node the pass makes
+records its claim as it is made: a rebuilt node keeps its original's, a
+``scan_intermediate`` and a ``materialize`` node get claims priced with
+the very cost objects the pass summed.  The report then carries a
+consumer certificate per rewritten plan (scans bound to its
+``intermediates``) and a ``producer``-kind certificate per materialized
+intermediate, for the independent checker to re-verify.
 """
 
 from __future__ import annotations
@@ -40,8 +50,10 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.selectivity import SelectivityEstimator
 from repro.errors import OptionsError, ReproError
 from repro.model.context import OptimizerContext
+from repro.model.patterns import match_tree
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.options import OptionsBase, check_positive
+from repro.verify.certificate import KIND_PRODUCER, NodeClaim, PlanCertificate
 
 __all__ = [
     "SharingOptions",
@@ -92,9 +104,7 @@ class SharedPlan:
     subplan — executable by :func:`repro.executor.execute_plan` with a
     shared ``intermediates`` store.  ``cost`` is its cumulative cost
     (compute the subplan + write it out); ``rows`` the estimated
-    cardinality of the intermediate.  ``props`` are the mirror-derived
-    logical properties the materialize/scan costs were priced over —
-    recorded so the certificate layer can reproduce those costs exactly.
+    cardinality of the intermediate.
     """
 
     name: str
@@ -102,7 +112,6 @@ class SharedPlan:
     cost: object
     rows: float
     consumers: int
-    props: Optional[LogicalProperties] = None
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,11 @@ class SharingReport:
     ``independent_total`` and ``shared_total`` are the summed estimated
     costs before and after sharing; the greedy loop guarantees
     ``shared_total <= independent_total``.
+
+    ``consumer_certificates`` (one per plan, input order) and
+    ``producer_certificates`` (one per shared plan, same order) are the
+    pass's own certificates for its rewrites; both are empty when the
+    pass did not run or any input lacks an indexable certificate.
     """
 
     plans: Tuple[PhysicalPlan, ...]
@@ -123,6 +137,8 @@ class SharingReport:
     candidates_considered: int = 0
     independent_total: float = 0.0
     shared_total: float = 0.0
+    consumer_certificates: Tuple[PlanCertificate, ...] = ()
+    producer_certificates: Tuple[PlanCertificate, ...] = ()
 
     @property
     def materialized(self) -> int:
@@ -140,32 +156,80 @@ class SharingReport:
         )
 
 
+class _Unindexable(Exception):
+    """Internal: an input certificate's claims do not align with its plan."""
+
+
 class _SharingState:
     """Bookkeeping of one :func:`plan_sharing` run.
 
     Everything is keyed by ``id(node)`` — object identity is what the
     memo's winner sharing gives us — so the state pins every node it has
     seen in ``keepalive`` to keep ids stable for the run's lifetime.
+
+    ``claims`` and ``frontiers`` hold every node's certificate claim and
+    logical frontier; ``claims`` is None when some input result carries
+    no indexable certificate (the pass then runs uncertified).
+    ``local_costs`` holds the exact local cost of every node whose cost
+    is known without subtraction: the claimed ones, and every node the
+    pass makes.
     """
 
-    def __init__(
-        self,
-        context: OptimizerContext,
-        local_costs: Optional[Dict[int, object]] = None,
-    ):
+    def __init__(self, context: OptimizerContext, results: Sequence):
         self.context = context
         self.keepalive: List[PhysicalPlan] = []
         self._mirrors: Dict[int, Optional[LogicalExpression]] = {}
         self._props: Dict[int, Optional[LogicalProperties]] = {}
-        # id(node) → the engine's exact local cost.  When supplied (by
-        # the certificate layer), rebuilt cumulative costs re-add from
-        # the very objects the engine summed, so certificates stay
-        # exactly reproducible; without it the subtraction fallback in
-        # :func:`_local_cost` is used (identical totals, possible
-        # last-ulp float drift in the decomposition).
+        self.claims: Optional[Dict[int, NodeClaim]] = {}
+        self.frontiers: Dict[int, LogicalExpression] = {}
+        impls = {rule.name: rule for rule in context.spec.implementations}
+        try:
+            for result in results:
+                certificate = getattr(result, "certificate", None)
+                if certificate is None:
+                    raise _Unindexable("no certificate")
+                if len(certificate.claims) != sum(1 for _ in result.plan.walk()):
+                    raise _Unindexable("claim count")
+                self._index(
+                    result.plan, certificate.frontier, certificate.claims, [0], impls
+                )
+        except (_Unindexable, KeyError):
+            self.claims, self.frontiers = None, {}
         self.local_costs: Dict[int, object] = (
-            dict(local_costs) if local_costs else {}
+            {key: claim.local for key, claim in self.claims.items()}
+            if self.claims is not None
+            else {}
         )
+
+    def _index(self, node, frontier, claims, counter, impls) -> None:
+        """Index one plan's pre-order claims, deriving child frontiers
+        from each node's implementation-rule match on its frontier."""
+        claim = claims[counter[0]]
+        counter[0] += 1
+        if claim.algorithm != node.algorithm:
+            raise _Unindexable("claims misaligned")
+        self.claims[id(node)] = claim
+        if frontier is not None:
+            self.frontiers.setdefault(id(node), frontier)
+        if node.is_enforcer or claim.enforcer:
+            subs = [frontier] * len(node.inputs)
+        elif claim.rule is None:
+            raise _Unindexable("algorithm node without a rule claim")
+        else:
+            rule = impls.get(claim.rule)
+            binding = (
+                match_tree(rule.pattern, frontier)
+                if rule is not None and frontier is not None
+                else None
+            )
+            if binding is not None:
+                subs = [binding.get(name) for name in rule.input_names]
+            else:
+                subs = [None] * len(node.inputs)
+            if len(subs) != len(node.inputs):
+                raise _Unindexable("rule arity")
+        for child, sub in zip(node.inputs, subs):
+            self._index(child, sub, claims, counter, impls)
 
     def _mirror(self, node: PhysicalPlan) -> Optional[LogicalExpression]:
         """The node's logical mirror (identity-memoized)."""
@@ -201,14 +265,38 @@ class _SharingState:
         self._props[key] = props
         return props
 
-    def inherit(self, old: PhysicalPlan, new: PhysicalPlan) -> None:
-        """A rewritten node computes the same rows as its original."""
+    def inherit(
+        self, old: PhysicalPlan, new: PhysicalPlan, claim: Optional[NodeClaim] = None
+    ) -> None:
+        """A rewritten node computes the same rows as its original.
+
+        It keeps the original's frontier, and its claim unless ``claim``
+        (a new node's own) is given.
+        """
         self._props[id(new)] = self.props_of(old)
         self.keepalive.append(new)
+        if self.claims is not None:
+            self.claims[id(new)] = claim if claim is not None else self.claims[id(old)]
+            frontier = self.frontiers.get(id(old))
+            if frontier is not None:
+                self.frontiers[id(new)] = frontier
+
+    def claimed(
+        self, plan: PhysicalPlan
+    ) -> Tuple[Tuple[NodeClaim, ...], Dict[str, LogicalExpression]]:
+        """A plan's pre-order claims and the frontier of each
+        intermediate it scans (``KeyError`` when one is unknown)."""
+        claims: List[NodeClaim] = []
+        intermediates: Dict[str, LogicalExpression] = {}
+        for node in plan.walk():
+            claims.append(self.claims[id(node)])
+            if node.algorithm == SCAN_INTERMEDIATE:
+                intermediates[node.args[0]] = self.frontiers[id(node)]
+        return tuple(claims), intermediates
 
 
 def _local_cost(state: _SharingState, node: PhysicalPlan) -> Optional[object]:
-    """The node's own cost: recorded exactly, else by subtraction."""
+    """The node's own cost: claimed or recorded exactly, else by subtraction."""
     recorded = state.local_costs.get(id(node))
     if recorded is not None:
         return recorded
@@ -341,7 +429,6 @@ def plan_sharing(
     catalog: Catalog,
     options: Optional[SharingOptions] = None,
     estimator: Optional[SelectivityEstimator] = None,
-    local_costs: Optional[Dict[int, object]] = None,
 ) -> SharingReport:
     """Greedy multi-query sharing over a batch's winning plans.
 
@@ -353,10 +440,9 @@ def plan_sharing(
     ``materialize``/``scan_intermediate`` algorithms) the report simply
     echoes the independent plans.
 
-    ``local_costs`` (optional, ``id(node)`` → cost) supplies the exact
-    per-node local costs the engine summed — the certificate layer
-    passes :attr:`repro.search.certify.SharingCertifier.local_costs`
-    here so rewritten plans' costs re-add from the original objects.
+    When every result carries a certificate, rewritten costs re-add from
+    the exact local costs the engine claimed, and the report carries the
+    pass's consumer and producer certificates (see :class:`SharingReport`).
     """
     options = options if options is not None else SharingOptions()
     plans = tuple(result.plan for result in results)
@@ -379,7 +465,7 @@ def plan_sharing(
         return report
 
     context = OptimizerContext(spec, catalog, estimator)
-    state = _SharingState(context, local_costs)
+    state = _SharingState(context, results)
     mat_def = spec.algorithm(MATERIALIZE)
     scan_def = spec.algorithm(SCAN_INTERMEDIATE)
 
@@ -442,8 +528,8 @@ def plan_sharing(
             properties=best.properties,
             cost=scan_cost,
         )
-        state.inherit(best, producer)
-        state.inherit(best, scan_node)
+        state.inherit(best, producer, NodeClaim(MATERIALIZE, mat_cost, props, (props,)))
+        state.inherit(best, scan_node, NodeClaim(SCAN_INTERMEDIATE, scan_cost, props, ()))
         state.local_costs[id(producer)] = mat_cost
         state.local_costs[id(scan_node)] = scan_cost
 
@@ -457,7 +543,6 @@ def plan_sharing(
                 cost=producer.cost,
                 rows=props.cardinality,
                 consumers=best_count,
-                props=props,
             )
         )
         # Earlier producers may have been rewritten this round (the new
@@ -472,10 +557,65 @@ def plan_sharing(
     shared_total = sum(
         plan.cost.total() for plan in working if plan.cost is not None
     )
+    rewritten, ordered = tuple(working[: len(plans)]), _dependency_order(shared)
+    consumers: Tuple[PlanCertificate, ...] = ()
+    producers: Tuple[PlanCertificate, ...] = ()
+    if state.claims is not None:
+        try:
+            consumers, producers = _certificates(
+                state, spec, results, rewritten, ordered
+            )
+        except KeyError:  # a shared node without a frontier: uncertifiable
+            consumers, producers = (), ()
     return SharingReport(
-        plans=tuple(working[: len(plans)]),
-        shared_plans=_dependency_order(shared),
+        plans=rewritten,
+        shared_plans=ordered,
         candidates_considered=candidates_considered,
         independent_total=independent_total,
         shared_total=shared_total,
+        consumer_certificates=consumers,
+        producer_certificates=producers,
     )
+
+
+def _certificates(
+    state: _SharingState,
+    spec: ModelSpecification,
+    results: Sequence,
+    rewritten: Sequence[PhysicalPlan],
+    shared: Sequence[SharedPlan],
+) -> Tuple[Tuple[PlanCertificate, ...], Tuple[PlanCertificate, ...]]:
+    """(consumer, producer) certificates from the claims the pass recorded.
+
+    A consumer keeps its input certificate's source, chain and frontier;
+    a producer's source *is* the frontier of the subplan it materializes.
+    """
+    consumers = []
+    for result, plan in zip(results, rewritten):
+        claims, intermediates = state.claimed(plan)
+        consumers.append(
+            dataclasses.replace(
+                result.certificate,
+                claims=claims,
+                claimed_cost=plan.cost,
+                intermediates=intermediates,
+            )
+        )
+    producers = []
+    for item in shared:
+        claims, intermediates = state.claimed(item.plan)
+        source = state.frontiers[id(item.plan)]
+        producers.append(
+            PlanCertificate(
+                kind=KIND_PRODUCER,
+                source=source,
+                required=spec.any_props,
+                frontier=source,
+                steps=(),
+                claims=claims,
+                claimed_cost=item.plan.cost,
+                intermediates=intermediates,
+                engine="sharing",
+            )
+        )
+    return tuple(consumers), tuple(producers)

@@ -284,12 +284,13 @@ class BatchResult:
         batch then degraded to independent per-query optimization.
     ``consumer_certificates`` / ``producer_certificates``
         With :attr:`ServiceOptions.verify_plans` on and a sharing pass
-        that verified clean: one certificate per rewritten consumer
-        plan in ``sharing_report.plans`` (claims re-aligned to the
-        rewrite, scans bound to named intermediates) and one
-        ``producer``-kind certificate per materialized shared plan.
-        Empty when verification is off, nothing was materialized, or
-        the sharing pass was quarantined.
+        that verified clean: the pass's own certificates — one per
+        rewritten consumer plan in ``sharing_report.plans`` (scans
+        bound to named intermediates) and one ``producer``-kind
+        certificate per materialized shared plan.  Empty when
+        verification is off, nothing was materialized, or the sharing
+        pass was quarantined (it failed verification or could not be
+        certified).
     """
 
     results: Tuple[ServedResult, ...]
@@ -891,7 +892,8 @@ class OptimizerService:
         Returns ``(report, None, consumers, producers)`` on success —
         every dispatched index served and cached, with the
         sharing pass's consumer/producer certificates when verification
-        is on and checked out — or ``(None, budget_report, (), ())``
+        is on and they checked out (a pass that fails or cannot be
+        certified is quarantined) — or ``(None, budget_report, (), ())``
         when the batch-wide budget tripped, leaving ``results``
         untouched so the caller can fall back to independent per-query
         optimization with split budgets.
@@ -913,94 +915,44 @@ class OptimizerService:
             results[index] = self._serve_fresh(
                 missed[index].keys, result, expression, started
             )
-        spec = self.optimizer.spec
-        estimator = getattr(self.optimizer, "estimator", None)
-        certifier = None
-        local_costs = None
-        if self.options.verify_plans:
-            certifier = self._sharing_certifier(spec, estimator, outcomes)
-            if certifier is not None:
-                local_costs = certifier.local_costs
         report = plan_sharing(
             outcomes,
-            spec,
+            self.optimizer.spec,
             self.catalog,
             options=self.options.sharing,
-            estimator=estimator,
-            local_costs=local_costs,
+            estimator=getattr(self.optimizer, "estimator", None),
         )
-        consumer_certs: Tuple[Optional[PlanCertificate], ...] = ()
-        producer_certs: Tuple[Optional[PlanCertificate], ...] = ()
-        if certifier is not None and report.shared_plans:
-            consumers, producers = self._verify_sharing(
-                certifier, report, outcomes, expressions
+        if not (self.options.verify_plans and report.shared_plans):
+            return report, None, (), ()
+        certified = bool(report.consumer_certificates)
+        if certified and self._verify_sharing(report, expressions):
+            return (
+                report,
+                None,
+                report.consumer_certificates,
+                report.producer_certificates,
             )
-            if consumers is None:
-                # Quarantine the whole sharing pass: an unverified
-                # shared rewrite is never surfaced.  The independent
-                # (already verified) per-query answers stand.
-                report = SharingReport(plans=tuple(r.plan for r in outcomes))
-            else:
-                consumer_certs, producer_certs = consumers, producers
-        return report, None, consumer_certs, producer_certs
+        # Quarantine the whole sharing pass: an uncertified or unverified
+        # shared rewrite is never surfaced.  The independent (already
+        # verified) per-query answers stand.
+        self.cache.stats.bump(verify_violations=int(certified), quarantined=1)
+        return SharingReport(plans=tuple(r.plan for r in outcomes)), None, (), ()
 
-    def _sharing_certifier(self, spec, estimator, outcomes):
-        """A SharingCertifier fed every pre-sharing plan, or None.
-
-        Returns None when any outcome lacks a usable certificate — the
-        sharing pass then runs uncertified (and its rewrites are not
-        surfaced as verified).
-        """
-        from repro.model.context import OptimizerContext
-        from repro.search.certify import SharingCertifier
-
-        context = OptimizerContext(spec, self.catalog, estimator)
-        certifier = SharingCertifier(spec, context)
-        for result in outcomes:
-            if not certifier.add_result(
-                result.plan, getattr(result, "certificate", None)
-            ):
-                return None
-        return certifier
-
-    def _verify_sharing(
-        self, certifier, report: SharingReport, outcomes, expressions
-    ):
-        """Certify and re-check every sharing rewrite; quarantine on failure.
-
-        Returns ``(consumer_certs, producer_certs)`` when every
-        rewritten consumer plan and every materialized producer passed
-        the independent checker, else ``(None, None)`` after counting
-        the violation and the quarantine.
-        """
-        consumers, producers = certifier.certify(
-            report,
-            [result.plan for result in outcomes],
-            [getattr(result, "certificate", None) for result in outcomes],
-        )
-        clean = True
+    def _verify_sharing(self, report: SharingReport, expressions) -> bool:
+        """Do every rewritten consumer and every materialized producer
+        pass the independent checker under the pass's own certificates?"""
         for expression, plan, certificate in zip(
-            expressions, report.plans, consumers
+            expressions, report.plans, report.consumer_certificates
         ):
-            if (
-                certificate is None
-                or self.verify_served(expression, plan, certificate) is not True
-            ):
-                clean = False
-                break
-        if clean:
-            for shared, certificate in zip(report.shared_plans, producers):
-                if (
-                    certificate is None
-                    or self.verify_served(certificate.source, shared.plan, certificate)
-                    is not True
-                ):
-                    clean = False
-                    break
-        if not clean:
-            self.cache.stats.bump(verify_violations=1, quarantined=1)
-            return None, None
-        return tuple(consumers), tuple(producers)
+            if self.verify_served(expression, plan, certificate) is not True:
+                return False
+        for shared, certificate in zip(
+            report.shared_plans, report.producer_certificates
+        ):
+            source = certificate.source
+            if self.verify_served(source, shared.plan, certificate) is not True:
+                return False
+        return True
 
     def _stats_delta(self, before: dict) -> CacheStats:
         after = self.cache.stats.counters()

@@ -29,7 +29,7 @@ All P-codes are errors; a plan verifies iff its report is empty.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan

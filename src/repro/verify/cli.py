@@ -162,10 +162,8 @@ def _run_workload(tally: _Tally, kernel=None) -> None:
 
 def _run_sharing_batch(tally: _Tally, kernel=None) -> None:
     """The mqo_sharing batch: pre-sharing, consumer, and producer plans."""
-    from repro.model.context import OptimizerContext
     from repro.models.relational import relational_model
     from repro.search import SharingOptions, plan_sharing
-    from repro.search.certify import SharingCertifier
 
     spec = relational_model()
     workload = _workload(SHARING_RECIPE)
@@ -178,27 +176,12 @@ def _run_sharing_batch(tally: _Tally, kernel=None) -> None:
             spec, query, result.plan, result.certificate,
             workload.catalog, f"mqo_sharing:pre[{index}]",
         )
-    context = OptimizerContext(spec, workload.catalog, None)
-    certifier = SharingCertifier(spec, context)
-    indexed = all(
-        certifier.add_result(result.plan, result.certificate)
-        for result in results
-    )
-    if not indexed:
-        tally.mismatch("mqo_sharing", "could not index pre-sharing claims")
+    report = plan_sharing(results, spec, workload.catalog, SharingOptions())
+    consumers = report.consumer_certificates
+    producers = report.producer_certificates
+    if not consumers:
+        tally.mismatch("mqo_sharing", "the sharing pass built no certificates")
         return
-    report = plan_sharing(
-        results,
-        spec,
-        workload.catalog,
-        SharingOptions(),
-        local_costs=certifier.local_costs,
-    )
-    consumers, producers = certifier.certify(
-        report,
-        [result.plan for result in results],
-        [result.certificate for result in results],
-    )
     for index, (query, plan, certificate) in enumerate(
         zip(queries, report.plans, consumers)
     ):
@@ -207,12 +190,6 @@ def _run_sharing_batch(tally: _Tally, kernel=None) -> None:
             workload.catalog, f"mqo_sharing:consumer[{index}]",
         )
     for shared, certificate in zip(report.shared_plans, producers):
-        if certificate is None:
-            tally.mismatch(
-                f"mqo_sharing:producer[{shared.name}]",
-                "no producer certificate",
-            )
-            continue
         tally.verify(
             spec, certificate.source, shared.plan, certificate,
             workload.catalog, f"mqo_sharing:producer[{shared.name}]",

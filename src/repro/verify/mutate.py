@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -76,7 +76,6 @@ def build_fixture() -> _Fixture:
     """Optimize real queries and keep their certificates for corruption."""
     from repro.catalog import Catalog
     from repro.executor import TableSpec, populate_catalog
-    from repro.model.context import OptimizerContext
     from repro.models.relational import get, join, relational_model, select
     from repro.search import (
         SearchOptions,
@@ -84,7 +83,6 @@ def build_fixture() -> _Fixture:
         VolcanoOptimizer,
         plan_sharing,
     )
-    from repro.search.certify import SharingCertifier
     from repro.workloads import QueryGenerator, WorkloadOptions
 
     spec = relational_model()
@@ -126,27 +124,12 @@ def build_fixture() -> _Fixture:
     results = shared_engine.optimize_batch(
         queries, workload.queries[0].required
     )
-    certifier = SharingCertifier(
-        spec, OptimizerContext(spec, workload.catalog, None)
-    )
-    for item in results:
-        assert certifier.add_result(item.plan, item.certificate)
-    report = plan_sharing(
-        results,
-        spec,
-        workload.catalog,
-        SharingOptions(),
-        local_costs=certifier.local_costs,
-    )
-    consumers, _ = certifier.certify(
-        report,
-        [item.plan for item in results],
-        [item.certificate for item in results],
-    )
+    report = plan_sharing(results, spec, workload.catalog, SharingOptions())
+    consumers = report.consumer_certificates
     shared_index = next(
         index
         for index, certificate in enumerate(consumers)
-        if certificate is not None and certificate.intermediates
+        if certificate.intermediates
     )
     return _Fixture(
         spec=spec,

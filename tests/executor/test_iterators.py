@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.algebra.predicates import Comparison, ComparisonOp, col, eq, lit
-from repro.catalog import Catalog, ColumnStatistics, Schema, TableStatistics
+from repro.algebra.predicates import Comparison, ComparisonOp, col, eq
+from repro.catalog import Catalog, Schema, TableStatistics
 from repro.errors import ExecutionError
 from repro.executor.iterators import (
     Exchange,

@@ -10,7 +10,6 @@ from repro.errors import ExecutionError
 from repro.executor import ExecutionStats
 from repro.executor.oodb import (
     execute_oodb_plan,
-    register_oodb,
     _RESIDENT_KEY,
 )
 from repro.models.oodb import materialize, oodb_model

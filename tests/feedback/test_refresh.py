@@ -13,7 +13,6 @@ from repro.feedback import (
     analyze_rows,
     refresh_statistics,
 )
-from tests.feedback.conftest import add_rowed_table
 
 
 def drifted_store(table="r", estimated=40, actual=160):

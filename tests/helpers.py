@@ -9,14 +9,13 @@ pruning — so it is an independent check of the engine's optimality
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.predicates import (
     Predicate,
     conjunction_of,
     eq,
-    equi_join_pairs,
 )
 from repro.algebra.properties import ANY_PROPS, PhysProps
 from repro.catalog import Catalog, ColumnStatistics, Schema, TableStatistics

@@ -8,7 +8,6 @@ from repro.catalog import Catalog
 from repro.dynamic import (
     AssumedSelectivityEstimator,
     Parameter,
-    bind_plan,
     bind_predicate,
     optimize_dynamic,
 )

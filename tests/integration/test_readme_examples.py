@@ -3,7 +3,6 @@
 import re
 from pathlib import Path
 
-import pytest
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 

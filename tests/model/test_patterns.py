@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.expressions import LogicalExpression, group_leaf, is_group_leaf
+from repro.algebra.expressions import LogicalExpression, is_group_leaf
 from repro.algebra.predicates import eq
 from repro.errors import PatternError
 from repro.model.patterns import (

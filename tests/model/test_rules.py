@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.algebra.expressions import LogicalExpression
 from repro.errors import RuleError
 from repro.model.patterns import AnyPattern, OpPattern
 from repro.model.rules import ImplementationRule, TransformationRule

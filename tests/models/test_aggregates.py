@@ -8,7 +8,7 @@ from repro.errors import ModelSpecError, SqlError
 from repro.model.context import OptimizerContext
 from repro.model.spec import AlgorithmNode
 from repro.models.aggregates import aggregate, aggregate_model
-from repro.models.relational import get, join, select
+from repro.models.relational import get, join
 from repro.search import VolcanoOptimizer
 
 from tests.helpers import make_catalog

@@ -1,11 +1,8 @@
 """Tests for the OODB model (assembledness property + assembly enforcer)."""
 
-import pytest
-
 from repro.algebra.predicates import eq
 from repro.catalog import Catalog, ColumnStatistics, Schema, TableStatistics
 from repro.models.oodb import (
-    OodbModelOptions,
     assembled,
     materialize,
     oodb_model,

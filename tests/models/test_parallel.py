@@ -3,7 +3,6 @@
 import pytest
 
 from repro.algebra.predicates import eq
-from repro.algebra.properties import Partitioning, PhysProps
 from repro.errors import OptimizationFailedError
 from repro.models.parallel import (
     ParallelModelOptions,
@@ -77,8 +76,6 @@ def test_partitioning_key_equivalence_propagates(optimizer):
 
 def test_partitioned_and_sorted_goal(optimizer):
     """Two property components at once: sort and partitioning compose."""
-    from repro.algebra.properties import sorted_on
-
     required = partitioned_on(["r.k"], 4).with_sort(["r.k"])
     result = optimizer.optimize(
         select(get("r"), eq("r.v", 1)), props=required

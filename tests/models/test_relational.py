@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.predicates import TRUE, conjunction_of, eq
-from repro.algebra.properties import ANY_PROPS, PhysProps, sorted_on
+from repro.algebra.properties import ANY_PROPS, sorted_on
 from repro.model.context import OptimizerContext
 from repro.model.spec import AlgorithmNode
 from repro.models.relational import (

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.algebra.predicates import eq
-from repro.algebra.properties import ANY_PROPS, PhysProps, sorted_on
+from repro.algebra.properties import ANY_PROPS, sorted_on
 from repro.errors import OptimizationFailedError
 from repro.model.context import OptimizerContext
 from repro.model.spec import AlgorithmNode
 from repro.models.relational import get, select
 from repro.models.setops import (
-    SetOpsModelOptions,
     except_,
     intersect,
     setops_model,

@@ -1,7 +1,7 @@
 """Property-based tests for the predicate language (hypothesis)."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import given
 
 from repro.algebra.predicates import (
     Comparison,

@@ -6,10 +6,10 @@ import pytest
 
 import repro
 import repro.search
-from repro.algebra.predicates import TRUE, eq
-from repro.algebra.properties import ANY_PROPS, PhysProps, sorted_on
+from repro.algebra.predicates import eq
+from repro.algebra.properties import PhysProps, sorted_on
 from repro.errors import BudgetExceededError, OptimizationFailedError
-from repro.model.cost import CpuIoCost, INFINITE_COST
+from repro.model.cost import CpuIoCost
 from repro.models.relational import (
     RelationalModelOptions,
     get,

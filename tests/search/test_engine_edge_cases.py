@@ -4,9 +4,8 @@ import pytest
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.predicates import TRUE, conjunction_of, eq
-from repro.algebra.properties import ANY_PROPS, PhysProps, sorted_on
+from repro.algebra.properties import sorted_on
 from repro.errors import ModelSpecError, OptimizationFailedError, SearchError
-from repro.model.cost import CpuIoCost
 from repro.models.relational import (
     RelationalModelOptions,
     get,

@@ -70,7 +70,6 @@ def test_limit_respected(solved):
 def test_executed_alternatives_agree(solved):
     """Invariant 1 at plan level: all alternatives compute the same rows."""
     from repro.executor import execute_plan
-    from repro.executor.data import TableSpec, generate_table
 
     optimizer, catalog, result = solved
     # Attach rows to the catalog so the plans can run.

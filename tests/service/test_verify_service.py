@@ -271,10 +271,28 @@ def test_late_leader_quarantines_a_failing_entry(catalog, monkeypatch):
     assert service.optimize(query).verified
 
 
-def test_batch_sharing_is_certified_end_to_end():
-    workload = QueryGenerator(
+def shared_workload(seed=7, n_tables=5, relations=(2, 4)):
+    return QueryGenerator(
         WorkloadOptions(selectivity_range=(0.1, 0.1))
-    ).generate_shared(count=8, seed=7, n_tables=5, relations=(2, 4))
+    ).generate_shared(count=8, seed=seed, n_tables=n_tables, relations=relations)
+
+
+SHARED_SHAPES = [
+    (seed, n_tables, relations)
+    for n_tables, relations in ((5, (2, 4)), (6, (3, 5)))
+    for seed in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, n_tables, relations",
+    SHARED_SHAPES,
+    ids=[f"seed{seed}-{n}tables" for seed, n, _ in SHARED_SHAPES],
+)
+def test_batch_sharing_is_certified_end_to_end(seed, n_tables, relations):
+    from repro.verify import verify_plan
+
+    workload = shared_workload(seed, n_tables, relations)
     service = make_service(workload.catalog, parameterized=False)
     queries = [item.query for item in workload.queries]
     required = workload.queries[0].required
@@ -282,12 +300,56 @@ def test_batch_sharing_is_certified_end_to_end():
     batch = service.optimize_many(queries, required)
     assert all(r.verified for r in batch.results)
     assert batch.cache_stats.verify_violations == 0
+    assert batch.cache_stats.quarantined == 0
     report = batch.sharing_report
-    assert report is not None and report.shared_plans
-    assert len(batch.consumer_certificates) == len(report.plans)
-    assert all(c is not None for c in batch.consumer_certificates)
+    assert report is not None
+    # Certificates are surfaced only for a pass that shared something.
+    expected = len(report.plans) if report.shared_plans else 0
+    assert len(batch.consumer_certificates) == expected
     assert len(batch.producer_certificates) == len(report.shared_plans)
-    assert all(c is not None for c in batch.producer_certificates)
+    checked = list(zip(report.plans, batch.consumer_certificates))
+    checked += [
+        (shared.plan, certificate)
+        for shared, certificate in zip(
+            report.shared_plans, batch.producer_certificates
+        )
+    ]
+    for plan, certificate in checked:
+        assert len(certificate.claims) == len(list(plan.walk()))
+        verdict = verify_plan(
+            SPEC, certificate.source, plan, certificate, catalog=workload.catalog
+        )
+        assert verdict.ok, verdict.render()
+
+
+def test_an_uncertifiable_sharing_pass_is_quarantined(monkeypatch):
+    # One pre-sharing certificate the pass cannot index (the builder's
+    # best-effort failure has no claims): the pass cannot certify its
+    # rewrites, so none of them is served.
+    workload = shared_workload()
+    service = make_service(workload.catalog, parameterized=False)
+    queries = [item.query for item in workload.queries]
+    required = workload.queries[0].required
+    real_optimize_batch = service.optimizer.optimize_batch
+    outcomes = []
+
+    def optimize_batch(*args, **kwargs):
+        results = list(real_optimize_batch(*args, **kwargs))
+        first = results[0]
+        results[0] = dataclasses.replace(
+            first, certificate=dataclasses.replace(first.certificate, claims=())
+        )
+        outcomes.extend(results)
+        return results
+
+    monkeypatch.setattr(service.optimizer, "optimize_batch", optimize_batch)
+    batch = service.optimize_many(queries, required)
+    assert len(batch.results) == len(queries)
+    assert not batch.shared_plans
+    assert batch.sharing_report.plans == tuple(r.plan for r in outcomes)
+    assert batch.consumer_certificates == ()
+    assert batch.producer_certificates == ()
+    assert batch.cache_stats.quarantined == 1
 
 
 def test_failing_sharing_pass_is_discarded(monkeypatch):
@@ -296,9 +358,7 @@ def test_failing_sharing_pass_is_discarded(monkeypatch):
     # sharing report degenerates to the original per-query plans.
     import repro.verify as verify_module
 
-    workload = QueryGenerator(
-        WorkloadOptions(selectivity_range=(0.1, 0.1))
-    ).generate_shared(count=8, seed=7, n_tables=5, relations=(2, 4))
+    workload = shared_workload()
     service = make_service(workload.catalog, parameterized=False)
     queries = [item.query for item in workload.queries]
     required = workload.queries[0].required

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.predicates import Comparison, ComparisonOp, Disjunction, Negation
+from repro.algebra.predicates import ComparisonOp, Disjunction, Negation
 from repro.errors import SqlError
 from repro.sql.parser import SelectStatement, SetStatement, parse
 

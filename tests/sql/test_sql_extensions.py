@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.predicates import Conjunction, Disjunction
+from repro.algebra.predicates import Disjunction
 from repro.catalog import Catalog
 from repro.errors import SqlError
 from repro.executor import TableSpec, execute_plan, populate_catalog
