@@ -7,16 +7,22 @@ Plan nodes are frozen; the engine annotates each node with the physical
 properties it delivers and its *cumulative* cost (node + inputs), which
 makes branch-and-bound accounting and the paper's consistency check
 ("the physical properties of a chosen plan really do satisfy the
-physical property vector") straightforward.
+physical property vector") straightforward.  Each node also carries the
+logical properties and the local cost it was priced with, so feedback,
+EXPLAIN and the multi-query sharing pass read the optimizer's own
+beliefs instead of deriving them again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-from repro.algebra.properties import ANY_PROPS, PhysProps
+from repro.algebra.properties import ANY_PROPS, LogicalProperties, PhysProps
 from repro.errors import AlgebraError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.cost import Cost
 
 __all__ = ["PhysicalPlan"]
 
@@ -40,6 +46,16 @@ class PhysicalPlan:
         True when this node is an enforcer rather than a query
         processing algorithm; enforcers perform no logical data
         manipulation (paper Section 2.2).
+    ``logical``
+        The logical properties (schema, cardinality) of the equivalence
+        class this node computes: the very object its cost function was
+        evaluated over.  None on hand-built plans.
+    ``local``
+        This node's own cost term, without its inputs: what the cost
+        function returned.  None on hand-built plans.
+
+    ``logical`` and ``local`` are annotations, not identity: equality,
+    hashing, :meth:`to_sexpr` and :meth:`pretty` ignore them.
     """
 
     algorithm: str
@@ -48,6 +64,10 @@ class PhysicalPlan:
     properties: PhysProps = ANY_PROPS
     cost: object = None
     is_enforcer: bool = False
+    logical: Optional[LogicalProperties] = field(
+        default=None, compare=False, repr=False
+    )
+    local: Optional["Cost"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.algorithm:

@@ -257,6 +257,8 @@ def glue_optimize(spec, catalog, query, required: PhysProps, options=None):
                 properties=application.delivered,
                 cost=cost + enforcer_cost,
                 is_enforcer=True,
+                logical=output_props,
+                local=enforcer_cost,
             )
             return plan, plan.cost
     raise RuntimeError(f"no glue enforcer delivers [{required}]")
@@ -506,15 +508,12 @@ def run_executor_validation(
             spec, query.catalog, SearchOptions(check_consistency=False)
         )
         result = optimizer.optimize(query.query)
-        context = OptimizerContext(spec, query.catalog)
-        estimated_rows = context.logical_props(query.query).cardinality
+        estimated_rows = result.plan.logical.cardinality
         execution_stats = ExecutionStats()
         rows = execute_plan(
             result.plan, query.catalog, execution_stats, instrument=True
         )
-        report = observed_report(
-            result.plan, execution_stats, query.catalog, spec
-        )
+        report = observed_report(result.plan, execution_stats)
         estimated_io = sum(
             query.catalog.table(name).statistics.pages(query.catalog.page_size)
             for name in query.table_names

@@ -132,6 +132,8 @@ def bind_plan(plan: PhysicalPlan, values: Mapping[str, object]) -> PhysicalPlan:
         properties=plan.properties,
         cost=plan.cost,
         is_enforcer=plan.is_enforcer,
+        logical=plan.logical,
+        local=plan.local,
     )
 
 

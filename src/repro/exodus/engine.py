@@ -514,6 +514,8 @@ class ExodusOptimizer:
             tuple(input_plans),
             properties=delivered,
             cost=total,
+            logical=node.props,
+            local=choice.local_cost,
         )
         if not plan.properties.covers(required):
             plan = self._wrap_enforcer(run, plan, required, None, node=node)
@@ -540,6 +542,8 @@ class ExodusOptimizer:
                     properties=application.delivered,
                     cost=plan.cost + cost,
                     is_enforcer=True,
+                    logical=props,
+                    local=cost,
                 )
         raise OptimizationFailedError(
             f"no enforcer delivers [{requirement}] for the extracted plan"

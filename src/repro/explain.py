@@ -59,18 +59,6 @@ class ExplainLine:
         return f"{line}  {properties}"
 
 
-def _local_costs(plan: PhysicalPlan) -> Optional[float]:
-    """Local cost of a node: cumulative minus its inputs' cumulative."""
-    if plan.cost is None:
-        return None
-    total = plan.cost.total()
-    for child in plan.inputs:
-        if child.cost is None:
-            return None
-        total -= child.cost.total()
-    return total
-
-
 def explain_plan(
     plan: PhysicalPlan, feedback: Optional["FeedbackReport"] = None
 ) -> str:
@@ -101,7 +89,7 @@ def explain_plan(
                 args=", ".join(str(a) for a in node.args),
                 properties=str(node.properties) if not node.properties.is_any else "",
                 cumulative=node.cost.total() if node.cost is not None else 0.0,
-                local=_local_costs(node),
+                local=node.local.total() if node.local is not None else None,
                 est_rows=op.estimated_rows if op is not None else None,
                 act_rows=op.actual_rows if op is not None else None,
                 q_error=op.q_error if op is not None else None,

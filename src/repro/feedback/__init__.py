@@ -5,7 +5,7 @@ model runs on catalog statistics that go stale as data changes; this
 package measures how stale.  An instrumented execution counts each
 operator's actual output rows (:mod:`repro.executor`), a
 :class:`FeedbackReport` joins those observations against the estimates
-the optimizer derived for the same subexpressions, a
+each plan node carries (the cardinality the optimizer priced it with), a
 :class:`FeedbackStore` aggregates the q-errors per table and predicate
 bucket, and :func:`refresh_statistics` rewrites drifted tables'
 statistics through the catalog's versioned API — which invalidates
@@ -17,11 +17,6 @@ and unchanged statistics leave plans byte-identical.
 """
 
 from repro.feedback.driftlab import DriftScenario, drifted_workload
-from repro.feedback.estimates import (
-    estimate_rows,
-    mirror_expressions,
-    register_mirror,
-)
 from repro.feedback.refresh import (
     FeedbackPolicy,
     RefreshResult,
@@ -47,10 +42,7 @@ __all__ = [
     "RefreshResult",
     "TableFeedback",
     "analyze_rows",
-    "estimate_rows",
-    "mirror_expressions",
     "observed_report",
     "q_error",
     "refresh_statistics",
-    "register_mirror",
 ]

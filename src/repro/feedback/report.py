@@ -1,8 +1,9 @@
 """Estimated-vs-observed cardinality reports with q-error telemetry.
 
 A :class:`FeedbackReport` joins the optimizer's believed cardinality for
-every plan node (:func:`repro.feedback.estimates.estimate_rows`) with
-the row counts the instrumented executor actually observed
+every plan node (the cardinality of :attr:`PhysicalPlan.logical`, the
+properties the node was priced with) with the row counts the
+instrumented executor actually observed
 (:attr:`ExecutionStats.node_rows`), and grades each join point with the
 standard **q-error**: ``max(est / act, act / est)``, the factor by which
 the estimate missed in either direction.  Q-error is the established
@@ -16,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.predicates import Predicate
-from repro.catalog.catalog import Catalog
-from repro.catalog.selectivity import SelectivityEstimator
 from repro.executor.runtime import ExecutionStats
-from repro.feedback.estimates import estimate_rows, mirror_expressions
-from repro.model.spec import ModelSpecification
 
 __all__ = ["q_error", "OperatorFeedback", "FeedbackReport", "observed_report"]
 
@@ -46,8 +42,9 @@ class OperatorFeedback:
     """One plan operator's estimate joined with its observation.
 
     ``actual_rows`` is None when the node was never closed (or the run
-    was not instrumented); ``estimated_rows`` is None when the node has
-    no logical mirror.  ``q_error`` is defined only when both sides are
+    was not instrumented); ``estimated_rows`` is None when the node
+    carries no logical properties (a hand-built plan).  ``q_error`` is
+    defined only when both sides are
     present.  For scan operators, ``scanned_rows`` counts rows read
     from the stored table (pre-filter) and ``scan_complete`` tells
     whether the scan exhausted the table — only then is ``scanned_rows``
@@ -79,14 +76,34 @@ _SCAN_ARGS = {
 }
 
 
-def _node_details(node: PhysicalPlan, mirror: Optional[LogicalExpression]):
+def _sole_leaves(node: PhysicalPlan, leaves: Dict[int, Optional[PhysicalPlan]]):
+    """Fill ``leaves`` (keyed by ``id``) with each subtree's only leaf.
+
+    A subtree with several leaves maps to None.  One post-order pass
+    fills the whole plan, so attribution stays linear in its size.
+    """
+    key = id(node)
+    if key not in leaves:
+        if not node.inputs:
+            leaves[key] = node
+        elif len(node.inputs) == 1:
+            leaves[key] = _sole_leaves(node.inputs[0], leaves)
+        else:
+            for child in node.inputs:
+                _sole_leaves(child, leaves)
+            leaves[key] = None
+    return leaves[key]
+
+
+def _node_details(node: PhysicalPlan, leaf: Optional[PhysicalPlan]):
     """``(table, alias, predicate)`` for a plan node, best effort.
 
     Scans name their table directly.  Any other operator is attributed
-    to a table only when its logical mirror touches exactly one base
-    table — a filter above a single scan, say — because feedback
-    aggregated per (table, predicate) is meaningless for multi-table
-    operators.
+    to a table only when it reads exactly one source — its logical
+    properties name one table and ``leaf``, its subtree's only leaf, is
+    a stored-table scan of that table (a filter above a single scan,
+    say) — because feedback aggregated per (table, predicate) is
+    meaningless for multi-table operators.
     """
     extract = _SCAN_ARGS.get(node.algorithm)
     if extract is not None:
@@ -95,10 +112,11 @@ def _node_details(node: PhysicalPlan, mirror: Optional[LogicalExpression]):
     if node.algorithm == "filter":
         (predicate,) = node.args
     table = alias = None
-    if mirror is not None:
-        gets = [expr for expr in mirror.walk() if expr.operator == "get"]
-        if len(gets) == 1:
-            table, alias = gets[0].args
+    extract = _SCAN_ARGS.get(leaf.algorithm) if leaf is not None else None
+    if extract is not None and node.logical is not None:
+        scanned, scanned_alias, _ = extract(leaf.args)
+        if node.logical.tables == {scanned_alias or scanned}:
+            table, alias = scanned, scanned_alias
     return table, alias, predicate
 
 
@@ -108,11 +126,14 @@ class FeedbackReport:
 
     The plan-level ``max_q_error`` is the report's headline number: the
     worst per-operator miss, the quantity drift policies threshold on.
+    ``degraded`` and ``rebound`` mark reports that are telemetry only,
+    never drift evidence: see :func:`observed_report`.
     """
 
     plan: PhysicalPlan
     operators: Tuple[OperatorFeedback, ...]
     degraded: bool = False
+    rebound: bool = False
 
     @property
     def max_q_error(self) -> float:
@@ -169,25 +190,27 @@ def _depths(plan: PhysicalPlan) -> Dict[int, int]:
 def observed_report(
     plan: PhysicalPlan,
     stats: ExecutionStats,
-    catalog: Catalog,
-    spec: ModelSpecification,
-    estimator: Optional[SelectivityEstimator] = None,
     *,
     degraded: bool = False,
+    rebound: bool = False,
 ) -> FeedbackReport:
     """Join ``plan``'s estimates with an instrumented run's counters.
 
-    ``stats`` must come from an ``instrument=True`` execution of this
-    exact plan — node ids are pre-order positions, so estimate and
-    observation line up positionally.  ``degraded`` marks reports from
-    plans produced under resource pressure; stores keep their q-error
+    Each node's estimate is the cardinality of the logical properties it
+    carries (None when it carries none).  ``stats`` must come from an
+    ``instrument=True`` execution of this exact plan — node ids are
+    pre-order positions, so estimate and observation line up
+    positionally.  ``degraded`` marks reports from plans produced under
+    resource pressure; ``rebound`` marks a plan-cache template hit, whose
+    nodes carry the estimates of the cached optimization's literals, not
+    of the literals bound into it.  Stores keep both kinds' q-error
     telemetry but never let them trigger statistics refresh.
     """
-    estimates = estimate_rows(plan, catalog, spec, estimator)
-    mirrors = mirror_expressions(plan)
+    leaves: Dict[int, Optional[PhysicalPlan]] = {}
+    _sole_leaves(plan, leaves)
     operators: List[OperatorFeedback] = []
     for node_id, node in enumerate(plan.walk()):
-        table, alias, predicate = _node_details(node, mirrors.get(node_id))
+        table, alias, predicate = _node_details(node, leaves[id(node)])
         operators.append(
             OperatorFeedback(
                 node_id=node_id,
@@ -196,10 +219,14 @@ def observed_report(
                 table=table,
                 alias=alias,
                 predicate=predicate,
-                estimated_rows=estimates.get(node_id),
+                estimated_rows=(
+                    node.logical.cardinality if node.logical is not None else None
+                ),
                 actual_rows=stats.node_rows.get(node_id),
                 scanned_rows=stats.node_scan_rows.get(node_id),
                 scan_complete=stats.node_scan_complete.get(node_id, False),
             )
         )
-    return FeedbackReport(plan=plan, operators=tuple(operators), degraded=degraded)
+    return FeedbackReport(
+        plan=plan, operators=tuple(operators), degraded=degraded, rebound=rebound
+    )

@@ -16,6 +16,9 @@ queries and distills them into the two signals the adaptive loop needs:
 Reports from degraded plans (produced under resource pressure) count
 toward telemetry but are quarantined from the drift signals: a plan the
 optimizer knowingly cut short must never trigger a statistics rewrite.
+Reports from plan-cache template hits are quarantined the same way:
+their estimates are the cached optimization's, made for other literals,
+so a miss measures the literals' distance as much as the statistics'.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class FeedbackStore:
             if op.table is None:
                 continue
             table = self._tables.setdefault(op.table, TableFeedback())
-            if report.degraded:
+            if report.degraded or report.rebound:
                 continue
             if error is not None:
                 table.observations += 1

@@ -618,18 +618,12 @@ def _check_enforcers(
 def _check_utility_algorithms(
     spec: ModelSpecification, report: LintReport
 ) -> None:
-    """Utility algorithms live outside the search; check both borders.
+    """Utility algorithms live outside the search.
 
     V501: an implementation rule targeting a utility algorithm lets the
     cost-based search build a node that an out-of-search pass
-    (multi-query sharing) is supposed to own.  V502: a utility
-    algorithm with no feedback-mirror registration silently yields
-    unattributed cardinalities when its plans are executed
-    instrumented; an explicit ``register_mirror(name, None)`` records
-    the decision and satisfies the check.
+    (multi-query sharing) is supposed to own.
     """
-    from repro.feedback.estimates import has_mirror
-
     utilities = {
         name
         for name in spec.algorithms
@@ -645,15 +639,6 @@ def _check_utility_algorithms(
                 f"targets utility algorithm {rule.algorithm!r}; utility "
                 "algorithms are planted by out-of-search passes, not by "
                 "the cost-based search",
-            )
-    for name in sorted(utilities):
-        if not has_mirror(name):
-            report.add(
-                "V502",
-                f"algorithm {name!r}",
-                "no feedback mirror is registered; register one with "
-                "repro.feedback.register_mirror (None for deliberately "
-                "opaque nodes)",
             )
 
 

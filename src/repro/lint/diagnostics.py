@@ -182,12 +182,6 @@ V501 = _register(
     "rule producing one lets the search cost a node the pass owns — drop the "
     "rule or clear the utility flag",
 )
-V502 = _register(
-    "V502", Severity.WARNING, "utility algorithm has no feedback mirror",
-    "register a mirror with repro.feedback.register_mirror (None is fine for "
-    "deliberately opaque nodes) so instrumented executions do not silently "
-    "misattribute its cardinalities",
-)
 
 # -- runtime memo invariants (MemoAuditor) -----------------------------------
 

@@ -936,6 +936,8 @@ class VolcanoOptimizer:
                     tuple(winner.plan for winner in input_winners),
                     properties=delivered,
                     cost=total,
+                    logical=node.output,
+                    local=local,
                 )
                 if claims is not None:
                     claims[id(plan)] = (
@@ -1158,6 +1160,8 @@ class VolcanoOptimizer:
             properties=application.delivered,
             cost=total,
             is_enforcer=True,
+            logical=group.logical_props,
+            local=local,
         )
         if run.claims is not None:
             run.claims[id(plan)] = (

@@ -95,6 +95,8 @@ def alternative_plans(
                         tuple(input_plans),
                         properties=delivered,
                         cost=total,
+                        logical=node.output,
+                        local=local,
                     )
                 )
                 if len(plans) >= limit:
@@ -212,6 +214,8 @@ class _GreedySearch:
                         tuple(input_plans),
                         properties=delivered,
                         cost=total,
+                        logical=node.output,
+                        local=local,
                     )
                     if claims is not None:
                         claims[id(plan)] = (
@@ -266,6 +270,8 @@ class _GreedySearch:
                             properties=application.delivered,
                             cost=total,
                             is_enforcer=True,
+                            logical=group.logical_props,
+                            local=local,
                         )
                         if claims is not None:
                             claims[id(plan)] = (

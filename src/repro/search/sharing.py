@@ -21,10 +21,14 @@ The benefit of materializing a candidate ``S`` with ``N`` occurrences::
 i.e. what the batch pays today minus computing ``S`` once, writing it
 out, and reading it back ``N`` times.  ``mat`` and ``scan`` come from
 the model's own ``materialize`` / ``scan_intermediate`` algorithm
-definitions, so the trade-off is priced in the same currency as every
-other plan.  The greedy loop only ever accepts candidates with benefit
-strictly above ``min_benefit``, so the shared plan set is provably never
-more expensive than the independent plans it replaces.
+definitions, evaluated over the logical properties ``S`` carries
+(:attr:`PhysicalPlan.logical`, the equivalence class's own), so the
+trade-off is priced in the same currency as every other plan.  A node
+rebuilt over rewritten inputs re-adds its inputs' costs to the local
+cost it carries (:attr:`PhysicalPlan.local`).  The greedy loop only
+ever accepts candidates with strictly positive benefit, so the shared
+plan set is provably never more expensive than the independent plans
+it replaces.
 
 The pass also certifies its own rewrites.  When every input result
 carries a certificate, each node's :class:`~repro.verify.certificate.NodeClaim`
@@ -45,10 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
-from repro.algebra.properties import LogicalProperties
 from repro.catalog.catalog import Catalog
 from repro.catalog.selectivity import SelectivityEstimator
-from repro.errors import OptionsError, ReproError
+from repro.errors import ReproError
 from repro.model.context import OptimizerContext
 from repro.model.patterns import match_tree
 from repro.model.spec import AlgorithmNode, ModelSpecification
@@ -73,27 +76,18 @@ class SharingOptions(OptionsBase):
     ``enabled``
         Master switch: when off, ``optimize_many`` optimizes every cache
         miss in its own per-query memo exactly as before.
-    ``min_benefit``
-        A candidate is materialized only when its estimated benefit is
-        *strictly* greater than this (in cost-model units).  Zero — the
-        default — already guarantees the shared plan set is never more
-        expensive than the independent plans.
     ``max_materializations``
         Upper bound on materialized intermediates per batch; the greedy
-        loop stops early when no candidate clears ``min_benefit``.
+        loop stops early when no candidate has a strictly positive
+        benefit.
     """
 
     enabled: bool = True
-    min_benefit: float = 0.0
     max_materializations: int = 4
 
     def validate(self) -> None:
         """Check field invariants; raise :class:`OptionsError` on failure."""
         check_positive("max_materializations", self.max_materializations)
-        if self.min_benefit < 0:
-            raise OptionsError(
-                f"min_benefit must be non-negative, got {self.min_benefit!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -170,19 +164,13 @@ class _SharingState:
     ``claims`` and ``frontiers`` hold every node's certificate claim and
     logical frontier; ``claims`` is None when some input result carries
     no indexable certificate (the pass then runs uncertified).
-    ``local_costs`` holds the exact local cost of every node whose cost
-    is known without subtraction: the claimed ones, and every node the
-    pass makes.
     """
 
-    def __init__(self, context: OptimizerContext, results: Sequence):
-        self.context = context
+    def __init__(self, spec: ModelSpecification, results: Sequence):
         self.keepalive: List[PhysicalPlan] = []
-        self._mirrors: Dict[int, Optional[LogicalExpression]] = {}
-        self._props: Dict[int, Optional[LogicalProperties]] = {}
         self.claims: Optional[Dict[int, NodeClaim]] = {}
         self.frontiers: Dict[int, LogicalExpression] = {}
-        impls = {rule.name: rule for rule in context.spec.implementations}
+        impls = {rule.name: rule for rule in spec.implementations}
         try:
             for result in results:
                 certificate = getattr(result, "certificate", None)
@@ -195,11 +183,6 @@ class _SharingState:
                 )
         except (_Unindexable, KeyError):
             self.claims, self.frontiers = None, {}
-        self.local_costs: Dict[int, object] = (
-            {key: claim.local for key, claim in self.claims.items()}
-            if self.claims is not None
-            else {}
-        )
 
     def _index(self, node, frontier, claims, counter, impls) -> None:
         """Index one plan's pre-order claims, deriving child frontiers
@@ -231,40 +214,6 @@ class _SharingState:
         for child, sub in zip(node.inputs, subs):
             self._index(child, sub, claims, counter, impls)
 
-    def _mirror(self, node: PhysicalPlan) -> Optional[LogicalExpression]:
-        """The node's logical mirror (identity-memoized)."""
-        key = id(node)
-        if key in self._mirrors:
-            return self._mirrors[key]
-        # Imported lazily: repro.feedback pulls in workload helpers that
-        # must not load during repro.search package initialization.
-        from repro.feedback.estimates import node_mirror
-
-        inputs = tuple(self._mirror(child) for child in node.inputs)
-        mirror = node_mirror(node, inputs)
-        self._mirrors[key] = mirror
-        self.keepalive.append(node)
-        return mirror
-
-    def props_of(self, node: PhysicalPlan) -> Optional[LogicalProperties]:
-        """Logical properties of a plan node, via its logical mirror.
-
-        Derivation goes through the model's own property functions —
-        the same numbers the cost model consumed during the search.
-        """
-        key = id(node)
-        if key in self._props:
-            return self._props[key]
-        mirror = self._mirror(node)
-        props: Optional[LogicalProperties] = None
-        if mirror is not None:
-            try:
-                props = self.context.logical_props(mirror)
-            except (ReproError, KeyError):
-                props = None
-        self._props[key] = props
-        return props
-
     def inherit(
         self, old: PhysicalPlan, new: PhysicalPlan, claim: Optional[NodeClaim] = None
     ) -> None:
@@ -273,7 +222,6 @@ class _SharingState:
         It keeps the original's frontier, and its claim unless ``claim``
         (a new node's own) is given.
         """
-        self._props[id(new)] = self.props_of(old)
         self.keepalive.append(new)
         if self.claims is not None:
             self.claims[id(new)] = claim if claim is not None else self.claims[id(old)]
@@ -295,29 +243,13 @@ class _SharingState:
         return tuple(claims), intermediates
 
 
-def _local_cost(state: _SharingState, node: PhysicalPlan) -> Optional[object]:
-    """The node's own cost: claimed or recorded exactly, else by subtraction."""
-    recorded = state.local_costs.get(id(node))
-    if recorded is not None:
-        return recorded
-    cost = node.cost
-    if cost is None:
-        return None
-    for child in node.inputs:
-        if child.cost is None:
-            return None
-        cost = cost - child.cost
-    return cost
-
-
 def _rebuild(
     state: _SharingState,
     node: PhysicalPlan,
     new_inputs: Tuple[PhysicalPlan, ...],
 ) -> PhysicalPlan:
-    """Replace a node's inputs, recomputing its cumulative cost."""
-    local = _local_cost(state, node)
-    cost = local
+    """Replace a node's inputs, re-adding their costs to its local cost."""
+    cost = node.local
     if cost is not None:
         for child in new_inputs:
             if child.cost is None:
@@ -325,8 +257,6 @@ def _rebuild(
                 break
             cost = cost + child.cost
     rebuilt = dataclasses.replace(node, inputs=new_inputs, cost=cost)
-    if local is not None:
-        state.local_costs[id(rebuilt)] = local
     state.inherit(node, rebuilt)
     return rebuilt
 
@@ -440,9 +370,11 @@ def plan_sharing(
     ``materialize``/``scan_intermediate`` algorithms) the report simply
     echoes the independent plans.
 
-    When every result carries a certificate, rewritten costs re-add from
-    the exact local costs the engine claimed, and the report carries the
-    pass's consumer and producer certificates (see :class:`SharingReport`).
+    Candidates are priced over the logical properties each plan node
+    carries, and rewritten costs re-add from each node's local cost;
+    when every result carries a certificate, the report also carries
+    the pass's consumer and producer certificates (see
+    :class:`SharingReport`).
     """
     options = options if options is not None else SharingOptions()
     plans = tuple(result.plan for result in results)
@@ -465,7 +397,7 @@ def plan_sharing(
         return report
 
     context = OptimizerContext(spec, catalog, estimator)
-    state = _SharingState(context, results)
+    state = _SharingState(spec, results)
     mat_def = spec.algorithm(MATERIALIZE)
     scan_def = spec.algorithm(SCAN_INTERMEDIATE)
 
@@ -476,13 +408,13 @@ def plan_sharing(
     while len(shared) < options.max_materializations:
         counts, nodes = _count_occurrences(working)
         best: Optional[PhysicalPlan] = None
-        best_benefit = options.min_benefit
+        best_benefit = 0.0
         best_count = 0
         for key, node in nodes.items():
             occurrences = counts[key]
             if occurrences < 2:
                 continue
-            props = state.props_of(node)
+            props = node.logical
             if props is None:
                 continue
             candidates_considered += 1
@@ -503,8 +435,7 @@ def plan_sharing(
         if best is None:
             break
 
-        props = state.props_of(best)
-        assert props is not None  # filtered above
+        props = best.logical
         name = f"__mqo_{len(shared)}"
         columns = tuple(props.schema.column_names)
         row_width = max(1, props.schema.row_width)
@@ -520,6 +451,8 @@ def plan_sharing(
             (best,),
             properties=best.properties,
             cost=None if best.cost is None else best.cost + mat_cost,
+            logical=props,
+            local=mat_cost,
         )
         scan_node = PhysicalPlan(
             SCAN_INTERMEDIATE,
@@ -527,11 +460,11 @@ def plan_sharing(
             (),
             properties=best.properties,
             cost=scan_cost,
+            logical=props,
+            local=scan_cost,
         )
         state.inherit(best, producer, NodeClaim(MATERIALIZE, mat_cost, props, (props,)))
         state.inherit(best, scan_node, NodeClaim(SCAN_INTERMEDIATE, scan_cost, props, ()))
-        state.local_costs[id(producer)] = mat_cost
-        state.local_costs[id(scan_node)] = scan_cost
 
         cache: Dict[int, PhysicalPlan] = {id(best): scan_node}
         working = [_rewrite(state, plan, cache) for plan in working]

@@ -571,11 +571,15 @@ class OptimizerServer:
 
         def build():
             prepared = self.service.prepare(sql)
-            normalized = normalize_literals(
-                prepared.expression,
-                self.service.catalog,
-                buckets=self.service.options.selectivity_buckets,
-            )
+            # prepare() normalized the literals already unless the text
+            # has none or parameterized caching is off.
+            normalized = prepared.normalized
+            if normalized is None:
+                normalized = normalize_literals(
+                    prepared.expression,
+                    self.service.catalog,
+                    buckets=self.service.options.selectivity_buckets,
+                )
             return prepared, normalized
 
         prepared, normalized = await self._in_thread(build)

@@ -990,7 +990,9 @@ class OptimizerService:
 
         Degraded plans (budget-tripped optimizations) record feedback
         telemetry but never trigger a refresh: a knowingly cut-short
-        plan is not evidence that the statistics are wrong.  With
+        plan is not evidence that the statistics are wrong.  Nor is a
+        template hit's plan: its estimates are those of the cached
+        optimization's literals, not the ones bound into it.  With
         ``instrument=False`` the run is observation-free — no per-node
         counters, no report, no refresh.
         """
@@ -1005,14 +1007,12 @@ class OptimizerService:
         )
         report: Optional[FeedbackReport] = None
         refresh: Optional[RefreshResult] = None
-        spec = getattr(self.optimizer, "spec", None)
-        if instrument and spec is not None:
+        if instrument:
             report = observed_report(
                 served.plan,
                 stats,
-                self.catalog,
-                spec,
                 degraded=served.degraded,
+                rebound=served.parameterized,
             )
             self.feedback.record(report)
             policy = policy if policy is not None else self.options.feedback_policy

@@ -214,6 +214,8 @@ def parameterize_plan(
         properties=plan.properties,
         cost=plan.cost,
         is_enforcer=plan.is_enforcer,
+        logical=plan.logical,
+        local=plan.local,
     )
 
 

@@ -328,6 +328,8 @@ class SystemROptimizer:
                             (left_plan, right_plan),
                             properties=delivered,
                             cost=total,
+                            logical=output_props,
+                            local=local,
                         )
                         self._add_entry(entries, plan, stats)
 
@@ -353,6 +355,8 @@ class SystemROptimizer:
             properties=application.delivered,
             cost=entry.plan.cost + cost,
             is_enforcer=True,
+            logical=input_props,
+            local=cost,
         )
 
     def _add_entry(self, entries: Dict[Tuple, _Entry], plan: PhysicalPlan, stats) -> None:

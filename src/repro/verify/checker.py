@@ -330,7 +330,7 @@ class _Checker:
             )
             return blanks
         cnode = AlgorithmNode(node.args, claim.output, claim.inputs)
-        self._check_local_cost(algorithm, cnode, claim, subject)
+        self._check_local_term(algorithm, cnode, claim, subject)
         try:
             delivered = algorithm.derive_props(
                 self.context, cnode, tuple(child.properties for child in node.inputs)
@@ -468,7 +468,7 @@ class _Checker:
                     f"not satisfy the relaxed goal [{application.relaxed}]",
                 )
         cnode = AlgorithmNode(node.args, claim.output, claim.inputs)
-        self._check_local_cost(enforcer, cnode, claim, subject)
+        self._check_local_term(enforcer, cnode, claim, subject)
 
     def _check_utility_cost(
         self, node: PhysicalPlan, claim: NodeClaim, subject: str
@@ -480,7 +480,7 @@ class _Checker:
             )
             return
         cnode = AlgorithmNode(node.args, claim.output, claim.inputs)
-        self._check_local_cost(algorithm, cnode, claim, subject)
+        self._check_local_term(algorithm, cnode, claim, subject)
 
     def _check_scan(
         self,
@@ -510,7 +510,7 @@ class _Checker:
             )
         self._check_utility_cost(node, claim, subject)
 
-    def _check_local_cost(
+    def _check_local_term(
         self, definition, cnode: AlgorithmNode, claim: NodeClaim, subject: str
     ) -> None:
         if not self.have_catalog:
@@ -540,10 +540,11 @@ class _Checker:
             _MATERIALIZE,
             _SCAN_INTERMEDIATE,
         ):
-            # Sharing's utility nodes are costed over feedback-mirror
-            # property estimates, which legitimately differ from a pure
-            # catalog derivation; their costs are still reproduced
-            # exactly (P303) over the claimed properties.
+            # Sharing's utility nodes are costed over the properties
+            # their subplan's node carries, which may differ from a
+            # derivation over the frontier (schema column order, last
+            # bits); their costs are still reproduced exactly (P303)
+            # over the claimed properties.
             return
         target = frontier
         if target is None:

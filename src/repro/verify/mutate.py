@@ -217,7 +217,7 @@ def _scale_cumulative_cost(fixture: _Fixture):
     return fixture.query, plan, fixture.certificate
 
 
-def _understate_local_cost(fixture: _Fixture):
+def _understate_local_term(fixture: _Fixture):
     index = _first_claim(
         fixture.certificate, lambda claim: claim.local.total() > 0
     )
@@ -353,10 +353,10 @@ CORRUPTIONS: Tuple[Corruption, ...] = (
         _scale_cumulative_cost,
     ),
     Corruption(
-        "understate_local_cost",
+        "understate_local_term",
         "zero out one node's local cost term in the certificate",
         "P3xx",
-        _understate_local_cost,
+        _understate_local_term,
     ),
     Corruption(
         "dangling_intermediate",

@@ -10,26 +10,32 @@ from repro.algebra.plans import PhysicalPlan
 from repro.algebra.predicates import eq
 from repro.algebra.properties import sorted_on
 from repro.executor import ExecutionStats, execute_plan
+from repro.executor.compile import PlanCompiler
+from repro.executor.oodb import register_oodb
+from repro.executor.runtime import ExecutionContext
 from repro.explain import explain_plan
-from repro.feedback import estimate_rows, mirror_expressions, observed_report, q_error
+from repro.feedback import observed_report, q_error
 from repro.model.context import OptimizerContext
 from repro.models.aggregates import aggregate, aggregate_model
+from repro.models.oodb import materialize, oodb_model
 from repro.models.relational import get, join, project, relational_model, select
 from repro.search import SearchOptions, VolcanoOptimizer
 
+from tests.executor.test_oodb_executor import build_catalog as build_oodb_catalog
 
-def optimize(catalog, query, props=None):
+
+def optimize(catalog, query, props=None, spec=None):
     optimizer = VolcanoOptimizer(
-        relational_model(), catalog, SearchOptions(check_consistency=False)
+        spec or relational_model(), catalog, SearchOptions(check_consistency=False)
     )
     return optimizer.optimize(query, props).plan
 
 
-def run_report(catalog, query, props=None):
-    plan = optimize(catalog, query, props)
+def run_report(catalog, query, props=None, spec=None):
+    plan = optimize(catalog, query, props, spec)
     stats = ExecutionStats()
     rows = execute_plan(plan, catalog, stats, instrument=True)
-    report = observed_report(plan, stats, catalog, relational_model())
+    report = observed_report(plan, stats)
     return plan, rows, report
 
 
@@ -119,58 +125,76 @@ def test_uninstrumented_stats_produce_no_observations(rowed_catalog):
     stats = ExecutionStats()
     execute_plan(plan, rowed_catalog, stats)  # instrument off
     assert stats.node_rows == {}
-    report = observed_report(plan, stats, rowed_catalog, relational_model())
+    report = observed_report(plan, stats)
     assert all(op.actual_rows is None for op in report.operators)
     assert all(op.q_error is None for op in report.operators)
     assert report.max_q_error == 1.0
     assert report.observed_operators == 0
 
 
-@pytest.mark.parametrize("algorithm", ["hash_aggregate", "stream_aggregate"])
+@pytest.mark.parametrize(
+    "algorithm, props",
+    [("hash_aggregate", None), ("stream_aggregate", sorted_on("r.k"))],
+    ids=["hash_aggregate", "stream_aggregate"],
+)
 def test_filter_project_aggregate_mirrors_estimate_like_the_model(
-    rowed_catalog, algorithm
+    rowed_catalog, algorithm, props
 ):
-    """Each node's estimate is the model's cardinality of its logical mirror."""
+    """Each node's estimate is the model's cardinality of the class it computes."""
     predicate = eq("r.v", 1)
-    group_by, aggregates = ("r.k",), (("n", "count", None),)
-    plan = PhysicalPlan(
-        algorithm,
-        (group_by, aggregates),
-        (
-            PhysicalPlan(
-                "project",
-                (("r.k", "r.v"),),
-                (
-                    PhysicalPlan(
-                        "filter",
-                        (predicate,),
-                        (PhysicalPlan("file_scan", ("r", None)),),
-                    ),
-                ),
-            ),
-        ),
-    )
     scanned = get("r")
     filtered = select(scanned, predicate)
     projected = project(filtered, ["r.k", "r.v"])
-    grouped = aggregate(projected, group_by, aggregates)
+    grouped = aggregate(projected, ("r.k",), (("n", "count", None),))
     spec = aggregate_model()
+    plan, _, report = run_report(rowed_catalog, grouped, props, spec)
+    assert plan.algorithm == algorithm
     context = OptimizerContext(spec, rowed_catalog)
-    expected = {
-        node_id: context.logical_props(mirror).cardinality
-        for node_id, mirror in enumerate((grouped, projected, filtered, scanned))
-    }
-    assert mirror_expressions(plan) == dict(
-        enumerate((grouped, projected, filtered, scanned))
-    )
-    assert estimate_rows(plan, rowed_catalog, spec) == expected
-    assert expected[2] < expected[3]  # the filter's estimate is selective
+    # Top down, each algorithm computes the next class of the chain
+    # (the scan absorbs the filter); an enforcer computes its input's.
+    chain = iter((grouped, projected, filtered))
+    expected, enforcers = [], 0
+    for node in plan.walk():
+        if node.is_enforcer:
+            enforcers += 1
+            continue
+        cardinality = context.logical_props(next(chain)).cardinality
+        expected += [cardinality] * (enforcers + 1)
+        enforcers = 0
+    assert next(chain, None) is None
+    assert [op.estimated_rows for op in report.operators] == expected
+    # The filter's estimate is selective.
+    assert expected[-1] < context.logical_props(scanned).cardinality
 
 
 def test_unknown_algorithm_has_no_estimate(rowed_catalog):
     plan = PhysicalPlan("warp_scan", ("r", None))
-    assert mirror_expressions(plan) == {0: None}
-    assert estimate_rows(plan, rowed_catalog, relational_model()) == {0: None}
+    report = observed_report(plan, ExecutionStats())
+    assert report.operator(0).estimated_rows is None
+    assert report.operator(0).q_error is None
+
+
+def test_every_oodb_node_is_estimated_and_pointer_chase_is_unattributed():
+    """A model without a hand-written mapping still gets estimates: each
+    node carries its class's properties.  ``pointer_chase`` reads two
+    sources, so it is attributed to no table."""
+    catalog = build_oodb_catalog(employees=50, departments=5000)
+    query = materialize(
+        select(get("employee"), eq("employee.salary", 7)), "dept_ref", "department"
+    )
+    plan = VolcanoOptimizer(oodb_model(), catalog).optimize(query).plan
+    assert "pointer_chase" in plan.algorithms_used()
+    stats = ExecutionStats()
+    compiler = PlanCompiler(catalog)
+    register_oodb(compiler)
+    compiler.compile(plan, ExecutionContext(catalog, stats), instrument=True).drain()
+    report = observed_report(plan, stats)
+    assert all(op.estimated_rows is not None for op in report.operators)
+    (chase,) = [op for op in report.operators if op.algorithm == "pointer_chase"]
+    assert chase.table is None and chase.alias is None
+    assert chase.actual_rows is not None and chase.q_error is not None
+    scans = [op for op in report.operators if op.algorithm.endswith("scan")]
+    assert [op.table for op in scans] == ["employee"]
 
 
 # -- rendering -----------------------------------------------------------------

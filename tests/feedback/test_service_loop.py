@@ -8,9 +8,9 @@ fingerprints, and the re-optimized plan measurably beats the stale one.
 
 import pytest
 
-from repro.algebra.predicates import eq
+from repro.algebra.predicates import Comparison, ComparisonOp, col, eq, lit
 from repro.feedback import FeedbackPolicy, drifted_workload
-from repro.models.relational import get, join, relational_model
+from repro.models.relational import get, join, relational_model, select
 from repro.options import ResourceBudget
 from repro.search import SearchOptions, VolcanoOptimizer
 from repro.service import OptimizerService, ServiceOptions
@@ -133,6 +133,29 @@ def test_degraded_plans_record_feedback_but_never_refresh():
     assert scenario.catalog.statistics_version == before
     assert service.feedback.degraded_reports == 1
     # The drift is quarantined: even a later refresh pass sees nothing.
+    assert service.feedback.drifted_tables(FeedbackPolicy(max_q_error=2.0)) == ()
+
+
+def test_range_template_hits_record_feedback_but_never_refresh():
+    # r.k < 1 and r.k < 4 share a selectivity bucket, so the second is a
+    # template hit carrying the first one's estimates: a 3x+ "miss" that
+    # says nothing about the statistics, which are accurate here.
+    scenario, service = make_service(
+        feedback_policy=FeedbackPolicy(max_q_error=2.0)
+    )
+
+    def below(value):
+        return select(get("r"), Comparison(ComparisonOp.LT, col("r.k"), lit(value)))
+
+    before = scenario.catalog.statistics_version
+    first = service.execute(below(1))
+    hit = service.execute(below(4))
+    assert hit.served.parameterized
+    assert hit.max_q_error > 2.0
+    assert hit.report.rebound and not first.report.rebound
+    assert not hit.refreshed
+    assert scenario.catalog.statistics_version == before
+    assert service.feedback.reports == 2
     assert service.feedback.drifted_tables(FeedbackPolicy(max_q_error=2.0)) == ()
 
 

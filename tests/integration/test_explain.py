@@ -37,9 +37,7 @@ def test_explain_marks_enforcers(result):
 
 
 def test_local_costs_sum_to_total(result):
-    from repro.explain import _local_costs
-
-    total = sum(_local_costs(node) for node in result.plan.walk())
+    total = sum(node.local.total() for node in result.plan.walk())
     assert total == pytest.approx(result.cost.total())
 
 

@@ -238,6 +238,29 @@ def test_prepare_bind_roundtrip(client):
     assert default["parameters"] == {"p0": 7}
 
 
+def test_prepare_normalizes_literals_once(client, monkeypatch):
+    """/prepare reuses the literal normalization prepare() already made."""
+    import repro.server.app as app_module
+    import repro.service.service as service_module
+
+    calls = []
+
+    def counting(inner):
+        def normalize(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        return normalize
+
+    for module in (app_module, service_module):
+        monkeypatch.setattr(
+            module, "normalize_literals", counting(module.normalize_literals)
+        )
+    prepared = client.prepare(POINT_SQL)
+    assert prepared["parameterized"] and prepared["parameters"] == {"p0": 7}
+    assert len(calls) == 1
+
+
 def test_bind_unknown_statement_is_404(client):
     with pytest.raises(ClientError) as caught:
         client.bind("stmt-doesnotexist", {"p0": 1})

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import OptionsError
 from repro.exodus import ExodusOptions
 from repro.options import ResourceBudget, ServerOptions
-from repro.search import SearchOptions
+from repro.search import SearchOptions, SharingOptions
 from repro.service import ServiceOptions
 from repro.systemr import SystemROptions
 
@@ -31,6 +31,7 @@ FIELD_NAMES = {
         "certificates",
         "kernel",
     },
+    SharingOptions: {"enabled", "max_materializations"},
     ServiceOptions: {
         "max_entries",
         "parameterized",
