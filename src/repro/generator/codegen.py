@@ -167,13 +167,15 @@ def generate_source(
         emit(f"    {name!r}: {enforcer_codes[name]},")
     emit("}")
     emit("")
-    emit("# Transformation rules: name -> (top operator code, promise, pattern).")
+    emit("# Transformation rules: name -> (top operator code, promise, pattern,")
+    emit("# disables, inherits); the masks as sorted tuples of rule names.")
     emit("TRANSFORMATIONS = {")
     for rule in spec.transformations:
         code = operator_codes[rule.top_operator]
         emit(
             f"    {rule.name!r}: ({code}, {rule.promise!r}, "
-            f"{render_pattern_code(rule.pattern)}),"
+            f"{render_pattern_code(rule.pattern)}, "
+            f"{tuple(sorted(rule.disables))!r}, {tuple(sorted(rule.inherits))!r}),"
         )
     emit("}")
     emit("")
@@ -224,6 +226,11 @@ def generate_source(
     emit("        frozen = TRANSFORMATIONS.get(rule.name)")
     emit("        if frozen and eval(render_pattern_code(rule.pattern)) != frozen[2]:")
     emit("            problems.append(f'pattern of rule {rule.name!r} changed')")
+    emit("        if frozen and (")
+    emit("            tuple(sorted(rule.disables)) != frozen[3]")
+    emit("            or tuple(sorted(rule.inherits)) != frozen[4]")
+    emit("        ):")
+    emit("            problems.append(f'masks of rule {rule.name!r} changed')")
     emit("    for rule in spec.implementations:")
     emit("        frozen = IMPLEMENTATIONS.get(rule.name)")
     emit("        if frozen and eval(render_pattern_code(rule.pattern)) != frozen[3]:")

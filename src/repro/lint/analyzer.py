@@ -251,6 +251,7 @@ def _check_rules_wellformed(spec: ModelSpecification, report: LintReport) -> Non
     for rule in spec.transformations:
         _check_pattern(rule.pattern, rule.name, "transformation", spec, report)
         _check_promise(rule, "transformation", report)
+    _check_masks(spec, report)
     for rule in spec.implementations:
         _check_pattern(rule.pattern, rule.name, "implementation", spec, report)
         _check_promise(rule, "implementation", report)
@@ -276,6 +277,32 @@ def _check_promise(rule, kind: str, report: LintReport) -> None:
             "V010",
             f"{kind} {rule.name!r}",
             f"promise is {promise!r}; expected a finite number",
+        )
+
+
+def _check_masks(spec: ModelSpecification, report: LintReport) -> None:
+    """V011: a mask names a rule the specification lacks.  V012: masks
+    are declared but no ``masks_complete`` guard lets them apply."""
+    names = {rule.name for rule in spec.transformations}
+    for rule in spec.transformations:
+        for field_name, declared in (
+            ("disables", rule.disables),
+            ("inherits", rule.inherits),
+        ):
+            for unknown in sorted(declared - names):
+                report.add(
+                    "V011",
+                    f"transformation {rule.name!r}",
+                    f"{field_name} names unknown rule {unknown!r}",
+                )
+    if spec.masks_complete is None and any(
+        rule.disables or rule.inherits for rule in spec.transformations
+    ):
+        report.add(
+            "V012",
+            "spec",
+            "transformation rules declare masks but masks_complete is "
+            "unset, so the masks never apply",
         )
 
 

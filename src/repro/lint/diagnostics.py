@@ -108,6 +108,16 @@ V010 = _register(
     "promise orders move pursuit and feeds min_promise pruning; give the "
     "rule a finite numeric promise",
 )
+V011 = _register(
+    "V011", Severity.ERROR, "rule mask names an unknown rule",
+    "disables/inherits list transformation rule names; fix the spelling "
+    "or declare the rule",
+)
+V012 = _register(
+    "V012", Severity.WARNING, "rule masks declared without masks_complete",
+    "masks apply only where masks_complete vouches for them; add the "
+    "guard or drop the masks",
+)
 
 # -- coverage / closure ------------------------------------------------------
 

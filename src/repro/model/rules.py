@@ -17,7 +17,7 @@ very fast pattern matching").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, FrozenSet, List, Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.errors import RuleError
@@ -54,6 +54,16 @@ class TransformationRule:
         baseline orders its forward-chaining queue by
         ``factor × current cost`` exactly as the paper describes (and
         criticizes).  Unused by the Volcano engine.
+    ``disables`` / ``inherits``
+        The rule's *mask* declaration (duplicate-free rule sets, after
+        Pellenkoft, Galindo-Legaria & Kersten): a member this rule
+        produces from source member ``S`` is masked against
+        ``disables | (mask(S) & inherits)`` — rule names whose firing on
+        the product can only re-derive members the class already holds.
+        Query members and the inner nodes of a rewrite's output carry
+        the empty mask.  The engine applies masks only where the model's
+        ``masks_complete`` hook vouches for them (see
+        :class:`~repro.model.spec.ModelSpecification`).
     """
 
     name: str
@@ -62,10 +72,14 @@ class TransformationRule:
     condition: Optional[Callable[[Binding, object], bool]] = None
     promise: float = 1.0
     factor: float = 1.0
+    disables: FrozenSet[str] = frozenset()
+    inherits: FrozenSet[str] = frozenset()
 
     def __post_init__(self):
         if not self.name:
             raise RuleError("transformation rule needs a name")
+        self.disables = frozenset(self.disables)
+        self.inherits = frozenset(self.inherits)
         if not isinstance(self.pattern, OpPattern):
             raise RuleError(
                 f"rule {self.name!r}: the pattern root must be an OpPattern"

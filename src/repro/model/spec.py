@@ -18,8 +18,9 @@ optimizer implementor provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from repro.algebra.expressions import LogicalExpression
 from repro.algebra.properties import ANY_PROPS, LogicalProperties, PhysProps
 from repro.errors import ModelSpecError
 from repro.model.cost import Cost, ScalarCost
@@ -201,7 +202,17 @@ def _default_cover(provided: PhysProps, required: PhysProps) -> bool:
 
 @dataclass
 class ModelSpecification:
-    """Everything the optimizer generator needs to produce an optimizer."""
+    """Everything the optimizer generator needs to produce an optimizer.
+
+    ``masks_complete(context, queries)``
+        Where the transformation rules' masks (``disables``/``inherits``)
+        are *complete*: True promises that, for this batch of queries,
+        skipping every masked rule firing loses no member of any class.
+        The Volcano engine asks once per run and applies masks only on
+        True.  None (the default) means masks never apply — the right
+        choice for a model without a completeness argument for its rule
+        set.
+    """
 
     name: str
     operators: Dict[str, LogicalOperatorDef] = field(default_factory=dict)
@@ -212,6 +223,9 @@ class ModelSpecification:
     zero_cost: Callable[[], Cost] = ScalarCost
     props_cover: Callable[[PhysProps, PhysProps], bool] = _default_cover
     any_props: PhysProps = ANY_PROPS
+    masks_complete: Optional[
+        Callable[[object, Sequence[LogicalExpression]], bool]
+    ] = None
 
     # -- registration helpers --------------------------------------------
 

@@ -584,8 +584,15 @@ def _join_commute_rule() -> TransformationRule:
         (predicate,) = binding["predicate"]
         return join(binding["right"], binding["left"], predicate)
 
+    # A commute product is never commuted back, and it is masked against
+    # associativity only where its source was.  Masking that on every
+    # commute product would leave ``join(join(a, b), c)``, commuted from
+    # the start ``join(c, join(a, b))``, unable to re-associate, and
+    # ``join(a, join(b, c))`` would never be derived.
     return TransformationRule(
-        "join_commute", pattern, rewrite, promise=1.0, factor=0.05
+        "join_commute", pattern, rewrite, promise=1.0, factor=0.05,
+        disables=frozenset({"join_commute"}),
+        inherits=frozenset({"join_associate"}),
     )
 
 
@@ -637,7 +644,7 @@ def _join_associate_rule(allow_cross_products: bool) -> TransformationRule:
     # commutations-only heuristic — the ablation benchmarks exploit this.
     return TransformationRule(
         "join_associate", pattern, rewrite, condition=condition, promise=0.8,
-        factor=0.15,
+        factor=0.15, disables=frozenset({"join_associate"}),
     )
 
 
@@ -708,6 +715,83 @@ def _select_push_into_join_rule() -> TransformationRule:
 
 
 # ---------------------------------------------------------------------------
+# Where the join rules' masks are complete
+# ---------------------------------------------------------------------------
+
+_SPJ_OPERATORS = frozenset({"get", "select", "join", "project"})
+
+
+def _masks_never_complete(context, queries) -> bool:
+    """With cross products on, the join rules' masks are not known complete."""
+    return False
+
+
+def _masks_complete_on_join_trees(context, queries) -> bool:
+    """True when every query is an SPJ tree over a tree-shaped join graph.
+
+    The masks of ``join_commute`` and ``join_associate`` (duplicate-free
+    join enumeration, after Pellenkoft, Galindo-Legaria & Kersten) lose
+    no member when cross products are off and each query's join graph is
+    a tree: every join's predicate links its two inputs, every conjunct
+    naming two or more relations names exactly two, and the distinct
+    relation pairs number one less than the relations.  Masks dropped
+    members from cyclic join graphs and from starts with a predicate-less
+    join, so those fall outside.  Relations are the ``tables`` of each
+    ``get`` leaf's logical properties, so aliases count as relations.
+    """
+    return all(_is_join_tree(context, query) for query in queries)
+
+
+def _is_join_tree(context, query: LogicalExpression) -> bool:
+    order = []  # pre-order: every node before its inputs
+    stack = [query]
+    while stack:
+        node = stack.pop()
+        if node.operator not in _SPJ_OPERATORS:
+            return False
+        order.append(node)
+        stack.extend(node.inputs)
+    relation_of = {}  # column name → the relation that provides it
+    below = {}  # id(node) → the relations under it (``order`` keeps ids live)
+    scanned = set()
+    for node in reversed(order):
+        if node.operator == "get":
+            props = context.logical_props(node)
+            (relation,) = props.tables
+            if relation in scanned:
+                return False  # one relation scanned twice under one name
+            scanned.add(relation)
+            for name in props.column_names:
+                if relation_of.setdefault(name, relation) != relation:
+                    return False
+            below[id(node)] = props.tables
+        else:
+            below[id(node)] = frozenset().union(
+                *(below[id(child)] for child in node.inputs)
+            )
+    pairs = set()
+    for node in order:
+        if node.operator not in ("join", "select"):
+            continue
+        linked = False
+        for conjunct in node.args[0].conjuncts():
+            names = conjunct.columns()
+            if not names <= relation_of.keys():
+                return False
+            relations = frozenset(relation_of[name] for name in names)
+            if len(relations) > 2:
+                return False
+            if len(relations) == 2:
+                pairs.add(relations)
+                if node.operator == "join":
+                    left, right = (below[id(child)] for child in node.inputs)
+                    linked |= bool(relations & left) and bool(relations & right)
+        if node.operator == "join" and not linked:
+            return False
+    return len(pairs) == len(below[id(query)]) - 1
+
+
+# ---------------------------------------------------------------------------
 # The model specification
 # ---------------------------------------------------------------------------
 
@@ -747,7 +831,13 @@ def relational_model(
     spec.add_algorithm(_intermediate_scan_algorithm(constants))
     spec.add_enforcer(_sort_enforcer(constants))
 
-    # Transformation rules (paper item 2).
+    # Transformation rules (paper item 2).  Their masks apply only where
+    # the guard vouches for them.
+    spec.masks_complete = (
+        _masks_never_complete
+        if options.allow_cross_products
+        else _masks_complete_on_join_trees
+    )
     spec.add_transformation(_join_commute_rule())
     spec.add_transformation(_join_associate_rule(options.allow_cross_products))
     if options.select_pushdown:

@@ -270,6 +270,7 @@ class _SearchRun:
         "metered",
         "claims",
         "kernel",
+        "masking",
     )
 
     def __init__(self, options: SearchOptions, memo: Memo, kernel):
@@ -291,6 +292,9 @@ class _SearchRun:
         self.claims: Optional[Dict[int, Tuple[PhysicalPlan, ClaimRecord]]] = (
             {} if options.certificates else None
         )
+        # Whether exploration skips masked rules: set by ``_solve`` from
+        # the model's ``masks_complete`` over the run's queries.
+        self.masking = False
 
     def trace(self, kind: str, detail: str, depth: int) -> None:
         if self.tracer.enabled:
@@ -434,6 +438,10 @@ class VolcanoOptimizer:
         started = time.perf_counter()
         run = self._new_run(options)
         memo, stats, tracer = run.memo, run.stats, run.tracer
+        masks_complete = self.spec.masks_complete
+        if masks_complete is not None and masks_complete(run.context, queries):
+            run.masking = True
+            memo.masks = {}
         try:
             solved: List[Tuple[int, Winner, Optional[BudgetReport]]] = []
             for query in queries:
@@ -660,6 +668,7 @@ class VolcanoOptimizer:
         memo, stats, context = run.memo, run.stats, run.context
         options, meter = run.options, run.meter
         expressions_of = memo.expressions_of
+        masks = memo.masks if run.masking else None
         changed = False
         index = 0
         # Kernelized runs dispatch through the kernel's (rule, matcher)
@@ -689,6 +698,11 @@ class VolcanoOptimizer:
                     and rule.promise < options.min_promise
                 ):
                     stats.moves_pruned += 1
+                    continue
+                if masks is not None and rule.name in masks.get(mexpr, ()):
+                    # The model vouches that this firing re-derives only
+                    # members the class already holds.
+                    stats.rules_masked += 1
                     continue
                 condition = rule.condition
                 bindings = (
@@ -733,7 +747,13 @@ class VolcanoOptimizer:
                             self._explore_group(run, new_gid)
                         gid = memo.canonical(gid)
                         group = memo.group(gid)
-        memo.group(gid).explored = True
+        group = memo.group(gid)
+        if group.reopened:
+            # A member's mask narrowed after the loop may have passed it:
+            # stay unexplored so the fixpoint sweep fires what it re-enabled.
+            group.reopened = False
+            return True
+        group.explored = True
         return changed
 
     # ------------------------------------------------------------------

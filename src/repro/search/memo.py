@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.algebra.expressions import GROUP_LEAF, LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -61,6 +61,8 @@ from repro.model.cost import Cost
 from repro.search.tracing import SearchStats
 
 __all__ = ["GroupExpression", "Winner", "Group", "Memo", "GoalKey"]
+
+_UNMASKED: FrozenSet[str] = frozenset()
 
 
 class GroupExpression:
@@ -161,6 +163,7 @@ class Group:
         "applied",
         "explored",
         "exploring",
+        "reopened",
         "in_progress",
         "merged_into",
         "version",
@@ -183,6 +186,9 @@ class Group:
         self.explored = False
         # On the engine's exploration stack (its re-entrancy guard).
         self.exploring = False
+        # A member's mask narrowed while the group was being explored:
+        # the loop may have passed it, so the group must not close.
+        self.reopened = False
         # Goal keys currently on the search stack (reference counted);
         # the paper marks goals "in progress" to break cycles.
         self.in_progress: Dict[GoalKey, int] = {}
@@ -211,6 +217,35 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.id}, {len(self.expressions)} exprs)"
+
+
+def _product_mask(masks: Dict, origin: Tuple) -> FrozenSet[str]:
+    """The mask of the member rule R produced from source member S:
+    ``R.disables | (mask(S) & R.inherits)``."""
+    source, rule, _ = origin
+    if not rule.inherits:
+        return rule.disables
+    return rule.disables | (rule.inherits & masks.get(source, _UNMASKED))
+
+
+def _rekey_mask(
+    masks: Dict, old: GroupExpression, new: GroupExpression, collided: bool
+) -> None:
+    """Move a member's mask to its canonical form during a merge.
+
+    When the canonical form is already a member (``collided``), the two
+    masks intersect; a missing entry is the empty mask.
+    """
+    mask = masks.pop(old, None)
+    if not collided:
+        if mask is not None:
+            masks[new] = mask
+    elif new in masks:
+        narrowed = masks[new] & mask if mask is not None else _UNMASKED
+        if narrowed:
+            masks[new] = narrowed
+        else:
+            del masks[new]
 
 
 def _weak_resolver(memo_ref: "weakref.ref[Memo]"):
@@ -261,6 +296,13 @@ class Memo:
         #: chain is the walk back along these pointers.  Keys stay
         #: canonical: a merge re-keys the members it re-homes.
         self.derivations: Dict[GroupExpression, Tuple] = {}
+        #: member → the names of the rules masked on it, for masked
+        #: members only; None unless the run masks (see
+        #: ``docs/search-internals.md``, "Exploration").  A mask only
+        #: narrows: every derivation of a member intersects it.
+        self.masks: Optional[Dict[GroupExpression, FrozenSet[str]]] = None
+        # Masks narrowed so far (``add_rewrite`` reports one as a change).
+        self._narrowings = 0
 
     # -- basic access --------------------------------------------------------
 
@@ -414,7 +456,9 @@ class Memo:
         explores them (see ``docs/search-internals.md``, "Exploration").
         ``origin`` is the rewrite's ``(source member, rule, binding)``;
         the output member keeps it in :attr:`derivations` when this is
-        its first entry into the class.
+        its first entry into the class.  When the run masks, a mask
+        narrowed by this insertion also counts as a change: the group it
+        reopened needs the fixpoint sweep.
         """
         created: List[int] = []
         group_id = self.canonical(group_id)
@@ -426,8 +470,9 @@ class Memo:
                 return False, created
             self._merge(group_id, other)
             return True, created
+        narrowings = self._narrowings
         _, changed = self._insert(expression, created, group_id, origin)
-        return changed, created
+        return changed or self._narrowings != narrowings, created
 
     def _intern(
         self,
@@ -440,6 +485,16 @@ class Memo:
         existing = self._table.get(mexpr)
         if existing is not None:
             existing = self.canonical(existing)
+            masks = self.masks
+            if masks is not None and mexpr in masks:
+                # Re-derived: by a rewrite, the mask narrows to what both
+                # derivations mask; as a subexpression or query, to none.
+                self._narrow(
+                    masks,
+                    mexpr,
+                    existing,
+                    _UNMASKED if origin is None else _product_mask(masks, origin),
+                )
             if target_group is not None and existing != target_group:
                 # Two derivations of the same expression in different
                 # classes: the classes are equivalent — merge them.
@@ -457,7 +512,39 @@ class Memo:
         self._attach(mexpr, group)
         if origin is not None:
             self.derivations[mexpr] = origin
+            masks = self.masks
+            if masks is not None:
+                mask = _product_mask(masks, origin)
+                if mask:
+                    masks[mexpr] = mask
         return group.id, True
+
+    def _narrow(
+        self,
+        masks: Dict[GroupExpression, FrozenSet[str]],
+        mexpr: GroupExpression,
+        gid: int,
+        mask: FrozenSet[str],
+    ) -> None:
+        """Intersect a masked member's mask with ``mask``.
+
+        A narrowed mask re-enables rules on the member: its group is
+        marked unexplored (and reopened, when its loop is running), so
+        the engine fires them.
+        """
+        old = masks[mexpr]
+        narrowed = old & mask
+        if len(narrowed) == len(old):
+            return
+        if narrowed:
+            masks[mexpr] = narrowed
+        else:
+            del masks[mexpr]
+        self._narrowings += 1
+        group = self._groups[gid]
+        group.explored = False
+        if group.exploring:
+            group.reopened = True
 
     def _new_group(self, mexpr: GroupExpression) -> Group:
         if self.max_groups is not None and len(self._groups) >= self.max_groups:
@@ -640,8 +727,9 @@ class Memo:
         # that read either of them.
         keeper.version += 1
         dead.version += 1
-        # Move the expressions across, each with its derivation pointer.
-        derivations = self.derivations
+        # Move the expressions across, each with its derivation pointer
+        # and mask.
+        derivations, masks = self.derivations, self.masks
         for mexpr in dead.expressions:
             self._table.pop(mexpr, None)
             canonical = self._canonical_mexpr(mexpr)
@@ -649,6 +737,8 @@ class Memo:
             if origin is not None:
                 derivations.setdefault(canonical, origin)
             clash = self._table.get(canonical)
+            if masks is not None:
+                _rekey_mask(masks, mexpr, canonical, clash is not None)
             if clash is not None and self.canonical(clash) != keeper.id:
                 # Canonicalizing revealed that this expression already
                 # exists in yet another group: that group is equivalent
@@ -676,6 +766,7 @@ class Memo:
             keeper.in_progress[key] = keeper.in_progress.get(key, 0) + count
         dead.in_progress.clear()
         keeper.exploring = keeper.exploring or dead.exploring
+        keeper.reopened = keeper.reopened or dead.reopened
         # Re-home expressions in *other* groups that referenced the dead
         # group as an input: their table keys change, which may reveal
         # further equalities (recursive merges).
@@ -696,6 +787,8 @@ class Memo:
                     m for m in owner_group.expressions if m != parent
                 ]
             clash = self._table.get(rewritten)
+            if masks is not None:
+                _rekey_mask(masks, parent, rewritten, clash is not None)
             if clash is not None and self.canonical(clash) != owner:
                 worklist.append((owner, clash))
                 # The rewritten expression already lives in the clashing

@@ -41,6 +41,9 @@ class SearchStats:
     failure_hits: int = 0
     rule_bindings_tried: int = 0
     rules_fired: int = 0
+    # (member, rule) pairs skipped because the member's mask names the
+    # rule (see ModelSpecification.masks_complete).
+    rules_masked: int = 0
     algorithm_costings: int = 0
     enforcer_costings: int = 0
     moves_pruned: int = 0
@@ -75,6 +78,7 @@ class SearchStats:
             f"merges={self.group_merges} fbp={self.find_best_plan_calls} "
             f"hits={self.winner_hits}/{self.failure_hits} "
             f"rules={self.rules_fired}/{self.rule_bindings_tried} "
+            f"masked={self.rules_masked} "
             f"costings={self.algorithm_costings}+{self.enforcer_costings} "
             f"pruned={self.moves_pruned} time={self.elapsed_seconds:.4f}s"
         )

@@ -125,6 +125,23 @@ def test_drifted_pattern_refused(tmp_path, catalog):
         module.build_optimizer(catalog)
 
 
+def test_drifted_masks_refused(tmp_path, catalog):
+    """A rule whose masks changed since generation must not link."""
+    source = generate_source(relational_model(), PROVIDER)
+    frozen = "('join_commute',), ('join_associate',)),"
+    assert frozen in source
+    drifted = source.replace(frozen, "('join_commute',), ()),", 1)
+    path = tmp_path / "drifted3.py"
+    path.write_text(drifted)
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("drifted_optimizer3", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(GenerationError, match="masks of rule 'join_commute' changed"):
+        module.build_optimizer(catalog)
+
+
 def test_provider_args_are_embedded(tmp_path, catalog):
     from repro.models.relational import RelationalModelOptions
 

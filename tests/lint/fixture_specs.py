@@ -42,6 +42,8 @@ __all__ = [
     "broken_zero_cost",
     "broken_enforcer_overpromise",
     "broken_enforcer_no_relaxation",
+    "broken_unknown_mask_rule",
+    "broken_masks_without_guard",
 ]
 
 
@@ -291,6 +293,28 @@ def broken_enforcer_no_relaxation() -> ModelSpecification:
 
     spec = clean_spec()
     spec.add_enforcer(_enforcer_base("lazy_sort", enforce))
+    return spec
+
+
+def _commute_rule(**masks) -> TransformationRule:
+    def rewrite(binding, context):
+        return LogicalExpression("combine", binding["a"], (binding["r"], binding["l"]))
+
+    return TransformationRule("commute", _combine_pattern(), rewrite, **masks)
+
+
+def broken_unknown_mask_rule() -> ModelSpecification:
+    """V011: a rule's mask names a rule nobody declared."""
+    spec = clean_spec()
+    spec.transformations.append(_commute_rule(disables={"comute"}))
+    spec.masks_complete = lambda context, queries: True
+    return spec
+
+
+def broken_masks_without_guard() -> ModelSpecification:
+    """V012: masks are declared, but no guard ever lets them apply."""
+    spec = clean_spec()
+    spec.transformations.append(_commute_rule(disables={"commute"}))
     return spec
 
 

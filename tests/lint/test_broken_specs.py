@@ -15,6 +15,8 @@ EXPECTED = [
     ("broken_dropped_binding", "V006"),
     ("broken_rewrite_unknown_operator", "V007"),
     ("broken_nonfinite_promise", "V010"),
+    ("broken_unknown_mask_rule", "V011"),
+    ("broken_masks_without_guard", "V012"),
     ("broken_unimplementable_operator", "V101"),
     ("broken_enforcer_gap", "V104"),
     ("broken_growing_cycle", "V201"),
@@ -40,7 +42,7 @@ def test_broken_spec_fires_expected_code(builder_name, code):
 @pytest.mark.parametrize(
     "builder_name,code",
     [(name, code) for name, code in EXPECTED if not code.startswith("V2")
-     and code not in ("V006",)],
+     and code not in ("V006", "V012")],
 )
 def test_error_fixtures_fail_without_strict(builder_name, code):
     spec = getattr(fixture_specs, builder_name)()
@@ -48,7 +50,11 @@ def test_error_fixtures_fail_without_strict(builder_name, code):
 
 
 def test_warning_fixtures_fail_only_under_strict():
-    for builder_name in ("broken_dropped_binding", "broken_growing_cycle"):
+    for builder_name in (
+        "broken_dropped_binding",
+        "broken_growing_cycle",
+        "broken_masks_without_guard",
+    ):
         report = lint_spec(getattr(fixture_specs, builder_name)())
         assert report.worst() == Severity.WARNING
         assert not report.fails(strict=False)

@@ -162,11 +162,11 @@ def test_figure4_smoke_run_audits_clean():
 @pytest.mark.parametrize(
     "size, groups, expressions, costings, fired, tried, moves_hit_rate, violations",
     [
-        (4, 14, 28, 640, 300, 920, 0.52, 0),
-        (6, 30.5, 103, 2340, 1840, 4770, 0.59, 0),
+        (4, 14, 28, 640, 140, 700, 0.52, 0),
+        (6, 30.5, 103, 2340, 725, 2995, 0.59, 0),
         # The two M005 findings at n=8 are the sub-goal optimality gap
         # of ROADMAP item 1(1): they may fall, never rise.
-        (8, 72.1, 402.6, 10339, 9924, 23954, 0.63, 2),
+        (8, 72.1, 402.6, 10339, 3305, 12649, 0.63, 2),
     ],
     ids=["n4", "n6", "n8"],
 )

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.algebra.predicates import TRUE, conjunction_of, eq
+from repro.algebra.predicates import (
+    TRUE,
+    Comparison,
+    ComparisonOp,
+    col,
+    conjunction_of,
+    eq,
+    lit,
+)
 from repro.algebra.properties import ANY_PROPS, sorted_on
+from repro.errors import SearchError
 from repro.model.context import OptimizerContext
 from repro.model.spec import AlgorithmNode
 from repro.models.relational import (
@@ -16,6 +25,7 @@ from repro.models.relational import (
     select,
 )
 from repro.search import VolcanoOptimizer
+from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import make_catalog
 
@@ -302,6 +312,34 @@ def test_select_pushdown_rules(catalog):
     )
     result = optimizer.optimize(query)
     assert result.plan.count_algorithm("filter_scan") == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SearchError,
+    reason="ROADMAP.md item 4, known wrong answers: a selection scales the "
+    "distinct counts a later join's selectivity reads, so with select "
+    "push-down a class's cardinality depends on where the select sits",
+)
+def test_select_pushdown_keeps_a_class_consistent_above_a_join_chain():
+    spec = relational_model(RelationalModelOptions(select_pushdown=True))
+    generator = QueryGenerator(WorkloadOptions(shape="chain"))
+    for seed in range(40):
+        item = generator.generate(3, seed)
+        a, b, c = item.table_names
+        query = select(
+            join(
+                join(get(a), select(get(b), _at_most(f"{b}.v", 300)), eq(f"{a}.a", f"{b}.b")),
+                get(c),
+                eq(f"{b}.a", f"{c}.b"),
+            ),
+            _at_most(f"{a}.v", 500),
+        )
+        VolcanoOptimizer(spec, item.catalog).optimize(query)
+
+
+def _at_most(column, value):
+    return Comparison(ComparisonOp.LE, col(column), lit(value))
 
 
 def test_project_over_join_plan(catalog):

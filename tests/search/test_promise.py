@@ -111,7 +111,7 @@ def test_pursuit_order_and_static_ranks(spec, catalog):
 
 
 @pytest.mark.parametrize(
-    "min_promise, pruned, fired", [(None, 0, 30), (0.9, 6, 6)]
+    "min_promise, pruned, fired", [(None, 0, 14), (0.9, 6, 3)]
 )
 def test_min_promise_filtering(spec, catalog, min_promise, pruned, fired):
     """Pruning accounting is exact, and a threshold never finds a cheaper plan."""
