@@ -8,9 +8,10 @@ properties it delivers and its *cumulative* cost (node + inputs), which
 makes branch-and-bound accounting and the paper's consistency check
 ("the physical properties of a chosen plan really do satisfy the
 physical property vector") straightforward.  Each node also carries the
-logical properties and the local cost it was priced with, so feedback,
-EXPLAIN and the multi-query sharing pass read the optimizer's own
-beliefs instead of deriving them again.
+logical properties and the local cost it was priced with, and the
+implementation rule or enforcer goal that placed it, so feedback,
+EXPLAIN, certificates and the multi-query sharing pass read the
+optimizer's own beliefs instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -53,9 +54,18 @@ class PhysicalPlan:
     ``local``
         This node's own cost term, without its inputs: what the cost
         function returned.  None on hand-built plans.
+    ``rule``
+        The implementation rule whose move built this algorithm node.
+        None on enforcers, on nodes the sharing pass makes, and on
+        nodes the memo-less engines (EXODUS, System R) build.
+    ``required``
+        The goal an enforcer node was asked to deliver.  None on
+        algorithm nodes and on nodes the memo-less engines build.
 
-    ``logical`` and ``local`` are annotations, not identity: equality,
-    hashing, :meth:`to_sexpr` and :meth:`pretty` ignore them.
+    These four are annotations, not identity: equality, hashing,
+    :meth:`to_sexpr` and :meth:`pretty` ignore them.  A certificate's
+    claim about a node is read off them
+    (:func:`repro.verify.certificate.node_claim`).
     """
 
     algorithm: str
@@ -68,6 +78,8 @@ class PhysicalPlan:
         default=None, compare=False, repr=False
     )
     local: Optional["Cost"] = field(default=None, compare=False, repr=False)
+    rule: Optional[str] = field(default=None, compare=False, repr=False)
+    required: Optional[PhysProps] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.algorithm:

@@ -134,6 +134,8 @@ def bind_plan(plan: PhysicalPlan, values: Mapping[str, object]) -> PhysicalPlan:
         is_enforcer=plan.is_enforcer,
         logical=plan.logical,
         local=plan.local,
+        rule=plan.rule,
+        required=plan.required,
     )
 
 

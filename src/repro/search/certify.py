@@ -1,27 +1,33 @@
 """Certificate construction: turn a solved memo into provenance proofs.
 
-The search engines record, at every plan-node creation, a tiny
-:class:`ClaimRecord` (which implementation rule fired, in which group,
-with which cost terms).  This module turns those records plus the solved
-memo into the :class:`~repro.verify.certificate.PlanCertificate` the
-independent checker (:func:`repro.verify.verify_plan`) consumes:
+Every plan node the memo engines build carries what its certificate
+claims about it: the implementation rule or enforcer goal that placed
+it, its logical properties and its local cost
+(:class:`~repro.algebra.plans.PhysicalPlan`).  This module turns a plan
+and the solved memo into the
+:class:`~repro.verify.certificate.PlanCertificate` the independent
+checker (:func:`repro.verify.verify_plan`) consumes:
 
 * the **frontier** — the logical expression the plan structurally
   implements — is reconstructed by one function that reads the search's
   own implementation moves on each node's group
   (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`, handed
-  to the builder as ``moves``) and realizes the claimed move's binding
-  (or, for a plan from a memo-less engine, the first move that justifies
-  the node) — the certifier enumerates no rule bindings of its own;
+  to the builder as ``moves``) and realizes the binding of the move the
+  node names (or, for a plan from a memo-less engine, the first move that
+  justifies the node) — the certifier enumerates no rule bindings of its
+  own;
 * the **derivation chain** proving source ⟶ frontier is read from the
   search's own record: the memo keeps, per member, the rewrite that
   first brought it into its class (:attr:`Memo.derivations`), and
   walking those pointers back from the frontier's member to the
   source's gives the rule firings, each replayed on the concrete tree
   into a :class:`DerivationStep` the checker can replay on plain trees;
-* per-node :class:`NodeClaim` objects carry the exact cost terms and
-  logical properties the engine used, so cost reproduction (P3xx) is an
-  exact equality, not a tolerance test.
+* per-node :class:`NodeClaim` objects, read off the nodes
+  (:func:`~repro.verify.certificate.node_claim`), carry the exact cost
+  terms and logical properties the engine used, so cost reproduction
+  (P3xx) is an exact equality, not a tolerance test.  A node of a
+  memo-less engine's plan names no rule and is priced again over the
+  closure memo.
 
 Construction is best-effort by design: the builder never raises out of
 :meth:`CertificateBuilder.certify` — any reconstruction failure yields a
@@ -30,19 +36,17 @@ certificate the *checker* will flag (empty claims → P002, missing chain
 
 Certificates for the multi-query sharing pass's rewrites are built by
 the pass itself (:func:`repro.search.sharing.plan_sharing`) from the
-claims of these certificates.
+frontiers of these certificates and the claims of its own nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import GROUP_LEAF, LogicalExpression
 from repro.algebra.plans import PhysicalPlan
-from repro.algebra.properties import LogicalProperties, PhysProps
+from repro.algebra.properties import PhysProps
 from repro.errors import ReproError, SearchError
-from repro.model.cost import Cost
 from repro.model.patterns import AnyPattern, match_tree
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.search.memo import GroupExpression, Memo
@@ -52,13 +56,13 @@ from repro.verify.certificate import (
     DerivationStep,
     NodeClaim,
     PlanCertificate,
+    node_claim,
 )
 
 if TYPE_CHECKING:
     from repro.search.engine import _AlgorithmMove
 
 __all__ = [
-    "ClaimRecord",
     "CertificateBuilder",
     "certify_result",
     "standalone_certificate",
@@ -69,29 +73,6 @@ __all__ = [
 #: than looping.  Real chains are short — the bound is a backstop.
 CHAIN_STEP_BUDGET = 8000
 _DERIVE_DEPTH_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class ClaimRecord:
-    """What an engine knew when it created one plan node.
-
-    ``rule`` names the implementation rule (None for enforcers; plan
-    nodes with no record — plans from memo-less engines, certified
-    through :func:`standalone_certificate` — get a justifying rule
-    searched for by the builder).  ``gid`` and
-    ``input_groups`` locate the node in the memo (−1 when unknown).
-    ``local``/``output``/``inputs`` are the exact cost term and logical
-    properties the cost function consumed.
-    """
-
-    rule: Optional[str]
-    gid: int
-    input_groups: Tuple[int, ...]
-    local: Cost
-    output: LogicalProperties
-    inputs: Tuple[LogicalProperties, ...]
-    enforcer: bool = False
-    required: Optional[PhysProps] = None
 
 
 class _ChainFail(Exception):
@@ -110,19 +91,16 @@ class CertificateBuilder:
         self,
         spec: ModelSpecification,
         memo: Memo,
-        claims: Optional[Mapping[int, object]],
         moves: Callable[[int], Sequence[_AlgorithmMove]],
     ):
         self.spec = spec
         self.memo = memo
         self.context = memo.context
-        self.claims = claims if claims is not None else {}
         #: ``gid`` → the search's implementation moves on that group
         #: (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`).
         self.moves = moves
-        #: id(plan node) → frontier subexpression.
-        self._frontiers: Dict[int, LogicalExpression] = {}
-        self._records: Dict[int, ClaimRecord] = {}
+        #: id(plan node) → (frontier subexpression, the node's claim).
+        self._frontiers: Dict[int, Tuple[LogicalExpression, NodeClaim]] = {}
         self._resolve_cache: Dict[LogicalExpression, Optional[int]] = {}
         self._repr_cache: Dict[int, LogicalExpression] = {}
         self._keepalive: List[PhysicalPlan] = []
@@ -153,9 +131,8 @@ class CertificateBuilder:
             root_gid = self._resolve(source)
             if root_gid is None:
                 raise _ChainFail("the source expression is not in the memo")
-            self._frontier_of(plan, root_gid)
-            frontier = self._frontiers[id(plan)]
-            claims = tuple(self._node_claim(node) for node in plan.walk())
+            frontier = self._frontier_of(plan, root_gid)
+            claims = tuple(self._frontiers[id(node)][1] for node in plan.walk())
         except (_ChainFail, ReproError, KeyError):
             frontier, claims = source, ()
         if claims and frontier != source:
@@ -176,83 +153,95 @@ class CertificateBuilder:
 
     # -- claims and frontiers ------------------------------------------------
 
-    def _node_claim(self, node: PhysicalPlan) -> NodeClaim:
-        record = self._records[id(node)]
-        return NodeClaim(
-            algorithm=node.algorithm,
-            local=record.local,
-            output=record.output,
-            inputs=record.inputs,
-            rule=record.rule,
-            enforcer=record.enforcer or node.is_enforcer,
-            required=record.required,
-        )
-
     def _frontier_of(self, node: PhysicalPlan, gid: int) -> LogicalExpression:
         cached = self._frontiers.get(id(node))
         if cached is not None:
-            return cached
+            return cached[0]
         gid = self.memo.canonical(gid)
-        # Engines store (plan, record) pairs: the plan pins the id.
-        entry = self.claims.get(id(node))
-        record = None if entry is None else entry[1]
+        move: Optional[_AlgorithmMove] = None
         if node.is_enforcer:
-            if record is None:
-                record = self._synthesize_enforcer(node, gid)
             if len(node.inputs) != 1:
                 raise _ChainFail("enforcer arity")
             frontier = self._frontier_of(node.inputs[0], gid)
+            leaf_gids: Tuple[int, ...] = (gid,)
+            placed = node.required is not None
         else:
-            record, frontier = self._frontier_search(node, gid, record)
-        self._records[id(node)] = record
-        self._frontiers[id(node)] = frontier
+            move, leaf_gids, frontier = self._frontier_search(node, gid)
+            placed = node.rule is not None
+        claim = (
+            node_claim(node)
+            if placed
+            else self._priced_again(node, gid, move, leaf_gids)
+        )
+        self._frontiers[id(node)] = (frontier, claim)
         self._keepalive.append(node)
         return frontier
 
-    def _synthesize_enforcer(self, node: PhysicalPlan, gid: int) -> ClaimRecord:
-        enforcer = self.spec.enforcers.get(node.algorithm)
-        if enforcer is None:
-            raise _ChainFail(f"unknown enforcer {node.algorithm!r}")
-        props = self.memo.group(gid).logical_props
-        local = enforcer.cost(self.context, AlgorithmNode(node.args, props, (props,)))
-        return ClaimRecord(
-            rule=None,
-            gid=gid,
-            input_groups=(gid,),
-            local=local,
-            output=props,
-            inputs=(props,),
-            enforcer=True,
-            required=node.properties,
+    def _priced_again(
+        self,
+        node: PhysicalPlan,
+        gid: int,
+        move: Optional[_AlgorithmMove],
+        leaf_gids: Tuple[int, ...],
+    ) -> NodeClaim:
+        """The claim for a node of a memo-less engine's plan, priced over
+        the closure memo's logical properties.
+
+        Such a node names no rule or goal, and its own annotations need
+        not be the claim: EXODUS prices a node over its input mesh
+        nodes' properties, which can differ in the last bits from those
+        of the plans it extracts for those inputs' classes.  ``move`` is
+        the justifying move (None for an enforcer, whose goal is taken to
+        be what it delivers).
+        """
+        if move is None:
+            enforcer = self.spec.enforcers.get(node.algorithm)
+            if enforcer is None:
+                raise _ChainFail(f"unknown enforcer {node.algorithm!r}")
+            cost = enforcer.cost
+        else:
+            cost = move.algorithm.cost
+        output = self.memo.logical_props(gid)
+        inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
+        return NodeClaim(
+            node.algorithm,
+            cost(self.context, AlgorithmNode(node.args, output, inputs)),
+            output,
+            inputs,
+            rule=None if move is None else move.rule.name,
+            enforcer=move is None,
+            required=node.properties if move is None else None,
         )
 
     def _frontier_search(
-        self, node: PhysicalPlan, gid: int, record: Optional[ClaimRecord]
-    ) -> Tuple[ClaimRecord, LogicalExpression]:
-        """The node's frontier in group ``gid`` and the record justifying it.
+        self, node: PhysicalPlan, gid: int
+    ) -> Tuple[_AlgorithmMove, Tuple[int, ...], LogicalExpression]:
+        """The node's frontier in group ``gid``, with the move that
+        justifies it and that move's canonical input groups.
 
         Candidates are the search's own moves on the group that build the
-        node's algorithm with the node's arguments.  A record that names a
-        rule pins that rule and its canonical input groups, and keeps the
-        engine's exact cost terms.  With no record (a plan from a
-        memo-less engine, certified over a fresh closure by
-        :func:`standalone_certificate`) the first move that justifies the
-        node is taken and its cost terms are recomputed.
+        node's algorithm with the node's arguments.  A node that names its
+        rule pins the move that built it: that rule, over input classes
+        whose logical properties are its children's.  A node with no rule
+        (a plan from a memo-less engine, certified over a fresh closure
+        by :func:`standalone_certificate`) takes the first move that
+        justifies it.
         """
         canonical = self.memo.canonical
-        pinned = record if record is not None and record.rule is not None else None
-        pinned_groups = (
-            () if pinned is None else tuple(canonical(g) for g in pinned.input_groups)
-        )
+        pinned = node.rule
+        inputs = tuple(child.logical for child in node.inputs)
         for move in self.moves(gid):
             rule = move.rule
             if rule.algorithm != node.algorithm or move.args != node.args:
                 continue
+            if pinned is not None and rule.name != pinned:
+                continue
             leaf_gids = tuple(canonical(g) for g in move.input_groups)
-            if pinned is not None:
-                if rule.name != pinned.rule or leaf_gids != pinned_groups:
-                    continue
-            elif len(leaf_gids) != len(node.inputs):
+            if len(leaf_gids) != len(node.inputs):
+                continue
+            if pinned is not None and inputs != tuple(
+                self.memo.logical_props(g) for g in leaf_gids
+            ):
                 continue
             try:
                 children = [
@@ -262,26 +251,8 @@ class CertificateBuilder:
             except _ChainFail:
                 continue
             frontier = self._realize_rule(rule, move.binding, gid, children)
-            if frontier is None:
-                continue
-            if pinned is not None:
-                return pinned, frontier
-            output = self.memo.group(gid).logical_props
-            inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
-            local = move.algorithm.cost(
-                self.context, AlgorithmNode(node.args, output, inputs)
-            )
-            return (
-                ClaimRecord(
-                    rule=rule.name,
-                    gid=gid,
-                    input_groups=leaf_gids,
-                    local=local,
-                    output=output,
-                    inputs=inputs,
-                ),
-                frontier,
-            )
+            if frontier is not None:
+                return move, leaf_gids, frontier
         raise _ChainFail(f"no move justifies {node.algorithm!r} in g{gid}")
 
     def _realize_rule(self, rule, binding, gid: int, children):
@@ -566,14 +537,14 @@ def standalone_certificate(
     choices are re-derivable from the model.
     """
     # Imported here: this module must not depend on the engine at import
-    # time (the engine imports ClaimRecord from us).
+    # time (the engine imports CertificateBuilder from us).
     from repro.search.engine import VolcanoOptimizer
 
     explorer = VolcanoOptimizer(spec, catalog, estimator=estimator)
     run = explorer._new_run(explorer.options)
     root = run.memo.insert_expression(source)
     explorer._explore_closure(run, root)
-    builder = CertificateBuilder(spec, run.memo, None, explorer._run_moves(run))
+    builder = CertificateBuilder(spec, run.memo, explorer._run_moves(run))
     return builder.certify(
         source, plan, required, degraded=degraded, engine=engine
     )

@@ -83,7 +83,7 @@ from repro.options import (
     check_kernel,
     check_positive,
 )
-from repro.search.certify import CertificateBuilder, ClaimRecord
+from repro.search.certify import CertificateBuilder
 from repro.search.memo import GoalKey, Group, Memo, Winner
 from repro.search.tracing import SearchStats, Tracer
 from repro.verify.certificate import PlanCertificate
@@ -140,9 +140,9 @@ class SearchOptions(OptionsBase):
     ``trace``
         Record a human-readable search trace (slow; for debugging).
     ``certificates``
-        Record per-node provenance claims during costing and attach a
-        :class:`~repro.verify.certificate.PlanCertificate` to the
-        result, verifiable by :func:`repro.verify.verify_plan`.
+        Attach a :class:`~repro.verify.certificate.PlanCertificate` to
+        the result, verifiable by :func:`repro.verify.verify_plan`: its
+        per-node claims are read off the plan's nodes after the search.
     ``kernel``
         The specialized search kernel to run with (see
         :mod:`repro.generator.kernel`): ``None`` or ``"interpreted"``
@@ -268,7 +268,6 @@ class _SearchRun:
         "tracer",
         "meter",
         "metered",
-        "claims",
         "kernel",
         "masking",
     )
@@ -286,12 +285,6 @@ class _SearchRun:
         self.metered = self.meter.armed
         # The specialized search kernel (None = interpreted paths).
         self.kernel = kernel
-        # Provenance claims for certificate construction: id(plan node)
-        # → (plan, ClaimRecord).  Keeping the plan in the value pins its
-        # id, so reused ids always carry a fresh, overwritten record.
-        self.claims: Optional[Dict[int, Tuple[PhysicalPlan, ClaimRecord]]] = (
-            {} if options.certificates else None
-        )
         # Whether exploration skips masked rules: set by ``_solve`` from
         # the model's ``masks_complete`` over the run's queries.
         self.masking = False
@@ -474,9 +467,7 @@ class VolcanoOptimizer:
             # identical frontier subexpressions in every certificate,
             # which the sharing pass's certifier relies on.
             builder = (
-                CertificateBuilder(
-                    self.spec, memo, run.claims, self._run_moves(run)
-                )
+                CertificateBuilder(self.spec, memo, self._run_moves(run))
                 if options.certificates
                 else None
             )
@@ -859,9 +850,9 @@ class VolcanoOptimizer:
         than as a helper, input sub-goals take a memoized-winner fast
         path that bypasses the :meth:`_find_best_plan` call, and cost
         bounds compare by their precomputed float totals.  Every
-        counter, meter charge, claim, and selection rule is unchanged —
-        tracing runs route through the full ``_find_best_plan`` so goal
-        lines are still emitted.
+        counter, meter charge, node annotation, and selection rule is
+        unchanged — tracing runs route through the full
+        ``_find_best_plan`` so goal lines are still emitted.
         """
         memo, stats, context = run.memo, run.stats, run.context
         group = memo.group(gid)
@@ -870,7 +861,6 @@ class VolcanoOptimizer:
         spec = self.spec
         metered, tracing = run.metered, run.tracer.enabled
         b_and_b = run.options.branch_and_bound
-        claims = run.claims
         best: Optional[Winner] = None
         bound = INFINITE_COST
         for move in moves:
@@ -958,19 +948,8 @@ class VolcanoOptimizer:
                     cost=total,
                     logical=node.output,
                     local=local,
+                    rule=move.rule.name,
                 )
-                if claims is not None:
-                    claims[id(plan)] = (
-                        plan,
-                        ClaimRecord(
-                            rule=move.rule.name,
-                            gid=group.id,
-                            input_groups=move.input_groups,
-                            local=local,
-                            output=node.output,
-                            inputs=node.inputs,
-                        ),
-                    )
                 if candidate is None or total._total < candidate.cost._total:
                     candidate = Winner(plan, total)
             if candidate is None:
@@ -1182,19 +1161,6 @@ class VolcanoOptimizer:
             is_enforcer=True,
             logical=group.logical_props,
             local=local,
+            required=required,
         )
-        if run.claims is not None:
-            run.claims[id(plan)] = (
-                plan,
-                ClaimRecord(
-                    rule=None,
-                    gid=gid,
-                    input_groups=(gid,),
-                    local=local,
-                    output=group.logical_props,
-                    inputs=(group.logical_props,),
-                    enforcer=True,
-                    required=required,
-                ),
-            )
         return Winner(plan, total)

@@ -24,7 +24,6 @@ from typing import List, Optional
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
 from repro.model.spec import AlgorithmNode
-from repro.search.certify import ClaimRecord
 from repro.search.engine import OptimizationResult, VolcanoOptimizer, _SearchRun
 from repro.search.memo import Memo
 
@@ -97,6 +96,7 @@ def alternative_plans(
                         cost=total,
                         logical=node.output,
                         local=local,
+                        rule=move.rule.name,
                     )
                 )
                 if len(plans) >= limit:
@@ -132,9 +132,9 @@ def greedy_plan(
     plan's ``cost`` is honest — just not proven minimal.  Returns
     ``None`` when no valid plan exists in the explored space.
 
-    When the run records certificates, every plan node built here
-    records a :class:`~repro.search.certify.ClaimRecord` into
-    ``run.claims``, so even degraded plans certify with exact cost terms.
+    Every node built here carries its rule or enforcer goal, logical
+    properties and local cost, like the search's own, so even degraded
+    plans certify with exact cost terms.
     """
     return _GreedySearch(optimizer, run).solve(gid, required, None, set())
 
@@ -159,7 +159,7 @@ class _GreedySearch:
         """The first feasible plan for one goal, or None."""
         optimizer, run = self.optimizer, self.run
         memo, context, spec = run.memo, run.context, optimizer.spec
-        cache, claims = self.cache, run.claims
+        cache = self.cache
         goal_gid = memo.canonical(goal_gid)
         key = (goal_gid, goal_required, excluded)
         if key in cache:
@@ -216,19 +216,8 @@ class _GreedySearch:
                         cost=total,
                         logical=node.output,
                         local=local,
+                        rule=move.rule.name,
                     )
-                    if claims is not None:
-                        claims[id(plan)] = (
-                            plan,
-                            ClaimRecord(
-                                rule=move.rule.name,
-                                gid=goal_gid,
-                                input_groups=move.input_groups,
-                                local=local,
-                                output=node.output,
-                                inputs=node.inputs,
-                            ),
-                        )
                     cache[key] = plan
                     return plan
             # Enforcer fallback, mirroring the real search's moves.
@@ -272,21 +261,8 @@ class _GreedySearch:
                             is_enforcer=True,
                             logical=group.logical_props,
                             local=local,
+                            required=goal_required,
                         )
-                        if claims is not None:
-                            claims[id(plan)] = (
-                                plan,
-                                ClaimRecord(
-                                    rule=None,
-                                    gid=goal_gid,
-                                    input_groups=(goal_gid,),
-                                    local=local,
-                                    output=group.logical_props,
-                                    inputs=(group.logical_props,),
-                                    enforcer=True,
-                                    required=goal_required,
-                                ),
-                            )
                         cache[key] = plan
                         return plan
             if self.refusals == before:

@@ -31,14 +31,16 @@ plan set is provably never more expensive than the independent plans
 it replaces.
 
 The pass also certifies its own rewrites.  When every input result
-carries a certificate, each node's :class:`~repro.verify.certificate.NodeClaim`
-and frontier are indexed once at entry, and every node the pass makes
-records its claim as it is made: a rebuilt node keeps its original's, a
-``scan_intermediate`` and a ``materialize`` node get claims priced with
-the very cost objects the pass summed.  The report then carries a
-consumer certificate per rewritten plan (scans bound to its
-``intermediates``) and a ``producer``-kind certificate per materialized
-intermediate, for the independent checker to re-verify.
+carries a certificate, each node's logical frontier is indexed once at
+entry (from the certificate's frontier and each node's implementation
+rule), and every node the pass makes inherits its original's.  Claims
+are read off the nodes themselves
+(:func:`~repro.verify.certificate.node_claim`): a rebuilt node keeps
+its original's rule and cost terms, and a ``scan_intermediate`` and a
+``materialize`` node carry the very cost objects the pass summed.  The
+report then carries a consumer certificate per rewritten plan (scans
+bound to its ``intermediates``) and a ``producer``-kind certificate per
+materialized intermediate, for the independent checker to re-verify.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from repro.model.context import OptimizerContext
 from repro.model.patterns import match_tree
 from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.options import OptionsBase, check_positive
-from repro.verify.certificate import KIND_PRODUCER, NodeClaim, PlanCertificate
+from repro.verify.certificate import KIND_PRODUCER, PlanCertificate, node_claim
 
 __all__ = [
     "SharingOptions",
@@ -151,7 +153,7 @@ class SharingReport:
 
 
 class _Unindexable(Exception):
-    """Internal: an input certificate's claims do not align with its plan."""
+    """Internal: an input plan's frontiers cannot be derived."""
 
 
 class _SharingState:
@@ -161,45 +163,35 @@ class _SharingState:
     memo's winner sharing gives us — so the state pins every node it has
     seen in ``keepalive`` to keep ids stable for the run's lifetime.
 
-    ``claims`` and ``frontiers`` hold every node's certificate claim and
-    logical frontier; ``claims`` is None when some input result carries
-    no indexable certificate (the pass then runs uncertified).
+    ``frontiers`` holds every node's logical frontier; it is empty when
+    some input result carries no certificate, or one whose
+    reconstruction failed (the pass then runs uncertified).
     """
 
     def __init__(self, spec: ModelSpecification, results: Sequence):
         self.keepalive: List[PhysicalPlan] = []
-        self.claims: Optional[Dict[int, NodeClaim]] = {}
         self.frontiers: Dict[int, LogicalExpression] = {}
         impls = {rule.name: rule for rule in spec.implementations}
         try:
             for result in results:
                 certificate = getattr(result, "certificate", None)
-                if certificate is None:
+                if certificate is None or not certificate.claims:
                     raise _Unindexable("no certificate")
-                if len(certificate.claims) != sum(1 for _ in result.plan.walk()):
-                    raise _Unindexable("claim count")
-                self._index(
-                    result.plan, certificate.frontier, certificate.claims, [0], impls
-                )
-        except (_Unindexable, KeyError):
-            self.claims, self.frontiers = None, {}
+                self._index(result.plan, certificate.frontier, impls)
+        except _Unindexable:
+            self.frontiers = {}
 
-    def _index(self, node, frontier, claims, counter, impls) -> None:
-        """Index one plan's pre-order claims, deriving child frontiers
-        from each node's implementation-rule match on its frontier."""
-        claim = claims[counter[0]]
-        counter[0] += 1
-        if claim.algorithm != node.algorithm:
-            raise _Unindexable("claims misaligned")
-        self.claims[id(node)] = claim
+    def _index(self, node, frontier, impls) -> None:
+        """Index one plan's frontiers, deriving child frontiers from
+        each node's implementation-rule match on its own."""
         if frontier is not None:
             self.frontiers.setdefault(id(node), frontier)
-        if node.is_enforcer or claim.enforcer:
+        if node.is_enforcer:
             subs = [frontier] * len(node.inputs)
-        elif claim.rule is None:
-            raise _Unindexable("algorithm node without a rule claim")
+        elif node.rule is None:
+            raise _Unindexable("algorithm node without a rule")
         else:
-            rule = impls.get(claim.rule)
+            rule = impls.get(node.rule)
             binding = (
                 match_tree(rule.pattern, frontier)
                 if rule is not None and frontier is not None
@@ -212,35 +204,24 @@ class _SharingState:
             if len(subs) != len(node.inputs):
                 raise _Unindexable("rule arity")
         for child, sub in zip(node.inputs, subs):
-            self._index(child, sub, claims, counter, impls)
+            self._index(child, sub, impls)
 
-    def inherit(
-        self, old: PhysicalPlan, new: PhysicalPlan, claim: Optional[NodeClaim] = None
-    ) -> None:
-        """A rewritten node computes the same rows as its original.
-
-        It keeps the original's frontier, and its claim unless ``claim``
-        (a new node's own) is given.
-        """
+    def inherit(self, old: PhysicalPlan, new: PhysicalPlan) -> None:
+        """A rewritten node computes the same rows as its original: it
+        keeps the original's frontier."""
         self.keepalive.append(new)
-        if self.claims is not None:
-            self.claims[id(new)] = claim if claim is not None else self.claims[id(old)]
-            frontier = self.frontiers.get(id(old))
-            if frontier is not None:
-                self.frontiers[id(new)] = frontier
+        frontier = self.frontiers.get(id(old))
+        if frontier is not None:
+            self.frontiers[id(new)] = frontier
 
-    def claimed(
-        self, plan: PhysicalPlan
-    ) -> Tuple[Tuple[NodeClaim, ...], Dict[str, LogicalExpression]]:
-        """A plan's pre-order claims and the frontier of each
-        intermediate it scans (``KeyError`` when one is unknown)."""
-        claims: List[NodeClaim] = []
-        intermediates: Dict[str, LogicalExpression] = {}
-        for node in plan.walk():
-            claims.append(self.claims[id(node)])
-            if node.algorithm == SCAN_INTERMEDIATE:
-                intermediates[node.args[0]] = self.frontiers[id(node)]
-        return tuple(claims), intermediates
+    def intermediates(self, plan: PhysicalPlan) -> Dict[str, LogicalExpression]:
+        """The frontier of each intermediate a plan scans (``KeyError``
+        when one is unknown)."""
+        return {
+            node.args[0]: self.frontiers[id(node)]
+            for node in plan.walk()
+            if node.algorithm == SCAN_INTERMEDIATE
+        }
 
 
 def _rebuild(
@@ -463,8 +444,8 @@ def plan_sharing(
             logical=props,
             local=scan_cost,
         )
-        state.inherit(best, producer, NodeClaim(MATERIALIZE, mat_cost, props, (props,)))
-        state.inherit(best, scan_node, NodeClaim(SCAN_INTERMEDIATE, scan_cost, props, ()))
+        state.inherit(best, producer)
+        state.inherit(best, scan_node)
 
         cache: Dict[int, PhysicalPlan] = {id(best): scan_node}
         working = [_rewrite(state, plan, cache) for plan in working]
@@ -493,7 +474,7 @@ def plan_sharing(
     rewritten, ordered = tuple(working[: len(plans)]), _dependency_order(shared)
     consumers: Tuple[PlanCertificate, ...] = ()
     producers: Tuple[PlanCertificate, ...] = ()
-    if state.claims is not None:
+    if state.frontiers:
         try:
             consumers, producers = _certificates(
                 state, spec, results, rewritten, ordered
@@ -518,25 +499,23 @@ def _certificates(
     rewritten: Sequence[PhysicalPlan],
     shared: Sequence[SharedPlan],
 ) -> Tuple[Tuple[PlanCertificate, ...], Tuple[PlanCertificate, ...]]:
-    """(consumer, producer) certificates from the claims the pass recorded.
+    """(consumer, producer) certificates for the rewritten plans.
 
     A consumer keeps its input certificate's source, chain and frontier;
     a producer's source *is* the frontier of the subplan it materializes.
     """
     consumers = []
     for result, plan in zip(results, rewritten):
-        claims, intermediates = state.claimed(plan)
         consumers.append(
             dataclasses.replace(
                 result.certificate,
-                claims=claims,
+                claims=tuple(node_claim(node) for node in plan.walk()),
                 claimed_cost=plan.cost,
-                intermediates=intermediates,
+                intermediates=state.intermediates(plan),
             )
         )
     producers = []
     for item in shared:
-        claims, intermediates = state.claimed(item.plan)
         source = state.frontiers[id(item.plan)]
         producers.append(
             PlanCertificate(
@@ -545,9 +524,9 @@ def _certificates(
                 required=spec.any_props,
                 frontier=source,
                 steps=(),
-                claims=claims,
+                claims=tuple(node_claim(node) for node in item.plan.walk()),
                 claimed_cost=item.plan.cost,
-                intermediates=intermediates,
+                intermediates=state.intermediates(item.plan),
                 engine="sharing",
             )
         )

@@ -39,6 +39,8 @@ class SearchStats:
     find_best_plan_calls: int = 0
     winner_hits: int = 0
     failure_hits: int = 0
+    # Sums two kinds: transformation-rule bindings matched during
+    # exploration and implementation-rule bindings matched for moves.
     rule_bindings_tried: int = 0
     rules_fired: int = 0
     # (member, rule) pairs skipped because the member's mask names the

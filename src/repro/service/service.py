@@ -28,6 +28,7 @@ interchangeably.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -373,6 +374,10 @@ class OptimizerService:
             else self.options.selectivity_buckets
         )
         self.feedback = FeedbackStore(buckets=feedback_buckets)
+        # Serializes ``execute``'s feedback step across server worker
+        # threads: a report is folded in and the refresh that consumes it
+        # runs before any other report is recorded.
+        self._feedback_lock = threading.Lock()
         # Per-fingerprint deduplication of concurrent cold optimizations:
         # when the service is shared across threads (repro.server), one
         # engine run per cold key, every concurrent requester shares it.
@@ -1014,12 +1019,13 @@ class OptimizerService:
                 degraded=served.degraded,
                 rebound=served.parameterized,
             )
-            self.feedback.record(report)
             policy = policy if policy is not None else self.options.feedback_policy
-            if policy is not None and not served.degraded:
-                refresh = refresh_statistics(
-                    self.catalog, self.feedback, policy=policy
-                )
+            with self._feedback_lock:
+                self.feedback.record(report)
+                if policy is not None and not served.degraded:
+                    refresh = refresh_statistics(
+                        self.catalog, self.feedback, policy=policy
+                    )
         return ExecutedResult(
             served=served,
             rows=rows,

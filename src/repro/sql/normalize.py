@@ -216,6 +216,8 @@ def parameterize_plan(
         is_enforcer=plan.is_enforcer,
         logical=plan.logical,
         local=plan.local,
+        rule=plan.rule,
+        required=plan.required,
     )
 
 

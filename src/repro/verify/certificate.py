@@ -31,6 +31,7 @@ __all__ = [
     "DerivationStep",
     "NodeClaim",
     "PlanCertificate",
+    "node_claim",
 ]
 
 #: An ordinary winner: full derivation chain plus per-node claims.
@@ -88,6 +89,25 @@ class NodeClaim:
     rule: Optional[str] = None
     enforcer: bool = False
     required: Optional[PhysProps] = None
+
+
+def node_claim(node) -> NodeClaim:
+    """The claim a :class:`~repro.algebra.plans.PhysicalPlan` node makes,
+    read off the node's own annotations.
+
+    Exact for every node the Volcano engine and the sharing pass build; a
+    hand-built node, which carries none, makes a claim the checker
+    rejects.
+    """
+    return NodeClaim(
+        node.algorithm,
+        node.local,
+        node.logical,
+        tuple(child.logical for child in node.inputs),
+        node.rule,
+        node.is_enforcer,
+        node.required,
+    )
 
 
 @dataclass(frozen=True)

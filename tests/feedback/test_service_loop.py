@@ -6,10 +6,13 @@ versioned catalog API, the plan cache drops exactly the affected
 fingerprints, and the re-optimized plan measurably beats the stale one.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.algebra.predicates import Comparison, ComparisonOp, col, eq, lit
-from repro.feedback import FeedbackPolicy, drifted_workload
+from repro.feedback import FeedbackPolicy, FeedbackStore, drifted_workload
 from repro.models.relational import get, join, relational_model, select
 from repro.options import ResourceBudget
 from repro.search import SearchOptions, VolcanoOptimizer
@@ -186,3 +189,110 @@ def test_grow_is_idempotent():
     assert scenario.grow() == 0
     with pytest.raises(ValueError):
         drifted_workload(growth=1)
+
+
+@pytest.fixture
+def contended():
+    """Switch threads as often as the interpreter allows, so unlocked
+    read-modify-write sequences interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def run_threads(count, work):
+    """Run ``work(index)`` on ``count`` threads; return their results."""
+    results = [None] * count
+    errors = []
+
+    def target(index):
+        try:
+            results[index] = work(index)
+        except BaseException as error:  # pragma: no cover - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, errors
+    return results
+
+
+def test_concurrent_executes_record_every_report_exactly(contended):
+    threads, repeats = 6, 8
+    _, probe = make_service()
+    probe.execute(unrelated_query())
+    per_report = {
+        name: probe.feedback.table_feedback(name).observations for name in ("s", "t")
+    }
+    assert all(per_report.values())
+
+    _, service = make_service()
+    service.execute(unrelated_query())  # plan it once; the threads all hit
+
+    def work(_index):
+        for _ in range(repeats):
+            service.execute(unrelated_query())
+
+    run_threads(threads, work)
+    total = threads * repeats + 1
+    assert service.feedback.reports == total
+    for name, count in per_report.items():
+        assert service.feedback.table_feedback(name).observations == total * count
+
+
+def test_one_piece_of_drift_evidence_refreshes_once(monkeypatch):
+    """Exactly one refresh, and by the execute that found the drift.
+
+    After recording the drift, that execute waits until some other
+    thread starts a second report: unlocked, the other thread's refresh
+    in between consumes the evidence; locked, no other report can start,
+    and the wait times out.
+    """
+    record = FeedbackStore.record
+    mine = threading.local()
+    drift_recorded, second_report = threading.Event(), threading.Event()
+
+    def record_and_watch(store, report):
+        if getattr(mine, "after_drift", False):
+            second_report.set()
+        record(store, report)
+        mine.after_drift = drift_recorded.is_set()
+        if getattr(mine, "drift", False):
+            drift_recorded.set()
+            second_report.wait(timeout=0.5)
+
+    monkeypatch.setattr(FeedbackStore, "record", record_and_watch)
+    policy = FeedbackPolicy(max_q_error=2.0)
+    scenario, service = make_service(feedback_policy=policy)
+    service.execute(scenario.query)
+    service.execute(unrelated_query())
+    version = scenario.catalog.table_version("r")
+    scenario.grow()
+    done = threading.Event()
+
+    def work(index):
+        if index == 0:
+            # The only stale plan executed: the only drift evidence.
+            mine.drift = True
+            try:
+                return [service.execute(scenario.query)]
+            finally:
+                done.set()
+        executed = []
+        while not done.is_set():
+            executed.append(service.execute(unrelated_query()))
+        return executed
+
+    executed = [item for batch in run_threads(4, work) for item in batch]
+    assert sum(1 for item in executed if item.refreshed) == 1
+    assert executed[0].refreshed
+    assert executed[0].refresh.versions["r"] == (
+        version,
+        scenario.catalog.table_version("r"),
+    )

@@ -13,16 +13,23 @@ matcher, the single fingerprint hash and the slotted memo values).
 CPython 3.10 and 3.12 are unmeasured since the masks; before them 3.12,
 which inlines comprehensions, read 1 290 688.  So the assertion is a
 ceiling, with 3 % of room, not an equality.
+
+A certified search (``SearchOptions(certificates=True)``) builds each
+result's certificate after the search and is pinned separately: 962 765
+calls on CPython 3.11 since plan nodes carry their own claims (965 384
+while the engine recorded a claim beside every node it built).
 """
 
 import sys
 
+import pytest
+
+from repro.models import relational
 from repro.models.relational import relational_model
-from repro.search import VolcanoOptimizer
+from repro.search import SearchOptions, VolcanoOptimizer
 from repro.workloads import QueryGenerator
 
-CALLS = 919_085
-CEILING = int(CALLS * 1.03)
+CALLS = {False: 919_085, True: 962_765}
 
 
 def count_calls(call) -> int:
@@ -42,10 +49,12 @@ def count_calls(call) -> int:
     return count
 
 
-def test_eight_relation_batch_stays_under_its_call_ceiling():
+@pytest.mark.parametrize("certificates", [False, True], ids=["plain", "certified"])
+def test_eight_relation_batch_stays_under_its_call_ceiling(certificates):
     spec = relational_model()
     batch = QueryGenerator().generate_batch(8, 10, seed=7)
-    engines = [(VolcanoOptimizer(spec, item.catalog), item) for item in batch]
+    options = SearchOptions(certificates=certificates)
+    engines = [(VolcanoOptimizer(spec, item.catalog, options), item) for item in batch]
 
     def optimize_all():
         for engine, item in engines:
@@ -53,5 +62,9 @@ def test_eight_relation_batch_stays_under_its_call_ceiling():
 
     # Warm the process-wide tables (interned group leaves, the model's
     # pure-function caches) so the count does not depend on test order.
+    # The module-level memo starts empty: it is keyed by predicate
+    # objects, and an equal batch optimized earlier in the process would
+    # leave keys that each lookup must compare by value.
+    relational._equi_pairs_cache.clear()
     optimize_all()
-    assert count_calls(optimize_all) <= CEILING
+    assert count_calls(optimize_all) <= int(CALLS[certificates] * 1.03)

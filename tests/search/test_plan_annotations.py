@@ -6,6 +6,11 @@ code builds the node — the Volcano search, its greedy fallback and
 values its cost function consumed.  Feedback, EXPLAIN and the sharing
 pass read them instead of deriving them again, so every bundled model
 and every path that makes plans must set both.
+
+Nodes the memo engines build also name what placed them: an algorithm
+node its implementation rule (``rule``), an enforcer the goal it was
+asked to deliver (``required``).  With ``logical`` and ``local`` that is
+the node's whole certificate claim, which is read off the node.
 """
 
 import pytest
@@ -25,6 +30,7 @@ from repro.search.sharing import plan_sharing
 from repro.service import OptimizerService, ServiceOptions
 from repro.systemr import SystemROptimizer, SystemROptions
 from repro.verify import verify_plan
+from repro.verify.certificate import node_claim
 from repro.workloads import QueryGenerator, WorkloadOptions
 
 from tests.helpers import chain_query, make_catalog
@@ -95,13 +101,28 @@ def assert_annotated(plan, tree=True):
         assert total == pytest.approx(plan.cost.total())
 
 
-def assert_matches_claims(result):
-    claims = result.certificate.claims
-    nodes = list(result.plan.walk())
-    assert len(claims) == len(nodes)
-    for node, claim in zip(nodes, claims):
+def assert_placed(plan, spec=SPEC):
+    """Every node a memo engine built names the rule or goal that placed it
+    (the sharing pass's own ``materialize``/``scan_intermediate`` nodes
+    name neither)."""
+    rules = {rule.name: rule.algorithm for rule in spec.implementations}
+    for node in plan.walk():
+        if node.is_enforcer:
+            assert node.rule is None and node.required is not None, node
+        elif node.algorithm in ("materialize", "scan_intermediate"):
+            assert node.rule is None and node.required is None, node
+        else:
+            assert rules[node.rule] == node.algorithm, node
+            assert node.required is None, node
+
+
+def assert_matches_claims(plan, certificate):
+    """The certificate's claims are the ones read off the plan's nodes."""
+    nodes = list(plan.walk())
+    assert len(certificate.claims) == len(nodes)
+    for node, claim in zip(nodes, certificate.claims):
+        assert node_claim(node) == claim
         assert node.logical is claim.output
-        assert node.local == claim.local
 
 
 @pytest.mark.parametrize("model", sorted(model_cases()))
@@ -111,12 +132,14 @@ def test_volcano_plans_carry_their_claims(model):
     result = optimizer.optimize(query, required)
     assert algorithm in result.plan.algorithms_used()
     assert_annotated(result.plan)
-    assert_matches_claims(result)
+    assert_placed(result.plan, spec)
+    assert_matches_claims(result.plan, result.certificate)
     alternatives = alternative_plans(optimizer, result)
     # Only an enforcer-rooted goal may have no algorithm delivering it.
     assert alternatives or result.plan.is_enforcer
     for plan in alternatives:
         assert_annotated(plan)
+        assert_placed(plan, spec)
 
 
 @pytest.mark.parametrize("model", sorted(model_cases()))
@@ -126,7 +149,8 @@ def test_budget_tripped_greedy_plans_are_annotated(model):
     result = VolcanoOptimizer(spec, catalog, options).optimize(query, required)
     assert result.degraded
     assert_annotated(result.plan)
-    assert_matches_claims(result)
+    assert_placed(result.plan, spec)
+    assert_matches_claims(result.plan, result.certificate)
 
 
 def test_batch_plans_carry_their_claims():
@@ -138,7 +162,8 @@ def test_batch_plans_carry_their_claims():
     )
     for result in results:
         assert_annotated(result.plan)
-        assert_matches_claims(result)
+        assert_placed(result.plan)
+        assert_matches_claims(result.plan, result.certificate)
 
 
 @pytest.mark.parametrize("relations", [3, 4])
@@ -170,6 +195,7 @@ def test_sharing_producers_scans_and_rewrites_are_annotated(certified):
         assert producer.logical is producer.inputs[0].logical
         assert shared.rows == producer.logical.cardinality
         assert_annotated(producer, tree=False)
+        assert_placed(producer)
     scans = [
         node
         for plan in report.plans
@@ -180,9 +206,19 @@ def test_sharing_producers_scans_and_rewrites_are_annotated(certified):
     for plan in report.plans:
         # Shared subtrees repeat in pre-order, so local costs still sum up.
         assert_annotated(plan)
+        # Rebuilt nodes keep the rule or goal of the node they replace.
+        assert_placed(plan)
     for scan in scans:
         assert scan.args[1] == tuple(scan.logical.schema.column_names)
         assert scan.cost == scan.local
+    certified_plans = list(zip(report.plans, report.consumer_certificates)) + list(
+        zip((shared.plan for shared in report.shared_plans), report.producer_certificates)
+    )
+    assert len(certified_plans) == (
+        len(report.plans) + report.materialized if certified else 0
+    )
+    for plan, certificate in certified_plans:
+        assert_matches_claims(plan, certificate)
 
 
 def non_relational_batches():
@@ -231,6 +267,8 @@ def test_non_relational_sharing_is_annotated_and_certified(model):
     checked += [(shared.plan, report.producer_certificates[0])]
     assert len(checked) == len(queries) + 1
     for plan, certificate in checked:
+        assert_placed(plan, spec)
+        assert_matches_claims(plan, certificate)
         verdict = verify_plan(
             spec, certificate.source, plan, certificate, catalog=catalog
         )
@@ -251,5 +289,8 @@ def test_parameterized_hit_binds_an_annotated_plan():
     assert second.cached and second.parameterized
     assert "4" in second.plan.to_sexpr()
     assert_annotated(second.plan)
+    assert_placed(second.plan)
+    # The cache holds the plan in parameterized form and binds it again.
     for bound, cached in zip(second.plan.walk(), first.plan.walk()):
         assert bound.logical is cached.logical and bound.local is cached.local
+        assert bound.rule == cached.rule and bound.required is cached.required

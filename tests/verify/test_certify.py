@@ -1,8 +1,8 @@
 """Certificate production across every engine the repo ships.
 
-Memo engines (Volcano, task-based) record claims during search;
-memo-less baselines (EXODUS, System R) are certified after the fact by
-re-deriving provenance from a fresh logical closure.  Degraded anytime
+The Volcano engine's plan nodes carry their own claims, read off after
+the search; memo-less baselines (EXODUS, System R) are certified after
+the fact by re-deriving provenance from a fresh logical closure.  Degraded anytime
 plans carry the ``degraded`` kind.  In every case the independent
 checker must accept the result.
 """
