@@ -1,38 +1,40 @@
 """Certificate construction: turn a solved memo into provenance proofs.
 
-Every plan node the memo engines build carries what its certificate
+Every plan node the Volcano engine builds carries what its certificate
 claims about it: the implementation rule or enforcer goal that placed
 it, its logical properties and its local cost
 (:class:`~repro.algebra.plans.PhysicalPlan`).  This module turns a plan
 and the solved memo into the
 :class:`~repro.verify.certificate.PlanCertificate` the independent
-checker (:func:`repro.verify.verify_plan`) consumes:
+checker (:func:`repro.verify.verify_plan`) consumes, reading only the
+search's own record:
 
 * the **frontier** — the logical expression the plan structurally
   implements — is reconstructed by one function that reads the search's
   own implementation moves on each node's group
   (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`, handed
   to the builder as ``moves``) and realizes the binding of the move the
-  node names (or, for a plan from a memo-less engine, the first move that
-  justifies the node) — the certifier enumerates no rule bindings of its
-  own;
+  node names — the certifier enumerates no rule bindings of its own;
 * the **derivation chain** proving source ⟶ frontier is read from the
-  search's own record: the memo keeps, per member, the rewrite that
-  first brought it into its class (:attr:`Memo.derivations`), and
-  walking those pointers back from the frontier's member to the
-  source's gives the rule firings, each replayed on the concrete tree
-  into a :class:`DerivationStep` the checker can replay on plain trees;
+  memo, which keeps, per member, the rewrite that first brought it into
+  its class and the expression that rewrite returned
+  (:attr:`Memo.derivations`).  Walking those pointers back from the
+  frontier's member to the source's gives the rule firings; each step's
+  tree is the recorded output with the concrete subtrees the firing
+  matched at its group leaves.  No rule code runs here: the checker,
+  which replays every step, is the one place that runs it on a
+  certificate;
 * per-node :class:`NodeClaim` objects, read off the nodes
   (:func:`~repro.verify.certificate.node_claim`), carry the exact cost
   terms and logical properties the engine used, so cost reproduction
-  (P3xx) is an exact equality, not a tolerance test.  A node of a
-  memo-less engine's plan names no rule and is priced again over the
-  closure memo.
+  (P3xx) is an exact equality, not a tolerance test.
 
 Construction is best-effort by design: the builder never raises out of
 :meth:`CertificateBuilder.certify` — any reconstruction failure yields a
 certificate the *checker* will flag (empty claims → P002, missing chain
-→ P401).  The checker stays the single source of truth.
+→ P401).  An algorithm node that names no rule, such as a memo-less
+engine's or a hand-built one, gets the claim-less certificate.  The
+checker stays the single source of truth.
 
 Certificates for the multi-query sharing pass's rewrites are built by
 the pass itself (:func:`repro.search.sharing.plan_sharing`) from the
@@ -48,7 +50,6 @@ from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import PhysProps
 from repro.errors import ReproError, SearchError
 from repro.model.patterns import AnyPattern, match_tree
-from repro.model.spec import AlgorithmNode, ModelSpecification
 from repro.search.memo import GroupExpression, Memo
 from repro.verify.certificate import (
     KIND_DEGRADED,
@@ -62,11 +63,7 @@ from repro.verify.certificate import (
 if TYPE_CHECKING:
     from repro.search.engine import _AlgorithmMove
 
-__all__ = [
-    "CertificateBuilder",
-    "certify_result",
-    "standalone_certificate",
-]
+__all__ = ["CertificateBuilder"]
 
 #: Upper bound on derivation-chain length; beyond it the builder gives
 #: up and emits a chain-less certificate (P401 at verification) rather
@@ -87,15 +84,8 @@ class CertificateBuilder:
     reconstructed once and gets the same frontier in every certificate.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpecification,
-        memo: Memo,
-        moves: Callable[[int], Sequence[_AlgorithmMove]],
-    ):
-        self.spec = spec
+    def __init__(self, memo: Memo, moves: Callable[[int], Sequence[_AlgorithmMove]]):
         self.memo = memo
-        self.context = memo.context
         #: ``gid`` → the search's implementation moves on that group
         #: (:meth:`~repro.search.engine.VolcanoOptimizer._algorithm_moves`).
         self.moves = moves
@@ -158,88 +148,33 @@ class CertificateBuilder:
         if cached is not None:
             return cached[0]
         gid = self.memo.canonical(gid)
-        move: Optional[_AlgorithmMove] = None
         if node.is_enforcer:
             if len(node.inputs) != 1:
                 raise _ChainFail("enforcer arity")
             frontier = self._frontier_of(node.inputs[0], gid)
-            leaf_gids: Tuple[int, ...] = (gid,)
-            placed = node.required is not None
         else:
-            move, leaf_gids, frontier = self._frontier_search(node, gid)
-            placed = node.rule is not None
-        claim = (
-            node_claim(node)
-            if placed
-            else self._priced_again(node, gid, move, leaf_gids)
-        )
-        self._frontiers[id(node)] = (frontier, claim)
+            frontier = self._frontier_search(node, gid)
+        self._frontiers[id(node)] = (frontier, node_claim(node))
         self._keepalive.append(node)
         return frontier
 
-    def _priced_again(
-        self,
-        node: PhysicalPlan,
-        gid: int,
-        move: Optional[_AlgorithmMove],
-        leaf_gids: Tuple[int, ...],
-    ) -> NodeClaim:
-        """The claim for a node of a memo-less engine's plan, priced over
-        the closure memo's logical properties.
+    def _frontier_search(self, node: PhysicalPlan, gid: int) -> LogicalExpression:
+        """The node's frontier in group ``gid``.
 
-        Such a node names no rule or goal, and its own annotations need
-        not be the claim: EXODUS prices a node over its input mesh
-        nodes' properties, which can differ in the last bits from those
-        of the plans it extracts for those inputs' classes.  ``move`` is
-        the justifying move (None for an enforcer, whose goal is taken to
-        be what it delivers).
+        The node names its rule, which pins the move that built it: that
+        rule with the node's arguments, over input classes whose logical
+        properties are its children's.
         """
-        if move is None:
-            enforcer = self.spec.enforcers.get(node.algorithm)
-            if enforcer is None:
-                raise _ChainFail(f"unknown enforcer {node.algorithm!r}")
-            cost = enforcer.cost
-        else:
-            cost = move.algorithm.cost
-        output = self.memo.logical_props(gid)
-        inputs = tuple(self.memo.logical_props(g) for g in leaf_gids)
-        return NodeClaim(
-            node.algorithm,
-            cost(self.context, AlgorithmNode(node.args, output, inputs)),
-            output,
-            inputs,
-            rule=None if move is None else move.rule.name,
-            enforcer=move is None,
-            required=node.properties if move is None else None,
-        )
-
-    def _frontier_search(
-        self, node: PhysicalPlan, gid: int
-    ) -> Tuple[_AlgorithmMove, Tuple[int, ...], LogicalExpression]:
-        """The node's frontier in group ``gid``, with the move that
-        justifies it and that move's canonical input groups.
-
-        Candidates are the search's own moves on the group that build the
-        node's algorithm with the node's arguments.  A node that names its
-        rule pins the move that built it: that rule, over input classes
-        whose logical properties are its children's.  A node with no rule
-        (a plan from a memo-less engine, certified over a fresh closure
-        by :func:`standalone_certificate`) takes the first move that
-        justifies it.
-        """
+        if node.rule is None:
+            raise _ChainFail(f"{node.algorithm!r} names no rule")
         canonical = self.memo.canonical
-        pinned = node.rule
         inputs = tuple(child.logical for child in node.inputs)
         for move in self.moves(gid):
             rule = move.rule
-            if rule.algorithm != node.algorithm or move.args != node.args:
-                continue
-            if pinned is not None and rule.name != pinned:
+            if rule.name != node.rule or move.args != node.args:
                 continue
             leaf_gids = tuple(canonical(g) for g in move.input_groups)
-            if len(leaf_gids) != len(node.inputs):
-                continue
-            if pinned is not None and inputs != tuple(
+            if len(leaf_gids) != len(node.inputs) or inputs != tuple(
                 self.memo.logical_props(g) for g in leaf_gids
             ):
                 continue
@@ -252,8 +187,8 @@ class CertificateBuilder:
                 continue
             frontier = self._realize_rule(rule, move.binding, gid, children)
             if frontier is not None:
-                return move, leaf_gids, frontier
-        raise _ChainFail(f"no move justifies {node.algorithm!r} in g{gid}")
+                return frontier
+        raise _ChainFail(f"no move of {node.rule!r} builds the node in g{gid}")
 
     def _realize_rule(self, rule, binding, gid: int, children):
         """The rule's pattern in group ``gid`` with the plan inputs'
@@ -390,7 +325,7 @@ class CertificateBuilder:
     def _member_path(
         self, gid: int, src: GroupExpression, dst: GroupExpression
     ) -> List[tuple]:
-        """The ``(rule, binding, target)`` firings that took the class
+        """The ``(rule, binding, output)`` firings that took the class
         from ``src`` to ``dst``: the memo's first-derivation pointers,
         walked back from ``dst`` and returned in firing order."""
         edges: List[tuple] = []
@@ -399,9 +334,8 @@ class CertificateBuilder:
             origin = self.memo.derivations.get(member)
             if origin is None:
                 raise _ChainFail(f"no derivation of {member} from {src} in g{gid}")
-            source, rule, binding = origin
-            edges.append((rule, binding, member))
-            member = self._canon_member(source)
+            edges.append(origin[1:])
+            member = self._canon_member(origin[0])
             if member in seen:
                 raise _ChainFail(f"derivation pointers cycle in g{gid}")
             seen.add(member)
@@ -415,13 +349,15 @@ class CertificateBuilder:
         edge: tuple,
         depth: int,
     ) -> LogicalExpression:
-        """Fire one member-graph edge on the concrete working tree.
+        """Take one member-graph edge on the concrete working tree: the
+        step's tree is the edge's recorded output over the concrete
+        subtrees the rule's pattern matches.
 
         Nested pattern positions may first need the concrete child
         reshaped into the member the binding matched — those reshapes
         recurse through :meth:`_derive_rec` and record their own steps.
         """
-        rule, binding, target_member = edge
+        rule, binding, output = edge
         children = list(tree.inputs)
         for index, sub in enumerate(rule.pattern.inputs):
             if isinstance(sub, AnyPattern):
@@ -439,30 +375,22 @@ class CertificateBuilder:
             children[index] = self._derive_rec(
                 children[index], goal, path + (index,), depth + 1
             )
-        reshaped = tree.with_inputs(tuple(children))
-        concrete = match_tree(rule.pattern, reshaped)
+        concrete = match_tree(rule.pattern, tree.with_inputs(tuple(children)))
         if concrete is None:
-            raise _ChainFail(f"rule {rule.name!r} lost its match on replay")
-        try:
-            if not rule.applies(concrete, self.context):
-                raise _ChainFail(f"rule {rule.name!r} condition flipped on replay")
-            results = rule.rewrite(concrete, self.context)
-        except ReproError as error:
-            raise _ChainFail(str(error)) from error
-        if results is None:
-            results = []
-        elif isinstance(results, LogicalExpression):
-            results = [results]
-        for output in results:
-            if output.operator == GROUP_LEAF:
-                continue
-            if self._member_of(output) == target_member:
-                self._budget -= 1
-                if self._budget <= 0:
-                    raise _ChainFail("derivation step budget exhausted")
-                self._steps.append(DerivationStep(rule.name, path, output))
-                return output
-        raise _ChainFail(f"rule {rule.name!r} did not reproduce the edge")
+            raise _ChainFail(f"rule {rule.name!r} does not match the working tree")
+        # Each group leaf the firing bound stands for the concrete
+        # subtree bound to the same pattern name.
+        subtrees = {
+            bound: concrete[name]
+            for name, bound in binding.items()
+            if isinstance(bound, LogicalExpression)
+        }
+        self._budget -= 1
+        if self._budget <= 0:
+            raise _ChainFail("derivation step budget exhausted")
+        step = output.map_leaves(lambda leaf: subtrees.get(leaf, leaf))
+        self._steps.append(DerivationStep(rule.name, path, step))
+        return step
 
     def _shape_matches(self, pattern, tree: LogicalExpression, binding) -> bool:
         """Does the concrete tree already realize the member binding?"""
@@ -482,69 +410,3 @@ class CertificateBuilder:
             self._shape_matches(sub, child, binding)
             for sub, child in zip(pattern.inputs, tree.inputs)
         )
-
-
-# ---------------------------------------------------------------------------
-# Convenience entry points
-# ---------------------------------------------------------------------------
-
-
-def certify_result(
-    result,
-    spec: ModelSpecification,
-    source: LogicalExpression,
-    *,
-    catalog,
-    estimator=None,
-    engine: str = "",
-) -> PlanCertificate:
-    """Certificate for a memo-less engine's result (EXODUS, System R).
-
-    Goes through :func:`standalone_certificate`, which explores a fresh
-    closure memo over the source to reconstruct provenance.  (A Volcano
-    result carries its own certificate when
-    :attr:`~repro.search.SearchOptions.certificates` is on.)
-    """
-    return standalone_certificate(
-        spec,
-        catalog,
-        source,
-        result.plan,
-        result.required,
-        estimator=estimator,
-        degraded=bool(getattr(result, "degraded", False)),
-        engine=engine or type(result).__name__.replace("Result", ""),
-    )
-
-
-def standalone_certificate(
-    spec: ModelSpecification,
-    catalog,
-    source: LogicalExpression,
-    plan: PhysicalPlan,
-    required: PhysProps,
-    *,
-    estimator=None,
-    degraded: bool = False,
-    engine: str = "",
-) -> PlanCertificate:
-    """Certify a plan with no memo: build a fresh logical closure first.
-
-    Used for engines that do not expose a memo (the EXODUS and System R
-    baselines).  Rule attribution and cost terms are synthesized from
-    the closure memo and the explorer's own implementation moves on it,
-    so the certificate is exactly as strong as the claim that the plan's
-    choices are re-derivable from the model.
-    """
-    # Imported here: this module must not depend on the engine at import
-    # time (the engine imports CertificateBuilder from us).
-    from repro.search.engine import VolcanoOptimizer
-
-    explorer = VolcanoOptimizer(spec, catalog, estimator=estimator)
-    run = explorer._new_run(explorer.options)
-    root = run.memo.insert_expression(source)
-    explorer._explore_closure(run, root)
-    builder = CertificateBuilder(spec, run.memo, explorer._run_moves(run))
-    return builder.certify(
-        source, plan, required, degraded=degraded, engine=engine
-    )

@@ -467,7 +467,7 @@ class VolcanoOptimizer:
             # identical frontier subexpressions in every certificate,
             # which the sharing pass's certifier relies on.
             builder = (
-                CertificateBuilder(self.spec, memo, self._run_moves(run))
+                CertificateBuilder(memo, self._run_moves(run))
                 if options.certificates
                 else None
             )
@@ -718,7 +718,7 @@ class VolcanoOptimizer:
                     applied.add((rule.name, mexpr, tuple(binding.items())))
                     if len(applied) == seen:
                         continue
-                    stats.rule_bindings_tried += 1
+                    stats.transformation_bindings_tried += 1
                     if condition is not None and not condition(binding, context):
                         continue
                     results = rule.rewrite(binding, context)
@@ -731,7 +731,7 @@ class VolcanoOptimizer:
                         if run.metered:
                             meter.charge_rule_firing()
                         added, created = memo.add_rewrite(
-                            new_expression, gid, (mexpr, rule, binding)
+                            new_expression, gid, (mexpr, rule, binding, new_expression)
                         )
                         changed |= added
                         for new_gid in created:
@@ -1029,7 +1029,7 @@ class VolcanoOptimizer:
                     )
                 )
                 for binding in bindings:
-                    run.stats.rule_bindings_tried += 1
+                    run.stats.implementation_bindings_tried += 1
                     if condition is not None and not condition(binding, context):
                         continue
                     if rule.build_args is not None:

@@ -222,7 +222,7 @@ class Group:
 def _product_mask(masks: Dict, origin: Tuple) -> FrozenSet[str]:
     """The mask of the member rule R produced from source member S:
     ``R.disables | (mask(S) & R.inherits)``."""
-    source, rule, _ = origin
+    source, rule = origin[0], origin[1]
     if not rule.inherits:
         return rule.disables
     return rule.disables | (rule.inherits & masks.get(source, _UNMASKED))
@@ -291,10 +291,12 @@ class Memo:
         # Per-group move lists (exact invalidation via probe records;
         # see cached_moves below).
         self._moves_cache: Dict[int, Tuple[Dict[int, int], tuple]] = {}
-        #: member → (source member, rule, binding) of the rewrite that
-        #: first brought it into its class; a certificate's derivation
-        #: chain is the walk back along these pointers.  Keys stay
-        #: canonical: a merge re-keys the members it re-homes.
+        #: member → (source member, rule, binding, output) of the rewrite
+        #: that first brought it into its class, ``output`` being the
+        #: expression the rewrite returned; a certificate's derivation
+        #: chain is the walk back along these pointers, each step's tree
+        #: read off its output.  Keys stay canonical: a merge re-keys the
+        #: members it re-homes.
         self.derivations: Dict[GroupExpression, Tuple] = {}
         #: member → the names of the rules masked on it, for masked
         #: members only; None unless the run masks (see
@@ -454,11 +456,12 @@ class Memo:
         subexpressions the memo did not hold yet, inputs before the
         groups that consume them — the order in which the engine
         explores them (see ``docs/search-internals.md``, "Exploration").
-        ``origin`` is the rewrite's ``(source member, rule, binding)``;
-        the output member keeps it in :attr:`derivations` when this is
-        its first entry into the class.  When the run masks, a mask
-        narrowed by this insertion also counts as a change: the group it
-        reopened needs the fixpoint sweep.
+        ``origin`` is the rewrite's ``(source member, rule, binding,
+        output)``, ``output`` being ``expression`` itself; the output
+        member keeps it in :attr:`derivations` when this is its first
+        entry into the class.  When the run masks, a mask narrowed by
+        this insertion also counts as a change: the group it reopened
+        needs the fixpoint sweep.
         """
         created: List[int] = []
         group_id = self.canonical(group_id)

@@ -39,9 +39,10 @@ class SearchStats:
     find_best_plan_calls: int = 0
     winner_hits: int = 0
     failure_hits: int = 0
-    # Sums two kinds: transformation-rule bindings matched during
-    # exploration and implementation-rule bindings matched for moves.
-    rule_bindings_tried: int = 0
+    # Transformation-rule bindings matched during exploration, and
+    # implementation-rule bindings matched for moves.
+    transformation_bindings_tried: int = 0
+    implementation_bindings_tried: int = 0
     rules_fired: int = 0
     # (member, rule) pairs skipped because the member's mask names the
     # rule (see ModelSpecification.masks_complete).
@@ -79,7 +80,8 @@ class SearchStats:
             f"groups={self.groups_created} exprs={self.expressions_created} "
             f"merges={self.group_merges} fbp={self.find_best_plan_calls} "
             f"hits={self.winner_hits}/{self.failure_hits} "
-            f"rules={self.rules_fired}/{self.rule_bindings_tried} "
+            f"rules={self.rules_fired}/{self.transformation_bindings_tried} "
+            f"impl={self.implementation_bindings_tried} "
             f"masked={self.rules_masked} "
             f"costings={self.algorithm_costings}+{self.enforcer_costings} "
             f"pruned={self.moves_pruned} time={self.elapsed_seconds:.4f}s"

@@ -110,7 +110,7 @@ def test_sorted_plans_compute_reference_results(catalog, name):
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("name", ["selection", "two_way", "three_way"])
+@pytest.mark.parametrize("name", sorted(QUERIES))
 def test_exodus_plans_compute_reference_results(catalog, name):
     query = QUERIES[name]()
     expected = canonical(reference_evaluate(query, catalog))
@@ -118,7 +118,7 @@ def test_exodus_plans_compute_reference_results(catalog, name):
     assert canonical(execute_plan(plan, catalog)) == expected
 
 
-@pytest.mark.parametrize("name", ["two_way", "three_way"])
+@pytest.mark.parametrize("name", sorted(QUERIES))
 def test_systemr_plans_compute_reference_results(catalog, name):
     query = QUERIES[name]()
     expected = canonical(reference_evaluate(query, catalog))

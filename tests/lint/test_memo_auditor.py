@@ -160,29 +160,39 @@ def test_figure4_smoke_run_audits_clean():
 
 
 @pytest.mark.parametrize(
-    "size, groups, expressions, costings, fired, tried, moves_hit_rate, violations",
+    "size, groups, expressions, costings, fired, transformations, implementations, "
+    "moves_hit_rate, violations",
     [
-        (4, 14, 28, 640, 140, 700, 0.52, 0),
-        (6, 30.5, 103, 2340, 725, 2995, 0.59, 0),
+        (4, 14, 28, 640, 140, 180, 520, 0.52, 0),
+        (6, 30.5, 103, 2340, 725, 995, 2000, 0.59, 0),
         # The two M005 findings at n=8 are the sub-goal optimality gap
         # of ROADMAP item 1(1): they may fall, never rise.
-        (8, 72.1, 402.6, 10339, 3305, 12649, 0.63, 2),
+        (8, 72.1, 402.6, 10339, 3305, 4677, 7972, 0.63, 2),
     ],
     ids=["n4", "n6", "n8"],
 )
 def test_figure4_points_pin_search_counts(
-    size, groups, expressions, costings, fired, tried, moves_hit_rate, violations
+    size,
+    groups,
+    expressions,
+    costings,
+    fired,
+    transformations,
+    implementations,
+    moves_hit_rate,
+    violations,
 ):
     """Figure 4's workload, 10 queries per size, seed 1993, audited.
 
-    The memo sizes, costings, rule firings and bindings tried are
+    The memo sizes, costings, rule firings and the transformation and
+    implementation bindings tried are
     deterministic for the seed: a drift means the search changed.  The
     moves-cache hit rate may only rise.
     """
     spec = relational_model()
     options = SearchOptions(check_consistency=False)
     total_groups = total_expressions = total_costings = found = 0
-    total_fired = total_tried = 0
+    total_fired = total_transformations = total_implementations = 0
     moves_hits = moves_misses = 0
     for query in QueryGenerator().generate_batch(size, 10, seed=1993):
         optimizer = VolcanoOptimizer(spec, query.catalog, options)
@@ -192,7 +202,8 @@ def test_figure4_points_pin_search_counts(
         total_expressions += stats.expressions_created
         total_costings += stats.algorithm_costings
         total_fired += stats.rules_fired
-        total_tried += stats.rule_bindings_tried
+        total_transformations += stats.transformation_bindings_tried
+        total_implementations += stats.implementation_bindings_tried
         moves_hits += stats.moves_cache_hits
         moves_misses += stats.moves_cache_misses
         found += len(auditor.violations)
@@ -200,6 +211,7 @@ def test_figure4_points_pin_search_counts(
     assert total_expressions / 10 == pytest.approx(expressions)
     assert total_costings == costings
     assert total_fired == fired
-    assert total_tried == tried
+    assert total_transformations == transformations
+    assert total_implementations == implementations
     assert moves_hits / (moves_hits + moves_misses) >= moves_hit_rate
     assert found <= violations

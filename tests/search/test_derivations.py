@@ -1,13 +1,15 @@
 """The memo's derivation record: one first-derivation pointer per member.
 
 ``Memo.derivations`` maps each member a rewrite brought into its class
-to that rewrite's ``(source member, rule, binding)``.  Certificates walk
-the pointers back from a frontier member to the source's member
-(:mod:`repro.search.certify`) instead of re-enumerating rule bindings
-after the search, so for every bundled model's chain and star queries of
-2–8 relations, and for searches that merge classes mid-exploration:
+to that rewrite's ``(source member, rule, binding, output)``.
+Certificates walk the pointers back from a frontier member to the
+source's member and read each step off the recorded output
+(:mod:`repro.search.certify`) instead of re-running rules after the
+search, so for every bundled model's chain and star queries of 2–8
+relations, and for searches that merge classes mid-exploration:
 
 * every key is a live member — a merge re-keys the members it re-homes;
+* a pointer's output, interned, is the member it keys;
 * a pointer's source lies in its member's own class, and the walk from
   every member ends without revisiting one;
 * with no merge, every walk ends at the class's first member.  A merge
@@ -65,10 +67,11 @@ def canonical_member(memo, member):
 
 
 def derivation_record(memo):
-    """The pointers as plain data: member → (source, rule name, binding)."""
+    """The pointers as plain data: member → (source, rule name, binding,
+    output)."""
     return {
-        member: (canonical_member(memo, source), rule.name, binding)
-        for member, (source, rule, binding) in memo.derivations.items()
+        member: (canonical_member(memo, source), rule.name, binding, output)
+        for member, (source, rule, binding, output) in memo.derivations.items()
     }
 
 
@@ -97,6 +100,17 @@ def query_members(memo, *expressions):
     for expression in expressions:
         visit(expression)
     return members
+
+
+def assert_outputs_intern_to_their_members(memo):
+    """Each pointer's output, looked up input by input, is its key."""
+    groups = memo.group_count()
+    for member, (_, _, _, output) in memo.derivations.items():
+        gids = tuple(
+            memo.canonical(memo.insert_expression(child)) for child in output.inputs
+        )
+        assert GroupExpression(output.operator, output.args, gids) == member
+    assert memo.group_count() == groups  # lookups only
 
 
 def assert_walks_end_at(memo, roots):
@@ -131,6 +145,7 @@ def test_every_member_walks_back_to_its_first_member(builder, shape):
             assert len(memo.derivations) == (
                 memo.expression_count() - memo.group_count()
             )
+            assert_outputs_intern_to_their_members(memo)
             assert_walks_end_at(
                 memo, {group.expressions[0] for group in memo.groups()}
             )
@@ -158,6 +173,7 @@ def test_late_equalities_keep_pointers_through_merges():
     for memo in searched_memos(skip_true_select_model(), catalog, query):
         assert memo.stats.group_merges == 1
         assert len(memo.derivations) == 1
+        assert_outputs_intern_to_their_members(memo)
         assert_walks_end_at(memo, query_members(memo, query))
 
     # select[TRUE](x) -> x records nothing: the select stays pointer-less
@@ -169,11 +185,12 @@ def test_late_equalities_keep_pointers_through_merges():
     ):
         for memo in searched_memos(collapsing, catalog, query):
             assert memo.stats.group_merges == merges
+            assert_outputs_intern_to_their_members(memo)
             assert_walks_end_at(memo, query_members(memo, query))
             # Pointers recorded before the merge renamed their inputs.
             assert renamed == sum(
                 canonical_member(memo, source) != source
-                for source, _, _ in memo.derivations.values()
+                for source, _, _, _ in memo.derivations.values()
             )
 
 
@@ -192,7 +209,9 @@ def test_a_merge_re_keys_both_kinds_of_re_homed_member():
         (dying, select(group_leaf(dying), TRUE)),
         (consumer, join(group_leaf(other), group_leaf(dying), eq("r.k", "t.k"))),
     ):
-        memo.add_rewrite(rewritten, gid, (memo.group(gid).expressions[0], None, {}))
+        memo.add_rewrite(
+            rewritten, gid, (memo.group(gid).expressions[0], None, {}, rewritten)
+        )
     assert memo.add_expression_to_group(group_leaf(keeper), dying)
     assert memo.canonical(dying) == keeper
     assert len(memo.derivations) == 2

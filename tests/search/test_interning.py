@@ -191,8 +191,12 @@ def late_equality_runs(spec, catalog, query, unwrapped):
     assert interpreted.certificate == specialized.certificate
     assert interpreted.stats.rules_fired == specialized.stats.rules_fired
     assert (
-        interpreted.stats.rule_bindings_tried
-        == specialized.stats.rule_bindings_tried
+        interpreted.stats.transformation_bindings_tried
+        == specialized.stats.transformation_bindings_tried
+    )
+    assert (
+        interpreted.stats.implementation_bindings_tried
+        == specialized.stats.implementation_bindings_tried
     )
     return runs
 

@@ -83,7 +83,8 @@ def assert_identical(base, kernelized):
         "groups_created",
         "expressions_created",
         "algorithm_costings",
-        "rule_bindings_tried",
+        "transformation_bindings_tried",
+        "implementation_bindings_tried",
     ):
         assert getattr(base.stats, counter) == getattr(
             kernelized.stats, counter
@@ -223,4 +224,11 @@ def test_kernel_parity_random_model_tweaks(
     assert base.plan.to_sexpr() == result.plan.to_sexpr()
     assert base.cost == result.cost
     assert base.stats.algorithm_costings == result.stats.algorithm_costings
-    assert base.stats.rule_bindings_tried == result.stats.rule_bindings_tried
+    assert (
+        base.stats.transformation_bindings_tried
+        == result.stats.transformation_bindings_tried
+    )
+    assert (
+        base.stats.implementation_bindings_tried
+        == result.stats.implementation_bindings_tried
+    )

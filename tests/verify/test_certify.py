@@ -1,19 +1,17 @@
-"""Certificate production across every engine the repo ships.
+"""Certificate production by the Volcano engine.
 
-The Volcano engine's plan nodes carry their own claims, read off after
-the search; memo-less baselines (EXODUS, System R) are certified after
-the fact by re-deriving provenance from a fresh logical closure.  Degraded anytime
-plans carry the ``degraded`` kind.  In every case the independent
-checker must accept the result.
+The engine's plan nodes carry their own claims, read off after the
+search, and the derivation chain is read from the memo's record.
+Degraded anytime plans carry the ``degraded`` kind.  In every case the
+independent checker must accept the result.  (EXODUS and System R keep
+no memo and produce no certificate; their plans are checked by
+execution, ``tests/integration/test_end_to_end.py``.)
 """
 
 import pytest
 
-from repro.exodus import ExodusOptimizer
 from repro.options import ResourceBudget
 from repro.search import SearchOptions, VolcanoOptimizer
-from repro.search.certify import certify_result, standalone_certificate
-from repro.systemr import SystemROptimizer
 from repro.verify import KIND_DEGRADED, KIND_SEARCH, verify_plan
 from repro.workloads import QueryGenerator, WorkloadOptions
 
@@ -93,34 +91,6 @@ def test_degraded_plan_carries_degraded_kind(chain_case):
     assert result.certificate.kind == KIND_DEGRADED
     report = verify_plan(
         SPEC, query, result.plan, result.certificate, catalog=catalog
-    )
-    assert report.ok, report.render()
-
-
-@pytest.mark.parametrize("engine_cls", [ExodusOptimizer, SystemROptimizer])
-def test_baseline_engines_certify_after_the_fact(engine_cls, chain_case):
-    catalog, query = chain_case
-    result = engine_cls(SPEC, catalog).optimize(query)
-    certificate = certify_result(
-        result, SPEC, query, catalog=catalog, engine=engine_cls.__name__
-    )
-    assert certificate.kind == KIND_SEARCH
-    assert certificate.engine == engine_cls.__name__
-    report = verify_plan(
-        SPEC, query, result.plan, certificate, catalog=catalog
-    )
-    assert report.ok, report.render()
-
-
-def test_standalone_certificate_from_plain_plan(chain_case):
-    # No memo, no engine result object — just a plan and the model.
-    catalog, query = chain_case
-    reference = certified_engine(catalog).optimize(query)
-    certificate = standalone_certificate(
-        SPEC, catalog, query, reference.plan, reference.required
-    )
-    report = verify_plan(
-        SPEC, query, reference.plan, certificate, catalog=catalog
     )
     assert report.ok, report.render()
 

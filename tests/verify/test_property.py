@@ -4,9 +4,11 @@ Hypothesis drives random catalogs and join chains through the Volcano
 engine; every winning plan's certificate must survive a pickle
 round-trip and satisfy the independent checker.  A parametrized sweep
 extends the same acceptance claim to every bundled model
-specification.
+specification, and the same sweep rejects a plan node that names no
+rule.
 """
 
+import dataclasses
 import pickle
 
 import hypothesis.strategies as st
@@ -17,7 +19,7 @@ from repro.algebra.predicates import eq
 from repro.models.relational import get, join, select
 from repro.options import ResourceBudget
 from repro.search import SearchOptions, VolcanoOptimizer
-from repro.search.certify import certify_result
+from repro.search.certify import CertificateBuilder
 from repro.verify import KIND_DEGRADED, KIND_SEARCH, verify_plan
 
 from tests.generator.test_codegen_all_models import MODELS, build_spec
@@ -82,10 +84,18 @@ def test_every_bundled_model_verifies(name, budget):
     assert report.ok, report.render()
 
 
+def strip_rule(plan):
+    """``plan`` with its first algorithm node (in pre-order) naming no rule."""
+    if plan.is_enforcer:
+        return dataclasses.replace(plan, inputs=(strip_rule(plan.inputs[0]),))
+    return dataclasses.replace(plan, rule=None)
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_every_bundled_model_certifies_memo_less_plans(name):
-    # The standalone path (used for EXODUS/System R baselines) must
-    # also re-derive provenance under every bundled model.
+def test_every_bundled_model_rejects_a_node_that_names_no_rule(name):
+    # The builder pins each node's move by the rule the node names and
+    # re-derives nothing, so a node that names none (a hand-built one, or
+    # a memo-less engine's) gets a claim-less certificate.
     spec = build_spec(name)
     catalog = make_catalog([("r", 1200), ("s", 2400)])
     query = join(select(get("r"), eq("r.v", 1)), get("s"), eq("r.k", "s.k"))
@@ -93,16 +103,11 @@ def test_every_bundled_model_certifies_memo_less_plans(name):
         spec, catalog, SearchOptions(check_consistency=False)
     )
     result = engine.optimize(query)
-
-    class _MemoLess:
-        plan = result.plan
-        required = result.required
-        degraded = False
-
-    certificate = certify_result(
-        _MemoLess(), spec, query, catalog=catalog, engine="MemoLess"
+    builder = CertificateBuilder(
+        result.memo, engine._run_moves(engine._new_run(engine.options, result.memo))
     )
-    report = verify_plan(
-        spec, query, result.plan, certificate, catalog=catalog
-    )
-    assert report.ok, report.render()
+    for plan, codes in ((result.plan, set()), (strip_rule(result.plan), {"P002"})):
+        certificate = builder.certify(query, plan, result.required)
+        report = verify_plan(spec, query, plan, certificate, catalog=catalog)
+        assert {d.code for d in report.diagnostics} == codes, report.render()
+    assert not certificate.claims
