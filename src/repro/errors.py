@@ -35,7 +35,23 @@ __all__ = [
 
 
 class ReproError(Exception):
-    """Base class for every exception raised by this library."""
+    """Base class for every exception raised by this library.
+
+    Every subclass pickles as itself, with its message and attributes:
+    an error raised in an engine process reaches the server intact,
+    although most subclasses' constructors take other arguments than
+    the ``args`` they store.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    """Unpickle a :class:`ReproError` without calling its ``__init__``."""
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
 
 
 class CatalogError(ReproError):

@@ -303,7 +303,8 @@ class ServerOptions(OptionsBase):
 
     ``max_concurrent``
         Optimization-triggering requests allowed in flight at once
-        (each occupies one worker thread).
+        (each occupies one worker thread; under ``python -m
+        repro.server`` also the number of engine processes).
     ``max_queue_depth``
         Requests allowed to *wait* for a slot beyond that; one more and
         the server fast-fails the request with a 429 instead of
@@ -339,8 +340,10 @@ class ServerOptions(OptionsBase):
     **Lifecycle**:
 
     ``workers``
-        Size of the thread pool optimizations run on (at least
-        ``max_concurrent``).
+        Size of the thread pool that takes admitted work off the event
+        loop (at least ``max_concurrent``).  In process the search runs
+        on these threads; under ``python -m repro.server`` they only
+        hand it to an engine process and wait.
     ``drain_seconds``
         Graceful-shutdown patience: how long to wait for in-flight
         requests to finish before the event loop is torn down anyway.

@@ -2,9 +2,11 @@
 
 Builds a synthetic executable catalog (seeded, deterministic — the
 same generator the tests and benches use), generates an optimizer for
-the paper's relational model, wraps it in the caching service, and
-serves it until SIGINT/SIGTERM, draining in-flight requests on the way
-out.
+the paper's relational model, forks one engine process per admission
+slot (:class:`~repro.server.engines.ProcessOptimizer`: searches run off
+the server's GIL), wraps it in the caching service, and serves it until
+SIGINT/SIGTERM, draining in-flight requests and stopping the engine
+processes on the way out.
 
 ::
 
@@ -27,7 +29,9 @@ from repro.executor.data import TableSpec, generate_table
 from repro.generator.generate import generate_optimizer
 from repro.models.relational import relational_model
 from repro.options import ServerOptions
+from repro.search.engine import VolcanoOptimizer
 from repro.server.app import OptimizerServer
+from repro.server.engines import ProcessOptimizer
 from repro.service.service import OptimizerService, ServiceOptions
 
 __all__ = ["main"]
@@ -74,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--workers", "-N", type=int, default=4,
-        help="optimization thread-pool size",
+        help="hand-off thread-pool size (searches run in the engine processes)",
     )
     parser.add_argument(
         "--max-concurrent", type=int, default=4,
-        help="optimizations admitted at once (rest queue, then 429)",
+        help="optimizations admitted at once (rest queue, then 429); "
+        "also the number of engine processes",
     )
     parser.add_argument(
         "--verify", action="store_true",
@@ -87,16 +92,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_server(args: argparse.Namespace) -> OptimizerServer:
+def build_optimizer(args: argparse.Namespace) -> VolcanoOptimizer:
+    """The generated optimizer over the synthetic tables ``args`` name."""
     catalog = Catalog()
     for name, rows, distinct in args.tables:
         schema, statistics, data = generate_table(
             TableSpec(name, rows, key_distinct=distinct), args.seed
         )
         catalog.add_table(name, schema, statistics, data)
-    spec = relational_model()
+    return generate_optimizer(relational_model(), catalog)
+
+
+def build_server(args: argparse.Namespace, optimizer=None) -> OptimizerServer:
+    """The server ``args`` describe, over ``optimizer`` (by default
+    :func:`build_optimizer`'s, searching in this process)."""
     service = OptimizerService(
-        generate_optimizer(spec, catalog),
+        optimizer if optimizer is not None else build_optimizer(args),
         options=ServiceOptions(verify_plans=args.verify),
     )
     workers = max(args.workers, args.max_concurrent)
@@ -121,11 +132,14 @@ async def _serve(server: OptimizerServer) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    server = build_server(args)
+    # Forked before asyncio or any pool starts a thread.
+    engine = ProcessOptimizer(build_optimizer(args), args.max_concurrent)
     try:
-        asyncio.run(_serve(server))
+        asyncio.run(_serve(build_server(args, engine)))
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race
         pass
+    finally:
+        engine.close()
     return 0
 
 

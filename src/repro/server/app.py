@@ -13,7 +13,9 @@ framework) that many clients share.  The division of labor:
 * a **thread pool** runs the unbounded work (engine runs, plan
   execution, over-long statements); the service underneath is
   thread-safe (locked cache, single-flight deduplication), so
-  concurrent requests share one plan cache correctly;
+  concurrent requests share one plan cache correctly.  Under
+  ``python -m repro.server`` a thread only hands the search to an
+  engine process (:class:`~repro.server.engines.ProcessOptimizer`);
 * the **plan registry** (:class:`~repro.server.registry.PlanRegistry`)
   sits in front of the service: pinned keys are served without
   touching the optimizer at all, and every fresh answer is routed
@@ -22,8 +24,8 @@ framework) that many clients share.  The division of labor:
 Endpoints (all bodies JSON):
 
 ====================  ====================================================
-``GET  /health``      liveness + catalog statistics version
-``GET  /stats``       cache counters, admission counters, registry state
+``GET  /health``      liveness (false once an engine process died)
+``GET  /stats``       cache, admission, engine counters, registry state
 ``GET  /plans``       pins, quarantined refreshes, recent events
 ``POST /optimize``    ``{"sql": ...}`` (+ budget, deadline) → plan payload
 ``POST /execute``     optimize + run the plan + feedback round trip
@@ -480,9 +482,18 @@ class OptimizerServer:
 
     # -- endpoints -----------------------------------------------------
 
+    def _engines(self) -> Dict[str, Any]:
+        """The engine processes' counters; none when searches run here."""
+        counters = getattr(self.service.optimizer, "counters", None)
+        if counters is None:
+            return {"processes": 0, "tasks": 0, "cpu_seconds": 0.0, "broken": False}
+        return counters()
+
     def _handle_health(self, body: Mapping[str, Any]) -> Dict[str, Any]:
+        broken = self._engines()["broken"]
         return {
-            "ok": True,
+            "ok": not broken,
+            "broken": broken,
             "statistics_version": self.service.catalog.statistics_version,
             "uptime_seconds": time.time() - self._started,
         }
@@ -494,6 +505,7 @@ class OptimizerServer:
             "cache_entries": len(self.service.cache),
             "admission": self.admission.counters(),
             "registry": self.registry.state(),
+            "engines": self._engines(),
             "server": {
                 "requests": self.requests,
                 "errors": self.errors,
@@ -804,6 +816,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 

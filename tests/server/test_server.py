@@ -31,6 +31,7 @@ POINT_SQL = "SELECT * FROM r WHERE r.k = 7"
 def test_health(client):
     health = client.health()
     assert health["ok"] is True
+    assert health["broken"] is False
     assert health["statistics_version"] >= 0
 
 
@@ -479,7 +480,11 @@ def test_stats_shape_and_verification_clean(client):
     client.optimize(CHAIN_SQL)
     stats = client.stats()
     assert set(stats) == {
-        "cache", "cache_entries", "admission", "registry", "server",
+        "cache", "cache_entries", "admission", "registry", "engines", "server",
+    }
+    # Searches run in this process: no engine process to account.
+    assert stats["engines"] == {
+        "processes": 0, "tasks": 0, "cpu_seconds": 0.0, "broken": False,
     }
     assert stats["cache"]["hits"] >= 1
     assert stats["cache"]["verify_violations"] == 0
