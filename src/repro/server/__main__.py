@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import signal
 import sys
 from typing import List, Tuple
@@ -135,7 +136,12 @@ def main(argv=None) -> int:
     # Forked before asyncio or any pool starts a thread.
     engine = ProcessOptimizer(build_optimizer(args), args.max_concurrent)
     try:
-        asyncio.run(_serve(build_server(args, engine)))
+        server = build_server(args, engine)
+        # The catalog's rows and the spec live as long as the server:
+        # leave them out of every later collection.
+        gc.collect()
+        gc.freeze()
+        asyncio.run(_serve(server))
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race
         pass
     finally:

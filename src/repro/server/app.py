@@ -88,6 +88,7 @@ from repro.sql.normalize import bind_expression, normalize_literals
 __all__ = ["OptimizerServer", "ServerThread"]
 
 _MAX_BODY = 4 * 1024 * 1024
+_CUT_OFF = "request head cut off by the end of the stream"
 #: Bytes one socket read may take: the stream reader's own buffer limit.
 #: asyncio's default (256 KiB) allocates and shrinks that much per read,
 #: and whenever the heap's top sits near glibc's trim threshold — which
@@ -290,12 +291,16 @@ class OptimizerServer:
         """One HTTP/1.1 request off the stream, or None at EOF.
 
         Bad framing raises :class:`ServerError`, which is answered and
-        counted; no exception escapes to asyncio's handler.
+        counted; no exception escapes to asyncio's handler.  A head that
+        the end of the stream cuts off before its blank line is bad
+        framing too: it is never dispatched.
         """
         try:
             line = await reader.readline()
             if not line:
                 return None
+            if not line.endswith(b"\n"):
+                raise ServerError(_CUT_OFF)
             try:
                 method, target, _version = line.decode("ascii").split(None, 2)
             except ValueError:
@@ -303,8 +308,10 @@ class OptimizerServer:
             headers: Dict[str, str] = {}
             while True:
                 raw = await reader.readline()
-                if raw in (b"\r\n", b"\n", b""):
+                if raw in (b"\r\n", b"\n"):
                     break
+                if not raw.endswith(b"\n"):  # end of stream before the blank line
+                    raise ServerError(_CUT_OFF)
                 name, _, value = raw.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip().lower()
         except ValueError:  # a line longer than the stream's limit

@@ -6,28 +6,36 @@ for one optimization and dropped after it.  That makes the search the
 one part of the served optimizer that can run in another process, off
 the server's GIL.  :class:`ProcessOptimizer` does that: it wraps a
 generated :class:`~repro.search.VolcanoOptimizer` and runs each
-``optimize``/``optimize_batch`` in a process of a ``fork`` pool, while
-the caller — :class:`~repro.service.OptimizerService` — sees the same
-:class:`~repro.search.Optimizer` it always did.  Plan cache,
+``optimize``/``optimize_batch`` in one of its forked engine processes,
+while the caller — :class:`~repro.service.OptimizerService` — sees the
+same :class:`~repro.search.Optimizer` it always did.  Plan cache,
 single-flight, admission, verification and the regression guard stay in
 the server.
 
+* **One pipe per engine.**  Each engine process owns one
+  :func:`multiprocessing.Pipe`.  The calling thread takes an idle
+  engine, sends the task down its pipe, blocks on the answer and gives
+  the engine back: no pool threads stand between a search and its
+  caller.
 * **Fork only while single-threaded.**  The processes inherit the built
   optimizer (spec closures cannot be pickled, and the catalog's rows
   are not copied), and they are forked in the constructor, before any
   thread exists.
-* **One statistics snapshot per task.**  A task carries a consistent
-  copy of every table's statistics; the process applies the ones that
-  differ from its own before it searches, so a search never sees a
-  statistics bump land half-way.
-* **Failures fail loudly.**  A process that dies breaks the pool: every
+* **Statistics only when stale.**  Each engine is sent a consistent
+  copy of every table's statistics when the catalog's statistics
+  version has moved since its last copy, and nothing otherwise; it
+  applies the tables that differ from its own before it searches, so a
+  search never sees a statistics bump land half-way.
+* **Failures fail loudly.**  Once one engine process has died, every
   later search raises :class:`~repro.errors.ServerError` with status
-  503, and :attr:`ProcessOptimizer.broken` turns true.  There is no
-  respawn — forking from the now-threaded server is what CPython 3.12
-  deprecates.
+  503, even while its siblings live, and
+  :attr:`ProcessOptimizer.broken` turns true.  There is no respawn —
+  forking from the now-threaded server is what CPython 3.12 deprecates.
 * **Lifecycle.**  The processes ignore SIGINT (the server drains), exit
-  on :meth:`ProcessOptimizer.close`, and exit within a second of their
-  parent's death.
+  on :meth:`ProcessOptimizer.close`, which closes the server's end of
+  each pipe (every engine closed the server's ends it inherited when it
+  was forked, so that reaches its own engine as end-of-file), and exit
+  within a second of their parent's death.
 """
 
 from __future__ import annotations
@@ -35,17 +43,17 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import queue
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.properties import PhysProps
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import TableStatistics
-from repro.errors import ReproError, ServerError, ServiceError
+from repro.errors import ServerError, ServiceError
 from repro.model.cost import INFINITE_COST
 from repro.search.engine import OptimizationResult, SearchOptions, VolcanoOptimizer
 
@@ -54,18 +62,30 @@ __all__ = ["ProcessOptimizer"]
 #: How often an engine process checks that its parent is still alive.
 _PARENT_POLL_SECONDS = 0.2
 
-#: The optimizer an engine process searches with; set once, when it starts.
-_engine: Optional[VolcanoOptimizer] = None
 
+def _serve(
+    optimizer: VolcanoOptimizer,
+    connection: Connection,
+    inherited: Sequence[Connection],
+    parent: int,
+) -> None:
+    """An engine process (forked: nothing here is pickled).
 
-def _start(optimizer: VolcanoOptimizer, parent: int) -> None:
-    """Initialise one engine process (forked: nothing here is pickled)."""
-    global _engine
-    _engine = optimizer
+    It closes the server's ends of every pipe it inherited, its own and
+    its elder siblings', so that each end the server closes reaches its
+    engine as end-of-file.  Then it answers tasks until that happens.
+    """
+    for end in inherited:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(
         target=_watch_parent, args=(parent,), name="repro-engine-watch", daemon=True
     ).start()
+    try:
+        while True:
+            connection.send(_search(optimizer, *connection.recv()))
+    except (EOFError, OSError):  # the server closed its end, or died
+        pass
 
 
 def _watch_parent(parent: int) -> None:
@@ -76,35 +96,38 @@ def _watch_parent(parent: int) -> None:
 
 
 def _search(
+    engine: VolcanoOptimizer,
     queries: Sequence[Any],
     props: Optional[PhysProps],
     limit: Any,
     options: SearchOptions,
-    statistics: Dict[str, TableStatistics],
+    statistics: Optional[Dict[str, TableStatistics]],
     batch: bool,
 ) -> Tuple[Any, float]:
     """One task in an engine process: ``(answers or error, CPU seconds)``.
 
-    ``answers`` is one tuple of :class:`OptimizationResult` fields per
-    query, all in one pickle, so plan nodes that a batch's results share
-    are still shared when they arrive.
+    ``statistics`` is None when this engine already holds the version
+    the task runs under.  ``answers`` is one tuple of
+    :class:`OptimizationResult` fields per query, all in one pickle, so
+    plan nodes that a batch's results share are still shared when they
+    arrive.  An error is returned, not raised: the server raises it for
+    this search alone, and the engine serves on.
     """
     started = time.process_time()
-    assert _engine is not None
-    catalog = _engine.catalog
+    catalog = engine.catalog
     try:
-        for name, table in statistics.items():
+        for name, table in (statistics or {}).items():
             if catalog.table(name).statistics != table:
                 catalog.update_statistics(name, table)
         if batch:
-            results = _engine.optimize_batch(
+            results = engine.optimize_batch(
                 queries, props, limit=limit, options=options
             )
         else:
             results = [
-                _engine.optimize(queries[0], props, limit=limit, options=options)
+                engine.optimize(queries[0], props, limit=limit, options=options)
             ]
-    except ReproError as error:
+    except Exception as error:  # the caller raises it; the engine serves on
         return error, time.process_time() - started
     answers = [
         (
@@ -121,13 +144,33 @@ def _search(
     return answers, time.process_time() - started
 
 
-def _statistics(catalog: Catalog) -> Dict[str, TableStatistics]:
-    """Every table's statistics, all of one statistics version."""
+def _statistics(catalog: Catalog) -> Tuple[int, Dict[str, TableStatistics]]:
+    """Every table's statistics, all of one statistics version, and that version."""
     while True:
         version = catalog.statistics_version
         tables = {entry.name: entry.statistics for entry in catalog.tables()}
         if catalog.statistics_version == version:
-            return tables
+            return version, tables
+
+
+def _refused() -> ServerError:
+    return ServerError(
+        "an engine process died: cold searches are refused until the "
+        "server restarts",
+        status=503,
+    )
+
+
+class _Engine:
+    """One engine process, the server's end of its pipe, and the
+    statistics version it was last sent (None: not yet sent)."""
+
+    __slots__ = ("process", "connection", "statistics_version")
+
+    def __init__(self, process: Any, connection: Connection) -> None:
+        self.process = process
+        self.connection = connection
+        self.statistics_version: Optional[int] = None
 
 
 class _SharedMemo:
@@ -142,18 +185,19 @@ class _SharedMemo:
 
 
 class ProcessOptimizer:
-    """A :class:`~repro.search.VolcanoOptimizer` whose searches run in a
-    pool of ``processes`` forked engine processes.
+    """A :class:`~repro.search.VolcanoOptimizer` whose searches run in
+    ``processes`` forked engine processes, one pipe each.
 
     >>> engine = ProcessOptimizer(generate_optimizer(spec, catalog), 4)
     >>> service = OptimizerService(engine)     # built before any thread
     >>> ...
     >>> engine.close()
 
-    Results carry no memo (``memo=None``; a batch's results share one
-    placeholder), and everything else a search returns: plan, cost,
-    required properties, stats, the degraded flag, the budget report and
-    the certificate.
+    A search runs on the calling thread's behalf in whichever engine is
+    idle; a caller finding none waits for one.  Results carry no memo
+    (``memo=None``; a batch's results share one placeholder), and
+    everything else a search returns: plan, cost, required properties,
+    stats, the degraded flag, the budget report and the certificate.
     """
 
     def __init__(self, optimizer: VolcanoOptimizer, processes: int) -> None:
@@ -171,28 +215,33 @@ class ProcessOptimizer:
         self.cpu_seconds = 0.0
         self._lock = threading.Lock()
         self._failed = False
-        before = set(multiprocessing.active_children())
-        self._pool = ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start,
-            initargs=(optimizer, os.getpid()),
-        )
-        # With the fork start method the first task forks every process
-        # at once, before the pool starts its own threads.  Frozen, the
-        # inherited objects are left out of the engine processes' garbage
-        # collections, which would otherwise touch, and so copy, every
-        # page of them.
+        self._closed = False
+        context = multiprocessing.get_context("fork")
+        ends: List[Connection] = []
+        self._engines: List[_Engine] = []
+        # Frozen, the inherited objects are left out of the engine
+        # processes' garbage collections, which would otherwise touch,
+        # and so copy, every page of them.
         gc.freeze()
         try:
-            self._pool.submit(os.getpid).result()
+            for number in range(processes):
+                mine, theirs = context.Pipe()
+                ends.append(mine)
+                process = context.Process(
+                    target=_serve,
+                    args=(optimizer, theirs, tuple(ends), os.getpid()),
+                    name=f"repro-engine-{number}",
+                    daemon=True,
+                )
+                process.start()
+                theirs.close()
+                self._engines.append(_Engine(process, mine))
         finally:
             gc.unfreeze()
-        self._engines = [
-            process
-            for process in multiprocessing.active_children()
-            if process not in before
-        ]
+        self._sentinels = [engine.process.sentinel for engine in self._engines]
+        self._idle: "queue.SimpleQueue[_Engine]" = queue.SimpleQueue()
+        for engine in self._engines:
+            self._idle.put(engine)
 
     # -- the Optimizer surface -------------------------------------------
 
@@ -220,27 +269,40 @@ class ProcessOptimizer:
         return self._run(list(queries), props, limit, options, batch=True)
 
     def _run(self, queries, props, limit, options, *, batch: bool):
-        task = (
-            queries,
-            props,
-            limit,
-            options if options is not None else self.options,
-            _statistics(self.catalog),
-            batch,
-        )
+        if self.broken:
+            raise _refused()
+        engine = self._idle.get()
         try:
-            answers, cpu = self._pool.submit(_search, *task).result()
-        except BrokenProcessPool:
-            self._failed = True
-            raise ServerError(
-                "an engine process died: cold searches are refused until the "
-                "server restarts",
-                status=503,
-            ) from None
+            # An engine that holds the current version is sent none; one
+            # that does not is recorded at its snapshot's own version, so
+            # a bump racing this read cannot leave it marked fresher than
+            # the statistics it holds.
+            version = self.catalog.statistics_version
+            statistics = None
+            if version != engine.statistics_version:
+                version, statistics = _statistics(self.catalog)
+            task = (
+                queries,
+                props,
+                limit,
+                options if options is not None else self.options,
+                statistics,
+                batch,
+            )
+            try:
+                engine.connection.send(task)
+                answers, cpu = engine.connection.recv()
+            except (EOFError, OSError):
+                self._failed = True
+                raise _refused() from None
+            if not isinstance(answers, Exception):
+                engine.statistics_version = version
+        finally:
+            self._idle.put(engine)
         with self._lock:
             self.tasks += 1
             self.cpu_seconds += cpu
-        if isinstance(answers, ReproError):
+        if isinstance(answers, Exception):
             raise answers
         memo: Any = _SharedMemo() if batch else None
         return [
@@ -262,10 +324,10 @@ class ProcessOptimizer:
 
     @property
     def broken(self) -> bool:
-        """True once an engine process has died (the pool never recovers)."""
-        return self._failed or not all(
-            process.is_alive() for process in self._engines
-        )
+        """True once an engine process has died (there is no recovery)."""
+        if not self._failed and wait(self._sentinels, 0):
+            self._failed = True
+        return self._failed
 
     def counters(self) -> Dict[str, Any]:
         """``/stats``' ``engines`` object."""
@@ -280,4 +342,12 @@ class ProcessOptimizer:
 
     def close(self) -> None:
         """Stop the engine processes, after any search still running."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        if self._closed:
+            return
+        self._closed = True
+        for _ in self._engines:
+            self._idle.get()  # every engine back: none is searching
+        for engine in self._engines:
+            engine.connection.close()  # its engine reads end-of-file
+        for engine in self._engines:
+            engine.process.join()

@@ -377,6 +377,13 @@ class StatementLRU:
             self.hits += 1
             return found[1]
 
+    def peek(self, key: str) -> Any:
+        """The value stored for ``key`` under any stamp, else None;
+        neither counted nor made recent."""
+        with self._lock:
+            found = self._entries.get(key)
+            return None if found is None else found[1]
+
     def put(self, key: str, value: Any, stamp: Any = None) -> None:
         """Store (or replace) ``key``, evicting the least recently used."""
         with self._lock:

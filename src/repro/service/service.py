@@ -18,7 +18,8 @@ twice.  :class:`OptimizerService` is that front:
   fingerprint changes) and are swept out lazily on the next call;
 * **resolve once** — a query resolved under one statistics version, with
   its keys, is one :class:`PreparedQuery`; the statement memo holds one
-  per SQL text, so a repeated text is not parsed again.
+  per SQL text, so a repeated text is not parsed again, and a statistics
+  write re-keys it instead of translating it again.
 
 The service programs against the :class:`~repro.search.Optimizer`
 protocol, so it wraps the Volcano engine or either comparison baseline
@@ -38,8 +39,9 @@ from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import ANY_PROPS, PhysProps
 from repro.catalog.catalog import Catalog
+from repro.catalog.schema import Schema
 from repro.dynamic import bind_plan
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, UnknownTableError
 from repro.executor import ExecutionStats, execute_plan
 from repro.feedback import (
     FeedbackPolicy,
@@ -382,7 +384,8 @@ class OptimizerService:
         # when the service is shared across threads (repro.server), one
         # engine run per cold key, every concurrent requester shares it.
         self.single_flight: SingleFlight[ServedResult] = SingleFlight()
-        # The statement memo: SQL text -> PreparedQuery, one per live text.
+        # The statement memo: SQL text -> (PreparedQuery, the schemas of
+        # the tables it reads, as translated), one entry per live text.
         self.statements = StatementLRU()
         self._seen_version = self.catalog.statistics_version
 
@@ -493,13 +496,16 @@ class OptimizerService:
         """Coerce any accepted query form to a :class:`PreparedQuery`.
 
         SQL text is **resolved once**: parsed, translated, rendered and
-        fingerprinted the first time it is seen under the current
-        statistics version, then served from the statement memo
-        (:attr:`statements`) as the same object.  Every catalog mutation
-        bumps ``statistics_version``, and a stale entry is replaced in
-        place.  Never memoized: text that fails to parse or translate
-        (it raises), text longer than ``MAX_MEMO_SQL``, text required
-        under explicit ``props``.
+        fingerprinted the first time it is seen, then served from the
+        statement memo (:attr:`statements`) as the same object while the
+        statistics version holds.  Every catalog mutation bumps
+        ``statistics_version``, and a stale entry is replaced in place:
+        re-keyed from its stored expression, props and rendering, and
+        translated again only when a table it reads no longer has the
+        schema it was translated against (``replace_table``,
+        ``drop_table``).  Never memoized: text that fails to parse or
+        translate (it raises), text longer than ``MAX_MEMO_SQL``, text
+        required under explicit ``props``.
 
         A :class:`PreparedQuery` of the current version (and the same
         ``props``) comes back as it is; a stale one is re-keyed from its
@@ -508,20 +514,26 @@ class OptimizerService:
         # Read first: keys of a later version under an earlier label are
         # only ever re-keyed, never trusted.
         version = self.catalog.statistics_version
-        text = None
+        text: Optional[str] = None
+        schemas: Optional[Tuple[Schema, ...]] = None
+        if isinstance(query, str) and props is None and len(query) <= MAX_MEMO_SQL:
+            text = query
+            memoized = self.statements.get(text, version)
+            if memoized is not None:
+                return memoized[0]
+            stale = self.statements.peek(text)
+            if stale is not None and self._translated_against(*stale):
+                query, schemas = stale  # re-keyed below, not translated again
         if isinstance(query, PreparedQuery):
             fresh = query.statistics_version == version
             if fresh and (props is None or props == query.props):
                 return query
             if props is None:
                 props = query.props
+            if sexpr is None:
+                sexpr = query.sexpr
             query = query.expression
         elif isinstance(query, str):
-            if props is None and len(query) <= MAX_MEMO_SQL:
-                text = query
-                statement = self.statements.get(text, version)
-                if statement is not None:
-                    return statement
             from repro.sql.translator import Translator
 
             translation = Translator(self.catalog).translate(query)
@@ -540,8 +552,35 @@ class OptimizerService:
             sexpr,
         )
         if text is not None:
-            self.statements.put(text, statement, version)
+            if schemas is None:
+                schemas = self._schemas(statement.exact.tables, version)
+            self.statements.put(text, (statement, schemas), version)
         return statement
+
+    def _schemas(self, tables, version: int) -> Optional[Tuple[Schema, ...]]:
+        """The schemas of ``tables`` a text was just translated against;
+        None (translate it again when stale) if the catalog has moved
+        since ``version``, when they may not be."""
+        catalog = self.catalog
+        try:
+            schemas = tuple(catalog.table(name).schema for name in tables)
+        except UnknownTableError:  # dropped since
+            return None
+        return schemas if catalog.statistics_version == version else None
+
+    def _translated_against(
+        self, statement: PreparedQuery, schemas: Optional[Tuple[Schema, ...]]
+    ) -> bool:
+        """Whether every table ``statement`` reads still has ``schemas``."""
+        if schemas is None:
+            return False
+        try:
+            return all(
+                self.catalog.table(name).schema is schema
+                for name, schema in zip(statement.exact.tables, schemas)
+            )
+        except UnknownTableError:  # dropped
+            return False
 
     def optimize(
         self,

@@ -100,6 +100,11 @@ FRAMING = {
         b"POST /optimize HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]", False, 400
     ),
     "bare-lf head": (b"GET /health HTTP/1.1\nConnection: close\n\n", False, 200),
+    "head cut off by eof": (b"GET /health HTTP/1.1\r\n", True, 400),
+    "shutdown head cut off by eof": (
+        b"POST /admin/shutdown HTTP/1.1\r\nContent-Length: 0\r\n", True, 400
+    ),
+    "request line cut off by eof": (b"POST /admin/shutdown HTTP/1.1", True, 400),
 }
 
 
@@ -107,7 +112,7 @@ FRAMING = {
 def test_malformed_framing_is_answered_and_counted(harness, server, case):
     request, half_close, status = FRAMING[case]
     parts = urlsplit(harness.address)
-    before = server.errors
+    before, requests = server.errors, server.requests
     with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
         sock.sendall(request)
         if half_close:
@@ -123,6 +128,8 @@ def test_malformed_framing_is_answered_and_counted(harness, server, case):
         assert payload["ok"] is True and server.errors == before
     else:
         assert payload["error"] and server.errors == before + 1
+        assert server.requests == requests  # answered, never dispatched
+    assert not server._shutdown.is_set()
 
 
 def test_bad_sql_is_400(client):

@@ -1,17 +1,20 @@
 """The statement memo: a repeated SQL text is resolved once.
 
 Parse, translate, render and fingerprint happen the first time a text is
-seen under a statistics version; afterwards the service hands back the
-same :class:`~repro.service.PreparedQuery` — ``resolve`` and ``prepare``
-alike, while a ``lookup`` miss is a marked copy.  One entry per live
-text — a stale one is replaced in place — and the same bounded LRU class
-holds the server's prepared statements.
+seen; afterwards the service hands back the same
+:class:`~repro.service.PreparedQuery` while the statistics version holds
+— ``resolve`` and ``prepare`` alike, while a ``lookup`` miss is a marked
+copy.  One entry per live text: a stale one is replaced in place,
+re-keyed from its expression, and translated again only when a table it
+reads changed its schema.  The same bounded LRU class holds the server's
+prepared statements.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.catalog.schema import Column, Schema
 from repro.errors import SqlError
 from repro.server import ClientError, OptimizerServer, ServerClient, ServerThread
 from repro.service import PreparedQuery, StatementLRU
@@ -82,7 +85,7 @@ def test_a_statistics_write_replaces_the_entry_in_place(client, monkeypatch):
     first = client.optimize(PAIR_SQL)
     client.update_statistics("r", {"columns": {"r.v": {"distinct_values": 61.0}}})
     second = client.optimize(PAIR_SQL)
-    assert len(translated) == 2  # re-resolved under the new version
+    assert len(translated) == 1  # re-keyed from its expression, not translated
     assert not second["cached"]
     assert second["fingerprint"] != first["fingerprint"]
     assert second["key"] == first["key"]
@@ -95,6 +98,47 @@ def test_a_statistics_write_replaces_the_entry_in_place(client, monkeypatch):
         assert client.optimize(PAIR_SQL)["verified"]
     assert memo(client)["entries"] == 1  # no superseded version is kept
     assert client.stats()["cache_entries"] == 1
+    assert len(translated) == 1
+
+
+def test_a_schema_change_translates_the_text_afresh(service, client, monkeypatch):
+    """Only a table the text reads changing its schema (``replace_table``,
+    ``drop_table``) translates it again: the old expression is never
+    re-keyed under a schema it was not translated against."""
+    text = "SELECT * FROM r WHERE v <= 40"  # bare ``v``: resolved by the schema
+    catalog = service.catalog
+    original = catalog.table("r")
+    client.optimize(text)
+    translated = spy(monkeypatch, Translator, "translate")
+    catalog.update_statistics("s", catalog.table("s").statistics)  # not read
+    catalog.update_statistics("r", original.statistics)
+    assert not client.optimize(text)["cached"] and translated == []
+
+    wider = Schema(original.schema.columns + (Column("r.w"),))
+    catalog.replace_table("r", wider, original.statistics)
+    assert client.optimize(text)["verified"]
+    assert len(translated) == 1
+    catalog.update_statistics("r", original.statistics)
+    client.optimize(text)
+    assert len(translated) == 1  # the new schema's translation is re-keyed
+
+    renamed = Schema(
+        tuple(c.renamed("r.x") if c.name == "r.v" else c for c in original.schema)
+    )
+    catalog.replace_table("r", renamed, original.statistics)
+    with pytest.raises(ClientError) as caught:
+        client.optimize(text)
+    assert caught.value.status == 400 and "v" in str(caught.value)
+    assert len(translated) == 2
+
+    catalog.replace_table("r", original.schema, original.statistics)
+    assert client.optimize(text)["verified"]
+    catalog.drop_table("r")
+    with pytest.raises(ClientError) as caught:
+        client.optimize(text)
+    assert caught.value.status == 400
+    assert len(translated) == 4
+    assert memo(client)["entries"] == 1
 
 
 def test_malformed_sql_is_never_memoized(client):
