@@ -193,6 +193,13 @@ class OptimizationResult:
     ``certificate`` (populated when :attr:`SearchOptions.certificates`
     is on) is the plan's provenance record, independently checkable via
     :func:`repro.verify.verify_plan`.
+
+    ``verified`` is that checker's verdict when the engine ran it on its
+    own answer, under the statistics it searched under: an engine
+    process of :class:`~repro.server.engines.ProcessOptimizer` does so
+    whenever it records certificates.  None means the engine did not
+    check (every in-process engine); the service then runs the checker
+    itself.
     """
 
     plan: PhysicalPlan
@@ -205,6 +212,7 @@ class OptimizationResult:
     degraded: bool = False
     budget_report: Optional[BudgetReport] = None
     certificate: Optional["PlanCertificate"] = None
+    verified: Optional[bool] = None
 
     def __str__(self) -> str:
         status = " (DEGRADED)" if self.degraded else ""

@@ -9,14 +9,24 @@ generated :class:`~repro.search.VolcanoOptimizer` and runs each
 ``optimize``/``optimize_batch`` in one of its forked engine processes,
 while the caller — :class:`~repro.service.OptimizerService` — sees the
 same :class:`~repro.search.Optimizer` it always did.  Plan cache,
-single-flight, admission, verification and the regression guard stay in
-the server.
+single-flight, admission and the regression guard stay in the server.
 
 * **One pipe per engine.**  Each engine process owns one
   :func:`multiprocessing.Pipe`.  The calling thread takes an idle
   engine, sends the task down its pipe, blocks on the answer and gives
   the engine back: no pool threads stand between a search and its
   caller.
+* **Most recently idle first.**  The idle engines are a stack, so the
+  engine that answered last takes the next task: a run of cold
+  searches keeps to the engines that are warm, and a statistics bump
+  reaches only the engines that search after it.
+* **The engine checks its own answer.**  A task that records
+  certificates has each answer checked in the engine
+  (:func:`repro.verify.verify_plan`, against the statistics snapshot it
+  searched) and the verdict returned as
+  :attr:`OptimizationResult.verified <repro.search.OptimizationResult>`,
+  which the service takes as the answer's check.  The sharing pass's
+  certificates, cache hits and pins are checked in the server.
 * **Fork only while single-threaded.**  The processes inherit the built
   optimizer (spec closures cannot be pickled, and the catalog's rows
   are not copied), and they are forked in the constructor, before any
@@ -56,6 +66,7 @@ from repro.catalog.statistics import TableStatistics
 from repro.errors import ServerError, ServiceError
 from repro.model.cost import INFINITE_COST
 from repro.search.engine import OptimizationResult, SearchOptions, VolcanoOptimizer
+from repro.verify import verify_plan
 
 __all__ = ["ProcessOptimizer"]
 
@@ -110,8 +121,10 @@ def _search(
     the task runs under.  ``answers`` is one tuple of
     :class:`OptimizationResult` fields per query, all in one pickle, so
     plan nodes that a batch's results share are still shared when they
-    arrive.  An error is returned, not raised: the server raises it for
-    this search alone, and the engine serves on.
+    arrive; the last field is the checker's verdict under
+    ``options.certificates`` and None otherwise.  An error is returned,
+    not raised: the server raises it for this search alone, and the
+    engine serves on.
     """
     started = time.process_time()
     catalog = engine.catalog
@@ -127,21 +140,39 @@ def _search(
             results = [
                 engine.optimize(queries[0], props, limit=limit, options=options)
             ]
+        answers = [
+            (
+                result.plan,
+                result.cost,
+                result.required,
+                result.stats,
+                result.degraded,
+                result.budget_report,
+                result.certificate,
+                _verdict(engine, query, result) if options.certificates else None,
+            )
+            for query, result in zip(queries, results)
+        ]
     except Exception as error:  # the caller raises it; the engine serves on
         return error, time.process_time() - started
-    answers = [
-        (
-            result.plan,
-            result.cost,
-            result.required,
-            result.stats,
-            result.degraded,
-            result.budget_report,
-            result.certificate,
-        )
-        for result in results
-    ]
     return answers, time.process_time() - started
+
+
+def _verdict(
+    engine: VolcanoOptimizer, query: Any, result: OptimizationResult
+) -> Optional[bool]:
+    """The checker's verdict on one answer, under the statistics the
+    engine searched it under; None when it carries no certificate."""
+    if result.certificate is None:
+        return None
+    return verify_plan(
+        engine.spec,
+        query,
+        result.plan,
+        result.certificate,
+        catalog=engine.catalog,
+        estimator=engine.estimator,
+    ).ok
 
 
 def _statistics(catalog: Catalog) -> Tuple[int, Dict[str, TableStatistics]]:
@@ -193,11 +224,14 @@ class ProcessOptimizer:
     >>> ...
     >>> engine.close()
 
-    A search runs on the calling thread's behalf in whichever engine is
-    idle; a caller finding none waits for one.  Results carry no memo
-    (``memo=None``; a batch's results share one placeholder), and
-    everything else a search returns: plan, cost, required properties,
-    stats, the degraded flag, the budget report and the certificate.
+    A search runs on the calling thread's behalf in the engine that
+    became idle last; a caller finding none idle waits for one.  Results
+    carry no memo (``memo=None``; a batch's results share one
+    placeholder), and everything else a search returns: plan, cost,
+    required properties, stats, the degraded flag, the budget report and
+    the certificate.  Under ``options.certificates`` each result also
+    carries the engine's check of its certificate (``verified``; None
+    when it has none).
     """
 
     def __init__(self, optimizer: VolcanoOptimizer, processes: int) -> None:
@@ -239,7 +273,7 @@ class ProcessOptimizer:
         finally:
             gc.unfreeze()
         self._sentinels = [engine.process.sentinel for engine in self._engines]
-        self._idle: "queue.SimpleQueue[_Engine]" = queue.SimpleQueue()
+        self._idle: "queue.LifoQueue[_Engine]" = queue.LifoQueue()
         for engine in self._engines:
             self._idle.put(engine)
 
@@ -315,8 +349,9 @@ class ProcessOptimizer:
                 degraded=degraded,
                 budget_report=budget_report,
                 certificate=certificate,
+                verified=verified,
             )
-            for plan, cost, required, stats, degraded, budget_report, certificate
+            for plan, cost, required, stats, degraded, budget_report, certificate, verified
             in answers
         ]
 

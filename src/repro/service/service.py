@@ -135,7 +135,11 @@ class ServiceOptions(OptionsBase):
         checker (:func:`repro.verify.verify_plan`) accepted under the
         statistics it is served under.  Fresh answers are verified
         before caching — a violation is still served (the plan may be
-        fine; the *certificate* failed) but never cached.  A cache hit
+        fine; the *certificate* failed) but never cached.  An engine
+        that returns its own verdict
+        (:attr:`~repro.search.OptimizationResult.verified`, checked
+        under the statistics it searched) is taken at its word, and the
+        checker is not run a second time.  A cache hit
         is verified **once** per ``(plan, certificate)`` pair: the
         entry records the objects the checker accepted
         (:attr:`CacheEntry.accepted`) and is served without a second
@@ -740,7 +744,13 @@ class OptimizerService:
         certificate = getattr(result, "certificate", None)
         ok: Optional[bool] = None
         if self.options.verify_plans:
-            ok = self.verify_served(query, result.plan, certificate)
+            # An engine that checked its own answer (under the snapshot
+            # it searched) has run this answer's checker already.
+            ok = getattr(result, "verified", None)
+            if ok is None:
+                ok = self.verify_served(query, result.plan, certificate)
+            else:
+                self.cache.stats.bump(verifications=1)
             if ok is False:
                 self.cache.stats.bump(verify_violations=1)
         # Degraded answers are served but never cached.  Neither is one

@@ -219,6 +219,19 @@ def _compare(cli: Cli, reference: OptimizerService) -> None:
         "shared_plans": len(report.shared_plans),
     }
 
+    hit = cli.client.optimize(CHAIN_SQL)
+    assert hit["cached"]
+    assert _served(hit) == _expected(reference.optimize(CHAIN_SQL))
+    # The engines check their own answers; the service checks in
+    # process.  Both run the checker once per fresh answer.
+    counters = ("verifications", "verify_violations", "verified_hits")
+    served = cli.client.stats()["cache"]
+    local = reference.cache.stats.as_dict()
+    assert local["verifications"] > 0 and local["verified_hits"] > 0
+    assert {name: served[name] for name in counters} == {
+        name: local[name] for name in counters
+    }
+
 
 def test_cli_serves_what_the_in_process_service_serves(cli, reference):
     assert len(cli.engines) == 2

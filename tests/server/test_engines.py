@@ -1,7 +1,10 @@
 """The engine processes of :class:`~repro.server.engines.ProcessOptimizer`
 at three engines: ``close()``, an error in one search (raised for that
-search alone) and the death of one engine (every later cold task is
-refused, while its siblings live).
+search alone), the death of one engine (every later cold task is
+refused, while its siblings live), the idle stack (the engine that
+answered last takes the next task) and the engine's own check of its
+certificates (its verdict is the service's, and none is given when
+certificates are off).
 
 Each scenario runs in a fresh interpreter under ``-W error``: the engines
 are forked only from a single-threaded process, which this test process
@@ -53,6 +56,10 @@ def children():
 
 optimizer = build_optimizer(build_parser().parse_args([]))
 query = Translator(optimizer.catalog).translate("SELECT * FROM r, s WHERE r.k = s.k")
+"""
+
+#: The fork, after a scenario's own set-up (if any).
+_FORK = """
 engine = ProcessOptimizer(optimizer, 3)
 pids = children()
 """
@@ -87,14 +94,61 @@ print(json.dumps({"pids": pids, "failed": failed, "first": first, "siblings": si
                   "broken": broken, "close_seconds": time.monotonic() - started}))
 """
 
+_MOST_RECENT = """
+import dataclasses
+def tasks():
+    for _ in range(3):
+        engine.optimize(query.expression, query.required)
+tasks()
+table = optimizer.catalog.table("s").statistics
+optimizer.catalog.update_statistics("s", dataclasses.replace(table, row_width=2 * table.row_width))
+tasks()
+current = optimizer.catalog.statistics_version
+at_current = sum(one.statistics_version == current for one in engine._engines)
+engine.close()
+print(json.dumps({"at_current": at_current}))
+"""
 
-def _scenario(body: str) -> dict:
+#: Before the fork: every engine's checker reports a violation.
+_FAILING_CHECKER = """
+from types import SimpleNamespace
+import repro.server.engines
+repro.server.engines.verify_plan = lambda *args, **kwargs: SimpleNamespace(ok=False)
+"""
+
+_VERDICT = """
+from repro.service import OptimizerService, ServiceOptions
+service = OptimizerService(engine, ServiceOptions(verify_plans=True))
+sql = "SELECT * FROM r, s WHERE r.k = s.k"
+served = service.optimize(sql)
+counters, entries = service.cache.stats.as_dict(), len(service.cache)
+again = service.optimize(sql)
+engine.close()
+print(json.dumps({"verified": served.verified, "engine_verdict": served.result.verified,
+                  "verifications": counters["verifications"],
+                  "verify_violations": counters["verify_violations"],
+                  "entries": entries, "again_cached": again.cached}))
+"""
+
+_CERTIFICATES_OFF = """
+from repro.service import OptimizerService
+service = OptimizerService(engine)
+served = service.optimize("SELECT * FROM r, s WHERE r.k = s.k")
+on = engine.optimize(query.expression, query.required,
+                     options=engine.options.replace(certificates=True))
+engine.close()
+print(json.dumps({"off": [served.result.verified, served.result.certificate is None],
+                  "on": on.verified, "verifications": service.cache.stats.as_dict()["verifications"]}))
+"""
+
+
+def _scenario(body: str, before_fork: str = "") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _PRELUDE + body],
+        [sys.executable, "-W", "error", "-c", _PRELUDE + before_fork + _FORK + body],
         capture_output=True,
         text=True,
         env=env,
@@ -120,3 +174,26 @@ def test_one_killed_engine_refuses_the_next_cold_task_beside_live_siblings():
     assert outcome["broken"] is True
     assert outcome["close_seconds"] < 2.0
     assert _wait_gone(outcome["pids"], 2.0) == []
+
+
+def test_the_engine_that_answered_last_takes_the_next_task():
+    # Three sequential tasks after a statistics bump all run on one
+    # engine, so the bump is sent to that engine alone.
+    assert _scenario(_MOST_RECENT) == {"at_current": 1}
+
+
+def test_a_violation_found_in_the_engine_is_counted_once_and_never_cached():
+    outcome = _scenario(_VERDICT, before_fork=_FAILING_CHECKER)
+    assert outcome == {
+        "verified": False,
+        "engine_verdict": False,
+        "verifications": 1,
+        "verify_violations": 1,
+        "entries": 0,
+        "again_cached": False,
+    }
+
+
+def test_the_engine_gives_no_verdict_without_certificates():
+    outcome = _scenario(_CERTIFICATES_OFF)
+    assert outcome == {"off": [None, True], "on": True, "verifications": 0}

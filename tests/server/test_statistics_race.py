@@ -9,7 +9,9 @@ Every served ``cost_total`` must equal an in-process reference's at one
 of the versions that were current at some moment of that request: a
 version bumped in before the request was answered, and not bumped out
 before it was sent.  An engine searching under a snapshot it missed, or
-under half of one, serves another version's cost.
+under half of one, serves another version's cost.  Each engine checks
+its certificate against the snapshot it searched, so no fresh plan
+fails the checker however the bumps race the searches.
 
 Tier-1 runs 12 bumps; ``--wide-sweep`` runs 240.
 """
@@ -147,18 +149,14 @@ def test_engines_never_serve_a_mixed_or_stale_statistics_version(cli, request):
     references = _references(states)
     bump_times, answers = _race(cli, states, seed=bumps)
     assert len(bump_times) == bumps
-    wrong, raced = [], 0
+    wrong = []
     for sql, sent, answered, served, cached in answers:
         versions = _admissible(bump_times, sent, answered)
         expected = {references[sql, states[version]] for version in versions}
         if served not in expected:
             wrong.append((sql[:40], versions, served, sorted(expected)))
-        raced += not cached and len(versions) > 1
     assert wrong == [], wrong[:5]
     cold = sum(not cached for *_, cached in answers)
     assert cold >= bumps // 2, (cold, len(answers))
-    # The server verifies a fresh plan under its catalog as it stands
-    # when the answer arrives; only a bump that raced the search can
-    # make that differ from the version the engine searched under.
-    assert cli.client.stats()["cache"]["verify_violations"] <= raced
+    assert cli.client.stats()["cache"]["verify_violations"] == 0
     assert cli.client.health()["statistics_version"] >= bumps
