@@ -1,6 +1,6 @@
 """Catalog substrate: schemas, statistics, selectivity estimation (S1)."""
 
-from repro.catalog.catalog import Catalog, TableEntry
+from repro.catalog.catalog import Catalog, CatalogSnapshot, TableEntry
 from repro.catalog.persistence import load_catalog, save_catalog
 from repro.catalog.schema import Column, ColumnType, Schema
 from repro.catalog.selectivity import SelectivityDefaults, SelectivityEstimator
@@ -12,6 +12,7 @@ from repro.catalog.statistics import (
 
 __all__ = [
     "Catalog",
+    "CatalogSnapshot",
     "load_catalog",
     "save_catalog",
     "TableEntry",

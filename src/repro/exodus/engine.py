@@ -237,6 +237,7 @@ class ExodusOptimizer:
                 abort_reason=abort_reason,
                 degraded=report is not None,
                 budget_report=report,
+                catalog=context.catalog,
             )
         except ReproError as error:
             if getattr(error, "stats", None) is None:

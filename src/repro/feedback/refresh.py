@@ -206,8 +206,8 @@ def refresh_statistics(
                 continue
             statistics = _scaled_statistics(entry, observed)
         old_version = catalog.table_version(name)
-        catalog.update_statistics(name, statistics)
-        versions[name] = (old_version, catalog.table_version(name))
+        published = catalog.update_statistics(name, statistics)
+        versions[name] = (old_version, published.table_version(name))
         refreshed.append(name)
         store.clear_table(name)
     return RefreshResult(

@@ -10,11 +10,11 @@ and unit tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.algebra.expressions import GROUP_LEAF, LogicalExpression
 from repro.algebra.properties import LogicalProperties
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.selectivity import SelectivityEstimator
 from repro.errors import SearchError
 from repro.model.spec import ModelSpecification
@@ -23,16 +23,22 @@ __all__ = ["OptimizerContext"]
 
 
 class OptimizerContext:
-    """Shared state for one optimization run."""
+    """Shared state for one optimization run.
+
+    ``catalog`` is one :meth:`~repro.catalog.Catalog.snapshot` of the
+    catalog it is built over, taken once: every rule, property and cost
+    function of the run reads that one immutable version, whatever is
+    written to the catalog meanwhile.
+    """
 
     def __init__(
         self,
         spec: ModelSpecification,
-        catalog: Catalog,
+        catalog: Union[Catalog, CatalogSnapshot],
         estimator: Optional[SelectivityEstimator] = None,
     ):
         self.spec = spec
-        self.catalog = catalog
+        self.catalog = catalog.snapshot()
         self.estimator = estimator or SelectivityEstimator()
         # Installed by a memo built on this context so that group leaves
         # resolve to their group's logical properties during pattern

@@ -49,13 +49,13 @@ Two production concerns layer on top of the paper's algorithm:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import ANY_PROPS, PhysProps
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.selectivity import SelectivityEstimator
 from repro.errors import (
     BudgetExceededError,
@@ -199,7 +199,13 @@ class OptimizationResult:
     process of :class:`~repro.server.engines.ProcessOptimizer` does so
     whenever it records certificates.  None means the engine did not
     check (every in-process engine); the service then runs the checker
-    itself.
+    itself, against ``catalog``.
+
+    ``catalog`` is the :class:`~repro.catalog.CatalogSnapshot` the
+    search read: every engine takes one snapshot per run, so a write
+    that lands while it searches is not part of this answer, and the
+    answer's checker, its cache key and the sharing pass read this
+    version too.  It is never part of equality or ``repr``.
     """
 
     plan: PhysicalPlan
@@ -213,6 +219,7 @@ class OptimizationResult:
     budget_report: Optional[BudgetReport] = None
     certificate: Optional["PlanCertificate"] = None
     verified: Optional[bool] = None
+    catalog: Optional[CatalogSnapshot] = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         status = " (DEGRADED)" if self.degraded else ""
@@ -322,7 +329,7 @@ class VolcanoOptimizer:
     def __init__(
         self,
         spec: ModelSpecification,
-        catalog: Catalog,
+        catalog: Union[Catalog, CatalogSnapshot],
         options: Optional[SearchOptions] = None,
         estimator: Optional[SelectivityEstimator] = None,
     ):
@@ -503,6 +510,7 @@ class VolcanoOptimizer:
                     degraded=report is not None,
                     budget_report=report,
                     certificate=certificate,
+                    catalog=run.context.catalog,
                 )
                 for hook in self.post_optimize_hooks:
                     hook(result)

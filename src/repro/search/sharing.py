@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.selectivity import SelectivityEstimator
 from repro.errors import ReproError
 from repro.model.context import OptimizerContext
@@ -337,7 +337,7 @@ def _visit_producer(
 def plan_sharing(
     results: Sequence,
     spec: ModelSpecification,
-    catalog: Catalog,
+    catalog: Union[Catalog, CatalogSnapshot],
     options: Optional[SharingOptions] = None,
     estimator: Optional[SelectivityEstimator] = None,
 ) -> SharingReport:

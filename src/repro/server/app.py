@@ -57,6 +57,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+from repro.catalog.catalog import CatalogSnapshot
 from repro.catalog.statistics import ColumnStatistics, TableStatistics
 from repro.errors import ReproError, ServerError
 from repro.executor import ExecutionStats, execute_plan
@@ -122,6 +123,15 @@ class _Answer(NamedTuple):
         return served_payload(
             self.served, self.key, pinned=self.pinned, guard=self.guard
         )
+
+
+def _searched_under(query: PreparedQuery, served: ServedResult) -> CatalogSnapshot:
+    """The catalog version ``served`` was searched under when fresh, else
+    the one ``query``'s cache key was derived from."""
+    result = served.result
+    if result is not None and result.catalog is not None:
+        return result.catalog
+    return query.catalog
 
 
 class OptimizerServer:
@@ -462,14 +472,15 @@ class OptimizerServer:
                 self.registry.record_pinned_hit(key)
             elif managed and not (served.cached or served.degraded):
                 # Fresh non-degraded answers go through the regression
-                # guard; a rollback swaps in the incumbent's plan.
+                # guard, at the version they were searched under; a
+                # rollback swaps in the incumbent's plan.
                 decision = self.registry.admit(
                     key,
                     served.plan,
                     cost_total(served.cost),
                     served.required,
                     certificate=served.certificate,
-                    statistics_version=self.service.catalog.statistics_version,
+                    statistics_version=_searched_under(query, served).statistics_version,
                 )
                 guard = {
                     "action": decision.action,
@@ -596,7 +607,7 @@ class OptimizerServer:
             if normalized is None:
                 normalized = normalize_literals(
                     prepared.expression,
-                    self.service.catalog,
+                    prepared.catalog,
                     buckets=self.service.options.selectivity_buckets,
                 )
             return prepared, normalized
@@ -706,6 +717,7 @@ class OptimizerServer:
             managed=False,
         )
         served, key = answer.served, answer.key
+        catalog = _searched_under(answer.query, served)
         if served.degraded:
             raise ServerError(
                 "refusing to pin a degraded (budget-tripped) plan", status=409
@@ -714,7 +726,7 @@ class OptimizerServer:
         if self.options.verify_pins and served.certificate is not None:
             ok = await self._in_thread(
                 lambda: self.service.verify_served(
-                    answer.query.expression, served.plan, served.certificate
+                    answer.query.expression, served.plan, served.certificate, catalog
                 )
             )
             if ok is False:
@@ -731,7 +743,7 @@ class OptimizerServer:
             certificate=served.certificate,
             kind="user",
             verified=verified,
-            statistics_version=self.service.catalog.statistics_version,
+            statistics_version=catalog.statistics_version,
             reason=reason,
         )
         return {
@@ -797,14 +809,15 @@ class OptimizerServer:
             ),
             columns=columns,
         )
-        await self._in_thread(
+        published = await self._in_thread(
             lambda: catalog.update_statistics(table, updated)
         )
+        # This write's own versions: a later write may have landed since.
         return {
             "table": table,
             "row_count": updated.row_count,
-            "table_version": catalog.table_version(table),
-            "statistics_version": catalog.statistics_version,
+            "table_version": published.table_version(table),
+            "statistics_version": published.statistics_version,
         }
 
     async def _handle_shutdown(self, body: Mapping[str, Any]) -> Dict[str, Any]:

@@ -31,11 +31,15 @@ single-flight, admission and the regression guard stay in the server.
   optimizer (spec closures cannot be pickled, and the catalog's rows
   are not copied), and they are forked in the constructor, before any
   thread exists.
-* **Statistics only when stale.**  Each engine is sent a consistent
-  copy of every table's statistics when the catalog's statistics
-  version has moved since its last copy, and nothing otherwise; it
+* **Statistics only when stale.**  Each task is built from one
+  :meth:`~repro.catalog.Catalog.snapshot` of the server's catalog.  An
+  engine is sent every table's statistics from it when its version is
+  not the one that engine last received, and nothing otherwise; it
   applies the tables that differ from its own before it searches, so a
-  search never sees a statistics bump land half-way.
+  search never sees a statistics bump land half-way.  The results carry
+  that snapshot as :attr:`OptimizationResult.catalog
+  <repro.search.OptimizationResult>`: the statistics the engine
+  searched under, as the server holds them.
 * **Failures fail loudly.**  Once one engine process has died, every
   later search raises :class:`~repro.errors.ServerError` with status
   503, even while its siblings live, and
@@ -61,7 +65,6 @@ from multiprocessing.connection import Connection, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.properties import PhysProps
-from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import TableStatistics
 from repro.errors import ServerError, ServiceError
 from repro.model.cost import INFINITE_COST
@@ -170,18 +173,9 @@ def _verdict(
         query,
         result.plan,
         result.certificate,
-        catalog=engine.catalog,
+        catalog=result.catalog,
         estimator=engine.estimator,
     ).ok
-
-
-def _statistics(catalog: Catalog) -> Tuple[int, Dict[str, TableStatistics]]:
-    """Every table's statistics, all of one statistics version, and that version."""
-    while True:
-        version = catalog.statistics_version
-        tables = {entry.name: entry.statistics for entry in catalog.tables()}
-        if catalog.statistics_version == version:
-            return version, tables
 
 
 def _refused() -> ServerError:
@@ -231,7 +225,8 @@ class ProcessOptimizer:
     required properties, stats, the degraded flag, the budget report and
     the certificate.  Under ``options.certificates`` each result also
     carries the engine's check of its certificate (``verified``; None
-    when it has none).
+    when it has none).  ``catalog`` is the server's own snapshot whose
+    statistics the engine searched under; it never crosses the pipe.
     """
 
     def __init__(self, optimizer: VolcanoOptimizer, processes: int) -> None:
@@ -307,14 +302,11 @@ class ProcessOptimizer:
             raise _refused()
         engine = self._idle.get()
         try:
-            # An engine that holds the current version is sent none; one
-            # that does not is recorded at its snapshot's own version, so
-            # a bump racing this read cannot leave it marked fresher than
-            # the statistics it holds.
-            version = self.catalog.statistics_version
+            snapshot = self.catalog.snapshot()
+            version = snapshot.statistics_version
             statistics = None
             if version != engine.statistics_version:
-                version, statistics = _statistics(self.catalog)
+                statistics = {entry.name: entry.statistics for entry in snapshot.tables()}
             task = (
                 queries,
                 props,
@@ -350,6 +342,7 @@ class ProcessOptimizer:
                 budget_report=budget_report,
                 certificate=certificate,
                 verified=verified,
+                catalog=snapshot,
             )
             for plan, cost, required, stats, degraded, budget_report, certificate, verified
             in answers

@@ -351,8 +351,8 @@ class StatementLRU:
     """A bounded, locked LRU from statement text to what was derived from it.
 
     A value is stored under a freshness ``stamp`` (the statement memo's
-    is the catalog's statistics version) and found only under the same
-    one; the next :meth:`put` of its key **replaces a stale value in
+    is the catalog snapshot it was resolved under) and found only under
+    the same one; the next :meth:`put` of its key **replaces a stale value in
     place**, so there is one value per live text, never a superseded
     one beside its successor.  ``hits``/``misses`` count :meth:`get`.
     """

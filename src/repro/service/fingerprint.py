@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.properties import PhysProps
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 
 __all__ = ["Fingerprint", "table_dependencies", "fingerprint", "stable_key"]
 
@@ -56,7 +56,7 @@ class Fingerprint:
 
 
 def table_dependencies(
-    expression: LogicalExpression, catalog: Catalog
+    expression: LogicalExpression, catalog: Union[Catalog, CatalogSnapshot]
 ) -> Tuple[str, ...]:
     """The stored tables a logical expression reads, sorted and unique."""
     names = {
@@ -70,7 +70,7 @@ def table_dependencies(
 def fingerprint(
     expression: LogicalExpression,
     props: PhysProps,
-    catalog: Catalog,
+    catalog: Union[Catalog, CatalogSnapshot],
     bucket_key: Tuple = (),
     *,
     sexpr: Optional[str] = None,

@@ -16,10 +16,11 @@ twice.  :class:`OptimizerService` is that front:
 * **invalidation by versioning** — every catalog mutation bumps a
   monotonic statistics version, so stale entries can never be hit (the
   fingerprint changes) and are swept out lazily on the next call;
-* **resolve once** — a query resolved under one statistics version, with
+* **resolve once** — a query resolved under one catalog snapshot, with
   its keys, is one :class:`PreparedQuery`; the statement memo holds one
   per SQL text, so a repeated text is not parsed again, and a statistics
-  write re-keys it instead of translating it again.
+  write re-keys it instead of translating it again; an answer is
+  checked against the snapshot it was searched or keyed under.
 
 The service programs against the :class:`~repro.search.Optimizer`
 protocol, so it wraps the Volcano engine or either comparison baseline
@@ -38,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
 from repro.algebra.properties import ANY_PROPS, PhysProps
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.schema import Schema
 from repro.dynamic import bind_plan
 from repro.errors import BudgetExceededError, UnknownTableError
@@ -213,16 +214,17 @@ class ServedResult:
 
 @dataclass(frozen=True, eq=False)
 class PreparedQuery:
-    """A query resolved once under one statistics version, with its keys.
+    """A query resolved once under one catalog snapshot, with its keys.
 
     What :meth:`OptimizerService.resolve` derives, and the statement memo
     holds, so a repeated query need not derive it again: ``expression``,
     ``props``, the expression's ``sexpr`` rendering, the ``exact``
     fingerprint and, lazily, the version-independent :attr:`key`.
-    ``template`` is ``(template_key, normalized)``, set once by the
-    service when first needed (:meth:`~OptimizerService.prepare` and a
-    lookup miss always carry it).  Pass one wherever the service takes a
-    query; a stale one (``statistics_version`` moved) is re-keyed, never
+    All of them, and ``template`` — ``(template_key, normalized)``, set
+    once by the service when first needed — are derived from ``catalog``,
+    one :class:`~repro.catalog.CatalogSnapshot`, which a hit under these
+    keys is verified against.  Pass one wherever the service takes a
+    query; a stale one (the catalog has moved on) is re-keyed, never
     trusted.
 
     ``missed`` marks the copy :meth:`OptimizerService.lookup` returns for
@@ -234,10 +236,15 @@ class PreparedQuery:
     expression: LogicalExpression
     props: PhysProps
     exact: Fingerprint
-    statistics_version: int
+    catalog: CatalogSnapshot
     sexpr: Optional[str] = None
     template: Optional[Tuple[Optional[Fingerprint], Any]] = None
     missed: bool = False
+
+    @property
+    def statistics_version(self) -> int:
+        """The statistics version of :attr:`catalog`."""
+        return self.catalog.statistics_version
 
     @cached_property
     def key(self) -> str:
@@ -416,9 +423,7 @@ class OptimizerService:
     def _templated(self, query: PreparedQuery) -> PreparedQuery:
         """``query`` with its template keys, derived once, when first needed."""
         if query.template is None:
-            object.__setattr__(
-                query, "template", self._template_keys(query.expression, query.props)
-            )
+            object.__setattr__(query, "template", self._template_keys(query))
         return query
 
     def lookup(
@@ -456,7 +461,7 @@ class OptimizerService:
         entry = self.cache.get(statement.exact)
         quarantined = False
         if entry is not None:
-            served = self._serve_exact(entry, statement.expression, started)
+            served = self._serve_exact(entry, statement, started)
             if served is not None:
                 return served
             quarantined = True
@@ -480,15 +485,7 @@ class OptimizerService:
                     parameterized=True,
                     elapsed_seconds=elapsed,
                 )
-        return PreparedQuery(
-            statement.expression,
-            statement.props,
-            statement.exact,
-            statement.statistics_version,
-            statement.sexpr,
-            statement.template,
-            missed=True,
-        )
+        return dataclasses.replace(statement, missed=True)
 
     def resolve(
         self,
@@ -499,11 +496,13 @@ class OptimizerService:
     ) -> PreparedQuery:
         """Coerce any accepted query form to a :class:`PreparedQuery`.
 
-        SQL text is **resolved once**: parsed, translated, rendered and
+        Everything is derived from one :meth:`~repro.catalog.Catalog.snapshot`
+        of the catalog, the one the result carries.  SQL text is
+        **resolved once**: parsed, translated, rendered and
         fingerprinted the first time it is seen, then served from the
         statement memo (:attr:`statements`) as the same object while the
-        statistics version holds.  Every catalog mutation bumps
-        ``statistics_version``, and a stale entry is replaced in place:
+        snapshot is current.  Every catalog mutation publishes a new
+        one, and a stale entry is replaced in place:
         re-keyed from its stored expression, props and rendering, and
         translated again only when a table it reads no longer has the
         schema it was translated against (``replace_table``,
@@ -511,26 +510,23 @@ class OptimizerService:
         translate (it raises), text longer than ``MAX_MEMO_SQL``, text
         required under explicit ``props``.
 
-        A :class:`PreparedQuery` of the current version (and the same
+        A :class:`PreparedQuery` of the current snapshot (and the same
         ``props``) comes back as it is; a stale one is re-keyed from its
         expression, never trusted.
         """
-        # Read first: keys of a later version under an earlier label are
-        # only ever re-keyed, never trusted.
-        version = self.catalog.statistics_version
+        catalog = self.catalog.snapshot()
         text: Optional[str] = None
         schemas: Optional[Tuple[Schema, ...]] = None
         if isinstance(query, str) and props is None and len(query) <= MAX_MEMO_SQL:
             text = query
-            memoized = self.statements.get(text, version)
+            memoized = self.statements.get(text, catalog)
             if memoized is not None:
                 return memoized[0]
             stale = self.statements.peek(text)
-            if stale is not None and self._translated_against(*stale):
+            if stale is not None and _translated_against(catalog, *stale):
                 query, schemas = stale  # re-keyed below, not translated again
         if isinstance(query, PreparedQuery):
-            fresh = query.statistics_version == version
-            if fresh and (props is None or props == query.props):
+            if query.catalog is catalog and (props is None or props == query.props):
                 return query
             if props is None:
                 props = query.props
@@ -540,7 +536,7 @@ class OptimizerService:
         elif isinstance(query, str):
             from repro.sql.translator import Translator
 
-            translation = Translator(self.catalog).translate(query)
+            translation = Translator(catalog).translate(query)
             if props is None:
                 props = translation.required
             query = translation.expression
@@ -551,40 +547,17 @@ class OptimizerService:
         statement = PreparedQuery(
             query,
             props,
-            fingerprint(query, props, self.catalog, sexpr=sexpr),
-            version,
+            fingerprint(query, props, catalog, sexpr=sexpr),
+            catalog,
             sexpr,
         )
         if text is not None:
-            if schemas is None:
-                schemas = self._schemas(statement.exact.tables, version)
-            self.statements.put(text, (statement, schemas), version)
+            if schemas is None:  # the ones it was just translated against
+                schemas = tuple(
+                    catalog.table(name).schema for name in statement.exact.tables
+                )
+            self.statements.put(text, (statement, schemas), catalog)
         return statement
-
-    def _schemas(self, tables, version: int) -> Optional[Tuple[Schema, ...]]:
-        """The schemas of ``tables`` a text was just translated against;
-        None (translate it again when stale) if the catalog has moved
-        since ``version``, when they may not be."""
-        catalog = self.catalog
-        try:
-            schemas = tuple(catalog.table(name).schema for name in tables)
-        except UnknownTableError:  # dropped since
-            return None
-        return schemas if catalog.statistics_version == version else None
-
-    def _translated_against(
-        self, statement: PreparedQuery, schemas: Optional[Tuple[Schema, ...]]
-    ) -> bool:
-        """Whether every table ``statement`` reads still has ``schemas``."""
-        if schemas is None:
-            return False
-        try:
-            return all(
-                self.catalog.table(name).schema is schema
-                for name, schema in zip(statement.exact.tables, schemas)
-            )
-        except UnknownTableError:  # dropped
-            return False
 
     def optimize(
         self,
@@ -624,7 +597,7 @@ class OptimizerService:
             return found
         started = time.perf_counter()
         expression, props = found.expression, found.props
-        keys = exact, template_key, _ = found.keys
+        exact, template_key, _ = found.keys
 
         def miss() -> ServedResult:
             # Late-leader re-check: this thread's lookup missed, but
@@ -635,7 +608,7 @@ class OptimizerService:
             entry = self.cache.peek(exact)
             if entry is not None:
                 self.cache.stats.bump(lookups=1, hits=1)
-                served = self._serve_exact(entry, expression, started)
+                served = self._serve_exact(entry, found, started)
                 if served is not None:
                     return served
                 if template_key is not None:
@@ -645,7 +618,7 @@ class OptimizerService:
             )
             if result.stats is not None:
                 self.cache.stats.bump(engine_seconds=result.stats.elapsed_seconds)
-            return self._serve_fresh(keys, result, expression, started)
+            return self._serve_fresh(found, result, started)
 
         served, leader = self.single_flight.do(exact.digest, miss)
         if not leader:
@@ -661,25 +634,26 @@ class OptimizerService:
         return served
 
     def _template_keys(
-        self, query: LogicalExpression, props: PhysProps
+        self, query: PreparedQuery
     ) -> Tuple[Optional[Fingerprint], Any]:
         """A query's ``(template_key, normalized)``, or ``(None, None)``.
 
         The one place literals are normalized and the template
-        fingerprint derived; None when parameterized caching is off or
-        the query has no literal to replace.
+        fingerprint derived, both under the query's own snapshot; None
+        when parameterized caching is off or the query has no literal to
+        replace.
         """
         if not self.options.parameterized:
             return None, None
         normalized = normalize_literals(
-            query, self.catalog, buckets=self.options.selectivity_buckets
+            query.expression, query.catalog, buckets=self.options.selectivity_buckets
         )
         if not normalized.is_parameterized:
             return None, None
         template_key = fingerprint(
             normalized.template,
-            props,
-            self.catalog,
+            query.props,
+            query.catalog,
             bucket_key=tuple(
                 (op, bucket) for _, op, bucket in normalized.bucket_key
             ),
@@ -687,12 +661,13 @@ class OptimizerService:
         return template_key, normalized
 
     def _serve_exact(
-        self, entry: CacheEntry, query: LogicalExpression, started: float
+        self, entry: CacheEntry, query: PreparedQuery, started: float
     ) -> Optional[ServedResult]:
         """Wrap an exact-fingerprint entry as a hit, or quarantine it.
 
         Under ``verify_plans`` it is served only under a certificate
-        the checker accepted: an entry still holding the very plan and
+        the checker accepted, under the snapshot ``query``'s keys were
+        derived from: an entry still holding the very plan and
         certificate it was verified with (:attr:`CacheEntry.verified`)
         is served as it stands — the checker is a pure function of what
         that mark and the exact fingerprint pin — and any other entry
@@ -706,7 +681,9 @@ class OptimizerService:
         if self.options.verify_plans and entry.certificate is not None:
             ok: Optional[bool] = True
             if not entry.verified:
-                ok = self.verify_served(query, entry.plan, entry.certificate)
+                ok = self.verify_served(
+                    query.expression, entry.plan, entry.certificate, query.catalog
+                )
                 if ok is False:
                     self.cache.remove(entry.fingerprint)
                     self.cache.stats.bump(verify_violations=1, quarantined=1)
@@ -728,17 +705,15 @@ class OptimizerService:
         )
 
     def _serve_fresh(
-        self,
-        keys: _Keys,
-        result: OptimizationResult,
-        query: LogicalExpression,
-        started: float,
+        self, query: PreparedQuery, result: OptimizationResult, started: float
     ) -> ServedResult:
-        """One fresh engine answer: verify, cache, wrap.
+        """One fresh engine answer to ``query``: verify, cache, wrap.
 
         Shared by the single-query miss and the shared-memo batch.
-        Engine time is accounted by the caller, once per engine *run*
-        (a shared-memo batch is one run behind many answers).
+        The answer is checked against the snapshot its search read (the
+        query's own, for an engine that does not record one).  Engine
+        time is accounted by the caller, once per engine *run* (a
+        shared-memo batch is one run behind many answers).
         """
         degraded = bool(getattr(result, "degraded", False))
         certificate = getattr(result, "certificate", None)
@@ -748,7 +723,12 @@ class OptimizerService:
             # it searched) has run this answer's checker already.
             ok = getattr(result, "verified", None)
             if ok is None:
-                ok = self.verify_served(query, result.plan, certificate)
+                ok = self.verify_served(
+                    query.expression,
+                    result.plan,
+                    certificate,
+                    result.catalog or query.catalog,
+                )
             else:
                 self.cache.stats.bump(verifications=1)
             if ok is False:
@@ -759,12 +739,12 @@ class OptimizerService:
         if degraded:
             self.cache.stats.bump(degraded=1)
         elif ok is not False:
-            self._store(keys, result, verified=bool(ok))
+            self._store(query.keys, result, verified=bool(ok))
         return ServedResult(
             plan=result.plan,
             cost=result.cost,
             required=result.required,
-            fingerprint=keys[0],
+            fingerprint=query.exact,
             cached=False,
             degraded=degraded,
             elapsed_seconds=time.perf_counter() - started,
@@ -778,16 +758,19 @@ class OptimizerService:
         query: LogicalExpression,
         plan: PhysicalPlan,
         certificate: Optional[PlanCertificate],
+        catalog: CatalogSnapshot,
     ) -> Optional[bool]:
         """Re-check a plan against its certificate; None when impossible.
 
         The independent checker behind :attr:`ServiceOptions.verify_plans`
         — public so callers *above* the service (the server, before it
         pins a plan) get exactly the per-answer check: True (verified),
-        False (violation), or None.  Verification needs a model
-        specification and a certificate; engines without either (or
-        runs with recording off) are served unverified, not rejected.
-        Every run of the checker counts under ``stats.verifications``.
+        False (violation), or None, against ``catalog``: the snapshot the
+        plan was searched under, or the one a cached plan's key was
+        derived from.  Verification needs a model specification and a
+        certificate; engines without either (or runs with recording off)
+        are served unverified, not rejected.  Every run of the checker
+        counts under ``stats.verifications``.
         """
         spec = getattr(self.optimizer, "spec", None)
         if spec is None or certificate is None:
@@ -800,7 +783,7 @@ class OptimizerService:
             query,
             plan,
             certificate,
-            catalog=self.catalog,
+            catalog=catalog,
             estimator=getattr(self.optimizer, "estimator", None),
         )
         return report.ok
@@ -965,21 +948,20 @@ class OptimizerService:
         # exactly once, not once per result.
         if outcomes and outcomes[0].stats is not None:
             self.cache.stats.bump(engine_seconds=outcomes[0].stats.elapsed_seconds)
-        for index, expression, result in zip(dispatch, expressions, outcomes):
-            results[index] = self._serve_fresh(
-                missed[index].keys, result, expression, started
-            )
+        for index, result in zip(dispatch, outcomes):
+            results[index] = self._serve_fresh(missed[index], result, started)
+        catalog = outcomes[0].catalog  # the one snapshot the batch searched
         report = plan_sharing(
             outcomes,
             self.optimizer.spec,
-            self.catalog,
+            catalog,
             options=self.options.sharing,
             estimator=getattr(self.optimizer, "estimator", None),
         )
         if not (self.options.verify_plans and report.shared_plans):
             return report, None, (), ()
         certified = bool(report.consumer_certificates)
-        if certified and self._verify_sharing(report, expressions):
+        if certified and self._verify_sharing(report, expressions, catalog):
             return (
                 report,
                 None,
@@ -992,21 +974,21 @@ class OptimizerService:
         self.cache.stats.bump(verify_violations=int(certified), quarantined=1)
         return SharingReport(plans=tuple(r.plan for r in outcomes)), None, (), ()
 
-    def _verify_sharing(self, report: SharingReport, expressions) -> bool:
+    def _verify_sharing(
+        self, report: SharingReport, expressions, catalog: CatalogSnapshot
+    ) -> bool:
         """Do every rewritten consumer and every materialized producer
-        pass the independent checker under the pass's own certificates?"""
-        for expression, plan, certificate in zip(
-            expressions, report.plans, report.consumer_certificates
-        ):
-            if self.verify_served(expression, plan, certificate) is not True:
-                return False
-        for shared, certificate in zip(
-            report.shared_plans, report.producer_certificates
-        ):
-            source = certificate.source
-            if self.verify_served(source, shared.plan, certificate) is not True:
-                return False
-        return True
+        pass the independent checker under the pass's own certificates,
+        against the snapshot the batch was searched under?"""
+        consumers = zip(expressions, report.plans, report.consumer_certificates)
+        producers = [
+            (certificate.source, shared.plan, certificate)
+            for shared, certificate in zip(report.shared_plans, report.producer_certificates)
+        ]
+        return all(
+            self.verify_served(query, plan, certificate, catalog) is True
+            for query, plan, certificate in [*consumers, *producers]
+        )
 
     def _stats_delta(self, before: dict) -> CacheStats:
         after = self.cache.stats.counters()
@@ -1162,3 +1144,16 @@ class OptimizerService:
                     parameterized=True,
                 )
             )
+
+
+def _translated_against(
+    catalog: CatalogSnapshot, statement: PreparedQuery, schemas: Tuple[Schema, ...]
+) -> bool:
+    """Whether every table ``statement`` reads still has ``schemas`` in ``catalog``."""
+    try:
+        return all(
+            catalog.table(name).schema is schema
+            for name, schema in zip(statement.exact.tables, schemas)
+        )
+    except UnknownTableError:  # dropped
+        return False

@@ -28,7 +28,7 @@ round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
@@ -40,7 +40,7 @@ from repro.algebra.predicates import (
     Negation,
     Predicate,
 )
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.selectivity import SelectivityEstimator
 from repro.dynamic import Parameter, bind_plan
 
@@ -89,7 +89,7 @@ class NormalizedQuery:
         return bind_plan(plan, self.bindings)
 
 
-def _column_stats(catalog: Catalog) -> Dict[str, object]:
+def _column_stats(catalog: Union[Catalog, CatalogSnapshot]) -> Dict[str, object]:
     """All column statistics in the catalog, keyed by qualified name."""
     stats: Dict[str, object] = {}
     for entry in catalog.tables():
@@ -144,7 +144,7 @@ def _rewrite_expression(
 
 def normalize_literals(
     query: LogicalExpression,
-    catalog: Catalog,
+    catalog: Union[Catalog, CatalogSnapshot],
     buckets: int = 10,
     estimator: Optional[SelectivityEstimator] = None,
 ) -> NormalizedQuery:

@@ -12,7 +12,7 @@ ORDER BY clause of SQL)").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.predicates import (
@@ -25,7 +25,7 @@ from repro.algebra.predicates import (
     conjunction_of,
 )
 from repro.algebra.properties import ANY_PROPS, PhysProps, sorted_on
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.catalog.schema import Schema
 from repro.errors import SqlError, UnknownColumnError
 from repro.models.aggregates import aggregate
@@ -52,7 +52,9 @@ class Translation:
 class Translator:
     """Catalog-aware SQL → logical algebra translation."""
 
-    def __init__(self, catalog: Catalog, allow_cross_products: bool = False):
+    def __init__(
+        self, catalog: Union[Catalog, CatalogSnapshot], allow_cross_products: bool = False
+    ):
         self.catalog = catalog
         self.allow_cross_products = allow_cross_products
 

@@ -233,7 +233,11 @@ class SystemROptimizer:
                 )
             best = self._pick_final(context, final, props[all_indices], required)
             return SystemRResult(
-                plan=best.plan, cost=best.cost, required=required, stats=stats
+                plan=best.plan,
+                cost=best.cost,
+                required=required,
+                stats=stats,
+                catalog=context.catalog,
             )
         except ReproError as error:
             if getattr(error, "stats", None) is None:
@@ -278,7 +282,7 @@ class SystemROptimizer:
         # Reuse the Volcano engine on the single leaf: exact and simple.
         from repro.search.engine import VolcanoOptimizer
 
-        result = VolcanoOptimizer(self.spec, self.catalog).optimize(leaf)
+        result = VolcanoOptimizer(self.spec, context.catalog).optimize(leaf)
         return result.plan
 
     def _combine(

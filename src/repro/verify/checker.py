@@ -29,11 +29,11 @@ All P-codes are errors; a plan verifies iff its report is empty.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.algebra.expressions import LogicalExpression
 from repro.algebra.plans import PhysicalPlan
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogSnapshot
 from repro.lint.diagnostics import LintReport
 from repro.model.patterns import match_tree
 from repro.model.spec import AlgorithmNode, ModelSpecification
@@ -92,7 +92,7 @@ class _Checker:
         self,
         spec: ModelSpecification,
         report: VerifyReport,
-        catalog: Optional[Catalog],
+        catalog: Optional[Union[Catalog, CatalogSnapshot]],
         estimator,
     ):
         from repro.model.context import OptimizerContext
@@ -568,7 +568,7 @@ def verify_plan(
     plan: PhysicalPlan,
     certificate: Optional[PlanCertificate],
     *,
-    catalog: Optional[Catalog] = None,
+    catalog: Optional[Union[Catalog, CatalogSnapshot]] = None,
     estimator=None,
 ) -> VerifyReport:
     """Independently re-check a plan's provenance certificate.

@@ -391,6 +391,64 @@ def test_pin_survives_statistics_bump_until_unpinned(client):
     assert [e["kind"] for e in registry["events"]].count("pin") >= 1
 
 
+def _write_after_each_search(monkeypatch, counting, catalog, table="t"):
+    """Make a statistics write to ``table`` land right after every search
+    returns, before the server records the answer."""
+    inner = counting.optimize
+
+    def searched_then_written(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        catalog.update_statistics(table, catalog.table(table).statistics)
+        return result
+
+    monkeypatch.setattr(counting, "optimize", searched_then_written)
+
+
+def test_pin_records_the_version_its_plan_was_searched_under(
+    client, counting, scenario, monkeypatch
+):
+    before = client.health()["statistics_version"]
+    _write_after_each_search(monkeypatch, counting, scenario.catalog)
+    pin = client.pin(CHAIN_SQL)
+    assert pin["verified"]
+    assert pin["pinned_version"] == before
+    assert client.health()["statistics_version"] == before + 1
+
+
+def test_guard_records_the_version_its_plan_was_searched_under(
+    client, server, counting, scenario, monkeypatch
+):
+    before = client.health()["statistics_version"]
+    _write_after_each_search(monkeypatch, counting, scenario.catalog)
+    served = client.optimize(CHAIN_SQL)
+    assert served["guard"]["action"] == "adopt"
+    assert server.registry.incumbent(served["key"]).adopted_version == before
+    assert client.health()["statistics_version"] == before + 1
+
+
+def test_statistics_reports_the_versions_of_its_own_write(
+    client, scenario, monkeypatch
+):
+    """A write that lands right after this one (a feedback refresh, say)
+    is not reported as this one."""
+    catalog = scenario.catalog
+    before = catalog.statistics_version
+    write = catalog.update_statistics
+
+    def then_another(name, statistics):
+        published = write(name, statistics)
+        write(name, statistics)
+        return published
+
+    monkeypatch.setattr(catalog, "update_statistics", then_another)
+    bumped = client.update_statistics(
+        "r", {"columns": {"r.v": {"distinct_values": 61.0}}}
+    )
+    assert bumped["table_version"] == before + 1
+    assert bumped["statistics_version"] == before + 1
+    assert catalog.table_version("r") == before + 2
+
+
 def test_unpin_without_pin_is_404(client):
     with pytest.raises(ClientError) as caught:
         client.unpin(sql=CHAIN_SQL)

@@ -1,17 +1,23 @@
 """Engines never serve a mixed or stale statistics version.
 
-``python -m repro.server --verify --max-concurrent 2`` sends an engine
-process a statistics snapshot only when the catalog's version has moved
-since that engine's last one.  Here two clients send cold ``/optimize``
-and ``/execute`` requests while a third posts statistics bumps to two
-tables in turn, paced so that a request spans only a few versions.
-Every served ``cost_total`` must equal an in-process reference's at one
-of the versions that were current at some moment of that request: a
-version bumped in before the request was answered, and not bumped out
-before it was sent.  An engine searching under a snapshot it missed, or
-under half of one, serves another version's cost.  Each engine checks
-its certificate against the snapshot it searched, so no fresh plan
-fails the checker however the bumps race the searches.
+Two servers are raced, both built by ``build_server`` from the same
+``--verify --max-concurrent 2`` arguments:
+
+* the CLI, ``python -m repro.server``, whose searches run in engine
+  processes, each sent a statistics snapshot only when the catalog's
+  version has moved since that engine's last one;
+* an in-process :class:`~repro.server.ServerThread`, whose searches run
+  on its worker threads over the very catalog the writes change.
+
+Two clients send cold ``/optimize`` and ``/execute`` requests while a
+third posts statistics bumps to two tables in turn, paced so that a
+request spans only a few versions.  Every served ``cost_total`` must
+equal an in-process reference's at one of the versions that were
+current at some moment of that request: a version bumped in before the
+request was answered, and not bumped out before it was sent.  A search
+that reads two versions, or a stale one, serves another version's
+cost.  Every answer is checked against the snapshot its search read,
+so no fresh plan fails the checker however the bumps race the searches.
 
 Tier-1 runs 12 bumps; ``--wide-sweep`` runs 240.
 """
@@ -19,13 +25,14 @@ Tier-1 runs 12 bumps; ``--wide-sweep`` runs 240.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.server import ServerClient
+from repro.server import ServerClient, ServerThread
 from repro.server.__main__ import build_parser, build_server
 from repro.server.protocol import cost_total
 
@@ -134,9 +141,31 @@ def _admissible(bumps, sent: float, answered: float) -> List[int]:
     ]
 
 
-@pytest.fixture
-def cli():
-    server = Cli()
+class InProcess:
+    """The CLI's server, built from its arguments, searching in this process.
+
+    The interpreter hands the GIL from thread to thread every 10 µs
+    while it runs (5 ms by default), so a write lands inside a search
+    or between a search and its check far more often.
+    """
+
+    def __init__(self) -> None:
+        args = build_parser().parse_args(Cli.ARGS + ["--port", "0"])
+        self.thread = ServerThread(build_server(args)).start()
+        self.address = self.thread.address
+        self.client = ServerClient(self.address)
+        self.interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+    def stop(self) -> None:
+        sys.setswitchinterval(self.interval)
+        self.client.close()
+        self.thread.stop()
+
+
+@pytest.fixture(params=[Cli, InProcess], ids=["cli", "in-process"])
+def cli(request):
+    server = request.param()
     try:
         yield server
     finally:
